@@ -266,12 +266,18 @@ def _assert_asymmetric(config: Configuration) -> None:
     """All views must be distinct when no quasi-regular structure exists.
 
     A cheap screen first: if every location has a distinct (multiplicity,
-    distance multiset) signature, views are necessarily distinct.
+    distance multiset) signature, views are necessarily distinct.  Distances
+    are rounded relative to the diameter, like every other slack, so the
+    screen behaves the same at every scale.
     """
     sigs = set()
     distinct = True
+    diameter = config.diameter
     for loc in config.locations:
-        sig = (loc.multiplicity, tuple(sorted(round(dist(loc.location, q), 9) for q in config.points)))
+        sig = (
+            loc.multiplicity,
+            tuple(sorted(round(dist(loc.location, q) / diameter, 9) for q in config.points)),
+        )
         if sig in sigs:
             distinct = False
             break

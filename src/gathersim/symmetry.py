@@ -9,6 +9,7 @@ and cross-checked wherever the protocol relies on them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -328,6 +329,13 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
     exact inputs the two agree outright; for inputs sitting on the tolerance
     knife edge the largest confirmed divisor wins, so the function stays
     total and conservative.
+
+    The periodicity divides the number of robots off c, so the counting test
+    runs first on those divisors; when none of them passes, the answer is 1
+    and the O(n^2) successor sweep is skipped.  The counting test finds each
+    rotated ray by binary search over the sorted ray directions: an order k
+    that holds costs O(n k log n), and one that fails usually does so on the
+    first ray, in O(k log n).
     """
     merge_slack = config.merge_slack
     off = [i for i, p in enumerate(config.points) if dist(p, c) > merge_slack]
@@ -339,10 +347,16 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
     dirs = _ray_clusters(config, c, off, angle_slack)
     if len(dirs) == 1:
         return 1
+    index = _RayIndex([theta for theta, _ in dirs])
+    divisors = (k for k in range(len(off), 1, -1) if len(off) % k == 0)
+    largest = next((k for k in divisors if _ray_rotation_holds(index, dirs, k, angle_slack)), 1)
+    if largest == 1:
+        return 1
     sa = string_of_angles(config, off[0], c, angle_slack)
     per = periodicity(sa, angle_slack)
-    for k in sorted((k for k in range(1, per + 1) if per % k == 0), reverse=True):
-        if k == 1 or _ray_rotation_holds(dirs, k, angle_slack):
+    # divisors of per above `largest` divide len(off) too, so they already failed
+    for k in sorted((k for k in range(1, min(per, largest) + 1) if per % k == 0), reverse=True):
+        if k in (1, largest) or _ray_rotation_holds(index, dirs, k, angle_slack):
             return k
     return 1
 
@@ -350,12 +364,48 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
 def _ray_clusters(
     config: Configuration, c: Point, off: list[int], slack: float
 ) -> list[tuple[float, int]]:
-    """(direction, robot count) per occupied ray from c."""
+    """(direction, robot count) per occupied ray from c, sorted by direction."""
     angles = [ccw_angle_of(config.points[i], c) % TAU for i in off]
     return [(mean, len(members)) for mean, members in circular_clusters(angles, slack, TAU)]
 
 
-def _ray_rotation_holds(dirs: list[tuple[float, int]], m: int, slack: float) -> bool:
+class _RayIndex:
+    """Ray directions with a copy one turn below and one above, sorted.
+
+    Directions lie in [0, 2*pi) except for a cluster straddling zero, whose
+    mean is slightly negative.  With the extra turns, the rays within a
+    window (narrower than a turn) around any target in [0, 2*pi) are one
+    contiguous slice, found by binary search.
+
+    ``probes`` lists the directions clockwise from the ray that opens the
+    widest empty sector: rotated counterclockwise by less than that sector,
+    it and its clockwise neighbours land in the sector, so a search for rays
+    without a rotated partner meets them first.
+    """
+
+    __slots__ = ("values", "rays", "probes")
+
+    def __init__(self, thetas: list[float]):
+        copies = sorted((theta + turn, k) for turn in (-TAU, 0.0, TAU) for k, theta in enumerate(thetas))
+        self.values = [v for v, _ in copies]
+        self.rays = [k for _, k in copies]
+        gaps = [b - a for a, b in zip(thetas, thetas[1:])] + [thetas[0] + TAU - thetas[-1]]
+        opener = max(range(len(gaps)), key=gaps.__getitem__)
+        self.probes = thetas[opener::-1] + thetas[:opener:-1]
+
+    def around(self, target: float, reach: float) -> list[int]:
+        """Indices of the rays within reach of target, up to rounding of the bounds."""
+        lo = bisect_left(self.values, target - reach)
+        hi = bisect_right(self.values, target + reach)
+        return self.rays[lo:hi]
+
+
+def _ray_rotation_holds(index: _RayIndex, dirs: list[tuple[float, int]], m: int, slack: float) -> bool:
+    """Every ray rotated by a multiple of 2*pi/m meets a ray of equal count.
+
+    ``index`` indexes the directions of ``dirs``; the exact window test runs
+    on the candidates it finds within twice the window.
+    """
     window = 4.0 * slack
     step = TAU / m
     for theta, count in dirs:
@@ -363,7 +413,7 @@ def _ray_rotation_holds(dirs: list[tuple[float, int]], m: int, slack: float) -> 
             target = (theta + k * step) % TAU
             if not any(
                 min(abs(target - other), TAU - abs(target - other)) <= window and count == c2
-                for other, c2 in dirs
+                for other, c2 in (dirs[j] for j in index.around(target, 2.0 * window))
             ):
                 return False
     return True
@@ -394,9 +444,7 @@ def _deficits_for(
     dirs: list[tuple[float, int]], mult_center: int, m: int, slack: float, center: Point
 ) -> QRegularityResult | None:
     step = TAU / m
-    # every orbit needs m occupied slots, so at least this many robots move
-    lower_bound = m * ((len(dirs) + m - 1) // m) - sum(c for _, c in dirs)
-    if lower_bound > mult_center:
+    if _orbit_lower_bound(len(dirs), sum(c for _, c in dirs), m) > mult_center:
         return None
     residues = [theta % step for theta, _ in dirs]
     orbits = circular_clusters(residues, slack, step)
@@ -425,6 +473,29 @@ def _deficits_for(
     return QRegularityResult(center, m, deficits)
 
 
+def _orbit_lower_bound(rays: int, robots: int, m: int) -> int:
+    """Robots that must leave the center: every orbit needs m occupied slots."""
+    return m * ((rays + m - 1) // m) - robots
+
+
+def _partnerless_rays_exceed(index: _RayIndex, m: int, slack: float, budget: int) -> bool:
+    """More than ``budget`` rays have no ray near their direction + 2*pi/m.
+
+    Sound only as a rejection of order m; see ``detect_quasi_regular``.
+    """
+    step = TAU / m
+    window = 2.0 * (m - 1) * slack
+    if window >= step / 8.0:
+        return False
+    misses = 0
+    for theta in index.probes:
+        if not index.around((theta + step) % TAU, window):
+            misses += 1
+            if misses > budget:
+                return True
+    return False
+
+
 def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     """Find the center and maximal order of quasi-regularity, if any.
 
@@ -432,6 +503,26 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     down from n; an unoccupied center can only belong to an already regular
     configuration, so the geometric-median candidate is validated by the
     ray periodicity test.
+
+    ``_deficits_for`` is the one acceptance test.  Before it runs, order m is
+    rejected when either exact bound proves it would return None:
+
+    * the integer lower bound: each orbit needs m occupied slots;
+    * the partner count.  An orbit's residue cluster holds at most m rays,
+      so its single-link chain spans at most (m-1)*slack.  While
+      2*(m-1)*slack stays below step/8 (step = 2*pi/m), every ray rounds to
+      its own slot and a ray in the next slot lies within that window of the
+      direction + step.  So a ray with no ray in the window leaves its
+      orbit's next slot empty, a distinct slot per ray (two rays sharing one
+      would also share a slot, which the full test rejects), and each empty
+      slot costs at least one deficit.  The deficits total at most the
+      center's multiplicity, so more partnerless rays than that reject m.
+
+    The rays around each center are clustered and sorted once; the partner
+    count stops at the first miss beyond the multiplicity, each miss found
+    by binary search.  Generic configurations reject every order in
+    O((multiplicity + 1) log n), so the search costs O(n^2 log n) overall
+    instead of one ray sort per (center, order) pair.
     """
     if config.is_linear:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
@@ -441,7 +532,12 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         r_min = min(dist(config.points[i], loc.location) for i in off)
         slack = _direction_slack(config, r_min, _COORD_DRIFT)
         dirs = _ray_clusters(config, loc.location, off, slack)
+        index = _RayIndex([theta for theta, _ in dirs])
         for m in range(n, 1, -1):
+            if _orbit_lower_bound(len(dirs), len(off), m) > loc.multiplicity:
+                continue
+            if _partnerless_rays_exceed(index, m, slack, loc.multiplicity):
+                continue
             res = _deficits_for(dirs, loc.multiplicity, m, slack, loc.location)
             if res is not None:
                 return res

@@ -20,8 +20,10 @@ from gathersim.configuration import (
     TAG_L2W,
     TAG_MULTIPLE,
     TAG_QREGULAR,
+    _assert_asymmetric,
 )
 from gathersim.errors import NotLinear
+from gathersim.generators import symmetric_configuration
 from gathersim.geometry import dist
 from helpers import Similarity, mixed_configuration
 
@@ -202,3 +204,16 @@ def test_classify_similarity_invariance():
             images = {sim(cls.endpoints[0]), sim(cls.endpoints[1])}
             for e in cls2.endpoints:
                 assert min(dist(e, i) for i in images) <= slack
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6, 1e9])
+def test_asymmetry_check_runs_at_every_scale(scale):
+    # the distance-signature screen may only skip the symmetricity check when
+    # views are provably distinct; with absolute rounding it skipped symmetric
+    # inputs at large scales and never screened anything at small ones
+    rng = random.Random(6)
+    for _ in range(20):
+        base = symmetric_configuration(rng, k=rng.choice((2, 3)), orbits=rng.randint(2, 3), with_center=False)
+        sim = Similarity(rng.uniform(0, math.tau), scale, rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
+        with pytest.raises(RuntimeError, match="classified asymmetric"):
+            _assert_asymmetric(sim.apply_config(base))

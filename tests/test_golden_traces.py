@@ -1,0 +1,152 @@
+"""Golden-trace gate: runs and classifications must stay byte-identical.
+
+Each case is a fixed (start, adversary, seed) run whose JSONL trace is hashed
+with SHA-256 and compared with the digest recorded when the case was added.
+A change to classification, the destination rule, scheduling or trace
+serialisation that alters even one byte of one trace fails here; such a
+change must re-record the digests and say why in CHANGES.md.
+
+Runs never pass through class B (a bivalent start is rejected and reaching
+one is a violation), so a second digest pins the full ``classify`` output
+on fixed snapshots of all six classes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, run
+from gathersim.configuration import ALL_TAGS, TAG_BIVALENT
+from gathersim.generators import (
+    bivalent_configuration,
+    collinear_configuration,
+    construct_quasi_regular,
+    multiplicity_configuration,
+    symmetric_configuration,
+    uniform_configuration,
+)
+from gathersim.geometry import TAU
+from gathersim.simulator import OUTCOME_GATHERED, dumps_17g, trace_lines
+
+
+def _polygon(rng: random.Random, n: int) -> Configuration:
+    phase = rng.uniform(0, TAU)
+    return Configuration(
+        [Point(2.0 + math.cos(phase + k * TAU / n), -1.0 + math.sin(phase + k * TAU / n)) for k in range(n)]
+    )
+
+
+def _quasi_regular(rng: random.Random, n: int) -> Configuration:
+    while True:
+        config = construct_quasi_regular(rng, m=rng.choice((2, 3))).config
+        if config.n <= n:
+            return config
+
+
+STARTS = {
+    "uniform": uniform_configuration,
+    "collinear": collinear_configuration,
+    "median": lambda rng, n: collinear_configuration(rng, n, unique_median=True),
+    "multiplicity": multiplicity_configuration,
+    "symmetric": lambda rng, n: symmetric_configuration(rng, k=n // 2, orbits=1, with_center=n % 2 == 1),
+    "quasi_regular": _quasi_regular,
+    "polygon": _polygon,
+}
+
+# (start kind, at most n robots, activation, stop policy, crashes, seed) -> SHA-256
+# of the trace; crashes are none or all but two robots
+GOLDEN_RUNS = {
+    ("uniform", 5, "synchronous", "full_move", "none", 1): "753aecbdc4ac1a7c19bc0651954891b768157caee541a40b2a525f4f65347905",
+    ("uniform", 6, "random", "minimal", "n-2", 2): "7a9c810ecdf09129103bd60b9e680b22b806c0385b46de06f30cdfaddcef96ed",
+    ("uniform", 7, "round_robin", "random_fraction", "none", 3): "15251b2690fc272377424ed11411792a316b22603360df977bfa94f5ea4d92fb",
+    ("uniform", 8, "adversarial_greedy", "minimal", "n-2", 4): "f7ab789c84b1bf51d210469697ab0eee25d13d21d434b517ed6e5c78b9aa0f52",
+    ("uniform", 4, "adversarial_greedy", "full_move", "none", 5): "2bc063e820b6dd4545e9111ff61ad3b17b31fad3cab38c8e11b5bb887e487b83",
+    ("uniform", 3, "random", "random_fraction", "n-2", 6): "6bb0cd8d63b43b8080a3ecef236ffa1879525a94d187e4c5d3f4c8be95beb64f",
+    ("collinear", 5, "synchronous", "minimal", "n-2", 7): "f47b63b01cca1e2a5e61221da65c6f9120ea6fd0852397b45166e7644b14d92d",
+    ("collinear", 6, "random", "full_move", "none", 8): "02c9bbca4c5921e79fde58153a37142bfde6785b4e2d8b04c8aa6f2a60c6b84d",
+    ("collinear", 8, "round_robin", "minimal", "n-2", 9): "d22f13b86d93d83dcefb5b3d405c414720c26e0cbe52e475636d1d811b1c461b",
+    ("collinear", 7, "adversarial_greedy", "random_fraction", "none", 10): "7cd8963ebe556d93236282c41ce47d06e7ea582b23d24b79899f2bfeda9bd9a4",
+    ("median", 7, "synchronous", "random_fraction", "n-2", 11): "b0dd8b3286982cda00db6f9dca32f7edada25b6b61e40291a661b6aedc30573d",
+    ("median", 6, "random", "minimal", "none", 12): "796df3cd70ee42bcc4372a727e390bbf72706d0531a1bc5d201583bc59c53fbd",
+    ("median", 8, "adversarial_greedy", "full_move", "n-2", 13): "c38fa59c83e9a5de1ce56ae6fe5d3fa82f9a82b8dc277a69a57c65869e12d78a",
+    ("median", 5, "round_robin", "full_move", "none", 14): "8b92bed316cd17310a6dbdbb89e29f87f704d5eefbfc4c0dfefc9879ba84d45b",
+    ("multiplicity", 6, "synchronous", "minimal", "none", 15): "64e1e330c76ef34ba4a089b5df07a491593445087e224231b71ec81d8533d96f",
+    ("multiplicity", 7, "random", "random_fraction", "n-2", 16): "3b851b52d1e96205032516c44e673b9cabd50da31750a45c6fae454d9c1970b6",
+    ("multiplicity", 8, "round_robin", "full_move", "none", 17): "7829f003eb55fb981bef5c414683c8ac1a9e2ecc1575e4604b391fe7179c7929",
+    ("multiplicity", 5, "adversarial_greedy", "minimal", "n-2", 18): "443ba895209d7b22ad5b40f4f49d79b8de5544943cfd93e9170331bd46fa925b",
+    ("symmetric", 6, "synchronous", "full_move", "n-2", 19): "15a4741399e0f592e6c49da2f77b921fd36d21bb021a7e7b80d2203a41392229",
+    ("symmetric", 7, "random", "minimal", "none", 20): "154690e49bef74b7818fa9c4cbc88e79c68ad2b1f0723bfbacdd70cdb417d1e2",
+    ("symmetric", 8, "round_robin", "random_fraction", "n-2", 21): "74376a1fba82eb6b3b5b9354e47c6f18ed7a23bb16740a24549cca85968ad2f3",
+    ("symmetric", 6, "adversarial_greedy", "minimal", "none", 22): "39621a1c95acc826c70c72f937f74fdd007bd4cd6b6abe2004dbece6fbd86078",
+    ("quasi_regular", 6, "synchronous", "random_fraction", "none", 23): "8fad1dddc0125217ca93a14b737875061b912860e1a802a04038d3da5a332231",
+    ("quasi_regular", 8, "random", "full_move", "n-2", 24): "5ed9fc1421f753ac759e50802049e0d5cc98bb9838015a46b88e8360e116995a",
+    ("quasi_regular", 7, "round_robin", "minimal", "none", 25): "a35fef60f50d0c2c8ac384111082ec2b829aa1f0730ff8a4e965e0864ba4d382",
+    ("quasi_regular", 6, "adversarial_greedy", "full_move", "n-2", 26): "494d2c073353c492181fb2a85dec3518676aaf41eeb48d615232d2d1910d5fc8",
+    ("polygon", 5, "synchronous", "minimal", "none", 27): "2001fe811e08a8c1e28eff047838269c67f981311befac9b3caa8ce2a9c8dcb4",
+    ("polygon", 6, "random", "full_move", "n-2", 28): "3daa232c8e06fd2cd5751407664dc924e4c3ae201ad3bb2dbf2b0d3384d54432",
+    ("polygon", 7, "round_robin", "full_move", "n-2", 29): "1c5740fad0a65c5f6234cc81a588b3d97dd661bef55533ffda61674ad33e6b89",
+    ("polygon", 8, "adversarial_greedy", "random_fraction", "none", 30): "620a7067bf63eae23ee5e761ea79c01970b3a5b781e4f2cf5baf74a10ab84ad8",
+}
+
+
+def _golden_run(kind: str, n: int, activation: str, stop: str, crashes: str, seed: int):
+    rng = random.Random(seed)
+    config = STARTS[kind](rng, n)
+    assert 3 <= config.n <= n
+    robots = rng.sample(range(config.n), 0 if crashes == "none" else config.n - 2)
+    adv = AdversarySpec(
+        activation=activation,
+        stop_policy=stop,
+        crash_schedule=tuple((rng.randrange(0, 25), robot) for robot in robots),
+    )
+    params = SimParams(delta=0.08 * config.diameter, max_rounds=10_000, seed=seed)
+    return run(config, adv, params)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS), ids=lambda case: "-".join(map(str, case)))
+def test_golden_trace(case):
+    result = _golden_run(*case)
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
+    assert digest == GOLDEN_RUNS[case]
+
+
+def test_golden_runs_cover_classes_and_policies():
+    cases = list(GOLDEN_RUNS)
+    assert len({c[2] for c in cases}) == 4
+    assert {c[3] for c in cases} == {"full_move", "minimal", "random_fraction"}
+    assert all(c[1] <= 8 for c in cases)
+    assert {c[4] for c in cases} == {"none", "n-2"}
+    seen = set()
+    for case in cases:
+        seen.update(record.cls for record in _golden_run(*case).records)
+    assert seen == set(ALL_TAGS) - {TAG_BIVALENT}
+
+
+def _snapshots() -> list[Configuration]:
+    rng = random.Random(2024)
+    out = []
+    for n in (6, 7, 8, 12, 16):
+        out.append(bivalent_configuration(rng, n + n % 2))
+        for kind in sorted(STARTS):
+            out.append(STARTS[kind](rng, n))
+        out.append(construct_quasi_regular(rng).config)
+    return out
+
+
+GOLDEN_CLASSIFY = "c299a10b0497ded8c31fc820679a67414e3d08c16f1d1962a2c09fcc19d0fb94"
+
+
+def _class_line(cls) -> str:
+    return dumps_17g([cls.tag, cls.elected, cls.weber, cls.qreg, cls.endpoints, cls.midpoint])
+
+
+def test_golden_classify():
+    snapshots = _snapshots()
+    assert {classify(c).tag for c in snapshots} == set(ALL_TAGS)
+    lines = "".join(_class_line(classify(c)) + "\n" for c in snapshots)
+    assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_CLASSIFY

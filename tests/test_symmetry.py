@@ -14,6 +14,7 @@ from gathersim import (
     string_of_angles,
     successor,
     symmetricity,
+    symmetry,
     view,
     weber_numeric,
     weber_point,
@@ -29,9 +30,11 @@ from gathersim.errors import (
 from gathersim.generators import (
     broken_quasi_regular,
     construct_quasi_regular,
+    multiplicity_configuration,
     symmetric_configuration,
+    uniform_configuration,
 )
-from gathersim.geometry import TAU, dist
+from gathersim.geometry import TAU, Tolerance, dist
 from gathersim.symmetry import StringOfAngles, views_equal
 from helpers import Similarity, grid_weber, mixed_configuration
 
@@ -387,6 +390,160 @@ def test_perturbed_instances_rejected():
     for _ in range(40):
         broken = broken_quasi_regular(rng)
         assert detect_quasi_regular(broken) is None
+
+
+# --- pruned order search --------------------------------------------------------------
+#
+# The references below are the unpruned loops: one full deficit test per
+# (center, order) pair and a linear scan for every rotated ray.
+
+
+def _rotation_reference(dirs, m, slack):
+    window = 4.0 * slack
+    step = TAU / m
+    for theta, count in dirs:
+        for k in range(1, m):
+            target = (theta + k * step) % TAU
+            if not any(
+                min(abs(target - other), TAU - abs(target - other)) <= window and count == c2
+                for other, c2 in dirs
+            ):
+                return False
+    return True
+
+
+def _regularity_reference(config, c, angle_slack):
+    off = [i for i, p in enumerate(config.points) if dist(p, c) > config.merge_slack]
+    dirs = symmetry._ray_clusters(config, c, off, angle_slack)
+    if len(dirs) == 1:
+        return 1
+    per = periodicity(string_of_angles(config, off[0], c, angle_slack), angle_slack)
+    for k in sorted((k for k in range(1, per + 1) if per % k == 0), reverse=True):
+        if k == 1 or _rotation_reference(dirs, k, angle_slack):
+            return k
+    return 1
+
+
+def _detect_reference(config):
+    for loc in config.locations:
+        center, slack, dirs = _occupied_center(config, loc)
+        for m in range(config.n, 1, -1):
+            res = symmetry._deficits_for(dirs, loc.multiplicity, m, slack, center)
+            if res is not None:
+                return res
+    candidate = weber_numeric(config)
+    if config.find_location(candidate) is not None:
+        return None
+    slack = _candidate_slack(config, candidate)
+    order = _regularity_reference(config, candidate, slack)
+    return symmetry.QRegularityResult(candidate, order, {}) if order >= 2 else None
+
+
+def _occupied_center(config, loc):
+    off = [i for i, q in enumerate(config.points) if dist(q, loc.location) > config.merge_slack]
+    r_min = min(dist(config.points[i], loc.location) for i in off)
+    slack = symmetry._direction_slack(config, r_min, symmetry._COORD_DRIFT)
+    return loc.location, slack, symmetry._ray_clusters(config, loc.location, off, slack)
+
+
+def _candidate_slack(config, candidate):
+    r_min = min(dist(q, candidate) for q in config.points)
+    return symmetry._direction_slack(config, r_min, symmetry._CANDIDATE_ERROR)
+
+
+def _jittered_polygon(rng, k, jitter, tol):
+    """Regular k rays, each direction off by up to jitter, 1-2 robots per ray
+    at mixed radii, and 0-3 robots on the center.  Half of them have a ray
+    along direction zero, so its robots and partners straddle the wrap."""
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phase = rng.choice((0.0, rng.uniform(0, TAU)))
+    same = rng.random() < 0.5
+    pts = []
+    for j in range(k):
+        theta = phase + j * TAU / k + rng.uniform(-jitter, jitter)
+        for _ in range(1 if same else rng.randint(1, 2)):
+            radius = rng.uniform(0.3, 1.5)
+            pts.append(Point(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta)))
+    pts.extend([center] * rng.randint(0, 3))
+    return Configuration(pts, tol)
+
+
+def _prune_inputs():
+    rng = random.Random(31)
+    out = []
+    for _ in range(10):
+        out.append(uniform_configuration(rng, rng.randint(3, 12)))
+        out.append(symmetric_configuration(rng))
+        out.append(multiplicity_configuration(rng, rng.randint(3, 12)))
+        out.append(broken_quasi_regular(rng))
+    # five instances each with one, two and three robots parked at the center
+    wanted = {1: 5, 2: 5, 3: 5}
+    while any(wanted.values()):
+        built = construct_quasi_regular(rng)
+        if wanted.get(built.parked):
+            wanted[built.parked] -= 1
+            out.append(built.config)
+    # the loose angle slack makes the partner window reach step/8 from m = 7 on
+    for tol in (Tolerance(), Tolerance(eps_angle=1e-2)):
+        for k in range(3, 13):
+            for jitter in (0, 0.1, 1, 3, 10):
+                out.extend(_jittered_polygon(rng, k, jitter * tol.eps_angle, tol) for _ in range(2))
+    return [config for config in out if not config.is_linear]
+
+
+def test_prune_rejects_only_failing_orders():
+    pruned = by_partners = kept = 0
+    for config in _prune_inputs():
+        for loc in config.locations:
+            center, slack, dirs = _occupied_center(config, loc)
+            index = symmetry._RayIndex([theta for theta, _ in dirs])
+            robots = sum(c for _, c in dirs)
+            for m in range(2, config.n + 1):
+                lower = symmetry._orbit_lower_bound(len(dirs), robots, m) > loc.multiplicity
+                partnerless = symmetry._partnerless_rays_exceed(index, m, slack, loc.multiplicity)
+                full = symmetry._deficits_for(dirs, loc.multiplicity, m, slack, center)
+                if lower or partnerless:
+                    assert full is None, (config, center, m)
+                    pruned += 1
+                    by_partners += not lower
+                else:
+                    kept += 1
+    assert pruned > 15_000 and by_partners > 10_000 and kept > 2000
+
+
+def test_pruned_search_matches_reference():
+    found = 0
+    for config in _prune_inputs():
+        expected = _detect_reference(config)
+        assert detect_quasi_regular(config) == expected
+        found += expected is not None
+        candidate = weber_numeric(config)
+        if config.find_location(candidate) is None:
+            slack = _candidate_slack(config, candidate)
+            assert regularity_at(config, candidate, slack) == _regularity_reference(config, candidate, slack)
+        for loc in config.locations:
+            assert regularity_at(config, loc.location) == _regularity_reference(
+                config, loc.location, _occupied_center(config, loc)[1]
+            )
+    assert found > 80
+
+
+def test_indexed_rotation_matches_scan():
+    held = 0
+    for config in _prune_inputs():
+        centers = [_occupied_center(config, loc)[1:] for loc in config.locations]
+        candidate = weber_numeric(config)
+        if config.find_location(candidate) is None:
+            off = [i for i, q in enumerate(config.points) if dist(q, candidate) > config.merge_slack]
+            slack = _candidate_slack(config, candidate)
+            centers.append((slack, symmetry._ray_clusters(config, candidate, off, slack)))
+        for slack, dirs in centers:
+            index = symmetry._RayIndex([theta for theta, _ in dirs])
+            for m in range(2, len(dirs) + 1):
+                fast = symmetry._ray_rotation_holds(index, dirs, m, slack)
+                assert fast == _rotation_reference(dirs, m, slack), (config, m)
+                held += fast
+    assert held > 120
 
 
 # --- Weber point --------------------------------------------------------------------
