@@ -107,6 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_crash_count(n: int, crashes: int) -> None:
+    if crashes >= n:
+        raise ValueError("at least one robot must stay correct")
+
+
+def _crash_schedule(rng: random.Random, n: int, crashes: int) -> list[tuple[int, int]]:
+    """Crash ``crashes`` distinct robots, each at a random round below 40."""
+    _check_crash_count(n, crashes)
+    victims = rng.sample(range(n), crashes)
+    return [(rng.randrange(0, 40), i) for i in victims]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     tol = Tolerance(args.eps, args.eps)
     rng = random.Random(args.seed)
@@ -124,11 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.crash_schedule, "r", encoding="utf-8") as fh:
             schedule = [(int(r), int(i)) for r, i in json.load(fh)]
     elif args.crashes:
-        if args.crashes >= config.n:
-            print("error: at least one robot must stay correct", file=sys.stderr)
-            return 1
-        victims = rng.sample(range(config.n), args.crashes)
-        schedule = [(rng.randrange(0, 40), i) for i in victims]
+        schedule = _crash_schedule(rng, config.n, args.crashes)
 
     adv = AdversarySpec(
         activation=_ADVERSARY_NAMES[args.adversary],
@@ -208,10 +216,7 @@ def _run_sweep_entry(item: tuple[int, dict]) -> dict:
     rng = random.Random(seed)
     config = generators.uniform_configuration(rng, n, tol)
     crashes = int(entry.get("crashes", 0))
-    schedule: list[tuple[int, int]] = []
-    if crashes:
-        victims = rng.sample(range(n), min(crashes, n - 1))
-        schedule = [(rng.randrange(0, 40), i) for i in victims]
+    schedule = _crash_schedule(rng, n, crashes) if crashes else []
     adversary = entry.get("adversary", "sync")
     stop = entry.get("stop", "full")
     adv = AdversarySpec(
@@ -247,6 +252,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not entries:
         print("error: sweep spec contains no runs", file=sys.stderr)
         return 1
+    for entry in entries:
+        _check_crash_count(int(entry.get("n", 5)), int(entry.get("crashes", 0)))
     items = list(enumerate(entries))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -20,6 +20,7 @@ ones by definition, so ordered testing yields a partition.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -110,14 +111,18 @@ class Configuration:
         return out
 
     @cached_property
+    def location_dists(self) -> list[array]:
+        """Distance from each occupied location to every robot, in robot order.
+
+        One row per entry of ``locations``.  ``dist`` is exactly symmetric, so
+        a row entry equals the distance computed in either direction.
+        """
+        points = self.points
+        return [array("d", [dist(loc.location, q) for q in points]) for loc in self.locations]
+
+    @cached_property
     def is_linear(self) -> bool:
         return geometry.collinear(self.points, self.tol)
-
-    def location_of(self, index: int) -> LocationSummary:
-        for loc in self.locations:
-            if index in loc.indices:
-                return loc
-        raise IndexError(index)
 
     def find_location(self, p: Point) -> LocationSummary | None:
         """The occupied location coinciding with p within tolerance, if any."""
@@ -182,8 +187,8 @@ def safe_points(config: Configuration) -> list[Point]:
     slack = config.merge_slack
     eps_angle = config.tol.eps_angle
     out = []
-    for loc in config.locations:
-        others = [p for p in config.points if dist(p, loc.location) > slack]
+    for loc, row in zip(config.locations, config.location_dists):
+        others = [p for p, d in zip(config.points, row) if d > slack]
         if _max_ray_count(loc.location, others, eps_angle) <= limit:
             out.append(loc.location)
     return out
@@ -250,9 +255,12 @@ def _elect_safe_point(config: Configuration, safe: list[Point]) -> Point:
     the float noise of a robot's local coordinate frame; exact ties fall
     through to the total order on views.
     """
-    best_mult = max(config.multiplicity_at(p) for p in safe)
-    cands = [p for p in safe if config.multiplicity_at(p) == best_mult]
-    totals = {p: sum(dist(p, q) for q in config.points) for p in cands}
+    # safe points are location points, each keying its own location's entries
+    mult = {loc.location: loc.multiplicity for loc in config.locations}
+    rows = dict(zip(mult, config.location_dists))
+    best_mult = max(mult[p] for p in safe)
+    cands = [p for p in safe if mult[p] == best_mult]
+    totals = {p: sum(rows[p]) for p in cands}
     lowest = min(totals.values())
     tied = [p for p in cands if totals[p] <= lowest + config.merge_slack]
     if len(tied) == 1:
@@ -273,11 +281,8 @@ def _assert_asymmetric(config: Configuration) -> None:
     sigs = set()
     distinct = True
     diameter = config.diameter
-    for loc in config.locations:
-        sig = (
-            loc.multiplicity,
-            tuple(sorted(round(dist(loc.location, q) / diameter, 9) for q in config.points)),
-        )
+    for loc, row in zip(config.locations, config.location_dists):
+        sig = (loc.multiplicity, tuple(sorted(round(d / diameter, 9) for d in row)))
         if sig in sigs:
             distinct = False
             break

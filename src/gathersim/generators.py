@@ -8,8 +8,6 @@ import random
 from .configuration import Configuration, classify, TAG_BIVALENT
 from .geometry import TAU, Point, Tolerance, rotate_cw
 
-KINDS = ("uniform", "collinear", "multiplicity", "symmetric", "quasi_regular")
-
 
 def uniform_configuration(rng: random.Random, n: int, tol: Tolerance | None = None) -> Configuration:
     """n independent uniform positions in the unit square, never bivalent."""
@@ -181,19 +179,3 @@ def broken_quasi_regular(rng: random.Random, tol: Tolerance | None = None) -> Co
         config = Configuration(pts, built.config.tol)
         if not config.is_linear:
             return config
-
-
-def random_configuration(
-    rng: random.Random, n: int, kind: str = "uniform", tol: Tolerance | None = None
-) -> Configuration:
-    if kind == "uniform":
-        return uniform_configuration(rng, n, tol)
-    if kind == "collinear":
-        return collinear_configuration(rng, n, tol)
-    if kind == "multiplicity":
-        return multiplicity_configuration(rng, n, tol)
-    if kind == "symmetric":
-        return symmetric_configuration(rng, tol=tol)
-    if kind == "quasi_regular":
-        return construct_quasi_regular(rng, tol=tol).config
-    raise ValueError(f"unknown configuration kind {kind!r}")

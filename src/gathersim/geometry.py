@@ -53,11 +53,6 @@ def dist(u: Point, v: Point) -> float:
     return math.hypot(u[0] - v[0], u[1] - v[1])
 
 
-def points_coincide(u: Point, v: Point, slack: float) -> bool:
-    """True when the two points are within ``slack`` (an absolute length)."""
-    return dist(u, v) <= slack
-
-
 def ccw_angle_of(p: Point, c: Point) -> float:
     """Counterclockwise bearing of p as seen from c, in (-pi, pi]."""
     return math.atan2(p[1] - c[1], p[0] - c[0])

@@ -218,12 +218,6 @@ def dumps_17g(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def write_trace(records: Iterable[TraceRecord], stream: IO[str]) -> None:
-    for rec in records:
-        stream.write(dumps_17g(rec.to_obj()))
-        stream.write("\n")
-
-
 def trace_lines(records: Iterable[TraceRecord]) -> str:
     return "".join(dumps_17g(rec.to_obj()) + "\n" for rec in records)
 

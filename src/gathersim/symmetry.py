@@ -518,27 +518,57 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
       slot costs at least one deficit.  The deficits total at most the
       center's multiplicity, so more partnerless rays than that reject m.
 
-    The rays around each center are clustered and sorted once; the partner
-    count stops at the first miss beyond the multiplicity, each miss found
-    by binary search.  Generic configurations reject every order in
-    O((multiplicity + 1) log n), so the search costs O(n^2 log n) overall
-    instead of one ray sort per (center, order) pair.
+    Before any of that, a center c of multiplicity mu is skipped for every
+    order when the unit vectors toward the robots off c sum to a vector P_c
+    with |P_c| > mu + 3*n^2*slack + n*1e-12.  This is the tolerant form of
+    the Weber-point condition: the center of a quasi-regular configuration
+    is its Weber point, and an occupied point is the Weber point exactly
+    when its pull |P_c| is at most its multiplicity.  Soundness: suppose
+    ``_deficits_for`` accepts order m at c and add its at most mu deficit
+    robots.  Each orbit's rays then lie within (m-1)*slack of the slots of
+    an exact m-fold structure with equal counts per slot, whose unit vectors
+    sum to zero, and each robot lies within (count-1)*slack of its ray's
+    mean direction.  A unit vector moves by at most the angle it turns, so
+    |P_c| <= mu + slack*((m-1)*(|off|+mu) + |off|^2) < mu + 3*n^2*slack,
+    and the n*1e-12 term covers float rounding of the sum.  The skip only
+    removes centers where no order would be accepted, so the result is the
+    same as without it.
+
+    The distances from each location to every robot come from one cached
+    row per location (``Configuration.location_dists``), shared with the
+    safe-point and asymmetry checks.  Each center costs O(n) for its pull;
+    only the centers that pass cluster and sort their rays, and there the
+    partner count stops at the first miss beyond the multiplicity, each
+    miss found by binary search.  On generic configurations almost every
+    center fails the pull bound, so the occupied-center search costs
+    O(n^2) distance and vector terms plus O(n log n) per surviving center.
     """
     if config.is_linear:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     n = config.n
-    for loc in config.locations:
-        off = [i for i, q in enumerate(config.points) if dist(q, loc.location) > config.merge_slack]
-        r_min = min(dist(config.points[i], loc.location) for i in off)
+    points = config.points
+    merge_slack = config.merge_slack
+    for loc, row in zip(config.locations, config.location_dists):
+        c = loc.location
+        cx, cy = c
+        off = [i for i, d in enumerate(row) if d > merge_slack]
+        r_min = min(row[i] for i in off)
         slack = _direction_slack(config, r_min, _COORD_DRIFT)
-        dirs = _ray_clusters(config, loc.location, off, slack)
+        pull_x = pull_y = 0.0
+        for i in off:
+            x, y = points[i]
+            pull_x += (x - cx) / row[i]
+            pull_y += (y - cy) / row[i]
+        if math.hypot(pull_x, pull_y) > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
+            continue
+        dirs = _ray_clusters(config, c, off, slack)
         index = _RayIndex([theta for theta, _ in dirs])
         for m in range(n, 1, -1):
             if _orbit_lower_bound(len(dirs), len(off), m) > loc.multiplicity:
                 continue
             if _partnerless_rays_exceed(index, m, slack, loc.multiplicity):
                 continue
-            res = _deficits_for(dirs, loc.multiplicity, m, slack, loc.location)
+            res = _deficits_for(dirs, loc.multiplicity, m, slack, c)
             if res is not None:
                 return res
     candidate = weber_numeric(config)

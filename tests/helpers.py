@@ -171,6 +171,11 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
+def on_ray(center: Point, theta: float, radius: float) -> Point:
+    """The point at ``radius`` from center along counterclockwise bearing theta."""
+    return Point(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta))
+
+
 # --- configuration mixes for partition-style tests ----------------------------------
 
 

@@ -181,6 +181,50 @@ def test_sweep_empty_spec(tmp_path):
     assert main(["sweep", str(spec_path)]) == 1
 
 
+CRASH_REFUSAL = "error: at least one robot must stay correct\n"
+
+
+def test_simulate_rejects_crashing_every_robot(capsys):
+    assert main(["simulate", "--n", "5", "--crashes", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == CRASH_REFUSAL
+
+
+def test_sweep_rejects_crashing_every_robot_before_any_run(tmp_path, capsys, monkeypatch):
+    import gathersim.cli as cli
+
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *args: started.append(args))
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"runs": [{"n": 5, "crashes": 2}, {"n": 5, "crashes": 5}]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(spec_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == CRASH_REFUSAL
+    assert not started and not out.exists()
+
+
+def test_crash_schedules_agree_across_commands(tmp_path, capsys):
+    # rounds recorded before simulate and sweep shared the schedule helper
+    spec = {
+        "defaults": {"delta": 0.05, "max_rounds": 10000, "adversary": "random", "stop": "min", "seed": 4},
+        "grid": {"n": [5, 7], "crashes": [2, 4]},
+    }
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(spec_path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [(r[1], r[4], r[6], r[7]) for r in rows] == [
+        ("5", "2", "Gathered", "36"),
+        ("7", "2", "Gathered", "38"),
+        ("5", "4", "Gathered", "31"),
+        ("7", "4", "Gathered", "45"),
+    ]
+    args = ["--seed", "4", "--delta", "0.05", "--adversary", "random", "--stop", "min", "--max-rounds", "10000"]
+    assert main(["simulate", "--n", "7", "--crashes", "4", *args]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["crashes"], summary["rounds"]) == (4, 45)
+
+
 def test_classify_agrees_with_library(tmp_path, capsys):
     import random
 

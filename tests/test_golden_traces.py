@@ -8,7 +8,9 @@ change must re-record the digests and say why in CHANGES.md.
 
 Runs never pass through class B (a bivalent start is rejected and reaching
 one is a violation), so a second digest pins the full ``classify`` output
-on fixed snapshots of all six classes.
+on fixed snapshots of all six classes.  The runs stop at n = 8 and that
+digest at n = 16, so a third pins ``classify`` and every robot's ``compute``
+decision on snapshots of every class at n = 24, 40 and 80.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import random
 
 import pytest
 
-from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, run
-from gathersim.configuration import ALL_TAGS, TAG_BIVALENT
+from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, compute, run
+from gathersim.configuration import ALL_TAGS, TAG_BIVALENT, TAG_QREGULAR
 from gathersim.generators import (
     bivalent_configuration,
     collinear_configuration,
@@ -30,7 +32,9 @@ from gathersim.generators import (
     uniform_configuration,
 )
 from gathersim.geometry import TAU
+from gathersim.gathering import RULE_M_SIDESTEP
 from gathersim.simulator import OUTCOME_GATHERED, dumps_17g, trace_lines
+from helpers import on_ray
 
 
 def _polygon(rng: random.Random, n: int) -> Configuration:
@@ -150,3 +154,93 @@ def test_golden_classify():
     assert {classify(c).tag for c in snapshots} == set(ALL_TAGS)
     lines = "".join(_class_line(classify(c)) + "\n" for c in snapshots)
     assert hashlib.sha256(lines.encode()).hexdigest() == GOLDEN_CLASSIFY
+
+
+# --- large snapshots ----------------------------------------------------------------
+
+
+def _sidestep_multiplicity(rng: random.Random, n: int) -> Configuration:
+    """A strict multiplicity maximum with robots queued on rays through it,
+    so the outer robot of each queue is blocked and steps aside."""
+    elected = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pts = [elected] * 3
+    while len(pts) < n - 4:
+        theta = rng.uniform(0, TAU)
+        pts.extend(on_ray(elected, theta, rng.uniform(0.2, 1.5)) for _ in range(rng.randint(1, 3)))
+    pts = pts[: n - 4] + [Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+    return Configuration(pts)
+
+
+def _parked_quasi_regular(rng: random.Random, n: int) -> Configuration:
+    """An m-fold ray structure, m dividing n: one orbit of co-located pairs,
+    orbits of single robots with one or two of them parked at the center.
+    The pairs tie the center's multiplicity, so the start is not class M."""
+    m = rng.choice([m for m in (4, 5, 6, 8) if n % m == 0])
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phases = [rng.uniform(0, TAU / m) for _ in range(n // m - 1)]
+    slots = [(orbit, j) for orbit in range(1, len(phases)) for j in range(m)]
+    parked = set(rng.sample(slots, rng.randint(1, 2)))
+    pts = [center] * len(parked)
+    for j in range(m):
+        pts.extend([on_ray(center, phases[0] + j * TAU / m, 1.6)] * 2)
+    for orbit, j in slots:
+        if (orbit, j) not in parked:
+            pts.append(on_ray(center, phases[orbit] + j * TAU / m, rng.uniform(0.3, 1.5)))
+    return Configuration(pts)
+
+
+def _spread_line(rng: random.Random, n: int) -> Configuration:
+    """n distinct robots on a line; for even n the median interval is open."""
+    origin = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    theta = rng.uniform(0, TAU)
+    return Configuration([on_ray(origin, theta, rng.uniform(-1, 1)) for _ in range(n)])
+
+
+def _two_orbit_polygon(rng: random.Random, n: int) -> Configuration:
+    """Two regular n/2-gons around an unoccupied center, at different radii."""
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    k = n // 2
+    pts = []
+    for radius in (1.0, rng.uniform(0.3, 0.8)):
+        phase = rng.uniform(0, TAU)
+        pts.extend(on_ray(center, phase + j * TAU / k, radius) for j in range(k))
+    return Configuration(pts)
+
+
+def _large_snapshots() -> list[Configuration]:
+    rng = random.Random(4048)
+    out = []
+    for n in (24, 40, 80):
+        out.append(bivalent_configuration(rng, n))
+        out.append(multiplicity_configuration(rng, n))
+        out.append(_sidestep_multiplicity(rng, n))
+        out.append(collinear_configuration(rng, n, unique_median=True))
+        out.append(_spread_line(rng, n))
+        out.append(_parked_quasi_regular(rng, n))
+        out.append(_two_orbit_polygon(rng, n))
+        out.append(uniform_configuration(rng, n))
+    assert [config.n for config in out] == [n for n in (24, 40, 80) for _ in range(8)]
+    return out
+
+
+GOLDEN_CLASSIFY_LARGE = "6845d83c19acb50793fc1484fa16b73e4c4e3ec2e3548787e042503f3d243ec1"
+
+
+def test_golden_classify_large():
+    lines = []
+    tags = set()
+    sidesteps = parked_qr = 0
+    for config in _large_snapshots():
+        cls = classify(config)
+        tags.add(cls.tag)
+        lines.append(_class_line(cls))
+        if cls.tag == TAG_BIVALENT:
+            continue
+        decisions = [compute(config, i, cls) for i in range(config.n)]
+        sidesteps += sum(d.rule == RULE_M_SIDESTEP for d in decisions)
+        parked_qr += cls.tag == TAG_QREGULAR and config.multiplicity_at(cls.weber) > 0
+        lines.extend(dumps_17g([d.rule, d.destination, d.elected]) for d in decisions)
+    assert tags == set(ALL_TAGS)
+    assert sidesteps >= 6 and parked_qr == 3
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == GOLDEN_CLASSIFY_LARGE

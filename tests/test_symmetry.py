@@ -36,7 +36,7 @@ from gathersim.generators import (
 )
 from gathersim.geometry import TAU, Tolerance, dist
 from gathersim.symmetry import StringOfAngles, views_equal
-from helpers import Similarity, grid_weber, mixed_configuration
+from helpers import Similarity, grid_weber, mixed_configuration, on_ray
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 ASYM4 = Configuration([(0, 0), (3, 0), (0, 4), (1, 1)])
@@ -544,6 +544,103 @@ def test_indexed_rotation_matches_scan():
                 assert fast == _rotation_reference(dirs, m, slack), (config, m)
                 held += fast
     assert held > 120
+
+
+# --- Weber-point center skip --------------------------------------------------------
+
+
+def _pull(config, center):
+    """Length of the sum of unit vectors from center toward the robots off it."""
+    px = py = 0.0
+    for q in config.points:
+        d = dist(q, center)
+        if d > config.merge_slack:
+            px += (q.x - center.x) / d
+            py += (q.y - center.y) / d
+    return math.hypot(px, py)
+
+
+def _knife_edge_inputs():
+    """Centers on the edge of the pull bound and centers with a widened slack.
+
+    A regular m-gon with one vertex parked at its center has |P_c| = mu = 1;
+    jittering the other vertices by up to half the angle slack keeps the
+    center accepted and pushes |P_c| past mu about half the time.  A robot
+    close to the center widens its slack, up to the cap when eps_len is
+    tiny; that robot stands in for the parked vertex, so the center stays
+    accepted."""
+    rng = random.Random(37)
+    out = []
+    for tol in (Tolerance(), Tolerance(eps_angle=1e-2)):
+        for m in range(3, 13):
+            for jitter in (0.0, 0.5, 0.5, 0.5):
+                center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                phase = rng.uniform(0, TAU)
+                missing = rng.randrange(m)
+                spread = jitter * tol.eps_angle
+                pts = [
+                    on_ray(center, phase + j * TAU / m + rng.uniform(-spread, spread), rng.uniform(0.3, 1.5))
+                    for j in range(m)
+                    if j != missing
+                ]
+                out.append(Configuration(pts + [center], tol))
+    for tol, near in ((Tolerance(), 1e-7), (Tolerance(eps_len=1e-14), 1e-13)):
+        for m in range(3, 9):
+            center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            phase = rng.uniform(0, TAU)
+            pts = [on_ray(center, phase + j * TAU / m, 1.0) for j in range(1, m)]
+            out.append(Configuration(pts + [center, on_ray(center, phase, near)], tol))
+    return [config for config in out if not config.is_linear]
+
+
+def test_center_skip_is_sound():
+    accepting = widened = beyond_rounding = 0
+    worst = 0.0
+    for config in _prune_inputs() + _knife_edge_inputs():
+        n = config.n
+        for loc in config.locations:
+            center, slack, dirs = _occupied_center(config, loc)
+            if any(symmetry._deficits_for(dirs, loc.multiplicity, m, slack, center) for m in range(2, n + 1)):
+                excess = _pull(config, center) - loc.multiplicity
+                assert excess <= 3 * n * n * slack + n * 1e-12, (config, center)
+                worst = max(worst, excess / (n * n * slack))
+                accepting += 1
+                widened += slack > config.tol.eps_angle
+                beyond_rounding += excess > n * 1e-12
+    assert accepting > 180 and widened >= 12 and beyond_rounding > 20 and worst < 3
+
+
+def test_center_skip_keeps_detection():
+    configs = _knife_edge_inputs()
+    found = 0
+    for config in configs:
+        expected = _detect_reference(config)
+        assert detect_quasi_regular(config) == expected
+        found += expected is not None and config.find_location(expected.center) is not None
+    assert found == len(configs) > 80
+
+
+def test_center_skip_spares_most_uniform_centers(monkeypatch):
+    clustered = []
+    original = symmetry._ray_clusters
+
+    def recording(config, c, off, slack):
+        clustered.append(c)
+        return original(config, c, off, slack)
+
+    monkeypatch.setattr(symmetry, "_ray_clusters", recording)
+    rng = random.Random(41)
+    centers = skipped = 0
+    for _ in range(150):
+        config = uniform_configuration(rng, rng.randint(3, 24))
+        clustered.clear()
+        res = detect_quasi_regular(config)
+        occupied = {loc.location for loc in config.locations}
+        if res is not None and res.center in occupied:
+            continue  # the search stopped early; later centers were never tried
+        centers += len(occupied)
+        skipped += len(occupied) - sum(c in occupied for c in clustered)
+    assert centers > 1500 and skipped >= 0.8 * centers
 
 
 # --- Weber point --------------------------------------------------------------------
