@@ -11,7 +11,6 @@ from .configuration import (
     Configuration,
     LocationSummary,
     classify,
-    distinct_locations,
     is_gathered,
     median_interval,
     safe_points,
@@ -57,7 +56,6 @@ __all__ = [
     "classify",
     "compute",
     "detect_quasi_regular",
-    "distinct_locations",
     "is_gathered",
     "median_interval",
     "moving_set",

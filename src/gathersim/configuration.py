@@ -76,8 +76,36 @@ class Configuration:
         return len(self.points)
 
     @cached_property
+    def pair_dists(self) -> list[array]:
+        """Distance between every two robots: row i holds robot i's distances.
+
+        Each entry is ``math.hypot(px - x, py - y)``.  ``hypot`` ignores the
+        sign of its arguments, so entry (i, j) equals entry (j, i) and
+        ``dist`` between the two robots in either direction, bit for bit.
+        The diameter, the farthest pair, the location merge and the
+        location rows all read this one table.
+        """
+        hypot = math.hypot
+        points = self.points
+        return [array("d", [hypot(px - x, py - y) for x, y in points]) for px, py in points]
+
+    @cached_property
     def diameter(self) -> float:
-        return geometry.farthest_pair(self.points)[2]
+        return max(map(max, self.pair_dists))
+
+    @cached_property
+    def farthest_pair(self) -> tuple[Point, Point]:
+        """The robots at the diameter, picked like ``geometry.farthest_pair``.
+
+        That is the lexicographically first (i, j), i < j, at the maximum.
+        Its i is the first robot whose row holds the maximum anywhere (a
+        maximum at an earlier column would pair it with an earlier robot),
+        and j is that row's first maximum.  A single location gives robot 0
+        twice.
+        """
+        diameter = self.diameter
+        i, row = next((i, row) for i, row in enumerate(self.pair_dists) if diameter in row)
+        return self.points[i], self.points[row.index(diameter)]
 
     @cached_property
     def merge_slack(self) -> float:
@@ -97,9 +125,9 @@ class Configuration:
                 i = parent[i]
             return i
 
-        for i in range(n):
+        for i, row in enumerate(self.pair_dists):
             for j in range(i + 1, n):
-                if dist(self.points[i], self.points[j]) <= slack:
+                if row[j] <= slack:
                     parent[find(j)] = find(i)
         groups: dict[int, list[int]] = {}
         for i in range(n):
@@ -114,15 +142,18 @@ class Configuration:
     def location_dists(self) -> list[array]:
         """Distance from each occupied location to every robot, in robot order.
 
-        One row per entry of ``locations``.  ``dist`` is exactly symmetric, so
-        a row entry equals the distance computed in either direction.
+        One row per entry of ``locations``: the ``pair_dists`` row of the
+        location's first robot, which is the location point.
         """
-        points = self.points
-        return [array("d", [dist(loc.location, q) for q in points]) for loc in self.locations]
+        return [self.pair_dists[loc.indices[0]] for loc in self.locations]
 
     @cached_property
     def is_linear(self) -> bool:
-        return geometry.collinear(self.points, self.tol)
+        """``geometry.collinear`` of the robots, from the cached farthest pair."""
+        if self.n <= 2:
+            return True
+        a, b = self.farthest_pair
+        return geometry.within_line(self.points, a, b, self.diameter, self.tol)
 
     def find_location(self, p: Point) -> LocationSummary | None:
         """The occupied location coinciding with p within tolerance, if any."""
@@ -140,11 +171,6 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
-
-
-def distinct_locations(config: Configuration) -> list[LocationSummary]:
-    """Occupied locations with multiplicities; multiplicities sum to n."""
-    return config.locations
 
 
 def median_interval(config: Configuration) -> tuple[Point, Point]:
@@ -183,15 +209,15 @@ def linear_endpoints(config: Configuration) -> tuple[Point, Point]:
 
 def safe_points(config: Configuration) -> list[Point]:
     """Occupied locations from which every half-line holds <= ceil(n/2)-1 robots."""
-    limit = (config.n + 1) // 2 - 1
+    return [loc.location for k, loc in enumerate(config.locations) if _is_safe(config, k)]
+
+
+def _is_safe(config: Configuration, k: int) -> bool:
+    """Whether the k-th occupied location is a safe point."""
     slack = config.merge_slack
-    eps_angle = config.tol.eps_angle
-    out = []
-    for loc, row in zip(config.locations, config.location_dists):
-        others = [p for p, d in zip(config.points, row) if d > slack]
-        if _max_ray_count(loc.location, others, eps_angle) <= limit:
-            out.append(loc.location)
-    return out
+    others = [p for p, d in zip(config.points, config.location_dists[k]) if d > slack]
+    limit = (config.n + 1) // 2 - 1
+    return _max_ray_count(config.locations[k].location, others, config.tol.eps_angle) <= limit
 
 
 def _max_ray_count(origin: Point, others: list[Point], eps_angle: float) -> int:
@@ -240,34 +266,49 @@ def classify(config: Configuration) -> ConfigClass:
     if qr is not None:
         return ConfigClass(TAG_QREGULAR, weber=qr.center, qreg=qr.m)
 
-    safe = safe_points(config)
-    if not safe:
-        raise RuntimeError("non-linear configuration without a safe point")
-    elected = _elect_safe_point(config, safe)
+    elected = _elect_safe_point(config)
     _assert_asymmetric(config)
     return ConfigClass(TAG_ASYMMETRIC, elected=elected)
 
 
-def _elect_safe_point(config: Configuration, safe: list[Point]) -> Point:
+def _elect_safe_point(config: Configuration) -> Point:
     """Maximize (multiplicity, 1/distance-sum, view) over the safe points.
 
     Distance sums are compared with tolerance so the winner is stable under
     the float noise of a robot's local coordinate frame; exact ties fall
     through to the total order on views.
-    """
-    # safe points are location points, each keying its own location's entries
-    mult = {loc.location: loc.multiplicity for loc in config.locations}
-    rows = dict(zip(mult, config.location_dists))
-    best_mult = max(mult[p] for p in safe)
-    cands = [p for p in safe if mult[p] == best_mult]
-    totals = {p: sum(rows[p]) for p in cands}
-    lowest = min(totals.values())
-    tied = [p for p in cands if totals[p] <= lowest + config.merge_slack]
-    if len(tied) == 1:
-        return tied[0]
-    from . import symmetry
 
-    return max(tied, key=lambda p: symmetry.view(config, p).encoding)
+    Safety is tested lazily, with the same result as filtering every
+    location through ``safe_points`` first.  The winning multiplicity is the
+    highest one held by a safe location, so multiplicities are visited in
+    descending order.  Within one, the lowest sum over its safe locations is
+    the sum of the first safe location in ascending-sum order, and the tied
+    set is every safe location whose sum is within the merge slack of that
+    one, so only locations up to that bound are tested.  The tied set keeps
+    location order, so the view comparison breaks exact ties as before.
+    """
+    locs = config.locations
+    rows = config.location_dists
+    for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
+        group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
+        totals = {k: sum(rows[k]) for k in group}
+        order = sorted(group, key=totals.__getitem__)
+        first = next((pos for pos, k in enumerate(order) if _is_safe(config, k)), None)
+        if first is None:
+            continue
+        bound = totals[order[first]] + config.merge_slack
+        tied = [order[first]]
+        for k in order[first + 1:]:
+            if totals[k] > bound:
+                break
+            if _is_safe(config, k):
+                tied.append(k)
+        if len(tied) == 1:
+            return locs[tied[0]].location
+        from . import symmetry
+
+        return max((locs[k].location for k in sorted(tied)), key=lambda p: symmetry.view(config, p).encoding)
+    raise RuntimeError("non-linear configuration without a safe point")
 
 
 def _assert_asymmetric(config: Configuration) -> None:
@@ -277,17 +318,23 @@ def _assert_asymmetric(config: Configuration) -> None:
     distance multiset) signature, views are necessarily distinct.  Distances
     are rounded relative to the diameter, like every other slack, so the
     screen behaves the same at every scale.
+
+    Full signatures are only built within groups of locations that share
+    (multiplicity, rounded largest distance).  Dividing by the diameter and
+    rounding are both monotone, so a signature's largest entry is its
+    location's rounded largest distance: equal signatures always share a
+    group, and the screen passes exactly when all signatures are distinct.
     """
-    sigs = set()
-    distinct = True
     diameter = config.diameter
-    for loc, row in zip(config.locations, config.location_dists):
-        sig = (loc.multiplicity, tuple(sorted(round(d / diameter, 9) for d in row)))
-        if sig in sigs:
-            distinct = False
-            break
-        sigs.add(sig)
-    if distinct:
+    rows = config.location_dists
+    groups: dict[tuple[int, float], list[int]] = {}
+    for k, loc in enumerate(config.locations):
+        groups.setdefault((loc.multiplicity, round(max(rows[k]) / diameter, 9)), []).append(k)
+    if all(
+        len({tuple(sorted(round(d / diameter, 9) for d in rows[k])) for k in members}) == len(members)
+        for members in groups.values()
+        if len(members) > 1
+    ):
         return
     from . import symmetry
 

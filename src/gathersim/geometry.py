@@ -132,15 +132,24 @@ def on_half_line(p: Point, origin: Point, through: Point, tol: Tolerance | None 
 
 def collinear(points: Iterable[Point], tol: Tolerance | None = None) -> bool:
     """True iff all points lie within tolerance of one common line."""
-    tol = tol or DEFAULT_TOLERANCE
     pts = list(points)
     if len(pts) <= 2:
         return True
     a, b, diameter = _farthest_pair(pts)
+    return within_line(pts, a, b, diameter, tol)
+
+
+def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, tol: Tolerance | None = None) -> bool:
+    """True iff every point is within tolerance of the line through a and b.
+
+    ``a`` and ``b`` are the farthest pair of the points and ``diameter`` is
+    their distance; a zero diameter (one location) counts as collinear.
+    """
+    tol = tol or DEFAULT_TOLERANCE
     if diameter == 0.0:
         return True
     slack = tol.eps_len * diameter
-    return all(_point_line_offset(p, a, b) <= slack for p in pts)
+    return all(_point_line_offset(p, a, b) <= slack for p in points)
 
 
 def _farthest_pair(pts: list[Point]) -> tuple[Point, Point, float]:

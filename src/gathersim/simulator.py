@@ -512,7 +512,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     rng = random.Random(params.seed)
     state = SimState(0, initial, [False] * n, [0] * n)
     records: list[TraceRecord] = []
-    prev: tuple[ConfigClass, TransitionContext] | None = None
+    # (class, configuration, endpoint moved, positions changed) of the last step
+    prev: tuple[ConfigClass, Configuration, bool, bool] | None = None
     checks = 0
 
     while True:
@@ -522,8 +523,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
             if cls.tag == cfg.TAG_BIVALENT:
                 raise InvariantViolation(f"round {state.round}: bivalent configuration reached")
             if prev is not None:
-                prev_cls, ctx = prev
-                ctx.next_config = config
+                prev_cls, prev_config, endpoint_moved, changed = prev
+                ctx = TransitionContext(prev_config, config, endpoint_moved, changed, params.delta)
                 violation = check_transition(prev_cls, cls, ctx)
                 checks += 1
                 if violation is not None:
@@ -550,10 +551,9 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
                 records.append(_terminal_record(state, cls, False))
                 return RunResult(OUTCOME_MAX_ROUNDS, state.round, records, None, crashes, params.seed, checks)
 
-            ctx = TransitionContext(config, config, False, False, params.delta)
-            state, record, ctx.endpoint_moved, ctx.positions_changed = step(state, adv, params, rng, cls)
+            state, record, endpoint_moved, changed = step(state, adv, params, rng, cls)
             records.append(record)
-            prev = (cls, ctx)
+            prev = (cls, config, endpoint_moved, changed)
             log.debug("round %d: class %s, %d activated", record.round, record.cls, len(record.activated))
         except InvariantViolation as exc:
             records.append(_terminal_record(state, cls, False))

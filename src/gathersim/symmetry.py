@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .configuration import ConfigClass, Configuration, TAG_L1W, TAG_QREGULAR
 from .errors import (
@@ -542,13 +542,32 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     miss found by binary search.  On generic configurations almost every
     center fails the pull bound, so the occupied-center search costs
     O(n^2) distance and vector terms plus O(n log n) per surviving center.
+
+    The Weber search that follows checks only the surviving centers as
+    possible optimal vertices, in location order.  A skipped location has
+    |P_c| > mu + 3*n^2*slack + n*1e-12, where slack >= 3e-15 (the widened
+    slack is at least ``_COORD_DRIFT``, as r_min <= diameter), while the
+    vertex test in ``weber_numeric`` accepts a pull of at most
+    mu*(1+1e-12) < mu + n*1e-12, as mu <= n-2 in a non-linear
+    configuration.  The margin is over 9e-15*n^2.  When every robot sits
+    exactly on its location's point, the pull that ``weber_numeric`` sums
+    over locations, each term times its multiplicity, is made of the same
+    unit-vector terms as P_c, so the two differ only by the rounding of at
+    most n terms of size at most 1: a few times n^2*1.1e-16, far inside the
+    margin.  A skipped location therefore fails the vertex test too, and
+    the first accepted vertex is the same.  The simulator keeps robots
+    exact, as arrivals snap onto their destination; when some robot is off
+    its location's point by a sliver within the merge slack, its direction
+    from a nearby center can turn far more than the margin, so every
+    location is checked.
     """
     if config.is_linear:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     n = config.n
     points = config.points
     merge_slack = config.merge_slack
-    for loc, row in zip(config.locations, config.location_dists):
+    survivors = []
+    for k, (loc, row) in enumerate(zip(config.locations, config.location_dists)):
         c = loc.location
         cx, cy = c
         off = [i for i, d in enumerate(row) if d > merge_slack]
@@ -561,6 +580,7 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
             pull_y += (y - cy) / row[i]
         if math.hypot(pull_x, pull_y) > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
             continue
+        survivors.append(k)
         dirs = _ray_clusters(config, c, off, slack)
         index = _RayIndex([theta for theta, _ in dirs])
         for m in range(n, 1, -1):
@@ -571,7 +591,8 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
             res = _deficits_for(dirs, loc.multiplicity, m, slack, c)
             if res is not None:
                 return res
-    candidate = weber_numeric(config)
+    exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
+    candidate = weber_numeric(config, survivors if exact else None)
     if config.find_location(candidate) is not None:
         return None
     r_min = min(dist(q, candidate) for q in config.points)
@@ -589,73 +610,94 @@ _WEBER_MAX_ITER = 1000
 _POLISH_STEP_REL = 1e-15
 
 
-def weber_numeric(config: Configuration) -> Point:
+def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) -> Point:
     """Geometric median: iterative reweighting plus a Newton polish.
 
     Non-linear configurations only, where the minimizer is unique.  Occupied
     locations are checked for optimality directly, so medians that sit on a
-    robot are returned exactly.  Reweighting alone stalls when the median
-    lies close to an occupied location; the damped Newton steps on the
-    (there smooth) objective recover full float precision.
+    robot are returned exactly.  ``vertices`` lists the indices into
+    ``config.locations``, ascending, of the locations to check; the default
+    is every location, and a caller may leave out only locations that
+    provably fail the check (see ``detect_quasi_regular``).  Reweighting
+    alone stalls when the median lies close to an occupied location; the
+    damped Newton steps on the (there smooth) objective recover full float
+    precision.
     """
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
     locs = config.locations
+    xs = [l.location.x for l in locs]
+    ys = [l.location.y for l in locs]
+    ms = [l.multiplicity for l in locs]
     diam = config.diameter
     tiny = _WEBER_STEP_REL * diam
 
-    vertex = _optimal_vertex(locs)
-    if vertex is not None:
-        return vertex
+    for a in range(len(locs)) if vertices is None else vertices:
+        gx, gy = _pull_vector(xs, ys, ms, a, _vertex_dists(config, a))
+        if math.hypot(gx, gy) <= ms[a] * (1.0 + 1e-12):
+            return locs[a].location
 
-    sx = sum(l.location.x * l.multiplicity for l in locs)
-    sy = sum(l.location.y * l.multiplicity for l in locs)
-    y = Point(sx / config.n, sy / config.n)
+    sx = sum(x * m for x, m in zip(xs, ms))
+    sy = sum(y * m for y, m in zip(ys, ms))
+    yx = sx / config.n
+    yy = sy / config.n
     for _ in range(_WEBER_MAX_ITER):
-        near = next((l for l in locs if dist(l.location, y) <= tiny), None)
-        if near is not None:
-            y = _push_off_vertex(locs, near)
-            continue
+        # the weight pass stops at the first location near y and pushes off it
         wx = wy = wsum = 0.0
-        for l in locs:
-            w = l.multiplicity / dist(l.location, y)
-            wx += w * l.location.x
-            wy += w * l.location.y
+        for a, (lx, ly, m) in enumerate(zip(xs, ys, ms)):
+            d = math.hypot(lx - yx, ly - yy)
+            if d <= tiny:
+                yx, yy = _push_off_vertex(xs, ys, ms, a, _vertex_dists(config, a))
+                break
+            w = m / d
+            wx += w * lx
+            wy += w * ly
             wsum += w
-        y_new = Point(wx / wsum, wy / wsum)
-        step = dist(y_new, y)
-        y = y_new
-        if step <= tiny:
-            break
-    return _newton_polish(locs, y, diam)
+        else:
+            nx = wx / wsum
+            ny = wy / wsum
+            step = math.hypot(nx - yx, ny - yy)
+            yx, yy = nx, ny
+            if step <= tiny:
+                break
+    return _newton_polish(xs, ys, ms, Point(yx, yy), diam)
 
 
-def _gradient(locs, y: Point) -> tuple[float, float, float]:
+def _vertex_dists(config: Configuration, a: int) -> list[float]:
+    """Distance from location a to each location, from a's distance row."""
+    row = config.location_dists[a]
+    return [row[l.indices[0]] for l in config.locations]
+
+
+def _gradient(xs, ys, ms, y: Point) -> tuple[float, float, float]:
+    yx, yy = y
     gx = gy = 0.0
-    for l in locs:
-        d = dist(l.location, y)
+    for lx, ly, m in zip(xs, ys, ms):
+        d = math.hypot(lx - yx, ly - yy)
         if d == 0.0:
             return math.inf, math.inf, math.inf
-        gx += l.multiplicity * (y.x - l.location.x) / d
-        gy += l.multiplicity * (y.y - l.location.y) / d
+        gx += m * (yx - lx) / d
+        gy += m * (yy - ly) / d
     return gx, gy, math.hypot(gx, gy)
 
 
-def _newton_polish(locs, y: Point, diam: float) -> Point:
+def _newton_polish(xs, ys, ms, y: Point, diam: float) -> Point:
+    floor = 1e-17 * diam
     for _ in range(60):
+        yx, yy = y
         gx = gy = 0.0
         hxx = hxy = hyy = 0.0
-        for l in locs:
-            dx = y.x - l.location.x
-            dy = y.y - l.location.y
+        for lx, ly, m in zip(xs, ys, ms):
+            dx = yx - lx
+            dy = yy - ly
             d = math.hypot(dx, dy)
-            if d <= 1e-17 * diam:
+            if d <= floor:
                 return y
             ux = dx / d
             uy = dy / d
-            gx += l.multiplicity * ux
-            gy += l.multiplicity * uy
-            curve = l.multiplicity / d
+            gx += m * ux
+            gy += m * uy
+            curve = m / d
             hxx += curve * (1.0 - ux * ux)
             hxy -= curve * ux * uy
             hyy += curve * (1.0 - uy * uy)
@@ -667,8 +709,8 @@ def _newton_polish(locs, y: Point, diam: float) -> Point:
         sy = (hxx * gy - hxy * gx) / det
         t = 1.0
         while t > 1e-6:
-            candidate = Point(y.x - t * sx, y.y - t * sy)
-            if _gradient(locs, candidate)[2] < gnorm:
+            candidate = Point(yx - t * sx, yy - t * sy)
+            if _gradient(xs, ys, ms, candidate)[2] < gnorm:
                 break
             t *= 0.5
         else:
@@ -680,31 +722,25 @@ def _newton_polish(locs, y: Point, diam: float) -> Point:
     return y
 
 
-def _pull_vector(locs, at) -> tuple[float, float]:
+def _pull_vector(xs, ys, ms, a: int, dists: list[float]) -> tuple[float, float]:
+    """Sum of the unit vectors from location a toward the others, by multiplicity."""
+    ax = xs[a]
+    ay = ys[a]
     gx = gy = 0.0
-    for l in locs:
-        if l is at:
+    for k, d in enumerate(dists):
+        if k == a:
             continue
-        d = dist(l.location, at.location)
-        gx += l.multiplicity * (l.location.x - at.location.x) / d
-        gy += l.multiplicity * (l.location.y - at.location.y) / d
+        gx += ms[k] * (xs[k] - ax) / d
+        gy += ms[k] * (ys[k] - ay) / d
     return gx, gy
 
 
-def _optimal_vertex(locs) -> Point | None:
-    for l in locs:
-        gx, gy = _pull_vector(locs, l)
-        if math.hypot(gx, gy) <= l.multiplicity * (1.0 + 1e-12):
-            return l.location
-    return None
-
-
-def _push_off_vertex(locs, at) -> Point:
-    gx, gy = _pull_vector(locs, at)
+def _push_off_vertex(xs, ys, ms, a: int, dists: list[float]) -> tuple[float, float]:
+    gx, gy = _pull_vector(xs, ys, ms, a, dists)
     norm = math.hypot(gx, gy)
-    damping = sum(l.multiplicity / dist(l.location, at.location) for l in locs if l is not at)
-    t = (norm - at.multiplicity) / damping
-    return Point(at.location.x + t * gx / norm, at.location.y + t * gy / norm)
+    damping = sum(m / d for k, (m, d) in enumerate(zip(ms, dists)) if k != a)
+    t = (norm - ms[a]) / damping
+    return xs[a] + t * gx / norm, ys[a] + t * gy / norm
 
 
 def weber_point(config: Configuration, cls: ConfigClass) -> Point:

@@ -1,0 +1,194 @@
+"""Earlier, slower forms of classification routines, kept as exact oracles.
+
+Each function below is the routine as it stood before it read the shared
+distance table (``Configuration.pair_dists``): fresh ``dist`` calls, every
+location checked, every candidate tested.  The current code must return the
+same doubles, bit for bit, so comparisons use ``bits``.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+from gathersim import Point, symmetry
+from gathersim.configuration import _assert_asymmetric, _max_ray_count
+from gathersim.geometry import dist
+
+
+def bits(p) -> tuple[str, str]:
+    """Exact identity of a point's coordinates, signed zeros included."""
+    return (float(p[0]).hex(), float(p[1]).hex())
+
+
+def outcome(fn, config):
+    """``fn(config)`` as exact bits, or the message of the RuntimeError it raised."""
+    try:
+        return bits(fn(config))
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def screen_skips(config) -> bool:
+    """True when ``_assert_asymmetric`` returns without running ``symmetricity``."""
+    with mock.patch.object(symmetry, "symmetricity", wraps=symmetry.symmetricity) as spy:
+        try:
+            _assert_asymmetric(config)
+        except RuntimeError:
+            pass
+    return not spy.called
+
+
+# --- Weber search -------------------------------------------------------------------
+#
+# Every location is checked as an optimal vertex with fresh distances, and
+# each reweighting iteration scans all locations for a nearby vertex before
+# its weight pass.
+
+
+def weber_reference(config) -> Point:
+    locs = config.locations
+    diam = config.diameter
+    tiny = symmetry._WEBER_STEP_REL * diam
+    for l in locs:
+        gx, gy = _pull_vector(locs, l)
+        if math.hypot(gx, gy) <= l.multiplicity * (1.0 + 1e-12):
+            return l.location
+    sx = sum(l.location.x * l.multiplicity for l in locs)
+    sy = sum(l.location.y * l.multiplicity for l in locs)
+    y = Point(sx / config.n, sy / config.n)
+    for _ in range(symmetry._WEBER_MAX_ITER):
+        near = next((l for l in locs if dist(l.location, y) <= tiny), None)
+        if near is not None:
+            y = _push_off_vertex(locs, near)
+            continue
+        wx = wy = wsum = 0.0
+        for l in locs:
+            w = l.multiplicity / dist(l.location, y)
+            wx += w * l.location.x
+            wy += w * l.location.y
+            wsum += w
+        y_new = Point(wx / wsum, wy / wsum)
+        step = dist(y_new, y)
+        y = y_new
+        if step <= tiny:
+            break
+    return _newton_polish(locs, y, diam)
+
+
+def _gradient(locs, y):
+    gx = gy = 0.0
+    for l in locs:
+        d = dist(l.location, y)
+        if d == 0.0:
+            return math.inf, math.inf, math.inf
+        gx += l.multiplicity * (y.x - l.location.x) / d
+        gy += l.multiplicity * (y.y - l.location.y) / d
+    return gx, gy, math.hypot(gx, gy)
+
+
+def _newton_polish(locs, y, diam):
+    for _ in range(60):
+        gx = gy = 0.0
+        hxx = hxy = hyy = 0.0
+        for l in locs:
+            dx = y.x - l.location.x
+            dy = y.y - l.location.y
+            d = math.hypot(dx, dy)
+            if d <= 1e-17 * diam:
+                return y
+            ux = dx / d
+            uy = dy / d
+            gx += l.multiplicity * ux
+            gy += l.multiplicity * uy
+            curve = l.multiplicity / d
+            hxx += curve * (1.0 - ux * ux)
+            hxy -= curve * ux * uy
+            hyy += curve * (1.0 - uy * uy)
+        det = hxx * hyy - hxy * hxy
+        gnorm = math.hypot(gx, gy)
+        if det <= 0.0 or gnorm == 0.0:
+            return y
+        sx = (hyy * gx - hxy * gy) / det
+        sy = (hxx * gy - hxy * gx) / det
+        t = 1.0
+        while t > 1e-6:
+            candidate = Point(y.x - t * sx, y.y - t * sy)
+            if _gradient(locs, candidate)[2] < gnorm:
+                break
+            t *= 0.5
+        else:
+            return y
+        step = t * math.hypot(sx, sy)
+        y = candidate
+        if step <= symmetry._POLISH_STEP_REL * diam:
+            return y
+    return y
+
+
+def _pull_vector(locs, at):
+    gx = gy = 0.0
+    for l in locs:
+        if l is at:
+            continue
+        d = dist(l.location, at.location)
+        gx += l.multiplicity * (l.location.x - at.location.x) / d
+        gy += l.multiplicity * (l.location.y - at.location.y) / d
+    return gx, gy
+
+
+def _push_off_vertex(locs, at):
+    gx, gy = _pull_vector(locs, at)
+    norm = math.hypot(gx, gy)
+    damping = sum(l.multiplicity / dist(l.location, at.location) for l in locs if l is not at)
+    t = (norm - at.multiplicity) / damping
+    return Point(at.location.x + t * gx / norm, at.location.y + t * gy / norm)
+
+
+# --- safe points and the class-A election --------------------------------------------
+#
+# Every location is tested for safety first; the election then picks among
+# the safe points.
+
+
+def safe_points_reference(config) -> list[Point]:
+    limit = (config.n + 1) // 2 - 1
+    out = []
+    for loc in config.locations:
+        others = [p for p in config.points if dist(loc.location, p) > config.merge_slack]
+        if _max_ray_count(loc.location, others, config.tol.eps_angle) <= limit:
+            out.append(loc.location)
+    return out
+
+
+def elect_reference(config) -> Point:
+    """The elected safe point; raises RuntimeError when there is none."""
+    safe = safe_points_reference(config)
+    if not safe:
+        raise RuntimeError("non-linear configuration without a safe point")
+    mult = {loc.location: loc.multiplicity for loc in config.locations}
+    best_mult = max(mult[p] for p in safe)
+    cands = [p for p in safe if mult[p] == best_mult]
+    totals = {p: sum(dist(p, q) for q in config.points) for p in cands}
+    lowest = min(totals.values())
+    tied = [p for p in cands if totals[p] <= lowest + config.merge_slack]
+    if len(tied) == 1:
+        return tied[0]
+    return max(tied, key=lambda p: symmetry.view(config, p).encoding)
+
+
+# --- asymmetry screen ------------------------------------------------------------------
+
+
+def screen_reference(config) -> bool:
+    """True when every (multiplicity, rounded distance multiset) signature is
+    distinct, so ``_assert_asymmetric`` may skip ``symmetricity``."""
+    diameter = config.diameter
+    sigs = set()
+    for loc in config.locations:
+        row = [dist(loc.location, q) for q in config.points]
+        sig = (loc.multiplicity, tuple(sorted(round(d / diameter, 9) for d in row)))
+        if sig in sigs:
+            return False
+        sigs.add(sig)
+    return True

@@ -7,7 +7,7 @@ from gathersim import (
     Configuration,
     Point,
     classify,
-    distinct_locations,
+    geometry,
     is_gathered,
     median_interval,
     moving_set,
@@ -21,19 +21,21 @@ from gathersim.configuration import (
     TAG_MULTIPLE,
     TAG_QREGULAR,
     _assert_asymmetric,
+    _elect_safe_point,
 )
 from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
 from gathersim.geometry import dist
 from helpers import Similarity, mixed_configuration
+from references import bits, elect_reference, outcome, safe_points_reference, screen_reference, screen_skips
 
 
 def test_distinct_locations_examples():
-    locs = distinct_locations(Configuration([(0, 0), (0, 0), (1, 0)]))
+    locs = Configuration([(0, 0), (0, 0), (1, 0)]).locations
     assert [(l.location, l.multiplicity) for l in locs] == [(Point(0, 0), 2), (Point(1, 0), 1)]
-    locs = distinct_locations(Configuration([(5, 5)]))
+    locs = Configuration([(5, 5)]).locations
     assert [(l.location, l.multiplicity) for l in locs] == [(Point(5, 5), 1)]
-    locs = distinct_locations(Configuration([(0, 0), (1e-12, 0), (1, 0)]))
+    locs = Configuration([(0, 0), (1e-12, 0), (1, 0)]).locations
     assert sorted(l.multiplicity for l in locs) == [1, 2]
 
 
@@ -217,3 +219,89 @@ def test_asymmetry_check_runs_at_every_scale(scale):
         sim = Similarity(rng.uniform(0, math.tau), scale, rng.uniform(-5, 5) * scale, rng.uniform(-5, 5) * scale)
         with pytest.raises(RuntimeError, match="classified asymmetric"):
             _assert_asymmetric(sim.apply_config(base))
+
+
+# --- the distance table and class-A classification against the reference -----------
+
+
+def test_pair_dists_equal_dist_both_ways():
+    rng = random.Random(7)
+    for scale in (1e-9, 1.0, 1e6):
+        for _ in range(20):
+            config = mixed_configuration(rng, rng.randint(1, 12))
+            points = [Point(p.x * scale, p.y * scale) for p in config.points]
+            table = Configuration(points).pair_dists
+            for p, row in zip(points, table):
+                assert [d.hex() for d in row] == [dist(p, q).hex() for q in points]
+                assert [d.hex() for d in row] == [dist(q, p).hex() for q in points]
+
+
+def _tied_diameters():
+    """Point sets whose diameter is reached by several pairs, exactly or up to
+    rounding, in several orders and with duplicates."""
+    rng = random.Random(8)
+    out = []
+    for k in (4, 6, 8, 10, 12):
+        phase = rng.choice((0.0, rng.uniform(0, math.tau)))
+        polygon = [Point(math.cos(phase + j * math.tau / k), math.sin(phase + j * math.tau / k)) for j in range(k)]
+        out.append(polygon)
+        out.append(polygon + polygon[: k // 2])
+    for corners in ([(0, 0), (4, 0), (4, 3), (0, 3)], [(0, 0), (1, 1), (0, 1), (1, 0)], [(0, 0), (2, 0), (1, 0)]):
+        pts = [Point(*c) for c in corners]
+        for _ in range(4):
+            shuffled = pts + rng.sample(pts, rng.randint(0, len(pts)))
+            rng.shuffle(shuffled)
+            out.append(shuffled)
+    out.append([Point(1, 1)] * 3)
+    return out
+
+
+def test_table_farthest_pair_keeps_tie_break():
+    for points in _tied_diameters():
+        config = Configuration(points)
+        a, b, diameter = geometry.farthest_pair(points)
+        assert config.farthest_pair == (a, b) and config.diameter == diameter
+        assert config.is_linear == geometry.collinear(points, config.tol)
+
+
+def _mirror_symmetric(rng):
+    """Mirror pairs across a random axis and no robot on it: mirror images have
+    equal distance sums and, as views turn clockwise, different views."""
+    pairs = [(rng.uniform(0.1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 6))]
+    pts = [Point(x, y) for x, y in pairs] + [Point(-x, y) for x, y in pairs]
+    return Similarity.random(rng).apply_config(Configuration(pts))
+
+
+def _unsafe_top_multiplicity(rng):
+    """Two doubled locations at the ends of a line of single robots, each
+    seeing the line and the other end on one half-line, so neither is safe
+    and the election falls through to multiplicity one."""
+    k = rng.randint(4, 6)
+    pts = [Point(0, 0)] * 2 + [Point(j, 0) for j in range(1, k + 1)] + [Point(k + 1, 0)] * 2
+    pts += [Point(rng.uniform(0, k + 1), rng.choice((-1, 1)) * rng.uniform(0.5, 3)) for _ in range(rng.randint(1, 3))]
+    return Similarity.random(rng).apply_config(Configuration(pts))
+
+
+def test_election_and_screen_match_reference():
+    rng = random.Random(9)
+    inputs = [mixed_configuration(rng, rng.randint(3, 12)) for _ in range(150)]
+    mirrors = [_mirror_symmetric(rng) for _ in range(40)]
+    unsafe = [_unsafe_top_multiplicity(rng) for _ in range(20)]
+    symmetric = [symmetric_configuration(rng) for _ in range(40)]
+    view_decided = fell_through = collided = 0
+    for config in inputs + mirrors + unsafe + symmetric:
+        if config.is_linear:
+            continue
+        safe = safe_points_reference(config)
+        assert [bits(p) for p in safe_points(config)] == [bits(p) for p in safe]
+        elected = outcome(_elect_safe_point, config)
+        assert elected == outcome(elect_reference, config), config
+        skips = screen_reference(config)
+        assert screen_skips(config) == skips, config
+        collided += not skips
+        if safe:
+            top = max(l.multiplicity for l in config.locations)
+            fell_through += all(config.multiplicity_at(p) < top for p in safe)
+            nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), sum(dist(p, q) for q in config.points)))
+            view_decided += elected != bits(nearest)
+    assert view_decided >= 30 and fell_through >= 18 and collided >= 70

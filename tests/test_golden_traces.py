@@ -8,9 +8,10 @@ change must re-record the digests and say why in CHANGES.md.
 
 Runs never pass through class B (a bivalent start is rejected and reaching
 one is a violation), so a second digest pins the full ``classify`` output
-on fixed snapshots of all six classes.  The runs stop at n = 8 and that
-digest at n = 16, so a third pins ``classify`` and every robot's ``compute``
-decision on snapshots of every class at n = 24, 40 and 80.
+on fixed snapshots of all six classes.  The runs above stop at n = 8 and
+that digest at n = 16, so a third pins ``classify`` and every robot's
+``compute`` decision on snapshots of every class at n = 24, 40 and 80, and
+two synchronous runs of 16 and 20 robots pin long class-A phases.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 import pytest
 
 from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, compute, run
-from gathersim.configuration import ALL_TAGS, TAG_BIVALENT, TAG_QREGULAR
+from gathersim.configuration import ALL_TAGS, TAG_ASYMMETRIC, TAG_BIVALENT, TAG_QREGULAR
 from gathersim.generators import (
     bivalent_configuration,
     collinear_configuration,
@@ -244,3 +245,41 @@ def test_golden_classify_large():
     assert sidesteps >= 6 and parked_qr == 3
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == GOLDEN_CLASSIFY_LARGE
+
+
+# --- larger runs ----------------------------------------------------------------------
+
+
+def _jittered_grid(rng: random.Random, cols: int, rows: int) -> Configuration:
+    """One robot near the center of each cell of a cols x rows grid.
+
+    Such starts are asymmetric with no robot close to the elected safe
+    point, so the class-A phase lasts about twenty rounds."""
+    return Configuration(
+        [
+            Point((i + 0.4 + 0.2 * rng.random()) / cols, (j + 0.4 + 0.2 * rng.random()) / rows)
+            for i in range(cols)
+            for j in range(rows)
+        ]
+    )
+
+
+# (grid columns, grid rows, seed) -> SHA-256 of the trace of a synchronous,
+# minimal-stop run with delta one hundredth of the diameter
+GOLDEN_LARGE_RUNS = {
+    (4, 4, 31): "bc8f351af922d87ce5c4a32e1081432c174772cd51089913e734541854f93dbd",
+    (5, 4, 32): "5d02c3e9b147c513581ed77eb97425cfb199123d9d18efb56fec5907ba8bdf53",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_LARGE_RUNS), ids=lambda case: "grid{}x{}-{}".format(*case))
+def test_golden_trace_large(case):
+    cols, rows, seed = case
+    config = _jittered_grid(random.Random(seed), cols, rows)
+    adv = AdversarySpec(activation="synchronous", stop_policy="minimal")
+    params = SimParams(delta=config.diameter / 100.0, max_rounds=10_000, seed=seed)
+    result = run(config, adv, params)
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    assert sum(record.cls == TAG_ASYMMETRIC for record in result.records) >= 15
+    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
+    assert digest == GOLDEN_LARGE_RUNS[case]

@@ -19,7 +19,7 @@ from gathersim import (
     weber_numeric,
     weber_point,
 )
-from gathersim.configuration import ConfigClass, TAG_MULTIPLE
+from gathersim.configuration import ConfigClass, TAG_MULTIPLE, _elect_safe_point, safe_points
 from gathersim.errors import (
     AllAtCenter,
     ClassWithoutUniqueWeber,
@@ -37,6 +37,15 @@ from gathersim.generators import (
 from gathersim.geometry import TAU, Tolerance, dist
 from gathersim.symmetry import StringOfAngles, views_equal
 from helpers import Similarity, grid_weber, mixed_configuration, on_ray
+from references import (
+    bits,
+    elect_reference,
+    outcome,
+    safe_points_reference,
+    screen_reference,
+    screen_skips,
+    weber_reference,
+)
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 ASYM4 = Configuration([(0, 0), (3, 0), (0, 4), (1, 1)])
@@ -712,3 +721,92 @@ def test_weber_point_by_class():
     assert dist(weber_point(qr, cls), weber_numeric(qr)) <= 1e-6
     with pytest.raises(ClassWithoutUniqueWeber):
         weber_point(line, ConfigClass(TAG_MULTIPLE, elected=Point(0, 0)))
+
+
+# --- Weber search against the reference ------------------------------------------------
+
+
+def _off_point_vertex(rng):
+    """An optimal vertex c that fails the robot-order pull bound.
+
+    c holds one robot and its location-order pull is 1 - 1e-4 or 1 - 1e-5.
+    A location of two robots sits 1e-6 or 3e-7 from c; moving one of its
+    robots three quarters of the merge slack toward the pull (still inside
+    the location) turns that robot's direction from c by over 1e-3, which
+    lifts the robot-order pull past the bound."""
+    c = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    u = rng.uniform(0, TAU)
+    near = on_ray(c, u - math.pi / 2, rng.choice((1e-6, 3e-7)))
+    spread = math.acos((1 - rng.choice((1e-4, 1e-5))) / 2)
+    pts = [c, near, near] + [on_ray(c, u + math.pi / 2, 1.0)] * 2
+    pts += [on_ray(c, u + spread, rng.uniform(0.5, 1)), on_ray(c, u - spread, rng.uniform(0.5, 1))]
+    pts[2] = on_ray(near, u, 0.75 * Configuration(pts).merge_slack)
+    return Configuration(pts)
+
+
+def _centroid_on_vertex(rng):
+    """Offsets from c that sum to zero, so reweighting starts on c; when c's
+    pull exceeds its multiplicity the search pushes off it."""
+    c = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    offsets = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(3, 6))]
+    offsets.append((-sum(dx for dx, _ in offsets), -sum(dy for _, dy in offsets)))
+    return Configuration([c] + [Point(c.x + dx, c.y + dy) for dx, dy in offsets])
+
+
+def _weber_edge_inputs():
+    rng = random.Random(43)
+    out = [_off_point_vertex(rng) for _ in range(20)]
+    out += [_centroid_on_vertex(rng) for _ in range(40)]
+    # near-coincident robots that are not exactly equal
+    for _ in range(20):
+        pts = [Point(0, 0), Point(1e-12, 0)] + [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 8))]
+        out.append(Configuration(pts))
+    return [config for config in out if not config.is_linear]
+
+
+def test_weber_search_matches_reference(monkeypatch):
+    """``weber_numeric`` returns the reference's doubles, both on its own and
+    with the vertex list that ``detect_quasi_regular`` hands it."""
+    handed = []
+    original = symmetry.weber_numeric
+
+    def recording(config, vertices=None):
+        handed.append(vertices)
+        return original(config, vertices)
+
+    pushed = []
+    push_off = symmetry._push_off_vertex
+
+    def pushing(*args):
+        pushed.append(args)
+        return push_off(*args)
+
+    monkeypatch.setattr(symmetry, "weber_numeric", recording)
+    monkeypatch.setattr(symmetry, "_push_off_vertex", pushing)
+    restricted = full = on_vertex = 0
+    for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
+        expected = bits(weber_reference(config))
+        assert bits(original(config)) == expected, config
+        on_vertex += expected in {bits(loc.location) for loc in config.locations}
+        handed.clear()
+        detect_quasi_regular(config)
+        for vertices in handed:
+            assert bits(original(config, vertices)) == expected, config
+            if vertices is None:
+                full += 1
+            else:
+                restricted += len(vertices) < len(config.locations)
+    assert restricted > 150 and full > 30 and on_vertex > 200 and len(pushed) > 40
+
+
+def test_election_and_screen_match_reference_on_center_inputs():
+    """Lazy safe-point election and the bucketed screen decide as the
+    reference does on every input of the pruning and Weber tests."""
+    screened = 0
+    for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
+        assert [bits(p) for p in safe_points(config)] == [bits(p) for p in safe_points_reference(config)]
+        assert outcome(_elect_safe_point, config) == outcome(elect_reference, config), config
+        skips = screen_reference(config)
+        assert screen_skips(config) == skips, config
+        screened += not skips
+    assert screened > 15
