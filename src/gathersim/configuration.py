@@ -76,36 +76,63 @@ class Configuration:
         return len(self.points)
 
     @cached_property
-    def pair_dists(self) -> list[array]:
-        """Distance between every two robots: row i holds robot i's distances.
+    def _distinct(self) -> tuple[dict[Point, list[int]], list[Point]]:
+        """The robot indices at each distinct point, and the distinct points
+        in (x, y) order.
 
-        Each entry is ``math.hypot(px - x, py - y)``.  ``hypot`` ignores the
-        sign of its arguments, so entry (i, j) equals entry (j, i) and
-        ``dist`` between the two robots in either direction, bit for bit.
-        The diameter, the farthest pair, the location merge and the
-        location rows all read this one table.
+        Indices ascend, and points come in order of their first robot.  Keys
+        compare with ``==``, so 0.0 and -0.0 share a key.  Distances from
+        points that compare equal are equal bit for bit (``hypot`` ignores
+        the sign of a zero difference), so every robot of one key has the
+        same distance row.
         """
+        stacks: dict[Point, list[int]] = {}
+        for i, p in enumerate(self.points):
+            stacks.setdefault(p, []).append(i)
+        return stacks, sorted(stacks)
+
+    @cached_property
+    def _farthest(self) -> tuple[float, list[tuple[Point, Point]]]:
+        """The diameter and the pairs of ``_hull_candidates`` at it."""
         hypot = math.hypot
-        points = self.points
-        return [array("d", [hypot(px - x, py - y) for x, y in points]) for px, py in points]
+        hull = _hull_candidates(self._distinct[1])
+        best = 0.0
+        pairs: list[tuple[Point, Point]] = []
+        for k, p in enumerate(hull):
+            px, py = p
+            for q in hull[k + 1:]:
+                d = hypot(px - q.x, py - q.y)
+                if d >= best:
+                    if d > best:
+                        best = d
+                        pairs = []
+                    pairs.append((p, q))
+        return best, pairs
 
     @cached_property
     def diameter(self) -> float:
-        return max(map(max, self.pair_dists))
+        """The largest ``hypot(px - x, py - y)`` over all pairs of robots.
+
+        Only pairs of ``_hull_candidates`` are measured; the result is the
+        same double as the maximum over every pair (see there).
+        """
+        return self._farthest[0]
 
     @cached_property
     def farthest_pair(self) -> tuple[Point, Point]:
         """The robots at the diameter, picked like ``geometry.farthest_pair``.
 
-        That is the lexicographically first (i, j), i < j, at the maximum.
-        Its i is the first robot whose row holds the maximum anywhere (a
-        maximum at an earlier column would pair it with an earlier robot),
-        and j is that row's first maximum.  A single location gives robot 0
-        twice.
+        That is the lexicographically first robot pair (i, j), i < j, at the
+        maximum.  Every robot at a point has that point's distances, so it
+        is the first (lowest robot, partner's lowest robot) over the pairs of
+        points at the diameter.  A single location gives robot 0 twice.
         """
-        diameter = self.diameter
-        i, row = next((i, row) for i, row in enumerate(self.pair_dists) if diameter in row)
-        return self.points[i], self.points[row.index(diameter)]
+        diameter, pairs = self._farthest
+        if diameter == 0.0:
+            return self.points[0], self.points[0]
+        stacks = self._distinct[0]
+        i, j = min(sorted((stacks[p][0], stacks[q][0])) for p, q in pairs)
+        return self.points[i], self.points[j]
 
     @cached_property
     def merge_slack(self) -> float:
@@ -114,38 +141,61 @@ class Configuration:
 
     @cached_property
     def locations(self) -> list[LocationSummary]:
-        """Distinct occupied locations (single-link merge within tolerance)."""
+        """Distinct occupied locations: robots within the merge slack of each
+        other, directly or through a chain of robots, share one.
+
+        Robots at one point always do, so the merge runs over the distinct
+        points, swept in x order.  Two points within the slack have a float
+        x difference of at most their computed distance, since ``hypot`` of
+        two differences is never below either one.  So only earlier points
+        within a window of twice the slack in x are tested, each with the
+        exact ``hypot(...) <= slack`` test.  Locations are ordered by their
+        lowest robot, with indices ascending, at the lowest robot's point.
+        """
         slack = self.merge_slack
-        n = self.n
-        parent = list(range(n))
+        window = 2.0 * slack
+        hypot = math.hypot
+        stacks, pts = self._distinct
+        parent = {p: p for p in pts}
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
+        def find(p: Point) -> Point:
+            while parent[p] is not p:
+                parent[p] = parent[parent[p]]
+                p = parent[p]
+            return p
 
-        for i, row in enumerate(self.pair_dists):
-            for j in range(i + 1, n):
-                if row[j] <= slack:
-                    parent[find(j)] = find(i)
-        groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        out = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            idx = sorted(groups[root])
-            out.append(LocationSummary(self.points[idx[0]], len(idx), idx))
-        return out
+        for k, p in enumerate(pts):
+            px, py = p
+            for j in range(k - 1, -1, -1):
+                q = pts[j]
+                qx, qy = q
+                if px - qx > window:
+                    break
+                if hypot(px - qx, py - qy) <= slack:
+                    parent[find(q)] = find(p)
+        groups: dict[Point, list[int]] = {}
+        for p, idx in stacks.items():
+            groups.setdefault(find(p), []).extend(idx)
+        return [LocationSummary(self.points[idx[0]], len(idx), idx) for idx in map(sorted, groups.values())]
 
     @cached_property
     def location_dists(self) -> list[array]:
         """Distance from each occupied location to every robot, in robot order.
 
-        One row per entry of ``locations``: the ``pair_dists`` row of the
-        location's first robot, which is the location point.
+        One row per entry of ``locations``, computed when first read: entry
+        i is ``math.hypot(px - x, py - y)`` for the location point (px, py)
+        and robot i at (x, y), the same double as ``dist`` between them in
+        either direction.  Class-M classification never reads the rows;
+        every reader (quasi-regularity, the class-A election and the
+        asymmetry screen) reads all of them.
         """
-        return [self.pair_dists[loc.indices[0]] for loc in self.locations]
+        hypot = math.hypot
+        points = self.points
+        rows = []
+        for loc in self.locations:
+            px, py = loc.location
+            rows.append(array("d", [hypot(px - x, py - y) for x, y in points]))
+        return rows
 
     @cached_property
     def is_linear(self) -> bool:
@@ -171,6 +221,56 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
+
+
+def _hull_candidates(pts: list[Point]) -> list[Point]:
+    """The distinct points that can end a farthest pair: the convex hull's
+    corners and every point on or near its boundary.
+
+    Andrew's monotone chain over ``pts``, in (x, y) order, keeping a lower
+    and an upper chain, except that a chain point is popped only on a
+    clearly inward turn: a cross product below -1e-7*B^2, where B^2 is the
+    squared bounding-box diagonal, so B >= D, the diameter.  Rounding moves
+    a cross product by at most 8u*B^2 (u = 2^-53), so a popped point lies
+    inside the segment between its chain neighbours in exact arithmetic
+    too, by a perpendicular distance over 0.99e-7*B^2 / D >= 0.99e-7*D.
+    A lower-hull corner is thus never popped from the lower chain, nor an
+    upper-hull corner from the upper one, and a point is left out only when
+    both chains pop it.  Such a point p lies above the lower hull and below
+    the upper hull by vertical gaps g1, g2 > 0.99e-7*D (a vertical gap is
+    at least the perpendicular one).  Writing p as a convex combination of
+    the two hull points at those gaps, and each of them of corners, for
+    every point q some corner v has |v-q|^2 >= |p-q|^2 + g1*g2 >
+    |p-q|^2 + 0.98e-14*D^2.  A computed ``hypot(px - x, py - y)`` is within
+    a factor 1 +- 3u of the exact distance (the differences are exact up
+    to u, and since Python 3.10 ``hypot`` errs by under one ulp), so two
+    distances to q differ in float, in the exact order, once their squares
+    differ by more than 12u*D^2 < 1.4e-15*D^2.  Every computed distance
+    from a left-out point is thus strictly below one from a kept point,
+    and both ends of a farthest pair, as computed, are kept points.
+    ``geometry.hull_vertices`` cannot serve here: it drops corners that
+    bulge out by less than 1e-9*diameter, and such a corner can end the
+    farthest pair.
+    """
+    if len(pts) <= 2:
+        return pts
+    ys = [p.y for p in pts]
+    width = pts[-1].x - pts[0].x
+    height = max(ys) - min(ys)
+    inward = -1e-7 * (width * width + height * height)
+
+    def half(seq) -> list[Point]:
+        out: list[Point] = []
+        for p in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (p.y - oy) - (ay - oy) * (p.x - ox) >= inward:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return list(dict.fromkeys(half(pts) + half(reversed(pts))))
 
 
 def median_interval(config: Configuration) -> tuple[Point, Point]:

@@ -58,8 +58,7 @@ def compute(config: Configuration, self_index: int, cls: ConfigClass | None = No
         assert elected is not None
         if dist(r, elected) <= slack:
             return ComputeDecision(r, RULE_STAY, elected)
-        blocked = any(on_open_segment(q, r, elected, config.tol) for q in config.points)
-        if not blocked:
+        if not _blocked(config, r, elected):
             return ComputeDecision(elected, RULE_M_DIRECT, elected)
         theta = _sidestep_angle(config, self_index, elected)
         return ComputeDecision(rotate_cw(r, elected, theta / 3.0), RULE_M_SIDESTEP, elected)
@@ -86,6 +85,46 @@ def compute(config: Configuration, self_index: int, cls: ConfigClass | None = No
     if dist(r, mid) <= slack:
         return ComputeDecision(r, RULE_STAY)
     return ComputeDecision(mid, RULE_L2W_CENTER)
+
+
+def _blocked(config: Configuration, r: Point, elected: Point) -> bool:
+    """Whether some robot lies on the open segment from r to the elected point.
+
+    ``on_open_segment(q, r, elected)`` runs only on the robots q that pass a
+    filter on a = q - e and b = r - e (e the elected point): the cross
+    product a x b within merge_slack*|b|, and the dot product a.b in
+    (0, |b|^2), each widened by a margin.  Soundness: r, q and e are robot
+    positions, so every distance ``on_open_segment`` measures is at most the
+    diameter D and its slack at most ``merge_slack``.  Its offset test then
+    bounds the exact |a x b| by that slack times |b| (the cross product it
+    takes from r has the same magnitude), and its 0 < t < 1 test places the
+    exact a.b in (0, |b|^2), where t is the position of q along r -> e and
+    1 - t = a.b / |b|^2.  The two cross products, the two dot products and
+    |b| are each computed within 17u*D^2 or a relative 8u of the exact values
+    (u = 2^-53), so the margins, a relative 1e-12 on the slack term and
+    1e-14*D^2 on each bound, keep every robot it can accept.  Robots at r
+    or at e pass the filter but never lie strictly between them.
+    """
+    ex, ey = elected
+    bx = r.x - ex
+    by = r.y - ey
+    nb = bx * bx + by * by
+    margin = 1e-14 * config.diameter * config.diameter
+    cross_bound = config.merge_slack * math.hypot(bx, by) * (1.0 + 1e-12) + margin
+    tol = config.tol
+    for q in config.points:
+        ax = q.x - ex
+        ay = q.y - ey
+        dot = ax * bx + ay * by
+        if (
+            -margin < dot < nb + margin
+            and abs(ax * by - ay * bx) <= cross_bound
+            and q != r
+            and q != elected
+            and on_open_segment(q, r, elected, tol)
+        ):
+            return True
+    return False
 
 
 def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> float:

@@ -708,9 +708,16 @@ def _newton_polish(xs, ys, ms, y: Point, diam: float) -> Point:
         sx = (hyy * gx - hxy * gy) / det
         sy = (hxx * gy - hxy * gx) / det
         t = 1.0
+        tried = None
         while t > 1e-6:
             candidate = Point(yx - t * sx, yy - t * sy)
-            if _gradient(xs, ys, ms, candidate)[2] < gnorm:
+            # once t*s is below half an ulp of y, halving t no longer moves
+            # the candidate and its gradient is already known (== differs
+            # from bitwise equality only on signed zeros, which the norm ignores)
+            if candidate != tried:
+                tried = candidate
+                descends = _gradient(xs, ys, ms, candidate)[2] < gnorm
+            if descends:
                 break
             t *= 0.5
         else:

@@ -1,14 +1,17 @@
 """Earlier, slower forms of classification routines, kept as exact oracles.
 
-Each function below is the routine as it stood before it read the shared
-distance table (``Configuration.pair_dists``): fresh ``dist`` calls, every
-location checked, every candidate tested.  The current code must return the
-same doubles, bit for bit, so comparisons use ``bits``.
+Each function below is a routine as it stood before a faster form replaced
+it: the full n x n distance table behind the diameter, the farthest pair
+and the location merge; fresh ``dist`` calls, every location checked and
+every candidate tested in the Weber search, the safe points and the
+election.  The current code must return the same doubles, bit for bit, so
+comparisons use ``bits``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from unittest import mock
 
 from gathersim import Point, symmetry
@@ -37,6 +40,62 @@ def screen_skips(config) -> bool:
         except RuntimeError:
             pass
     return not spy.called
+
+
+# --- location layer ------------------------------------------------------------------
+#
+# One table of every pairwise distance; the diameter is its maximum, the
+# farthest pair its lexicographically first maximum, and locations come from
+# union-find over every pair within the merge slack.
+
+
+def distance_table(config) -> list[array]:
+    hypot = math.hypot
+    points = config.points
+    return [array("d", [hypot(px - x, py - y) for x, y in points]) for px, py in points]
+
+
+def diameter_reference(config) -> float:
+    return max(map(max, distance_table(config)))
+
+
+def farthest_pair_reference(config):
+    table = distance_table(config)
+    diameter = max(map(max, table))
+    i, row = next((i, row) for i, row in enumerate(table) if diameter in row)
+    return config.points[i], config.points[row.index(diameter)]
+
+
+def locations_reference(config) -> list[tuple[tuple[str, str], int, list[int]]]:
+    """(location bits, multiplicity, indices) of every location, in order."""
+    slack = config.merge_slack
+    n = config.n
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(distance_table(config)):
+        for j in range(i + 1, n):
+            if row[j] <= slack:
+                parent[find(j)] = find(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = []
+    for root in sorted(groups, key=lambda r: min(groups[r])):
+        idx = sorted(groups[root])
+        out.append((bits(config.points[idx[0]]), len(idx), idx))
+    return out
+
+
+def location_dists_reference(config) -> list[list[str]]:
+    """Each location's table row, as hex strings."""
+    table = distance_table(config)
+    return [[d.hex() for d in table[idx[0]]] for _, _, idx in locations_reference(config)]
 
 
 # --- Weber search -------------------------------------------------------------------

@@ -26,8 +26,20 @@ from gathersim.configuration import (
 from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
 from gathersim.geometry import dist
+from gathersim.simulator import LocalFrame
 from helpers import Similarity, mixed_configuration
-from references import bits, elect_reference, outcome, safe_points_reference, screen_reference, screen_skips
+from references import (
+    bits,
+    diameter_reference,
+    elect_reference,
+    farthest_pair_reference,
+    location_dists_reference,
+    locations_reference,
+    outcome,
+    safe_points_reference,
+    screen_reference,
+    screen_skips,
+)
 
 
 def test_distinct_locations_examples():
@@ -230,10 +242,111 @@ def test_pair_dists_equal_dist_both_ways():
         for _ in range(20):
             config = mixed_configuration(rng, rng.randint(1, 12))
             points = [Point(p.x * scale, p.y * scale) for p in config.points]
-            table = Configuration(points).pair_dists
-            for p, row in zip(points, table):
+            config = Configuration(points)
+            for loc, row in zip(config.locations, config.location_dists):
+                p = loc.location
                 assert [d.hex() for d in row] == [dist(p, q).hex() for q in points]
                 assert [d.hex() for d in row] == [dist(q, p).hex() for q in points]
+
+
+def _polygon(rng, k):
+    phase = rng.choice((0.0, rng.uniform(0, math.tau)))
+    return [Point(math.cos(phase + j * math.tau / k), math.sin(phase + j * math.tau / k)) for j in range(k)]
+
+
+def _ulp_cluster(rng, p, size):
+    """Points a few ulps around p, so their distances to far points differ in the last bits only."""
+    out = []
+    for _ in range(size):
+        x, y = p
+        for _ in range(rng.randint(0, 4)):
+            x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+        for _ in range(rng.randint(0, 4)):
+            y = math.nextafter(y, rng.choice((-math.inf, math.inf)))
+        out.append(Point(x, y))
+    return out
+
+
+def _location_layer_inputs():
+    """Point sets where a shortcut around the n x n distance table could slip:
+    tied and near-tied diameters, boundary points on or within rounding of
+    the hull, stacks, slivers within the merge slack, signed zeros, frame
+    images and large offsets."""
+    rng = random.Random(12)
+    bases = []
+    for _ in range(40):
+        bases.append([Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 30))])
+    for k in range(3, 17):
+        polygon = _polygon(rng, k)
+        bases.append(polygon)
+        bases.append(polygon + [Point(0.0, 0.0)] * rng.randint(1, 3) + rng.sample(polygon, k // 2))
+        # one corner pushed out, or in, by less than 1e-9 of the diameter
+        bent = list(polygon)
+        j = rng.randrange(k)
+        bump = 1.0 + rng.choice((-1, 1)) * rng.uniform(1e-15, 1e-10)
+        bent[j] = Point(bent[j].x * bump, bent[j].y * bump)
+        bases.append(bent)
+    for cols, rows in ((2, 2), (3, 2), (3, 3), (4, 3), (5, 5), (1, 6)):
+        grid = [Point(float(i), float(j)) for i in range(cols) for j in range(rows)]
+        grid += rng.sample(grid, rng.randint(0, len(grid)))
+        rng.shuffle(grid)
+        bases.append(grid)
+    for _ in range(30):
+        theta = rng.uniform(0, math.tau)
+        jitter = rng.choice((0.0, 1e-15, 1e-12, 1e-9, 1e-7))
+        line = []
+        for _ in range(rng.randint(2, 20)):
+            t = rng.choice((rng.uniform(-1, 1), float(rng.randint(-3, 3))))
+            s = rng.uniform(-jitter, jitter)
+            line.append(Point(t * math.cos(theta) - s * math.sin(theta), t * math.sin(theta) + s * math.cos(theta)))
+        bases.append(line)
+    for _ in range(30):
+        a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        b = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        middle = [Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)) for t in (rng.random() for _ in range(rng.randint(0, 6)))]
+        bases.append(_ulp_cluster(rng, a, rng.randint(1, 6)) + middle + _ulp_cluster(rng, b, rng.randint(1, 6)))
+    for _ in range(20):
+        # stacks with slivers of a fraction of the merge slack, some chained
+        centers = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 5))]
+        pts = []
+        for c in centers:
+            x, y = c
+            for _ in range(rng.randint(1, 4)):
+                pts.append(Point(x, y))
+                x += rng.choice((0.0, rng.uniform(-0.6e-9, 0.6e-9)))
+                y += rng.choice((0.0, rng.uniform(-0.6e-9, 0.6e-9)))
+        rng.shuffle(pts)
+        bases.append(pts)
+    signed = [Point(0.0, 1.0), Point(-0.0, 1.0), Point(1.0, 0.0), Point(1.0, -0.0), Point(-0.0, -0.0), Point(0.0, 0.0)]
+    for _ in range(6):
+        bases.append(rng.sample(signed, rng.randint(2, 6)) + [Point(rng.uniform(-1, 1), 0.0)])
+    out = []
+    for pts in bases:
+        out.append(pts)
+        d = diameter_reference(Configuration(pts)) or 1.0
+        out.append(LocalFrame.random(rng, d).apply_config(Configuration(pts)).points)
+        for offset in (1e3, 1e6):
+            theta = rng.uniform(0, math.tau)
+            dx, dy = offset * d * math.cos(theta), offset * d * math.sin(theta)
+            out.append([Point(p.x + dx, p.y + dy) for p in pts])
+    return out
+
+
+def test_location_layer_matches_table_reference():
+    # the hull diameter, the farthest pair, the x-sorted merge and the lazy
+    # rows must give the n x n table's doubles, bit for bit
+    inputs = _location_layer_inputs()
+    merged = 0
+    for pts in inputs:
+        config = Configuration(pts)
+        assert config.diameter.hex() == diameter_reference(config).hex(), pts
+        assert [bits(p) for p in config.farthest_pair] == [bits(p) for p in farthest_pair_reference(config)], pts
+        locs = [(bits(l.location), l.multiplicity, l.indices) for l in config.locations]
+        assert locs == locations_reference(config), pts
+        assert [[d.hex() for d in row] for row in config.location_dists] == location_dists_reference(config)
+        assert config.is_linear == geometry.collinear(config.points, config.tol)
+        merged += any(len({p for p in (config.points[i] for i in l.indices)}) > 1 for l in config.locations)
+    assert len(inputs) == 696 and merged >= 150
 
 
 def _tied_diameters():

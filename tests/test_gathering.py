@@ -22,8 +22,9 @@ from gathersim.gathering import (
     RULE_M_SIDESTEP,
     RULE_STAY,
     RULE_WEBER,
+    _blocked,
 )
-from gathersim.geometry import TAU, angle_cw, dist, on_half_line, rotate_cw
+from gathersim.geometry import TAU, angle_cw, dist, on_half_line, on_open_segment, rotate_cw
 from helpers import Similarity, mixed_configuration, segments_intersect
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
@@ -265,3 +266,57 @@ def test_sidestep_angle_bound():
                 assert step_angle <= angle_cw(r, elected, q) / 3 + 1e-9
             checked += 1
     assert checked > 10
+
+
+def _knife_edge_blocker(rng):
+    """Robots e, e, r and q where e and r span the diameter and q sits at the
+    largest offset from segment r-e that ``on_open_segment`` still accepts,
+    found by bisection over the float offsets."""
+    e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) if rng.random() < 0.5 else Point(rng.uniform(-1e6, 1e6), 0.0)
+    theta = rng.uniform(0, TAU)
+    length = rng.choice((1.0, rng.uniform(1e-3, 1e3)))
+    r = Point(e.x + length * math.cos(theta), e.y + length * math.sin(theta))
+    s = rng.uniform(0.05, 0.95)
+    side = rng.choice((-1.0, 1.0))
+    base = Point(e.x + s * (r.x - e.x), e.y + s * (r.y - e.y))
+    nx, ny = -side * math.sin(theta), side * math.cos(theta)
+
+    def at(h):
+        return Point(base.x + h * nx, base.y + h * ny)
+
+    lo, hi = 0.0, 4e-9 * length
+    if not on_open_segment(at(lo), r, e) or on_open_segment(at(hi), r, e):
+        return None
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        if on_open_segment(at(mid), r, e):
+            lo = mid
+        else:
+            hi = mid
+    return Configuration([e, e, r, at(lo)])
+
+
+def test_blocked_filter_keeps_every_blocker():
+    # the cheap cross/dot filter may only skip robots that on_open_segment
+    # rejects; knife-edge blockers sit within rounding of its offset bound
+    rng = random.Random(40)
+    cases = [c for c in (_knife_edge_blocker(rng) for _ in range(300)) if c is not None]
+    knife_edges = len(cases)
+    for _ in range(300):
+        config = mixed_configuration(rng, rng.randint(3, 12))
+        cases.append(config)
+        cases.append(Similarity.random(rng).apply_config(config))
+    checked = blocked = 0
+    for config in cases:
+        for loc in config.locations:
+            e = loc.location
+            for r in config.points:
+                if dist(r, e) <= config.merge_slack:
+                    continue
+                full = any(on_open_segment(q, r, e, config.tol) for q in config.points)
+                assert _blocked(config, r, e) == full, (config, r, e)
+                checked += 1
+                blocked += full
+    assert knife_edges >= 250 and checked > 3000 and blocked >= knife_edges

@@ -283,3 +283,19 @@ def test_golden_trace_large(case):
     assert sum(record.cls == TAG_ASYMMETRIC for record in result.records) >= 15
     digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
     assert digest == GOLDEN_LARGE_RUNS[case]
+
+
+# SHA-256 of the trace of 40 uniform robots (``random.Random(40)``),
+# synchronous, minimal stops, delta 0.01, run seed 1: 76 rounds, 58 of them
+# in class M, where the location layer and the blocked test carry the cost
+GOLDEN_M_HEAVY_RUN = "0901179789b4548e97a7bb6ce1909058b536013e5b4ca8a60fc796bf628f44e8"
+
+
+def test_golden_trace_m_heavy():
+    config = uniform_configuration(random.Random(40), 40)
+    adv = AdversarySpec(activation="synchronous", stop_policy="minimal")
+    result = run(config, adv, SimParams(delta=0.01, max_rounds=10_000, seed=1))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    assert sum(record.cls == "M" for record in result.records) == 58
+    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
+    assert digest == GOLDEN_M_HEAVY_RUN
