@@ -20,9 +20,11 @@ ones by definition, so ordered testing yields a partition.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import geometry
@@ -37,6 +39,9 @@ TAG_QREGULAR = "QR"
 TAG_ASYMMETRIC = "A"
 
 ALL_TAGS = (TAG_BIVALENT, TAG_MULTIPLE, TAG_L1W, TAG_L2W, TAG_QREGULAR, TAG_ASYMMETRIC)
+
+# Relative float resolution below which coordinates count as one point.
+_RESOLUTION = 8.0 * sys.float_info.epsilon
 
 
 @dataclass
@@ -136,8 +141,16 @@ class Configuration:
 
     @cached_property
     def merge_slack(self) -> float:
-        """Absolute coincidence threshold used for multiplicity merging."""
-        return self.tol.eps_len * self.diameter
+        """Absolute coincidence threshold used for multiplicity merging.
+
+        ``eps_len`` times the diameter, but never below 8 float epsilons of
+        the largest coordinate magnitude: points that far apart differ only
+        in their last bits, and a robot's local frame rounds such a gap
+        away, so the stack they form must not split when the diameter
+        shrinks to that gap.
+        """
+        reach = max(map(abs, chain.from_iterable(self._distinct[1])))
+        return max(self.tol.eps_len * self.diameter, _RESOLUTION * reach)
 
     @cached_property
     def locations(self) -> list[LocationSummary]:

@@ -288,3 +288,50 @@ def test_dumps_17g_round_trips_floats():
     values = [0.1, 1 / 3, math.pi, 1e-17, 123456.789, 2.0]
     for v in values:
         assert float(json.loads(dumps_17g(v))) == v
+
+
+# Random activation, minimal stops, no crashes: (start, delta, run seed).
+# Two robots of one stack make minimal moves toward the recomputed Weber
+# point in different rounds and land one ulp apart; they count as one
+# location while the diameter is large, and once the last robot arrives the
+# diameter is that ulp, so with a slack of eps_len * diameter the stack
+# split and a local frame, rounding the ulp away, decided differently.
+ONE_ULP_STACKS = [
+    (
+        [(-0.37344991549814444, -1.3985550904220818), (-0.682163913613851, 0.11864133379797265),
+         (0.7861237313494815, -0.3726027134399909)],
+        0.09864616856829456,
+        1323695996,
+    ),
+    (
+        [(0.2743210323833347, 0.04513759536816442), (-0.02249775969579937, -2.0181314468771916),
+         (-2.0857668019411557, -1.7213126547980577), (-1.7889480098620218, 0.34195638744729845)],
+        0.22071871498071402,
+        763412059,
+    ),
+    (
+        [(0.6168310772032425, 0.9582975139974735), (1.5082616857524478, -0.14986174722971907),
+         (0.40010242452525535, -1.0412923557789246), (-0.4913281840239502, 0.06686690544826794)],
+        0.10486164206289053,
+        1018357362,
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ONE_ULP_STACKS)))
+def test_stack_one_ulp_apart_does_not_split(case):
+    corners, delta, seed = ONE_ULP_STACKS[case]
+    config = Configuration([p for p in corners for _ in range(2)])
+    adv = AdversarySpec(activation="random", activation_prob=0.5, stop_policy="minimal")
+    result = run(config, adv, SimParams(delta=delta, max_rounds=10_000, seed=seed))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+
+
+def test_merge_slack_floor_is_float_resolution():
+    # a gap of a few ulps merges whatever the diameter, and only such gaps
+    # do at small diameters far from the origin
+    x = 1e6
+    pair = Configuration([(x, 1.0), (math.nextafter(x, math.inf), 1.0)])
+    assert len(pair.locations) == 1 and pair.diameter > 0.0
+    apart = Configuration([(x, 1.0), (x + 1e-6, 1.0)])
+    assert len(apart.locations) == 2
