@@ -75,6 +75,8 @@ class Configuration:
                 raise ValueError(f"non-finite coordinate: {p}")
         self.points: tuple[Point, ...] = pts
         self.tol: Tolerance = tol or geometry.DEFAULT_TOLERANCE
+        # ray indexes by center point, built on first use by ``symmetry.Rays.of``
+        self._rays: dict[Point, object] = {}
 
     @property
     def n(self) -> int:
@@ -192,6 +194,15 @@ class Configuration:
         return [LocationSummary(self.points[idx[0]], len(idx), idx) for idx in map(sorted, groups.values())]
 
     @cached_property
+    def location_of(self) -> list[LocationSummary]:
+        """The entry of ``locations`` that holds each robot, in robot order."""
+        out: list[LocationSummary] = [None] * self.n  # type: ignore[list-item]
+        for loc in self.locations:
+            for i in loc.indices:
+                out[i] = loc
+        return out
+
+    @cached_property
     def location_dists(self) -> list[array]:
         """Distance from each occupied location to every robot, in robot order.
 
@@ -212,7 +223,8 @@ class Configuration:
 
     @cached_property
     def is_linear(self) -> bool:
-        """``geometry.collinear`` of the robots, from the cached farthest pair."""
+        """Whether every robot is within ``eps_len`` times the diameter of the
+        line through the cached farthest pair (``geometry.within_line``)."""
         if self.n <= 2:
             return True
         a, b = self.farthest_pair
@@ -261,9 +273,8 @@ def _hull_candidates(pts: list[Point]) -> list[Point]:
     differ by more than 12u*D^2 < 1.4e-15*D^2.  Every computed distance
     from a left-out point is thus strictly below one from a kept point,
     and both ends of a farthest pair, as computed, are kept points.
-    ``geometry.hull_vertices`` cannot serve here: it drops corners that
-    bulge out by less than 1e-9*diameter, and such a corner can end the
-    farthest pair.
+    A hull that drops corners bulging out by less than a tolerance would
+    not serve here: such a corner can end the farthest pair.
     """
     if len(pts) <= 2:
         return pts

@@ -133,15 +133,23 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
     Falls back to a full turn when every robot outside the elected point
     lies on the ray through the moving robot, so the side step still clears
     one third of the available gap.
+
+    Every robot's sweep walks the one ``symmetry.Rays`` index around the
+    elected point, O(log n) per step.  The off-ray robots are counted only
+    when the sweep finds none, to tell a full turn from a missed robot;
+    counting them first, as before, gave the same results.  The count can
+    only raise, through ``_same_ray``'s ``angle_cw`` at the default
+    tolerance, when min(|r-e|, |q-e|) <= 1e-9 * max(|r-e|, |q-e|) for some
+    robot q off the elected point e.  Both lengths exceed the merge slack,
+    at least ``eps_len`` times the diameter, so with the default
+    ``eps_len`` that never happens.  With a smaller one it happens exactly
+    when it does for the nearest or the farthest such robot (a robot within
+    the merge slack of r never qualifies), so those two are checked first.
     """
     r = config.points[self_index]
     eps = config.tol.eps_angle
-    off_ray_count = sum(
-        1
-        for q in config.points
-        if dist(q, elected) > config.merge_slack
-        and not _same_ray(elected, r, q, config.merge_slack, eps)
-    )
+    for k in symmetry.Rays.of(config, elected).extremes:
+        angle_cw(r, elected, config.points[k])
     steps = config.n - config.multiplicity_at(elected)
     cur = self_index
     for _ in range(steps):
@@ -149,7 +157,10 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
         q = config.points[cur]
         if not _same_ray(elected, r, q, config.merge_slack, eps):
             return angle_cw(r, elected, q, config.tol)
-    if off_ray_count:
+    if any(
+        dist(q, elected) > config.merge_slack and not _same_ray(elected, r, q, config.merge_slack, eps)
+        for q in config.points
+    ):
         raise RuntimeError("successor sweep missed every off-ray robot")
     return TAU
 

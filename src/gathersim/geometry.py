@@ -111,34 +111,6 @@ def on_open_segment(p: Point, u: Point, v: Point, tol: Tolerance | None = None) 
     return 0.0 < t < 1.0
 
 
-def on_half_line(p: Point, origin: Point, through: Point, tol: Tolerance | None = None) -> bool:
-    """True iff p is on the half-line from origin through ``through``.
-
-    The origin itself is excluded by definition.
-    """
-    tol = tol or DEFAULT_TOLERANCE
-    d_ot = dist(origin, through)
-    scale = max(d_ot, dist(p, origin))
-    slack = tol.eps_len * scale
-    if d_ot <= slack:
-        return False
-    if dist(p, origin) <= slack:
-        return False
-    if _point_line_offset(p, origin, through) > slack:
-        return False
-    dot = (p[0] - origin[0]) * (through[0] - origin[0]) + (p[1] - origin[1]) * (through[1] - origin[1])
-    return dot > 0.0
-
-
-def collinear(points: Iterable[Point], tol: Tolerance | None = None) -> bool:
-    """True iff all points lie within tolerance of one common line."""
-    pts = list(points)
-    if len(pts) <= 2:
-        return True
-    a, b, diameter = _farthest_pair(pts)
-    return within_line(pts, a, b, diameter, tol)
-
-
 def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, tol: Tolerance | None = None) -> bool:
     """True iff every point is within tolerance of the line through a and b.
 
@@ -257,34 +229,3 @@ def _in_circle(c: Circle, p: Point) -> bool:
 
 def _cross(o: Point, a: Point, b: Point) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def hull_vertices(points: Iterable[Point], tol: Tolerance | None = None) -> list[Point]:
-    """Extreme points (corners) of the convex hull.
-
-    Points interior to hull edges are excluded; a collinear set yields its
-    two endpoints, a single location yields itself.
-    """
-    tol = tol or DEFAULT_TOLERANCE
-    pts = sorted(set(points))
-    if not pts:
-        raise EmptyInput("convex hull of no points")
-    if len(pts) == 1:
-        return [pts[0]]
-    _, _, diameter = _farthest_pair(pts)
-    if diameter == 0.0:
-        return [pts[0]]
-    # Cross products scale as length squared.
-    strict = tol.eps_len * diameter * diameter
-
-    def half(chain_pts: list[Point]) -> list[Point]:
-        chain: list[Point] = []
-        for p in chain_pts:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= strict:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]

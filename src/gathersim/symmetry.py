@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .configuration import ConfigClass, Configuration, TAG_L1W, TAG_QREGULAR
@@ -116,91 +117,166 @@ def _direction_slack(config: Configuration, r_min: float, center_error: float) -
     return min(max(base, widened), _MAX_ANGLE_SLACK)
 
 
-class _CenterContext:
-    """Per-center geometry shared by successor steps."""
+# Rounding allowance for comparisons of directions: every direction in play
+# lies within 4*pi of zero, so each float operation on one errs by under
+# 9e-16, and the handful each comparison chains stay far below this.
+_ANGLE_ROUNDING = 1e-13
 
-    __slots__ = ("config", "center", "at_center", "dists", "angs", "slack", "merge_slack")
 
-    def __init__(self, config: Configuration, center: Point, angle_slack: float | None):
-        self.config = config
-        self.center = center
-        self.merge_slack = config.merge_slack
-        self.dists = [dist(p, center) for p in config.points]
-        self.at_center = [d <= self.merge_slack for d in self.dists]
-        self.angs = [
-            None if at else ccw_angle_of(p, center) % TAU
-            for p, at in zip(config.points, self.at_center)
+class Rays:
+    """Every robot's distance and direction from one center.
+
+    Built once per (configuration, center) by ``Rays.of`` and independent of
+    any angle slack.  ``dists[i]`` is ``dist(points[i], center)`` and
+    ``angles[i]`` is ``ccw_angle_of(points[i], center) % TAU``, or None when
+    the robot is within the merge slack of the center: the same doubles the
+    per-call scans computed.  ``off`` lists the robots off the center in
+    index order and ``r_min`` is their smallest distance (0.0 when there
+    are none).  ``extremes`` (a robot off the center at the smallest and
+    one at the largest distance) and ``index`` (the robots off the center
+    sorted by direction, whose ``around`` returns robot indices) are built
+    on first use.
+    """
+
+    def __init__(self, config: Configuration, center: Point):
+        cx, cy = center
+        hypot = math.hypot
+        atan2 = math.atan2
+        merge_slack = config.merge_slack
+        self.dists = dists = [hypot(x - cx, y - cy) for x, y in config.points]
+        self.angles = [
+            None if d <= merge_slack else atan2(y - cy, x - cx) % TAU for (x, y), d in zip(config.points, dists)
         ]
-        if angle_slack is None:
-            off = [d for d, at in zip(self.dists, self.at_center) if not at]
-            angle_slack = _direction_slack(config, min(off) if off else 0.0, _COORD_DRIFT)
-        self.slack = angle_slack
+        self.off = off = [i for i, d in enumerate(dists) if d > merge_slack]
+        self.r_min = min(map(dists.__getitem__, off)) if off else 0.0
 
-    def cw_from(self, i: int, k: int) -> float:
-        """Clockwise angle from robot i's ray to robot k's ray; ~0 on the same ray."""
-        delta = (self.angs[i] - self.angs[k]) % TAU  # type: ignore[operator]
-        return wrap_near_zero(delta, self.slack)
+    @classmethod
+    def of(cls, config: Configuration, center: Point) -> Rays:
+        """The configuration's index around center, built on first use.
+
+        Cached by center point.  Points that compare equal differ at most in
+        the sign of a zero coordinate, which changes neither ``hypot`` nor a
+        direction reduced by ``% TAU``.
+        """
+        rays = config._rays.get(center)
+        if rays is None:
+            rays = config._rays[center] = cls(config, center)
+        return rays  # type: ignore[return-value]
+
+    @cached_property
+    def extremes(self) -> tuple[int, int]:
+        return min(self.off, key=self.dists.__getitem__), max(self.off, key=self.dists.__getitem__)
+
+    @cached_property
+    def index(self) -> _RayIndex:
+        angles = self.angles
+        order = sorted(self.off, key=angles.__getitem__)
+        return _RayIndex([angles[i] for i in order], order)
 
 
-def _farthest_then_index(ctx: _CenterContext, candidates: list[int]) -> int:
+def _sweep_slack(config: Configuration, rays: Rays, angle_slack: float | None) -> float:
+    """The given angle slack, or the default widened for the nearest robot."""
+    if angle_slack is None:
+        return _direction_slack(config, rays.r_min, _COORD_DRIFT)
+    return angle_slack
+
+
+def _cw(a: float, b: float, slack: float) -> float:
+    """Clockwise angle from direction a to direction b; ~0 on the same ray."""
+    return wrap_near_zero((a - b) % TAU, slack)
+
+
+def _farthest_then_index(dists: list[float], merge_slack: float, candidates: list[int]) -> int:
     """Max distance from the center with ties by max index.
 
     Distances of co-located robots may differ by rounding noise, so anything
     within the coincidence slack of the maximum counts as tied; otherwise the
     index tie-break the sweep relies on would be decided by ulps.
     """
-    top = max(ctx.dists[k] for k in candidates)
-    return max(k for k in candidates if ctx.dists[k] >= top - ctx.merge_slack)
+    top = max(dists[k] for k in candidates)
+    return max(k for k in candidates if dists[k] >= top - merge_slack)
 
 
-def _successor_step(ctx: _CenterContext, i: int) -> int:
-    pts = ctx.config.points
-    p_i = pts[i]
+def _successor_step(config: Configuration, rays: Rays, slack: float, i: int) -> int:
+    """One step of the sweep: the first co-located robot below i, else the
+    farthest robot on i's ray strictly inside it, else the farthest robot
+    on the nearest ray clockwise (i's own ray after a full turn).
+
+    Each rule keeps its exact predicate (``_cw`` against the slack, the
+    merge-slack distance test, ``_farthest_then_index``) and applies it to
+    the robots a lookup returns instead of to every robot; a lookup returns
+    every robot the predicate can accept:
+
+    * a robot within the merge slack of p_i shares i's location, as
+      ``locations`` merges every such pair, so i's location lists it;
+    * ``_cw(a, b, slack)`` errs by under 9e-16 from the true clockwise
+      angle from a to b (one rounded subtraction, an exact ``fmod`` and at
+      most one rounded turn added), and a sorted copy b + t*2*pi of a
+      direction, a window's center or a bound, by as much again.  So a
+      robot the inward or the bucket test accepts lies within slack + 5e-15
+      of the window's center, and a window widened by ``_ANGLE_ROUNDING``
+      holds it;
+    * for the nearest clockwise ray, a - c is within 2e-15 of ``_cw`` for
+      one copy c of each direction.  Every robot with ``_cw`` above the
+      slack thus has a copy below a - slack + ``_ANGLE_ROUNDING`` and above
+      a - 2*pi - ``_ANGLE_ROUNDING``, which the walk down the sorted copies
+      meets; once a copy lies more than ``_ANGLE_ROUNDING`` beyond the
+      smallest ``_cw`` found so far, no later copy can be smaller.
+    """
+    points = config.points
+    merge_slack = config.merge_slack
+    dists = rays.dists
+    angles = rays.angles
+    p_i = points[i]
     # co-located robots are visited in descending index order first
-    for k in range(i - 1, -1, -1):
-        if not ctx.at_center[k] and dist(pts[k], p_i) <= ctx.merge_slack:
+    members = config.location_of[i].indices
+    for k in reversed(members[: bisect_left(members, i)]):
+        if angles[k] is not None and dist(points[k], p_i) <= merge_slack:
             return k
+    a = angles[i]
+    index = rays.index
+    reach = slack + _ANGLE_ROUNDING
     # then the nearest robot strictly between the center and p_i
     inside = [
         k
-        for k, at in enumerate(ctx.at_center)
-        if not at
-        and k != i
-        and abs(ctx.cw_from(i, k)) <= ctx.slack
-        and dist(pts[k], p_i) > ctx.merge_slack
-        and ctx.dists[k] < ctx.dists[i]
+        for k in index.around(a, reach)
+        if k != i
+        and abs(_cw(a, angles[k], slack)) <= slack
+        and dist(points[k], p_i) > merge_slack
+        and dists[k] < dists[i]
     ]
     if inside:
-        return _farthest_then_index(ctx, inside)
+        return _farthest_then_index(dists, merge_slack, inside)
     # otherwise jump to the angularly nearest ray in the clockwise direction,
     # entering at its farthest robot
+    values = index.values
+    labels = index.rays
+    full_turn = a - TAU - _ANGLE_ROUNDING
     min_pos: float | None = None
-    for k, at in enumerate(ctx.at_center):
-        if at:
-            continue
-        d = ctx.cw_from(i, k)
-        if d > ctx.slack and (min_pos is None or d < min_pos):
+    pos = bisect_right(values, a - slack + _ANGLE_ROUNDING)
+    while pos:
+        pos -= 1
+        v = values[pos]
+        if v < full_turn or (min_pos is not None and a - v > min_pos + _ANGLE_ROUNDING):
+            break
+        d = _cw(a, angles[labels[pos]], slack)
+        if d > slack and (min_pos is None or d < min_pos):
             min_pos = d
-    bucket = []
-    for k, at in enumerate(ctx.at_center):
-        if at:
-            continue
-        d = ctx.cw_from(i, k)
-        if min_pos is None:
-            if abs(d) <= ctx.slack:  # full turn back onto the own ray
-                bucket.append(k)
-        elif abs(d - min_pos) <= ctx.slack:
-            bucket.append(k)
+    if min_pos is None:  # full turn back onto the own ray
+        bucket = [k for k in index.around(a, reach) if abs(_cw(a, angles[k], slack)) <= slack]
+    else:
+        target = (a - min_pos) % TAU
+        bucket = [k for k in index.around(target, reach) if abs(_cw(a, angles[k], slack) - min_pos) <= slack]
     assert bucket
-    return _farthest_then_index(ctx, bucket)
+    return _farthest_then_index(dists, merge_slack, bucket)
 
 
 def successor(config: Configuration, i: int, c: Point, angle_slack: float | None = None) -> int:
     """Index of the clockwise successor of robot i around center c."""
-    ctx = _CenterContext(config, c, angle_slack)
-    if ctx.at_center[i]:
+    rays = Rays.of(config, c)
+    if rays.angles[i] is None:
         raise DegenerateCenter(f"robot {i} sits on the center {c}")
-    return _successor_step(ctx, i)
+    return _successor_step(config, rays, _sweep_slack(config, rays, angle_slack), i)
 
 
 def string_of_angles(config: Configuration, i: int, c: Point, angle_slack: float | None = None) -> StringOfAngles:
@@ -208,18 +284,19 @@ def string_of_angles(config: Configuration, i: int, c: Point, angle_slack: float
 
     The string has one entry per robot not located at c; hops that stay on
     the same ray (co-located robots, moves inward) contribute angle zero.
+    Each step costs O(log n) plus the robots on the rays it looks at (see
+    ``_successor_step``).
     """
-    ctx = _CenterContext(config, c, angle_slack)
-    if ctx.at_center[i]:
+    rays = Rays.of(config, c)
+    if rays.angles[i] is None:
         raise DegenerateCenter(f"robot {i} sits on the center {c}")
-    m = sum(1 for at in ctx.at_center if not at)
+    slack = _sweep_slack(config, rays, angle_slack)
     angles = []
     cur = i
-    for _ in range(m):
-        nxt = _successor_step(ctx, cur)
-        hop = (ctx.angs[cur] - ctx.angs[nxt]) % TAU  # type: ignore[operator]
-        hop = wrap_near_zero(hop, ctx.slack)
-        angles.append(0.0 if abs(hop) <= ctx.slack else hop)
+    for _ in range(len(rays.off)):
+        nxt = _successor_step(config, rays, slack, cur)
+        hop = _cw(rays.angles[cur], rays.angles[nxt], slack)  # type: ignore[arg-type]
+        angles.append(0.0 if abs(hop) <= slack else hop)
         cur = nxt
     return StringOfAngles(tuple(angles), config.points[i], c)
 
@@ -330,20 +407,22 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
     knife edge the largest confirmed divisor wins, so the function stays
     total and conservative.
 
-    The periodicity divides the number of robots off c, so the counting test
-    runs first on those divisors; when none of them passes, the answer is 1
-    and the O(n^2) successor sweep is skipped.  The counting test finds each
-    rotated ray by binary search over the sorted ray directions: an order k
-    that holds costs O(n k log n), and one that fails usually does so on the
-    first ray, in O(k log n).
+    The distances, the robots off c and their directions come from the
+    cached ``Rays`` around c.  The periodicity divides the number of robots
+    off c, so the counting test runs first on those divisors; when none of
+    them passes, the answer is 1 and the successor sweep is skipped.  The
+    counting test accepts an order whose summed ray drift certifies it in
+    O(n) (``_rotation_certified``); otherwise it finds each rotated ray by
+    binary search over the sorted ray directions: an order k that holds
+    costs O(n k log n), and one that fails usually does so on the first
+    ray, in O(k log n).  The sweep walks the sorted index, O(n log n) in
+    all when each ray holds few robots.
     """
-    merge_slack = config.merge_slack
-    off = [i for i, p in enumerate(config.points) if dist(p, c) > merge_slack]
+    rays = Rays.of(config, c)
+    off = rays.off
     if not off:
         raise AllAtCenter(f"no robot off the center {c}")
-    if angle_slack is None:
-        r_min = min(dist(config.points[i], c) for i in off)
-        angle_slack = _direction_slack(config, r_min, _COORD_DRIFT)
+    angle_slack = _sweep_slack(config, rays, angle_slack)
     dirs = _ray_clusters(config, c, off, angle_slack)
     if len(dirs) == 1:
         return 1
@@ -364,9 +443,13 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
 def _ray_clusters(
     config: Configuration, c: Point, off: list[int], slack: float
 ) -> list[tuple[float, int]]:
-    """(direction, robot count) per occupied ray from c, sorted by direction."""
-    angles = [ccw_angle_of(config.points[i], c) % TAU for i in off]
-    return [(mean, len(members)) for mean, members in circular_clusters(angles, slack, TAU)]
+    """(direction, robot count) per occupied ray from c, sorted by direction.
+
+    ``off`` lists robots off c in index order; their directions come from
+    the cached ``Rays`` around c.
+    """
+    angles = Rays.of(config, c).angles
+    return [(mean, len(members)) for mean, members in circular_clusters([angles[i] for i in off], slack, TAU)]
 
 
 class _RayIndex:
@@ -377,7 +460,10 @@ class _RayIndex:
     window (narrower than a turn) around any target in [0, 2*pi) are one
     contiguous slice, found by binary search.
 
-    ``probes`` lists the directions clockwise from the ray that opens the
+    ``thetas`` are sorted and span at most a turn, so the three copies,
+    each rounded monotonically, are sorted one after another.  ``rays``
+    holds, for each entry of ``values``, its direction's position in
+    ``thetas`` or its entry of ``labels``.  ``probes`` lists the directions clockwise from the ray that opens the
     widest empty sector: rotated counterclockwise by less than that sector,
     it and its clockwise neighbours land in the sector, so a search for rays
     without a rotated partner meets them first.
@@ -385,10 +471,9 @@ class _RayIndex:
 
     __slots__ = ("values", "rays", "probes")
 
-    def __init__(self, thetas: list[float]):
-        copies = sorted((theta + turn, k) for turn in (-TAU, 0.0, TAU) for k, theta in enumerate(thetas))
-        self.values = [v for v, _ in copies]
-        self.rays = [k for _, k in copies]
+    def __init__(self, thetas: list[float], labels: list[int] | None = None):
+        self.values = [theta - TAU for theta in thetas] + thetas + [theta + TAU for theta in thetas]
+        self.rays = (list(range(len(thetas))) if labels is None else labels) * 3
         gaps = [b - a for a, b in zip(thetas, thetas[1:])] + [thetas[0] + TAU - thetas[-1]]
         opener = max(range(len(gaps)), key=gaps.__getitem__)
         self.probes = thetas[opener::-1] + thetas[:opener:-1]
@@ -404,10 +489,13 @@ def _ray_rotation_holds(index: _RayIndex, dirs: list[tuple[float, int]], m: int,
     """Every ray rotated by a multiple of 2*pi/m meets a ray of equal count.
 
     ``index`` indexes the directions of ``dirs``; the exact window test runs
-    on the candidates it finds within twice the window.
+    on the candidates it finds within twice the window.  A rotation that
+    ``_rotation_certified`` proves returns True without that O(R*m) loop.
     """
     window = 4.0 * slack
     step = TAU / m
+    if _rotation_certified(dirs, m, step, window):
+        return True
     for theta, count in dirs:
         for k in range(1, m):
             target = (theta + k * step) % TAU
@@ -416,6 +504,48 @@ def _ray_rotation_holds(index: _RayIndex, dirs: list[tuple[float, int]], m: int,
                 for other, c2 in (dirs[j] for j in index.around(target, 2.0 * window))
             ):
                 return False
+    return True
+
+
+def _rotation_certified(dirs: list[tuple[float, int]], m: int, step: float, window: float) -> bool:
+    """A sufficient condition, checked in O(R), for ``_ray_rotation_holds``.
+
+    With R rays, a multiple of m, and s = R/m, ray j's partner under one
+    rotation is ray j+s (indices mod R, one turn added past the end).  The
+    certificate sums e_j = |theta[j+s] - theta[j] - step| over all rays and
+    requires equal counts along every orbit j, j+s, j+2s, ...  Soundness:
+    for any ray j and shift k < m, ray j+k*s has ray j's count and its
+    direction differs from theta[j] + k*step by at most the k terms e_j,
+    e_{j+s}, ..., e_{j+(k-1)s}, distinct terms of the sum E.  So when E is
+    within the window, every (ray, shift) pair of the loop has a partner of
+    equal count within the window.
+
+    Rounding: each computed e_j is within 3 half-ulps of 4*pi (2.7e-15) of
+    the exact value, each addition to a partial sum (kept below the budget,
+    so below the window) errs by at most u*window, and the loop's target
+    and circular distance add under 3e-15 more.  The budget leaves (R + 1)
+    times ``_ANGLE_ROUNDING`` * (1 + window) for these, so an accepted sum
+    proves every pair.  The sum stops at the first ray that takes it over
+    the budget or breaks an orbit's count, so an order that fails usually
+    costs O(1).
+    """
+    rays = len(dirs)
+    if rays % m:
+        return False
+    s = rays // m
+    budget = window - (rays + 1) * _ANGLE_ROUNDING * (1.0 + window)
+    drift = 0.0
+    for j, (theta, count) in enumerate(dirs):
+        if j + s < rays:
+            partner, partner_count = dirs[j + s]
+        else:
+            partner, partner_count = dirs[j + s - rays]
+            partner += TAU
+        if partner_count != count:
+            return False
+        drift += abs(partner - theta - step)
+        if drift > budget:
+            return False
     return True
 
 
@@ -431,12 +561,11 @@ def qregular_test(config: Configuration, p: Point, m: int) -> QRegularityResult 
     if loc is None:
         raise NotOccupied(f"{p} is not an occupied location")
     center = loc.location
-    off = [i for i, q in enumerate(config.points) if dist(q, center) > config.merge_slack]
-    if not off:
+    rays = Rays.of(config, center)
+    if not rays.off:
         return QRegularityResult(center, m, {})
-    r_min = min(dist(config.points[i], center) for i in off)
-    slack = _direction_slack(config, r_min, _COORD_DRIFT)
-    dirs = _ray_clusters(config, center, off, slack)
+    slack = _direction_slack(config, rays.r_min, _COORD_DRIFT)
+    dirs = _ray_clusters(config, center, rays.off, slack)
     return _deficits_for(dirs, loc.multiplicity, m, slack, center)
 
 
@@ -595,8 +724,7 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     candidate = weber_numeric(config, survivors if exact else None)
     if config.find_location(candidate) is not None:
         return None
-    r_min = min(dist(q, candidate) for q in config.points)
-    slack = _direction_slack(config, r_min, _CANDIDATE_ERROR)
+    slack = _direction_slack(config, min(Rays.of(config, candidate).dists), _CANDIDATE_ERROR)
     order = regularity_at(config, candidate, slack)
     if order >= 2:
         return QRegularityResult(candidate, order, {})

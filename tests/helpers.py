@@ -7,7 +7,70 @@ import math
 import random
 
 from gathersim import Configuration, Point
-from gathersim.geometry import TAU, dist
+from gathersim.errors import EmptyInput
+from gathersim.geometry import DEFAULT_TOLERANCE, TAU, Tolerance, _point_line_offset, dist, farthest_pair, within_line
+
+
+# --- geometry predicates without a caller in the package ---------------------------
+
+
+def on_half_line(p: Point, origin: Point, through: Point, tol: Tolerance | None = None) -> bool:
+    """True iff p is on the half-line from origin through ``through``.
+
+    The origin itself is excluded by definition.
+    """
+    tol = tol or DEFAULT_TOLERANCE
+    d_ot = dist(origin, through)
+    scale = max(d_ot, dist(p, origin))
+    slack = tol.eps_len * scale
+    if d_ot <= slack:
+        return False
+    if dist(p, origin) <= slack:
+        return False
+    if _point_line_offset(p, origin, through) > slack:
+        return False
+    dot = (p[0] - origin[0]) * (through[0] - origin[0]) + (p[1] - origin[1]) * (through[1] - origin[1])
+    return dot > 0.0
+
+
+def collinear(points, tol: Tolerance | None = None) -> bool:
+    """True iff all points lie within tolerance of one common line."""
+    pts = list(points)
+    if len(pts) <= 2:
+        return True
+    a, b, diameter = farthest_pair(pts)
+    return within_line(pts, a, b, diameter, tol)
+
+
+def hull_vertices(points, tol: Tolerance | None = None) -> list[Point]:
+    """Extreme points (corners) of the convex hull.
+
+    Points interior to hull edges are excluded; a collinear set yields its
+    two endpoints, a single location yields itself.
+    """
+    tol = tol or DEFAULT_TOLERANCE
+    pts = sorted(set(points))
+    if not pts:
+        raise EmptyInput("convex hull of no points")
+    if len(pts) == 1:
+        return [pts[0]]
+    _, _, diameter = farthest_pair(pts)
+    if diameter == 0.0:
+        return [pts[0]]
+    # Cross products scale as length squared.
+    strict = tol.eps_len * diameter * diameter
+
+    def half(chain_pts: list[Point]) -> list[Point]:
+        chain: list[Point] = []
+        for p in chain_pts:
+            while len(chain) >= 2 and _orient(chain[-2], chain[-1], p) <= strict:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return lower[:-1] + upper[:-1]
 
 
 # --- brute-force smallest enclosing circle ----------------------------------------

@@ -4,7 +4,7 @@ Each function below is a routine as it stood before a faster form replaced
 it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
-election.  The current code must return the same doubles, bit for bit, so
+election; and a rescan of every robot at every successor step.  The current code must return the same doubles, bit for bit, so
 comparisons use ``bits``.
 """
 
@@ -16,7 +16,9 @@ from unittest import mock
 
 from gathersim import Point, symmetry
 from gathersim.configuration import _assert_asymmetric, _max_ray_count
-from gathersim.geometry import dist
+from gathersim.errors import DegenerateCenter
+from gathersim.gathering import _same_ray
+from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, wrap_near_zero
 
 
 def bits(p) -> tuple[str, str]:
@@ -251,3 +253,118 @@ def screen_reference(config) -> bool:
             return False
         sigs.add(sig)
     return True
+
+
+# --- successor sweep --------------------------------------------------------------------
+#
+# A fresh per-center context for every call, and three scans over every robot
+# at every step: co-located robots, the inward step and the clockwise jump.
+
+
+class CenterContext:
+    """Per-center geometry shared by successor steps."""
+
+    def __init__(self, config, center, angle_slack):
+        self.config = config
+        self.center = center
+        self.merge_slack = config.merge_slack
+        self.dists = [dist(p, center) for p in config.points]
+        self.at_center = [d <= self.merge_slack for d in self.dists]
+        self.angs = [
+            None if at else ccw_angle_of(p, center) % TAU
+            for p, at in zip(config.points, self.at_center)
+        ]
+        if angle_slack is None:
+            off = [d for d, at in zip(self.dists, self.at_center) if not at]
+            angle_slack = symmetry._direction_slack(config, min(off) if off else 0.0, symmetry._COORD_DRIFT)
+        self.slack = angle_slack
+
+    def cw_from(self, i, k):
+        delta = (self.angs[i] - self.angs[k]) % TAU
+        return wrap_near_zero(delta, self.slack)
+
+
+def _farthest_then_index(ctx, candidates):
+    top = max(ctx.dists[k] for k in candidates)
+    return max(k for k in candidates if ctx.dists[k] >= top - ctx.merge_slack)
+
+
+def successor_step(ctx, i):
+    pts = ctx.config.points
+    p_i = pts[i]
+    for k in range(i - 1, -1, -1):
+        if not ctx.at_center[k] and dist(pts[k], p_i) <= ctx.merge_slack:
+            return k
+    inside = [
+        k
+        for k, at in enumerate(ctx.at_center)
+        if not at
+        and k != i
+        and abs(ctx.cw_from(i, k)) <= ctx.slack
+        and dist(pts[k], p_i) > ctx.merge_slack
+        and ctx.dists[k] < ctx.dists[i]
+    ]
+    if inside:
+        return _farthest_then_index(ctx, inside)
+    min_pos = None
+    for k, at in enumerate(ctx.at_center):
+        if at:
+            continue
+        d = ctx.cw_from(i, k)
+        if d > ctx.slack and (min_pos is None or d < min_pos):
+            min_pos = d
+    bucket = []
+    for k, at in enumerate(ctx.at_center):
+        if at:
+            continue
+        d = ctx.cw_from(i, k)
+        if min_pos is None:
+            if abs(d) <= ctx.slack:
+                bucket.append(k)
+        elif abs(d - min_pos) <= ctx.slack:
+            bucket.append(k)
+    assert bucket
+    return _farthest_then_index(ctx, bucket)
+
+
+def successor_reference(config, i, c, angle_slack=None):
+    ctx = CenterContext(config, c, angle_slack)
+    if ctx.at_center[i]:
+        raise DegenerateCenter(f"robot {i} sits on the center {c}")
+    return successor_step(ctx, i)
+
+
+def string_of_angles_reference(config, i, c, angle_slack=None) -> list[str]:
+    """The hop angles of the sweep, as hex strings."""
+    ctx = CenterContext(config, c, angle_slack)
+    if ctx.at_center[i]:
+        raise DegenerateCenter(f"robot {i} sits on the center {c}")
+    angles = []
+    cur = i
+    for _ in range(sum(1 for at in ctx.at_center if not at)):
+        nxt = successor_step(ctx, cur)
+        hop = wrap_near_zero((ctx.angs[cur] - ctx.angs[nxt]) % TAU, ctx.slack)
+        angles.append((0.0 if abs(hop) <= ctx.slack else hop).hex())
+        cur = nxt
+    return angles
+
+
+def sidestep_angle_reference(config, self_index, elected) -> float:
+    """The side-step angle with the off-ray robots counted before the sweep."""
+    r = config.points[self_index]
+    eps = config.tol.eps_angle
+    off_ray_count = sum(
+        1
+        for q in config.points
+        if dist(q, elected) > config.merge_slack and not _same_ray(elected, r, q, config.merge_slack, eps)
+    )
+    cur = self_index
+    for _ in range(config.n - config.multiplicity_at(elected)):
+        cur = successor_reference(config, cur, elected)
+        q = config.points[cur]
+        if not _same_ray(elected, r, q, config.merge_slack, eps):
+            return angle_cw(r, elected, q, config.tol)
+    if off_ray_count:
+        raise RuntimeError("successor sweep missed every off-ray robot")
+    return TAU
+

@@ -27,7 +27,7 @@ from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
 from gathersim.geometry import dist
 from gathersim.simulator import LocalFrame
-from helpers import Similarity, mixed_configuration
+from helpers import Similarity, collinear, mixed_configuration
 from references import (
     bits,
     diameter_reference,
@@ -344,7 +344,7 @@ def test_location_layer_matches_table_reference():
         locs = [(bits(l.location), l.multiplicity, l.indices) for l in config.locations]
         assert locs == locations_reference(config), pts
         assert [[d.hex() for d in row] for row in config.location_dists] == location_dists_reference(config)
-        assert config.is_linear == geometry.collinear(config.points, config.tol)
+        assert config.is_linear == collinear(config.points, config.tol)
         merged += any(len({p for p in (config.points[i] for i in l.indices)}) > 1 for l in config.locations)
     assert len(inputs) == 696 and merged >= 150
 
@@ -374,7 +374,7 @@ def test_table_farthest_pair_keeps_tie_break():
         config = Configuration(points)
         a, b, diameter = geometry.farthest_pair(points)
         assert config.farthest_pair == (a, b) and config.diameter == diameter
-        assert config.is_linear == geometry.collinear(points, config.tol)
+        assert config.is_linear == collinear(points, config.tol)
 
 
 def _mirror_symmetric(rng):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from gathersim import (
     potential,
 )
 from gathersim.configuration import TAG_ASYMMETRIC, TAG_BIVALENT, TAG_MULTIPLE
-from gathersim.errors import BivalentInput, WrongClass
+from gathersim.errors import BivalentInput, DegenerateAngle, WrongClass
 from gathersim.gathering import (
     RULE_A_ELECT,
     RULE_L2W_CENTER,
@@ -23,9 +24,11 @@ from gathersim.gathering import (
     RULE_STAY,
     RULE_WEBER,
     _blocked,
+    _sidestep_angle,
 )
-from gathersim.geometry import TAU, angle_cw, dist, on_half_line, on_open_segment, rotate_cw
-from helpers import Similarity, mixed_configuration, segments_intersect
+from gathersim.geometry import TAU, Tolerance, angle_cw, dist, on_open_segment, rotate_cw
+from helpers import Similarity, mixed_configuration, on_half_line, on_ray, segments_intersect
+from references import sidestep_angle_reference
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 ASYM4 = Configuration([(0, 0), (3, 0), (0, 4), (1, 1)])
@@ -320,3 +323,58 @@ def test_blocked_filter_keeps_every_blocker():
                 checked += 1
                 blocked += full
     assert knife_edges >= 250 and checked > 3000 and blocked >= knife_edges
+
+
+def _sidestep_outcome(fn, config, i, elected):
+    try:
+        return fn(config, i, elected).hex()
+    except (DegenerateAngle, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _sidestep_inputs():
+    """(configuration, elected point) pairs: class-M inputs, queues on rays
+    through a stack, everyone on one ray, and a tiny ``eps_len`` with a
+    robot so close to the stack that ``angle_cw`` refuses its ray."""
+    rng = random.Random(52)
+    out = []
+    for _ in range(200):
+        config = mixed_configuration(rng, rng.randint(4, 12))
+        cls = classify(config)
+        if cls.tag == TAG_MULTIPLE:
+            out.append((config, cls.elected))
+    for n in (8, 20, 60):
+        for _ in range(4):
+            e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            pts = [e] * 3
+            while len(pts) < n:
+                theta = rng.uniform(0, TAU)
+                pts.extend(on_ray(e, theta, rng.uniform(0.2, 1.5)) for _ in range(rng.randint(1, 3)))
+            out.append((Configuration(pts), e))
+    for k in range(2, 6):
+        e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        theta = rng.uniform(0, TAU)
+        out.append((Configuration([e] * 2 + [on_ray(e, theta, 0.3 * j) for j in range(1, k)]), e))
+    tiny = Tolerance(eps_len=1e-14)
+    for near in (1e-12, 1e-10, 1e-8):
+        e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        pts = [e] * 3 + [on_ray(e, rng.uniform(0, TAU), near)]
+        pts += [on_ray(e, rng.uniform(0, TAU), rng.uniform(0.5, 1.0)) for _ in range(6)]
+        out.append((Configuration(pts, tiny), e))
+    for config, e in out[::4]:
+        frame = Similarity.random(rng)
+        out.append((frame.apply_config(config), frame(e)))
+    return out
+
+
+def test_sidestep_matches_eager_count():
+    """The off-ray count now follows the sweep; the reference counts first."""
+    outcomes = Counter()
+    for config, elected in _sidestep_inputs():
+        for i, r in enumerate(config.points):
+            if dist(r, elected) <= config.merge_slack:
+                continue
+            expected = _sidestep_outcome(sidestep_angle_reference, config, i, elected)
+            assert _sidestep_outcome(_sidestep_angle, config, i, elected) == expected, (config, i)
+            outcomes[expected[0] if isinstance(expected, tuple) else expected == TAU.hex()] += 1
+    assert outcomes["DegenerateAngle"] >= 12 and outcomes[True] >= 4 and outcomes[False] > 500

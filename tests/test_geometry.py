@@ -9,15 +9,12 @@ from gathersim.errors import DegenerateAngle, EmptyInput
 from gathersim.geometry import (
     TAU,
     angle_cw,
-    collinear,
     dist,
-    hull_vertices,
-    on_half_line,
     on_open_segment,
     rotate_cw,
     smallest_enclosing_circle,
 )
-from helpers import brute_extreme_points, brute_sec
+from helpers import brute_extreme_points, brute_sec, collinear, hull_vertices, on_half_line
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coord, coord)

@@ -10,8 +10,10 @@ Runs never pass through class B (a bivalent start is rejected and reaching
 one is a violation), so a second digest pins the full ``classify`` output
 on fixed snapshots of all six classes.  The runs above stop at n = 8 and
 that digest at n = 16, so a third pins ``classify`` and every robot's
-``compute`` decision on snapshots of every class at n = 24, 40 and 80, and
-two synchronous runs of 16 and 20 robots pin long class-A phases.
+``compute`` decision on snapshots of every class at n = 24, 40 and 80, a
+fourth does the same at n = 160 for the successor sweep, the rotation test
+and the side step, and two synchronous runs of 16 and 20 robots pin long
+class-A phases.
 """
 
 from __future__ import annotations
@@ -299,3 +301,50 @@ def test_golden_trace_m_heavy():
     assert sum(record.cls == "M" for record in result.records) == 58
     digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
     assert digest == GOLDEN_M_HEAVY_RUN
+
+
+# --- snapshots at n = 160 -------------------------------------------------------------
+
+
+def _paired_rays(rng: random.Random, n: int) -> Configuration:
+    """Two robots on a heavy point and the rest in pairs on rays through it:
+    the outer robot of every pair is blocked and steps aside."""
+    elected = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pts = [elected] * 2
+    rays = (n - 2) // 2
+    for r in range(rays):
+        theta = (r + 0.25 + 0.5 * rng.random()) * TAU / rays
+        inner = rng.uniform(0.2, 0.6)
+        pts.extend(on_ray(elected, theta, radius) for radius in (inner, inner + rng.uniform(0.2, 0.6)))
+    return Configuration(pts)
+
+
+def _huge_snapshots() -> list[Configuration]:
+    rng = random.Random(160)
+    n = 160
+    return [
+        _polygon(rng, n),
+        _parked_quasi_regular(rng, n),
+        _sidestep_multiplicity(rng, n),
+        _paired_rays(rng, n),
+    ]
+
+
+GOLDEN_CLASSIFY_HUGE = "1a1b178668041125b8eeab384e64be3dd766f2671b5c3f8a0277da181ddb1a0d"
+
+
+def test_golden_classify_huge():
+    """``classify`` and every robot's ``compute`` at n = 160: the successor
+    sweep and the rotation test around an unoccupied polygon center, an
+    occupied center with parked robots, and two side-step sets."""
+    lines = []
+    shape = []
+    for config in _huge_snapshots():
+        cls = classify(config)
+        lines.append(_class_line(cls))
+        decisions = [compute(config, i, cls) for i in range(config.n)]
+        shape.append((cls.tag, cls.qreg, sum(d.rule == RULE_M_SIDESTEP for d in decisions)))
+        lines.extend(dumps_17g([d.rule, d.destination, d.elected]) for d in decisions)
+    assert shape == [("QR", 160, 0), ("QR", 5, 0), ("M", None, 77), ("M", None, 79)]
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == GOLDEN_CLASSIFY_HUGE

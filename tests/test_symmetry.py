@@ -37,13 +37,17 @@ from gathersim.generators import (
 from gathersim.geometry import TAU, Tolerance, dist
 from gathersim.symmetry import StringOfAngles, views_equal
 from helpers import Similarity, grid_weber, mixed_configuration, on_ray
+from gathersim.simulator import LocalFrame
 from references import (
+    CenterContext,
     bits,
     elect_reference,
     outcome,
     safe_points_reference,
     screen_reference,
     screen_skips,
+    string_of_angles_reference,
+    successor_reference,
     weber_reference,
 )
 
@@ -810,3 +814,227 @@ def test_election_and_screen_match_reference_on_center_inputs():
         assert screen_skips(config) == skips, config
         screened += not skips
     assert screened > 15
+
+
+# --- the cached ray index -----------------------------------------------------------
+#
+# ``successor`` and ``string_of_angles`` walk one sorted index per center; the
+# references rescan every robot at every step (``tests/references.py``).
+
+
+def _stacked_polygon(rng, k, stacks, parked, radius=1.0):
+    """A regular k-gon with some vertices stacked two or three deep and
+    ``parked`` robots on its center; returns the configuration and center."""
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phase = rng.choice((0.0, rng.uniform(0, TAU)))
+    pts = []
+    for j in range(k):
+        vertex = on_ray(center, phase + j * TAU / k, radius)
+        pts.extend([vertex] * (rng.randint(2, 3) if j < stacks else 1))
+    pts.extend([center] * parked)
+    rng.shuffle(pts)
+    return Configuration(pts), center
+
+
+def _queued_rays(rng, rays, near_zero=False):
+    """Several robots per ray at mixed radii, some co-located; with
+    ``near_zero`` the rays crowd both sides of direction zero."""
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    pts = []
+    for _ in range(rays):
+        if near_zero:
+            theta = rng.choice((1.0, -1.0)) * rng.choice((0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3))
+        else:
+            theta = rng.uniform(0, TAU)
+        radii = [rng.uniform(0.2, 1.5) for _ in range(rng.randint(1, 4))]
+        pts.extend(on_ray(center, theta, r) for r in radii + radii[:rng.randint(0, 1)])
+    pts.append(on_ray(center, 2.0, 1.0))
+    rng.shuffle(pts)
+    return Configuration(pts), center
+
+
+def _sweep_inputs():
+    """(configuration, center, angle slacks) triples; None is the default slack."""
+    rng = random.Random(160)
+    maximal = symmetry._MAX_ANGLE_SLACK
+    out = []
+    for k in (3, 4, 5, 6, 7, 8, 12, 16, 40, 160):
+        for stacks, parked in ((0, 0), (k // 3, 1), (k // 2, 2)):
+            config, center = _stacked_polygon(rng, k, stacks, parked)
+            out.append((config, center, (None, 1e-6, maximal)))
+    for _ in range(12):
+        config, center = _queued_rays(rng, rng.randint(2, 8))
+        out.append((config, center, (None, 1e-3, maximal)))
+        config, center = _queued_rays(rng, rng.randint(2, 6), near_zero=True)
+        out.append((config, center, (None, 1e-12, 1e-9, 1e-6, maximal)))
+    # rays one slack apart, give or take, for every slack up to the cap
+    for slack in (1e-9, 1e-6, 1e-3, maximal):
+        for _ in range(4):
+            center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            base = rng.choice((0.0, rng.uniform(0, TAU)))
+            pts = [
+                on_ray(center, base + j * slack * rng.choice((0.5, 0.999, 1.0, 1.001, 2.0)), rng.uniform(0.3, 1.0))
+                for j in range(-3, 4)
+            ]
+            out.append((Configuration(pts), center, (None, slack)))
+    # robots close to the center widen the default slack, up to the cap
+    for near in (1e-3, 1e-8, 1e-11):
+        for tol in (Tolerance(), Tolerance(eps_len=1e-14)):
+            config, center = _stacked_polygon(rng, rng.randint(3, 9), 1, 0)
+            pts = list(config.points) + [on_ray(center, rng.uniform(0, TAU), near), center]
+            out.append((Configuration(pts, tol), center, (None,)))
+    # the same inputs seen from random local frames
+    framed = []
+    for config, center, slacks in out[::3]:
+        if config.n <= 40:
+            frame = LocalFrame.random(rng, config.diameter)
+            framed.append((frame.apply_config(config), frame.apply_point(center), slacks))
+    return out + framed
+
+
+def _successors(fn, config, center, slack):
+    """Every robot's successor by ``fn``, or the message of its DegenerateCenter."""
+    out = []
+    for i in range(config.n):
+        try:
+            out.append(fn(config, i, center, slack))
+        except DegenerateCenter as exc:
+            out.append(str(exc))
+    return out
+
+
+def _strings_agree(config, center, slack, starts):
+    for i in starts:
+        got = [a.hex() for a in string_of_angles(config, i, center, slack).angles]
+        assert got == string_of_angles_reference(config, i, center, slack), (config, center, slack, i)
+
+
+def test_indexed_successor_matches_scan():
+    stepped = 0
+    for config, center, slacks in _sweep_inputs():
+        off = [i for i, p in enumerate(config.points) if dist(p, center) > config.merge_slack]
+        for slack in slacks:
+            expected = _successors(successor_reference, config, center, slack)
+            assert _successors(successor, config, center, slack) == expected, (config, center, slack)
+            _strings_agree(config, center, slack, off if config.n <= 12 else off[:2])
+            stepped += config.n
+    assert stepped > 5000
+
+
+def test_indexed_successor_at_slack_knife_edges():
+    """Angle slacks set to a measured gap between two rays, give or take a
+    few ulps: the inward step (own ray), the jump (nearest clockwise ray)
+    and the bucket (rays within a slack of that one) each hit their bound."""
+    rng = random.Random(2)
+    cases = 0
+    for _ in range(60):
+        center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        base = rng.choice((0.0, 1e-13, -1e-13, rng.uniform(0, TAU)))
+        gap = rng.choice((1e-9, 1e-6, 1e-3, 1e-2))
+        far = rng.uniform(0.1, 2.0)
+        thetas = [base, base - gap, base - far, base - far - gap, base + gap]
+        pts = [on_ray(center, theta, rng.uniform(0.3, 1.0)) for theta in thetas]
+        pts += [on_ray(center, base, 0.2), on_ray(center, base - far, 0.25)]
+        config = Configuration(pts)
+        ctx = CenterContext(config, center, 1.0)
+        measured = {
+            (ctx.angs[0] - ctx.angs[1]) % TAU,
+            (ctx.angs[2] - ctx.angs[3]) % TAU,
+            (ctx.angs[4] - ctx.angs[0]) % TAU,
+            (ctx.angs[0] - ctx.angs[3]) % TAU - (ctx.angs[0] - ctx.angs[2]) % TAU,
+            (ctx.angs[1] - ctx.angs[3]) % TAU - (ctx.angs[1] - ctx.angs[2]) % TAU,
+        }
+        for edge in measured:
+            slack = edge
+            for _ in range(3):
+                slack = math.nextafter(slack, 0.0)
+            for _ in range(7):
+                expected = _successors(successor_reference, config, center, slack)
+                assert _successors(successor, config, center, slack) == expected, (config, center, slack)
+                _strings_agree(config, center, slack, range(config.n))
+                slack = math.nextafter(slack, 1.0)
+                cases += 1
+    assert cases > 800
+
+
+def test_rays_are_cached_per_center():
+    config, center = _stacked_polygon(random.Random(3), 6, 2, 1)
+    rays = symmetry.Rays.of(config, center)
+    assert symmetry.Rays.of(config, Point(center.x, center.y)) is rays
+    assert rays.dists == [dist(p, center) for p in config.points]
+    assert rays.off == [i for i, d in enumerate(rays.dists) if d > config.merge_slack]
+    points = [config.points[i] for i in rays.off]
+    assert [rays.angles[i] for i in rays.off] == [math.atan2(p.y - center.y, p.x - center.x) % TAU for p in points]
+    string_of_angles(config, rays.off[0], center)
+    assert symmetry.Rays.of(config, center) is rays
+
+
+def _orbit_dirs(rng, m, orbits, jitter):
+    """``orbits`` m-fold orbits of rays, each direction off by up to jitter,
+    sorted like ``_ray_clusters`` output (a ray just below zero stays
+    negative)."""
+    step = TAU / m
+    dirs = []
+    for _ in range(orbits):
+        phase = rng.choice((0.0, rng.uniform(0, step)))
+        count = rng.randint(1, 3)
+        for j in range(m):
+            theta = (phase + j * step + rng.uniform(-jitter, jitter)) % TAU
+            dirs.append((theta - TAU if theta > TAU - 1e-3 else theta, count))
+    return sorted(dirs)
+
+
+def _drift(dirs, m):
+    s = len(dirs) // m
+    return sum(
+        abs(dirs[(j + s) % len(dirs)][0] + (TAU if j + s >= len(dirs) else 0.0) - dirs[j][0] - TAU / m)
+        for j in range(len(dirs))
+    )
+
+
+def _certificate_inputs():
+    """(dirs, m, slack) triples around the certificate's edges: jittered
+    orbits whose summed drift straddles the budget, orbits with one count
+    changed, ray counts that m does not divide, and windows at the float
+    resolution of the directions."""
+    rng = random.Random(61)
+    out = []
+    for m in range(2, 13):
+        for orbits in (1, 2, 3):
+            for slack in (1e-9, 1e-4, symmetry._MAX_ANGLE_SLACK):
+                dirs = _orbit_dirs(rng, m, orbits, 0.3 * slack)
+                edge = _drift(dirs, m) / 4.0  # the slack whose window equals the drift
+                for factor in (0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, 4.0):
+                    out.append((dirs, m, edge * factor))
+                counts = [dirs[j][1] for j in range(len(dirs))]
+                bumped = list(dirs)
+                j = rng.randrange(len(dirs))
+                bumped[j] = (dirs[j][0], counts[j] + 1)
+                out.append((bumped, m, slack))
+                out.append((dirs[:-1], m, slack))
+                out.append((sorted(dirs + [(rng.uniform(0, TAU), 1)]), m, slack))
+            for slack in (0.0, 1e-18, 1e-16, 4e-16, 1e-15, 4e-15, 1e-14):
+                out.append((_orbit_dirs(rng, m, orbits, 0.0), m, slack))
+                center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                phase = rng.uniform(0, TAU)
+                thetas = [
+                    math.atan2(p.y - center.y, p.x - center.x) % TAU
+                    for p in (on_ray(center, phase + j * TAU / m, 1.0) for j in range(m))
+                ]
+                out.append(([(theta, 1) for theta in sorted(thetas)], m, slack))
+    return out
+
+
+def test_rotation_certificate_is_sound():
+    certified = near_edge = refused_but_holds = 0
+    for dirs, m, slack in _certificate_inputs():
+        expected = _rotation_reference(dirs, m, slack)
+        index = symmetry._RayIndex([theta for theta, _ in dirs])
+        assert symmetry._ray_rotation_holds(index, dirs, m, slack) == expected, (dirs, m, slack)
+        if symmetry._rotation_certified(dirs, m, TAU / m, 4.0 * slack):
+            assert expected, (dirs, m, slack)
+            certified += 1
+            near_edge += _drift(dirs, m) > 3.9 * slack
+        else:
+            refused_but_holds += expected
+    assert certified > 250 and near_edge > 50 and refused_but_holds > 500
