@@ -14,6 +14,7 @@ from .configuration import (
     is_gathered,
     median_interval,
     safe_points,
+    weber_point,
 )
 from .gathering import ComputeDecision, PotentialValue, compute, moving_set, potential
 from .geometry import Circle, Point, Tolerance
@@ -32,7 +33,6 @@ from .symmetry import (
     symmetricity,
     view,
     weber_numeric,
-    weber_point,
 )
 
 __all__ = [

@@ -119,6 +119,32 @@ def _crash_schedule(rng: random.Random, n: int, crashes: int) -> list[tuple[int,
     return [(rng.randrange(0, 40), i) for i in victims]
 
 
+def _run_setup(
+    settings: dict, config: Configuration, schedule: list[tuple[int, int]]
+) -> tuple[AdversarySpec, SimParams]:
+    """The adversary and parameters of one run from its settings.
+
+    ``settings`` carries every key, ``simulate``'s from argparse and a sweep
+    entry's through ``_SWEEP_DEFAULTS``.  A ``delta`` of None means
+    ``max(diameter, 1e-6) / 100``.
+    """
+    delta = settings["delta"]
+    adv = AdversarySpec(
+        activation=_ADVERSARY_NAMES.get(settings["adversary"], settings["adversary"]),
+        activation_prob=float(settings["activation_prob"]),
+        stop_policy=_STOP_NAMES.get(settings["stop"], settings["stop"]),
+        crash_schedule=tuple(schedule),
+    )
+    params = SimParams(
+        delta=max(config.diameter, 1e-6) / 100.0 if delta is None else float(delta),
+        max_rounds=int(settings["max_rounds"]),
+        tol=config.tol,
+        fairness_bound=int(settings["fairness_bound"]),
+        seed=int(settings["seed"]),
+    )
+    return adv, params
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     tol = Tolerance(args.eps, args.eps)
     rng = random.Random(args.seed)
@@ -130,7 +156,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return 1
         config = generators.uniform_configuration(rng, args.n, tol)
 
-    delta = args.delta if args.delta is not None else max(config.diameter, 1e-6) / 100.0
     schedule: list[tuple[int, int]] = []
     if args.crash_schedule:
         with open(args.crash_schedule, "r", encoding="utf-8") as fh:
@@ -138,19 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.crashes:
         schedule = _crash_schedule(rng, config.n, args.crashes)
 
-    adv = AdversarySpec(
-        activation=_ADVERSARY_NAMES[args.adversary],
-        activation_prob=args.activation_prob,
-        stop_policy=_STOP_NAMES[args.stop],
-        crash_schedule=tuple(schedule),
-    )
-    params = SimParams(
-        delta=delta,
-        max_rounds=args.max_rounds,
-        tol=tol,
-        fairness_bound=args.fairness_bound,
-        seed=args.seed,
-    )
+    adv, params = _run_setup(vars(args), config, schedule)
     try:
         result = run(config, adv, params)
     except BivalentInitial as exc:
@@ -194,7 +207,23 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Settings a sweep entry may leave out; ``simulate`` has argparse defaults.
+_SWEEP_DEFAULTS = {
+    "n": 5,
+    "seed": 0,
+    "eps": 1e-9,
+    "crashes": 0,
+    "adversary": "sync",
+    "stop": "full",
+    "activation_prob": 0.5,
+    "delta": None,
+    "max_rounds": 10_000,
+    "fairness_bound": 8,
+}
+
+
 def _sweep_entries(spec: dict) -> list[dict]:
+    """Every run of the spec, with ``_SWEEP_DEFAULTS`` for the settings it omits."""
     entries = list(spec.get("runs", []))
     grid = spec.get("grid")
     if grid:
@@ -204,40 +233,25 @@ def _sweep_entries(spec: dict) -> list[dict]:
         for key in keys:
             combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
         entries.extend(dict(defaults, **c) for c in combos)
-    return entries
+    return [dict(_SWEEP_DEFAULTS, **entry) for entry in entries]
 
 
 def _run_sweep_entry(item: tuple[int, dict]) -> dict:
-    run_id, entry = item
-    n = int(entry.get("n", 5))
-    seed = int(entry.get("seed", 0))
-    eps = float(entry.get("eps", 1e-9))
-    tol = Tolerance(eps, eps)
+    run_id, settings = item
+    n = int(settings["n"])
+    seed = int(settings["seed"])
+    eps = float(settings["eps"])
     rng = random.Random(seed)
-    config = generators.uniform_configuration(rng, n, tol)
-    crashes = int(entry.get("crashes", 0))
+    config = generators.uniform_configuration(rng, n, Tolerance(eps, eps))
+    crashes = int(settings["crashes"])
     schedule = _crash_schedule(rng, n, crashes) if crashes else []
-    adversary = entry.get("adversary", "sync")
-    stop = entry.get("stop", "full")
-    adv = AdversarySpec(
-        activation=_ADVERSARY_NAMES.get(adversary, adversary),
-        activation_prob=float(entry.get("activation_prob", 0.5)),
-        stop_policy=_STOP_NAMES.get(stop, stop),
-        crash_schedule=tuple(schedule),
-    )
-    params = SimParams(
-        delta=float(entry.get("delta", config.diameter / 100.0)),
-        max_rounds=int(entry.get("max_rounds", 10_000)),
-        tol=tol,
-        fairness_bound=int(entry.get("fairness_bound", 8)),
-        seed=seed,
-    )
+    adv, params = _run_setup(settings, config, schedule)
     result = run(config, adv, params)
     return {
         "run_id": run_id,
         "n": n,
-        "adversary": adversary,
-        "stop": stop,
+        "adversary": settings["adversary"],
+        "stop": settings["stop"],
         "crashes": result.crashes,
         "seed": seed,
         "outcome": result.outcome,
@@ -253,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("error: sweep spec contains no runs", file=sys.stderr)
         return 1
     for entry in entries:
-        _check_crash_count(int(entry.get("n", 5)), int(entry.get("crashes", 0)))
+        _check_crash_count(int(entry["n"]), int(entry["crashes"]))
     items = list(enumerate(entries))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -27,8 +27,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
-from . import geometry
-from .errors import NotLinear
+from . import geometry, symmetry
+from .errors import ClassWithoutUniqueWeber, NotLinear
 from .geometry import Point, Tolerance, dist
 
 TAG_BIVALENT = "B"
@@ -63,6 +63,13 @@ class ConfigClass:
     midpoint: Point | None = None         # L2W: midpoint of the endpoints
 
 
+def weber_point(config: Configuration, cls: ConfigClass) -> Point:
+    """The unique Weber point for classes that pin one down (L1W and QR)."""
+    if cls.tag in (TAG_L1W, TAG_QREGULAR) and cls.weber is not None:
+        return cls.weber
+    raise ClassWithoutUniqueWeber(f"class {cls.tag} does not define a unique Weber point")
+
+
 class Configuration:
     """Indexed multiset of robot positions with tolerance-aware multiplicities."""
 
@@ -76,7 +83,7 @@ class Configuration:
         self.points: tuple[Point, ...] = pts
         self.tol: Tolerance = tol or geometry.DEFAULT_TOLERANCE
         # ray indexes by center point, built on first use by ``symmetry.Rays.of``
-        self._rays: dict[Point, object] = {}
+        self._rays: dict[Point, symmetry.Rays] = {}
 
     @property
     def n(self) -> int:
@@ -337,30 +344,20 @@ def safe_points(config: Configuration) -> list[Point]:
 
 
 def _is_safe(config: Configuration, k: int) -> bool:
-    """Whether the k-th occupied location is a safe point."""
-    slack = config.merge_slack
-    others = [p for p, d in zip(config.points, config.location_dists[k]) if d > slack]
-    limit = (config.n + 1) // 2 - 1
-    return _max_ray_count(config.locations[k].location, others, config.tol.eps_angle) <= limit
+    """Whether the k-th occupied location is a safe point.
 
-
-def _max_ray_count(origin: Point, others: list[Point], eps_angle: float) -> int:
-    if not others:
-        return 0
-    angles = sorted(geometry.ccw_angle_of(p, origin) % geometry.TAU for p in others)
-    counts = []
-    current = 1
-    for prev, cur in zip(angles, angles[1:]):
-        if cur - prev <= eps_angle:
-            current += 1
-        else:
-            counts.append(current)
-            current = 1
-    counts.append(current)
-    # circular wrap: first and last bucket may be the same ray
-    if len(counts) > 1 and (angles[0] + geometry.TAU - angles[-1]) <= eps_angle:
-        counts[0] += counts.pop()
-    return max(counts)
+    The rays are ``symmetry._ray_clusters`` over ``Rays.of`` the location at
+    ``eps_angle``: single-link chains of the sorted ``atan2 % TAU``
+    directions of the robots beyond the merge slack, each gap tested with
+    ``<= eps_angle``, and the first and last chains merged when the gap
+    across direction zero passes the same test.  ``Rays.dists`` equals the
+    location's ``location_dists`` row bit for bit (``hypot`` ignores the
+    sign of its arguments), so the robots off the location are those the
+    row would pick.
+    """
+    center = config.locations[k].location
+    clusters = symmetry._ray_clusters(config, center, symmetry.Rays.of(config, center).off, config.tol.eps_angle)
+    return max((count for _, count in clusters), default=0) <= (config.n + 1) // 2 - 1
 
 
 def classify(config: Configuration) -> ConfigClass:
@@ -383,8 +380,6 @@ def classify(config: Configuration) -> ConfigClass:
         u_lo, u_hi = linear_endpoints(config)
         mid = Point((u_lo.x + u_hi.x) / 2.0, (u_lo.y + u_hi.y) / 2.0)
         return ConfigClass(TAG_L2W, endpoints=(u_lo, u_hi), midpoint=mid)
-
-    from . import symmetry  # late import: symmetry depends on this module
 
     qr = symmetry.detect_quasi_regular(config)
     if qr is not None:
@@ -429,8 +424,6 @@ def _elect_safe_point(config: Configuration) -> Point:
                 tied.append(k)
         if len(tied) == 1:
             return locs[tied[0]].location
-        from . import symmetry
-
         return max((locs[k].location for k in sorted(tied)), key=lambda p: symmetry.view(config, p).encoding)
     raise RuntimeError("non-linear configuration without a safe point")
 
@@ -460,8 +453,6 @@ def _assert_asymmetric(config: Configuration) -> None:
         if len(members) > 1
     ):
         return
-    from . import symmetry
-
     report = symmetry.symmetricity(config)
     if report.sym != 1:
         raise RuntimeError(f"classified asymmetric but sym={report.sym}")

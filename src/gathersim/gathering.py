@@ -137,39 +137,34 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
     Every robot's sweep walks the one ``symmetry.Rays`` index around the
     elected point, O(log n) per step.  The off-ray robots are counted only
     when the sweep finds none, to tell a full turn from a missed robot;
-    counting them first, as before, gave the same results.  The count can
-    only raise, through ``_same_ray``'s ``angle_cw`` at the default
-    tolerance, when min(|r-e|, |q-e|) <= 1e-9 * max(|r-e|, |q-e|) for some
-    robot q off the elected point e.  Both lengths exceed the merge slack,
-    at least ``eps_len`` times the diameter, so with the default
-    ``eps_len`` that never happens.  With a smaller one it happens exactly
-    when it does for the nearest or the farthest such robot (a robot within
-    the merge slack of r never qualifies), so those two are checked first.
+    counting them first gives the same results, as ``_same_ray`` never
+    raises.
     """
     r = config.points[self_index]
-    eps = config.tol.eps_angle
-    for k in symmetry.Rays.of(config, elected).extremes:
-        angle_cw(r, elected, config.points[k])
     steps = config.n - config.multiplicity_at(elected)
     cur = self_index
     for _ in range(steps):
         cur = symmetry.successor(config, cur, elected)
         q = config.points[cur]
-        if not _same_ray(elected, r, q, config.merge_slack, eps):
+        if not _same_ray(config, elected, r, q):
             return angle_cw(r, elected, q, config.tol)
-    if any(
-        dist(q, elected) > config.merge_slack and not _same_ray(elected, r, q, config.merge_slack, eps)
-        for q in config.points
-    ):
+    if any(dist(q, elected) > config.merge_slack and not _same_ray(config, elected, r, q) for q in config.points):
         raise RuntimeError("successor sweep missed every off-ray robot")
     return TAU
 
 
-def _same_ray(center: Point, a: Point, b: Point, merge_slack: float, eps_angle: float) -> bool:
-    if dist(a, b) <= merge_slack:
+def _same_ray(config: Configuration, center: Point, a: Point, b: Point) -> bool:
+    """Whether a and b, both beyond the merge slack of center, share a ray.
+
+    ``angle_cw`` measures at the configuration's tolerance, so it never
+    raises here: both distances exceed the merge slack, which is at least
+    ``eps_len`` times the diameter, and neither exceeds the diameter.
+    """
+    if dist(a, b) <= config.merge_slack:
         return True
-    theta = angle_cw(a, center, b)
-    return theta <= eps_angle or theta >= TAU - eps_angle
+    theta = angle_cw(a, center, b, config.tol)
+    eps = config.tol.eps_angle
+    return theta <= eps or theta >= TAU - eps
 
 
 def moving_set(config: Configuration, cls: ConfigClass | None = None) -> list[Point]:

@@ -12,17 +12,13 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .configuration import ConfigClass, Configuration, TAG_L1W, TAG_QREGULAR
-from .errors import (
-    AllAtCenter,
-    ClassWithoutUniqueWeber,
-    DegenerateCenter,
-    LinearInput,
-    NotOccupied,
-)
+from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
 from .geometry import TAU, Point, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
+
+if TYPE_CHECKING:
+    from .configuration import Configuration
 
 # Bounds on the cross-track noise of stored coordinates (a few ulps) and on
 # the error of a converged geometric-median candidate, both relative to the
@@ -132,10 +128,11 @@ class Rays:
     the robot is within the merge slack of the center: the same doubles the
     per-call scans computed.  ``off`` lists the robots off the center in
     index order and ``r_min`` is their smallest distance (0.0 when there
-    are none).  ``extremes`` (a robot off the center at the smallest and
-    one at the largest distance) and ``index`` (the robots off the center
-    sorted by direction, whose ``around`` returns robot indices) are built
-    on first use.
+    are none).  ``index`` (the robots off the center sorted by direction,
+    whose ``around`` returns robot indices) is built on first use.  Every
+    ray test reads a ``Rays``: the successor sweep and the M side step
+    around the elected point, quasi-regularity around each candidate
+    center, and the safe-point test around each location.
     """
 
     def __init__(self, config: Configuration, center: Point):
@@ -161,11 +158,7 @@ class Rays:
         rays = config._rays.get(center)
         if rays is None:
             rays = config._rays[center] = cls(config, center)
-        return rays  # type: ignore[return-value]
-
-    @cached_property
-    def extremes(self) -> tuple[int, int]:
-        return min(self.off, key=self.dists.__getitem__), max(self.off, key=self.dists.__getitem__)
+        return rays
 
     @cached_property
     def index(self) -> _RayIndex:
@@ -877,9 +870,3 @@ def _push_off_vertex(xs, ys, ms, a: int, dists: list[float]) -> tuple[float, flo
     t = (norm - ms[a]) / damping
     return xs[a] + t * gx / norm, ys[a] + t * gy / norm
 
-
-def weber_point(config: Configuration, cls: ConfigClass) -> Point:
-    """The unique Weber point for classes that pin one down (L1W and QR)."""
-    if cls.tag in (TAG_L1W, TAG_QREGULAR) and cls.weber is not None:
-        return cls.weber
-    raise ClassWithoutUniqueWeber(f"class {cls.tag} does not define a unique Weber point")

@@ -14,10 +14,9 @@ import math
 from array import array
 from unittest import mock
 
-from gathersim import Point, symmetry
-from gathersim.configuration import _assert_asymmetric, _max_ray_count
+from gathersim import Point, geometry, symmetry
+from gathersim.configuration import _assert_asymmetric
 from gathersim.errors import DegenerateCenter
-from gathersim.gathering import _same_ray
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, wrap_near_zero
 
 
@@ -208,8 +207,28 @@ def _push_off_vertex(locs, at):
 
 # --- safe points and the class-A election --------------------------------------------
 #
-# Every location is tested for safety first; the election then picks among
-# the safe points.
+# Every location is tested for safety first, by sorting and chaining the
+# directions of the robots off it; the election then picks among the safe
+# points.
+
+
+def _max_ray_count(origin: Point, others: list[Point], eps_angle: float) -> int:
+    if not others:
+        return 0
+    angles = sorted(geometry.ccw_angle_of(p, origin) % geometry.TAU for p in others)
+    counts = []
+    current = 1
+    for prev, cur in zip(angles, angles[1:]):
+        if cur - prev <= eps_angle:
+            current += 1
+        else:
+            counts.append(current)
+            current = 1
+    counts.append(current)
+    # circular wrap: first and last bucket may be the same ray
+    if len(counts) > 1 and (angles[0] + geometry.TAU - angles[-1]) <= eps_angle:
+        counts[0] += counts.pop()
+    return max(counts)
 
 
 def safe_points_reference(config) -> list[Point]:
@@ -349,20 +368,24 @@ def string_of_angles_reference(config, i, c, angle_slack=None) -> list[str]:
     return angles
 
 
+def _same_ray(config, center, a, b) -> bool:
+    if dist(a, b) <= config.merge_slack:
+        return True
+    theta = angle_cw(a, center, b, config.tol)
+    return theta <= config.tol.eps_angle or theta >= TAU - config.tol.eps_angle
+
+
 def sidestep_angle_reference(config, self_index, elected) -> float:
     """The side-step angle with the off-ray robots counted before the sweep."""
     r = config.points[self_index]
-    eps = config.tol.eps_angle
     off_ray_count = sum(
-        1
-        for q in config.points
-        if dist(q, elected) > config.merge_slack and not _same_ray(elected, r, q, config.merge_slack, eps)
+        1 for q in config.points if dist(q, elected) > config.merge_slack and not _same_ray(config, elected, r, q)
     )
     cur = self_index
     for _ in range(config.n - config.multiplicity_at(elected)):
         cur = successor_reference(config, cur, elected)
         q = config.points[cur]
-        if not _same_ray(elected, r, q, config.merge_slack, eps):
+        if not _same_ray(config, elected, r, q):
             return angle_cw(r, elected, q, config.tol)
     if off_ray_count:
         raise RuntimeError("successor sweep missed every off-ray robot")

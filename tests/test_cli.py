@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gathersim import cli
 from gathersim.cli import load_configuration, main, save_configuration
 from gathersim import Configuration, Point
 
@@ -246,3 +247,28 @@ def test_gather_log_env(square_json, capsys, monkeypatch):
     monkeypatch.setenv("GATHER_LOG", "debug")
     assert main(["classify", square_json]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_default_max_rounds_and_delta(tmp_path, monkeypatch, capsys):
+    """simulate runs at most 100,000 rounds and a sweep entry 10,000; both
+    default delta to max(diameter, 1e-6) / 100."""
+    seen = []
+
+    def recording(config, adv, params):
+        seen.append((config.diameter, params))
+        return real_run(config, adv, params)
+
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", recording)
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"points": [[0, 0], [3e-7, 0], [0, 4e-7]]}))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"runs": [{"n": 5, "seed": 3}]}))
+    assert main(["simulate", "--n", "5", "--seed", "3"]) == 0
+    assert main(["simulate", "--input", str(tiny)]) == 0
+    assert main(["sweep", str(spec)]) == 0
+    capsys.readouterr()
+    (generated, sim), (small, sim_tiny), (swept, swp) = seen
+    assert sim.max_rounds == sim_tiny.max_rounds == 100_000 and swp.max_rounds == 10_000
+    assert sim.delta == generated / 100.0 and swp.delta == swept / 100.0 and generated == swept
+    assert small == 5e-7 and sim_tiny.delta == 1e-6 / 100.0

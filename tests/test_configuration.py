@@ -25,9 +25,9 @@ from gathersim.configuration import (
 )
 from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
-from gathersim.geometry import dist
+from gathersim.geometry import TAU, Tolerance, ccw_angle_of, dist
 from gathersim.simulator import LocalFrame
-from helpers import Similarity, collinear, mixed_configuration
+from helpers import Similarity, collinear, mixed_configuration, on_ray
 from references import (
     bits,
     diameter_reference,
@@ -418,3 +418,49 @@ def test_election_and_screen_match_reference():
             nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), sum(dist(p, q) for q in config.points)))
             view_decided += elected != bits(nearest)
     assert view_decided >= 30 and fell_through >= 18 and collided >= 70
+
+
+def _two_crowded_rays(rng: random.Random, n: int, straddle: bool):
+    """A robot c with two rays about 1e-9 apart holding ceil(n/2) robots
+    between them, more than either ray holds, side by side or one on each
+    side of direction 0; returns the points, c and the float gap between
+    the rays as the safe-point chain measures it."""
+    limit = (n + 1) // 2 - 1
+    c = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    g = 1e-9 * rng.uniform(0.5, 2.0)
+    base = -g / 2 if straddle else rng.uniform(0.5, TAU - 0.5)
+    radii = iter(rng.sample([0.3 + 0.05 * j for j in range(15)], n))
+    ray_a = [on_ray(c, base, next(radii)) for _ in range(limit - 1)]
+    ray_b = [on_ray(c, base + g, next(radii)) for _ in range(2)]
+    rest = n - 1 - len(ray_a) - len(ray_b)
+    spread = [on_ray(c, base + 0.7 + j * (TAU - 1.4) / rest, next(radii)) for j in range(rest)]
+    a = [ccw_angle_of(p, c) % TAU for p in ray_a]
+    b = [ccw_angle_of(p, c) % TAU for p in ray_b]
+    gap = min(b) + TAU - max(a) if straddle else min(b) - max(a)
+    return [c] + ray_a + ray_b + spread, c, gap
+
+
+def test_safe_points_at_ray_gap_knife_edges():
+    """Safe points match the sorting reference when two rays are eps_angle
+    +-3 ulps apart, also across direction 0, and a location is safe exactly
+    when its two crowded rays stay apart."""
+    rng = random.Random(61)
+    flips = 0
+    for n in (9, 11, 13):
+        for straddle in (False, True):
+            for _ in range(3):
+                pts, c, gap = _two_crowded_rays(rng, n, straddle)
+                assert 0.4e-9 < gap < 2.1e-9
+                below = above = gap
+                epsilons = [gap]
+                for _ in range(3):
+                    below = math.nextafter(below, 0.0)
+                    above = math.nextafter(above, 1.0)
+                    epsilons += [below, above]
+                for eps in epsilons:
+                    config = Configuration(pts, Tolerance(eps_len=1e-9, eps_angle=eps))
+                    safe = safe_points(config)
+                    assert [bits(p) for p in safe] == [bits(p) for p in safe_points_reference(config)], (pts, eps)
+                    assert (c in safe) == (eps < gap), (pts, eps)
+                    flips += eps < gap
+    assert flips == 18 * 3

@@ -66,6 +66,21 @@ def test_compute_m_sidestep_all_on_ray():
     assert decision.destination == pytest.approx(rotate_cw(Point(8, 0), Point(0, 0), TAU / 3))
 
 
+def test_compute_m_sidestep_at_tiny_eps_len():
+    # at eps_len 1e-14 the robot 1e-10 from the stack is off it and blocks
+    # (7, 0); the side step still measures its ray, at the configuration's
+    # tolerance, and turns to the nearest clockwise ray, through (2, -9)
+    config = Configuration(
+        [(0, 0), (0, 0), (0, 0), (1e-10, 0), (7, 0), (0, 8), (-6, 1), (2, -9), (5, 5)],
+        Tolerance(eps_len=1e-14),
+    )
+    assert classify(config).tag == TAG_MULTIPLE
+    decision = compute(config, 4)
+    assert decision.rule == RULE_M_SIDESTEP
+    theta = angle_cw(Point(7, 0), Point(0, 0), Point(2, -9), config.tol)
+    assert decision.destination == rotate_cw(Point(7, 0), Point(0, 0), theta / 3.0)
+
+
 def test_compute_weber_classes():
     for i in range(4):
         decision = compute(SQUARE, i)
@@ -335,7 +350,8 @@ def _sidestep_outcome(fn, config, i, elected):
 def _sidestep_inputs():
     """(configuration, elected point) pairs: class-M inputs, queues on rays
     through a stack, everyone on one ray, and a tiny ``eps_len`` with a
-    robot so close to the stack that ``angle_cw`` refuses its ray."""
+    robot so close to the stack that ``angle_cw`` at the default tolerance
+    would refuse its ray."""
     rng = random.Random(52)
     out = []
     for _ in range(200):
@@ -377,4 +393,4 @@ def test_sidestep_matches_eager_count():
             expected = _sidestep_outcome(sidestep_angle_reference, config, i, elected)
             assert _sidestep_outcome(_sidestep_angle, config, i, elected) == expected, (config, i)
             outcomes[expected[0] if isinstance(expected, tuple) else expected == TAU.hex()] += 1
-    assert outcomes["DegenerateAngle"] >= 12 and outcomes[True] >= 4 and outcomes[False] > 500
+    assert outcomes["DegenerateAngle"] == 0 and outcomes[True] >= 4 and outcomes[False] > 500
