@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -82,7 +81,8 @@ class Configuration:
                 raise ValueError(f"non-finite coordinate: {p}")
         self.points: tuple[Point, ...] = pts
         self.tol: Tolerance = tol or geometry.DEFAULT_TOLERANCE
-        # ray indexes by center point, built on first use by ``symmetry.Rays.of``
+        # every distance from a center, by center point, built on first use
+        # by ``symmetry.Rays.of``
         self._rays: dict[Point, symmetry.Rays] = {}
 
     @property
@@ -210,25 +210,6 @@ class Configuration:
         return out
 
     @cached_property
-    def location_dists(self) -> list[array]:
-        """Distance from each occupied location to every robot, in robot order.
-
-        One row per entry of ``locations``, computed when first read: entry
-        i is ``math.hypot(px - x, py - y)`` for the location point (px, py)
-        and robot i at (x, y), the same double as ``dist`` between them in
-        either direction.  Class-M classification never reads the rows;
-        every reader (quasi-regularity, the class-A election and the
-        asymmetry screen) reads all of them.
-        """
-        hypot = math.hypot
-        points = self.points
-        rows = []
-        for loc in self.locations:
-            px, py = loc.location
-            rows.append(array("d", [hypot(px - x, py - y) for x, y in points]))
-        return rows
-
-    @cached_property
     def is_linear(self) -> bool:
         """Whether every robot is within ``eps_len`` times the diameter of the
         line through the cached farthest pair (``geometry.within_line``)."""
@@ -236,6 +217,14 @@ class Configuration:
             return True
         a, b = self.farthest_pair
         return geometry.within_line(self.points, a, b, self.diameter, self.tol)
+
+    @cached_property
+    def linear_endpoints(self) -> tuple[Point, Point]:
+        """Extreme occupied locations of a linear configuration, in (x, y) order."""
+        if not self.is_linear:
+            raise NotLinear("endpoints of a non-linear configuration")
+        a, b, _ = geometry.farthest_pair(self.occupied_points())
+        return (a, b) if a <= b else (b, a)
 
     def find_location(self, p: Point) -> LocationSummary | None:
         """The occupied location coinciding with p within tolerance, if any."""
@@ -312,7 +301,7 @@ def median_interval(config: Configuration) -> tuple[Point, Point]:
     """
     if not config.is_linear:
         raise NotLinear("median interval of a non-linear configuration")
-    lo, hi = linear_endpoints(config)
+    lo, hi = config.linear_endpoints
     if lo == hi:
         return (lo, hi)
     dx = hi.x - lo.x
@@ -330,14 +319,6 @@ def median_interval(config: Configuration) -> tuple[Point, Point]:
     return (config.points[ordered[lo_rank]], config.points[ordered[hi_rank]])
 
 
-def linear_endpoints(config: Configuration) -> tuple[Point, Point]:
-    """Extreme occupied locations of a linear configuration, in (x, y) order."""
-    if not config.is_linear:
-        raise NotLinear("endpoints of a non-linear configuration")
-    a, b, _ = geometry.farthest_pair(config.occupied_points())
-    return (a, b) if a <= b else (b, a)
-
-
 def safe_points(config: Configuration) -> list[Point]:
     """Occupied locations from which every half-line holds <= ceil(n/2)-1 robots."""
     return [loc.location for k, loc in enumerate(config.locations) if _is_safe(config, k)]
@@ -350,10 +331,7 @@ def _is_safe(config: Configuration, k: int) -> bool:
     ``eps_angle``: single-link chains of the sorted ``atan2 % TAU``
     directions of the robots beyond the merge slack, each gap tested with
     ``<= eps_angle``, and the first and last chains merged when the gap
-    across direction zero passes the same test.  ``Rays.dists`` equals the
-    location's ``location_dists`` row bit for bit (``hypot`` ignores the
-    sign of its arguments), so the robots off the location are those the
-    row would pick.
+    across direction zero passes the same test.
     """
     center = config.locations[k].location
     clusters = symmetry._ray_clusters(config, center, symmetry.Rays.of(config, center).off, config.tol.eps_angle)
@@ -377,7 +355,7 @@ def classify(config: Configuration) -> ConfigClass:
         lo, hi = median_interval(config)
         if dist(lo, hi) <= config.merge_slack:
             return ConfigClass(TAG_L1W, weber=lo)
-        u_lo, u_hi = linear_endpoints(config)
+        u_lo, u_hi = config.linear_endpoints
         mid = Point((u_lo.x + u_hi.x) / 2.0, (u_lo.y + u_hi.y) / 2.0)
         return ConfigClass(TAG_L2W, endpoints=(u_lo, u_hi), midpoint=mid)
 
@@ -407,10 +385,9 @@ def _elect_safe_point(config: Configuration) -> Point:
     location order, so the view comparison breaks exact ties as before.
     """
     locs = config.locations
-    rows = config.location_dists
     for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
-        totals = {k: sum(rows[k]) for k in group}
+        totals = {k: sum(symmetry.Rays.of(config, locs[k].location).dists) for k in group}
         order = sorted(group, key=totals.__getitem__)
         first = next((pos for pos, k in enumerate(order) if _is_safe(config, k)), None)
         if first is None:
@@ -443,7 +420,7 @@ def _assert_asymmetric(config: Configuration) -> None:
     group, and the screen passes exactly when all signatures are distinct.
     """
     diameter = config.diameter
-    rows = config.location_dists
+    rows = [symmetry.Rays.of(config, loc.location).dists for loc in config.locations]
     groups: dict[tuple[int, float], list[int]] = {}
     for k, loc in enumerate(config.locations):
         groups.setdefault((loc.multiplicity, round(max(rows[k]) / diameter, 9)), []).append(k)

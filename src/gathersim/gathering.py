@@ -148,7 +148,7 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
         q = config.points[cur]
         if not _same_ray(config, elected, r, q):
             return angle_cw(r, elected, q, config.tol)
-    if any(dist(q, elected) > config.merge_slack and not _same_ray(config, elected, r, q) for q in config.points):
+    if any(not _same_ray(config, elected, r, config.points[i]) for i in symmetry.Rays.of(config, elected).off):
         raise RuntimeError("successor sweep missed every off-ray robot")
     return TAU
 
@@ -187,5 +187,5 @@ def potential(config: Configuration, cls: ConfigClass | None = None) -> Potentia
         cls = cfg.classify(config)
     if cls.tag != cfg.TAG_ASYMMETRIC or cls.elected is None:
         raise WrongClass(f"potential is defined for class A, not {cls.tag}")
-    total = sum(dist(cls.elected, q) for q in config.points)
+    total = sum(symmetry.Rays.of(config, cls.elected).dists)
     return PotentialValue(config.multiplicity_at(cls.elected), 1.0 / total)

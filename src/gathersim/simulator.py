@@ -506,7 +506,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     if n < 3:
         raise TooFewRobots("gathering runs need at least three robots")
     crashes = _validate_crashes(n, adv)
-    if cfg.classify(initial).tag == cfg.TAG_BIVALENT:
+    cls = cfg.classify(initial)
+    if cls.tag == cfg.TAG_BIVALENT:
         raise BivalentInitial("gathering is impossible from a bivalent configuration")
 
     rng = random.Random(params.seed)
@@ -518,7 +519,6 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
 
     while True:
         config = state.config
-        cls = cfg.classify(config)
         try:
             if cls.tag == cfg.TAG_BIVALENT:
                 raise InvariantViolation(f"round {state.round}: bivalent configuration reached")
@@ -558,6 +558,7 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
         except InvariantViolation as exc:
             records.append(_terminal_record(state, cls, False))
             return RunResult(OUTCOME_VIOLATION, state.round, records, str(exc), crashes, params.seed, checks)
+        cls = cfg.classify(state.config)
 
 
 def _terminal_record(state: SimState, cls: ConfigClass, gathered: bool) -> TraceRecord:

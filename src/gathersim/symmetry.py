@@ -9,9 +9,12 @@ and cross-checked wherever the protocol relies on them.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
@@ -81,26 +84,29 @@ def circular_clusters(values: list[float], slack: float, modulus: float) -> list
     Returns (mean, member indices) pairs ordered by mean.  A cluster that
     straddles zero gets a mean slightly below zero rather than near the
     modulus, so consumers can compare means directly.
+
+    Each mean sums its members in ascending order, a straddling cluster's
+    shifted members last.  Rounding can invert the means of neighbouring
+    runs (at slack 0: three 0.1s, seven ``nextafter(0.1, 1)``), hence the sort.
     """
     if not values:
         return []
-    order = sorted(range(len(values)), key=lambda k: values[k])
+    order = sorted(range(len(values)), key=values.__getitem__)
     groups: list[list[int]] = [[order[0]]]
+    prev = values[order[0]]
     for k in order[1:]:
-        if values[k] - values[groups[-1][-1]] <= slack:
+        value = values[k]
+        if value - prev <= slack:
             groups[-1].append(k)
         else:
             groups.append([k])
-    shifted: dict[int, float] = {}
-    if len(groups) > 1 and values[groups[0][0]] + modulus - values[groups[-1][-1]] <= slack:
-        for k in groups.pop():
-            shifted[k] = values[k] - modulus
-            groups[0].append(k)
-    out = []
-    for g in groups:
-        mean = sum(shifted.get(k, values[k]) for k in g) / len(g)
-        out.append((mean, sorted(g)))
-    out.sort(key=lambda item: item[0])
+        prev = value
+    wrap = groups.pop() if len(groups) > 1 and values[order[0]] + modulus - prev <= slack else []
+    first = groups[0]
+    total = sum(chain(map(values.__getitem__, first), (values[k] - modulus for k in wrap)))
+    out = [(total / (len(first) + len(wrap)), sorted(first + wrap))]
+    out += [(sum(map(values.__getitem__, g)) / len(g), sorted(g)) for g in groups[1:]]
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -122,30 +128,40 @@ _ANGLE_ROUNDING = 1e-13
 class Rays:
     """Every robot's distance and direction from one center.
 
-    Built once per (configuration, center) by ``Rays.of`` and independent of
-    any angle slack.  ``dists[i]`` is ``dist(points[i], center)`` and
-    ``angles[i]`` is ``ccw_angle_of(points[i], center) % TAU``, or None when
-    the robot is within the merge slack of the center: the same doubles the
-    per-call scans computed.  ``off`` lists the robots off the center in
-    index order and ``r_min`` is their smallest distance (0.0 when there
-    are none).  ``index`` (the robots off the center sorted by direction,
-    whose ``around`` returns robot indices) is built on first use.  Every
-    ray test reads a ``Rays``: the successor sweep and the M side step
-    around the elected point, quasi-regularity around each candidate
-    center, and the safe-point test around each location.
+    Built once per (configuration, center) by ``Rays.of``, independent of
+    any angle slack, and the only store of distances from a center.
+    ``dists``, an ``array('d')``, holds ``hypot(x - cx, y - cy)`` for each
+    robot (x, y): ``dist`` between robot and center either way round, as
+    ``hypot`` ignores signs.  ``off`` lists the robots beyond the merge
+    slack in index order and ``r_min`` is their smallest distance (0.0 when
+    there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
+    direction, or None within the merge slack, and ``index`` the robots of
+    ``off`` sorted by direction; both are built on first use, as most
+    centers (every location, for the Weber pull and the class-A sums) never
+    need a direction.  Every ray test reads a ``Rays``: the successor sweep
+    and the M side step around the elected point, quasi-regularity around
+    each candidate center, and the safe-point test around each location.
+    It keeps the points, never the configuration that caches it: a
+    reference back would form a cycle that only the cyclic garbage
+    collector frees.
     """
 
     def __init__(self, config: Configuration, center: Point):
         cx, cy = center
         hypot = math.hypot
-        atan2 = math.atan2
-        merge_slack = config.merge_slack
-        self.dists = dists = [hypot(x - cx, y - cy) for x, y in config.points]
-        self.angles = [
-            None if d <= merge_slack else atan2(y - cy, x - cx) % TAU for (x, y), d in zip(config.points, dists)
-        ]
+        self.points = config.points
+        self.center = center
+        self.merge_slack = merge_slack = config.merge_slack
+        self.dists = dists = array("d", [hypot(x - cx, y - cy) for x, y in config.points])
         self.off = off = [i for i, d in enumerate(dists) if d > merge_slack]
         self.r_min = min(map(dists.__getitem__, off)) if off else 0.0
+
+    @cached_property
+    def angles(self) -> list[float | None]:
+        cx, cy = self.center
+        atan2 = math.atan2
+        slack = self.merge_slack
+        return [None if d <= slack else atan2(y - cy, x - cx) % TAU for (x, y), d in zip(self.points, self.dists)]
 
     @classmethod
     def of(cls, config: Configuration, center: Point) -> Rays:
@@ -179,7 +195,7 @@ def _cw(a: float, b: float, slack: float) -> float:
     return wrap_near_zero((a - b) % TAU, slack)
 
 
-def _farthest_then_index(dists: list[float], merge_slack: float, candidates: list[int]) -> int:
+def _farthest_then_index(dists: Sequence[float], merge_slack: float, candidates: list[int]) -> int:
     """Max distance from the center with ties by max index.
 
     Distances of co-located robots may differ by rounding noise, so anything
@@ -345,14 +361,16 @@ def _encode_from(
 ) -> tuple[tuple[float, float, int], ...]:
     eps = config.tol.eps_angle
     phi_ref = ccw_angle_of(ref, origin)
+    dists = Rays.of(config, origin).dists
     raw = []
     for l in config.locations:
-        if dist(l.location, origin) <= config.merge_slack:
+        d = dists[l.indices[0]]
+        if d <= config.merge_slack:
             raw.append((0.0, 0.0, l.multiplicity))
         else:
             theta = (phi_ref - ccw_angle_of(l.location, origin)) % TAU
             theta = wrap_near_zero(theta, eps)
-            raw.append((theta, dist(l.location, origin) / sec_radius, l.multiplicity))
+            raw.append((theta, d / sec_radius, l.multiplicity))
     # snap angles to cluster means so same-ray entries sort purely by radius
     clusters = circular_clusters([max(a, 0.0) % TAU for a, _, _ in raw], eps, TAU)
     snapped = [0.0] * len(raw)
@@ -656,9 +674,11 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     removes centers where no order would be accepted, so the result is the
     same as without it.
 
-    The distances from each location to every robot come from one cached
-    row per location (``Configuration.location_dists``), shared with the
-    safe-point and asymmetry checks.  Each center costs O(n) for its pull;
+    The distances from each location to every robot, the robots off it and
+    their smallest distance come from the location's cached ``Rays``, shared
+    with the Weber search, the safe-point test, the class-A election and
+    the asymmetry screen; directions are computed only for the centers
+    that pass the pull bound.  Each center costs O(n) for its pull;
     only the centers that pass cluster and sort their rays, and there the
     partner count stops at the first miss beyond the multiplicity, each
     miss found by binary search.  On generic configurations almost every
@@ -687,14 +707,13 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     n = config.n
     points = config.points
-    merge_slack = config.merge_slack
     survivors = []
-    for k, (loc, row) in enumerate(zip(config.locations, config.location_dists)):
+    for k, loc in enumerate(config.locations):
         c = loc.location
         cx, cy = c
-        off = [i for i, d in enumerate(row) if d > merge_slack]
-        r_min = min(row[i] for i in off)
-        slack = _direction_slack(config, r_min, _COORD_DRIFT)
+        rays = Rays.of(config, c)
+        row, off = rays.dists, rays.off
+        slack = _direction_slack(config, rays.r_min, _COORD_DRIFT)
         pull_x = pull_y = 0.0
         for i in off:
             x, y = points[i]
@@ -785,8 +804,8 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
 
 
 def _vertex_dists(config: Configuration, a: int) -> list[float]:
-    """Distance from location a to each location, from a's distance row."""
-    row = config.location_dists[a]
+    """Distance from location a to each location, from a's ``Rays``."""
+    row = Rays.of(config, config.locations[a].location).dists
     return [row[l.indices[0]] for l in config.locations]
 
 

@@ -4,8 +4,9 @@ Each function below is a routine as it stood before a faster form replaced
 it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
-election; and a rescan of every robot at every successor step.  The current code must return the same doubles, bit for bit, so
-comparisons use ``bits``.
+election; a rescan of every robot at every successor step; and ray
+clustering with a dict of shifted values.  The current code must return
+the same doubles, bit for bit, so comparisons use ``bits``.
 """
 
 from __future__ import annotations
@@ -272,6 +273,35 @@ def screen_reference(config) -> bool:
             return False
         sigs.add(sig)
     return True
+
+
+# --- ray clustering --------------------------------------------------------------------
+#
+# A lambda sort key, a dict of the values shifted across zero, and a sort of
+# the cluster means.
+
+
+def circular_clusters_reference(values, slack, modulus):
+    if not values:
+        return []
+    order = sorted(range(len(values)), key=lambda k: values[k])
+    groups: list[list[int]] = [[order[0]]]
+    for k in order[1:]:
+        if values[k] - values[groups[-1][-1]] <= slack:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    shifted: dict[int, float] = {}
+    if len(groups) > 1 and values[groups[0][0]] + modulus - values[groups[-1][-1]] <= slack:
+        for k in groups.pop():
+            shifted[k] = values[k] - modulus
+            groups[0].append(k)
+    out = []
+    for g in groups:
+        mean = sum(shifted.get(k, values[k]) for k in g) / len(g)
+        out.append((mean, sorted(g)))
+    out.sort(key=lambda item: item[0])
+    return out
 
 
 # --- successor sweep --------------------------------------------------------------------

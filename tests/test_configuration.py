@@ -12,6 +12,7 @@ from gathersim import (
     median_interval,
     moving_set,
     safe_points,
+    symmetry,
 )
 from gathersim.configuration import (
     TAG_ASYMMETRIC,
@@ -106,6 +107,17 @@ def test_median_interval_examples():
     )
     with pytest.raises(NotLinear):
         median_interval(Configuration([(0, 0), (1, 0), (0, 1)]))
+
+
+def test_l2w_classification_measures_endpoints_once(monkeypatch):
+    original = geometry.farthest_pair
+    calls = []
+    monkeypatch.setattr(geometry, "farthest_pair", lambda pts: calls.append(pts) or original(pts))
+    config = Configuration([(0, 0), (1, 0), (3, 0), (4, 0)])
+    cls = classify(config)
+    assert cls.tag == TAG_L2W and cls.endpoints == (Point(0, 0), Point(4, 0))
+    assert median_interval(config) == (Point(1, 0), Point(3, 0))
+    assert len(calls) == 1
 
 
 def test_safe_points_examples():
@@ -243,8 +255,9 @@ def test_pair_dists_equal_dist_both_ways():
             config = mixed_configuration(rng, rng.randint(1, 12))
             points = [Point(p.x * scale, p.y * scale) for p in config.points]
             config = Configuration(points)
-            for loc, row in zip(config.locations, config.location_dists):
+            for loc in config.locations:
                 p = loc.location
+                row = symmetry.Rays.of(config, p).dists
                 assert [d.hex() for d in row] == [dist(p, q).hex() for q in points]
                 assert [d.hex() for d in row] == [dist(q, p).hex() for q in points]
 
@@ -343,7 +356,8 @@ def test_location_layer_matches_table_reference():
         assert [bits(p) for p in config.farthest_pair] == [bits(p) for p in farthest_pair_reference(config)], pts
         locs = [(bits(l.location), l.multiplicity, l.indices) for l in config.locations]
         assert locs == locations_reference(config), pts
-        assert [[d.hex() for d in row] for row in config.location_dists] == location_dists_reference(config)
+        rows = [symmetry.Rays.of(config, loc.location).dists for loc in config.locations]
+        assert [[d.hex() for d in row] for row in rows] == location_dists_reference(config)
         assert config.is_linear == collinear(config.points, config.tol)
         merged += any(len({p for p in (config.points[i] for i in l.indices)}) > 1 for l in config.locations)
     assert len(inputs) == 696 and merged >= 150

@@ -14,6 +14,7 @@ from gathersim import (
     run,
     step,
 )
+from gathersim import configuration
 from gathersim.configuration import TAG_BIVALENT, TAG_L2W, TAG_QREGULAR
 from gathersim.errors import BivalentInitial, TooFewRobots
 from gathersim.generators import uniform_configuration
@@ -104,6 +105,15 @@ def test_run_rejects_bivalent_and_tiny():
         run(bivalent, AdversarySpec(), SimParams(delta=0.1))
     with pytest.raises(TooFewRobots):
         run(Configuration([(0, 0), (1, 1)]), AdversarySpec(), SimParams(delta=0.1))
+
+
+def test_run_classifies_the_initial_configuration_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(configuration, "classify", lambda config: calls.append(config) or classify(config))
+    initial = uniform_configuration(random.Random(43), 6)
+    result = run(initial, AdversarySpec(), SimParams(delta=0.05, seed=3, max_rounds=10_000))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    assert sum(config is initial for config in calls) == 1
 
 
 def test_run_validates_crash_budget_and_faulty_sets():

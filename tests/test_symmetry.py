@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -19,7 +21,7 @@ from gathersim import (
     weber_numeric,
     weber_point,
 )
-from gathersim.configuration import ConfigClass, TAG_MULTIPLE, _elect_safe_point, safe_points
+from gathersim.configuration import ConfigClass, TAG_ASYMMETRIC, TAG_MULTIPLE, _elect_safe_point, safe_points
 from gathersim.errors import (
     AllAtCenter,
     ClassWithoutUniqueWeber,
@@ -41,6 +43,7 @@ from gathersim.simulator import LocalFrame
 from references import (
     CenterContext,
     bits,
+    circular_clusters_reference,
     elect_reference,
     outcome,
     safe_points_reference,
@@ -961,12 +964,39 @@ def test_rays_are_cached_per_center():
     config, center = _stacked_polygon(random.Random(3), 6, 2, 1)
     rays = symmetry.Rays.of(config, center)
     assert symmetry.Rays.of(config, Point(center.x, center.y)) is rays
-    assert rays.dists == [dist(p, center) for p in config.points]
+    assert list(rays.dists) == [dist(p, center) for p in config.points]
     assert rays.off == [i for i, d in enumerate(rays.dists) if d > config.merge_slack]
     points = [config.points[i] for i in rays.off]
     assert [rays.angles[i] for i in rays.off] == [math.atan2(p.y - center.y, p.x - center.x) % TAU for p in points]
     string_of_angles(config, rays.off[0], center)
     assert symmetry.Rays.of(config, center) is rays
+
+
+def test_classified_configuration_is_freed_by_reference_counting():
+    # a Rays holds no reference back to its configuration, so no cycle keeps
+    # either alive once the last reference goes
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        config = uniform_configuration(random.Random(5), 12)
+        assert classify(config).tag == TAG_ASYMMETRIC
+        refs = [weakref.ref(config)] + [weakref.ref(rays) for rays in config._rays.values()]
+        assert len(refs) > config.n
+        del config
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_most_centers_never_compute_directions():
+    # class A reads every location's distances, but directions only around
+    # the centers that pass the pull bound and the safe points it tests
+    config = uniform_configuration(random.Random(160), 160)
+    assert classify(config).tag == TAG_ASYMMETRIC
+    built = list(config._rays.values())
+    assert len(built) >= len(config.locations)
+    assert sum("angles" in vars(rays) for rays in built) < len(built)
 
 
 def _orbit_dirs(rng, m, orbits, jitter):
@@ -1038,3 +1068,44 @@ def test_rotation_certificate_is_sound():
         else:
             refused_but_holds += expected
     assert certified > 250 and near_edge > 50 and refused_but_holds > 500
+
+
+# --- ray clustering against the reference ----------------------------------------------
+
+
+def _cluster_inputs():
+    """(values, slack, modulus) triples: random values with duplicates,
+    one-ulp neighbours, values at 0 and just below the modulus, clusters
+    that wrap across zero, and slack 0."""
+    rng = random.Random(83)
+    out = [([], 0.0, TAU), ([0.1] * 3 + [math.nextafter(0.1, 1.0)] * 7, 0.0, TAU)]
+    for _ in range(6000):
+        modulus = rng.choice((TAU, TAU / rng.randint(2, 9), 1.0))
+        slack = rng.choice((0.0, 0.0, 1e-12, 1e-9, 0.01 * modulus, rng.uniform(0.0, 0.3) * modulus))
+        values: list[float] = []
+        for _ in range(rng.randint(1, 14)):
+            kind = rng.randrange(6)
+            if kind == 0 and values:
+                values.append(rng.choice(values))
+            elif kind == 1 and values:
+                values.append(min(math.nextafter(rng.choice(values), modulus), math.nextafter(modulus, 0.0)))
+            elif kind == 2:
+                values.append(rng.choice((0.0, 5e-324, math.nextafter(modulus, 0.0), modulus * (1 - 1e-16))))
+            elif kind == 3:
+                values.append(rng.uniform(0.0, 2.0 * slack + 1e-15) % modulus)
+            elif kind == 4:
+                values.append((modulus - rng.uniform(0.0, 2.0 * slack + 1e-15)) % modulus)
+            else:
+                values.append(rng.uniform(0.0, modulus))
+        out.append((values, slack, modulus))
+    return out
+
+
+def test_circular_clusters_matches_reference():
+    wrapped = 0
+    for values, slack, modulus in _cluster_inputs():
+        got = symmetry.circular_clusters(values, slack, modulus)
+        expected = circular_clusters_reference(values, slack, modulus)
+        assert [(m.hex(), g) for m, g in got] == [(m.hex(), g) for m, g in expected], (values, slack, modulus)
+        wrapped += any(mean < 0.0 for mean, _ in expected)
+    assert wrapped > 500
