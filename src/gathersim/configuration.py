@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import geometry, symmetry
 from .errors import ClassWithoutUniqueWeber, NotLinear
-from .geometry import Point, Tolerance, dist
+from .geometry import Point, Tolerance, _plain_sum, dist
 
 TAG_BIVALENT = "B"
 TAG_MULTIPLE = "M"
@@ -41,6 +41,8 @@ ALL_TAGS = (TAG_BIVALENT, TAG_MULTIPLE, TAG_L1W, TAG_L2W, TAG_QREGULAR, TAG_ASYM
 
 # Relative float resolution below which coordinates count as one point.
 _RESOLUTION = 8.0 * sys.float_info.epsilon
+# Unit roundoff of a double, 2^-53.
+_UNIT = sys.float_info.epsilon / 2.0
 
 
 @dataclass
@@ -107,21 +109,8 @@ class Configuration:
 
     @cached_property
     def _farthest(self) -> tuple[float, list[tuple[Point, Point]]]:
-        """The diameter and the pairs of ``_hull_candidates`` at it."""
-        hypot = math.hypot
-        hull = _hull_candidates(self._distinct[1])
-        best = 0.0
-        pairs: list[tuple[Point, Point]] = []
-        for k, p in enumerate(hull):
-            px, py = p
-            for q in hull[k + 1:]:
-                d = hypot(px - q.x, py - q.y)
-                if d >= best:
-                    if d > best:
-                        best = d
-                        pairs = []
-                    pairs.append((p, q))
-        return best, pairs
+        """The diameter and the pairs of distinct points at it."""
+        return _farthest_pairs(self._distinct[1])
 
     @cached_property
     def diameter(self) -> float:
@@ -134,11 +123,11 @@ class Configuration:
 
     @cached_property
     def farthest_pair(self) -> tuple[Point, Point]:
-        """The robots at the diameter, picked like ``geometry.farthest_pair``.
+        """The robots at the diameter: the lexicographically first robot
+        pair (i, j), i < j, at the maximum.
 
-        That is the lexicographically first robot pair (i, j), i < j, at the
-        maximum.  Every robot at a point has that point's distances, so it
-        is the first (lowest robot, partner's lowest robot) over the pairs of
+        Every robot at a point has that point's distances, so it is the
+        first (lowest robot, partner's lowest robot) over the pairs of
         points at the diameter.  A single location gives robot 0 twice.
         """
         diameter, pairs = self._farthest
@@ -220,10 +209,23 @@ class Configuration:
 
     @cached_property
     def linear_endpoints(self) -> tuple[Point, Point]:
-        """Extreme occupied locations of a linear configuration, in (x, y) order."""
+        """Extreme occupied locations of a linear configuration, in (x, y) order.
+
+        That is the lexicographically first location pair (i, j), i < j, in
+        location order, at the largest distance between two locations.  One
+        location gives its point twice.
+        """
         if not self.is_linear:
             raise NotLinear("endpoints of a non-linear configuration")
-        a, b, _ = geometry.farthest_pair(self.occupied_points())
+        occupied = self.occupied_points()
+        points = set(occupied)
+        _, pairs = _farthest_pairs([p for p in self._distinct[1] if p in points])
+        if not pairs:
+            return occupied[0], occupied[0]
+        a, b = pairs[0]
+        if len(pairs) > 1:
+            rank = {p: k for k, p in enumerate(occupied)}
+            a, b = min(pairs, key=lambda pair: sorted((rank[pair[0]], rank[pair[1]])))
         return (a, b) if a <= b else (b, a)
 
     def find_location(self, p: Point) -> LocationSummary | None:
@@ -244,48 +246,106 @@ class Configuration:
         return f"Configuration({list(self.points)!r})"
 
 
+def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
+    """The largest ``hypot(px - x, py - y)`` between two of the distinct
+    points ``pts``, given in (x, y) order, and every pair at it.
+
+    Only pairs of ``_hull_candidates`` are measured, each in candidate
+    order; they hold every pair at the maximum (see there).  No pair of a
+    single point gives 0.0 and no pairs.
+    """
+    hypot = math.hypot
+    hull = _hull_candidates(pts)
+    best = 0.0
+    pairs: list[tuple[Point, Point]] = []
+    for k, p in enumerate(hull):
+        px, py = p
+        for q in hull[k + 1:]:
+            d = hypot(px - q.x, py - q.y)
+            if d >= best:
+                if d > best:
+                    best = d
+                    pairs = []
+                pairs.append((p, q))
+    return best, pairs
+
+
 def _hull_candidates(pts: list[Point]) -> list[Point]:
     """The distinct points that can end a farthest pair: the convex hull's
-    corners and every point on or near its boundary.
+    corners and the points on or near its boundary, less those well inside
+    a nearly straight stretch of it.
 
     Andrew's monotone chain over ``pts``, in (x, y) order, keeping a lower
-    and an upper chain, except that a chain point is popped only on a
-    clearly inward turn: a cross product below -1e-7*B^2, where B^2 is the
-    squared bounding-box diagonal, so B >= D, the diameter.  Rounding moves
-    a cross product by at most 8u*B^2 (u = 2^-53), so a popped point lies
-    inside the segment between its chain neighbours in exact arithmetic
-    too, by a perpendicular distance over 0.99e-7*B^2 / D >= 0.99e-7*D.
-    A lower-hull corner is thus never popped from the lower chain, nor an
-    upper-hull corner from the upper one, and a point is left out only when
-    both chains pop it.  Such a point p lies above the lower hull and below
-    the upper hull by vertical gaps g1, g2 > 0.99e-7*D (a vertical gap is
-    at least the perpendicular one).  Writing p as a convex combination of
-    the two hull points at those gaps, and each of them of corners, for
-    every point q some corner v has |v-q|^2 >= |p-q|^2 + g1*g2 >
-    |p-q|^2 + 0.98e-14*D^2.  A computed ``hypot(px - x, py - y)`` is within
-    a factor 1 +- 3u of the exact distance (the differences are exact up
-    to u, and since Python 3.10 ``hypot`` errs by under one ulp), so two
-    distances to q differ in float, in the exact order, once their squares
-    differ by more than 12u*D^2 < 1.4e-15*D^2.  Every computed distance
-    from a left-out point is thus strictly below one from a kept point,
-    and both ends of a farthest pair, as computed, are kept points.
-    A hull that drops corners bulging out by less than a tolerance would
-    not serve here: such a corner can end the farthest pair.
+    and an upper chain.  B is the bounding-box diagonal, so B >= D, the
+    diameter, and B^2 <= 2*D^2; u = 2^-53.  A chain point a between its
+    chain neighbours o and p is popped in two cases, both tested on the
+    computed cross product of o->a and o->p:
+
+    - Inward: a clearly inward turn, a cross product below -1e-7*B^2.
+      Rounding moves a cross product by at most 8u*B^2, so a lies inside
+      the segment o->p in exact arithmetic too, by a perpendicular distance
+      over 0.99e-7*B^2 / D >= 0.99e-7*D.
+    - Straight: a near-straight turn, |cross| <= 1e-7*B^2 (so generic turns
+      skip the test), with a well inside o->p.  Write h = |cross|/|p-o| for
+      a's distance from the line op, and f = o + t(p-o) for its foot, so
+      t(1-t)|p-o|^2 = (a-o).(p-a) + h^2.  For every point q,
+      |q-f|^2 = (1-t)|q-o|^2 + t|q-p|^2 - t(1-t)|p-o|^2.  So with M the
+      larger of |q-o| and |q-p|, and 0 < t < 1 (as (a-o).(p-a) > 0 below),
+      |q-a| <= sqrt(M^2 - t(1-t)|p-o|^2) + h, where the root is at most B,
+      and squaring gives M^2 - |q-a|^2 >= (a-o).(p-a) - 2Bh.  The pop needs
+      the computed (a-o).(p-a) above 2B(h + delta), delta = 12u*B.  Each
+      coordinate difference is exact up to u and each product rounds once,
+      so the computed cross and dot products err by under
+      3u|a-o||p-o| + u|cross| and 3u|a-o||p-a| + u|(a-o).(p-a)|.  When
+      the test passes, h < (a-o).(p-a)/2B <= |p-o|^2/8B <= B/8, so the
+      computed h errs by under 3.5u*B, and with the rounding of B and of
+      the test itself, the exact (a-o).(p-a) - 2Bh exceeds
+      24u*B^2 - 10u*B^2.  So M^2 - |q-a|^2 > 12u*B^2.
+
+    A computed ``hypot(px - x, py - y)`` is within a factor 1 +- 3u of the
+    exact distance (the differences are exact up to u, and since Python
+    3.10 ``hypot`` errs by under one ulp), so two distances to q differ in
+    float, in the exact order, once their squares differ by more than
+    12u*B^2 < 2.7e-15*D^2.  A point is left out only when both chains pop
+    it.  If either pop was straight, the computed distance from q to o or
+    to p is above that to a, for every q.  If both were inward, a lies
+    above the lower hull and below the upper hull by vertical gaps
+    g1, g2 > 0.99e-7*D (a vertical gap is at least the perpendicular one).
+    Writing a as a convex combination of the two hull points at those
+    gaps, and each of them of corners, for every point q some corner v has
+    |v-q|^2 >= |a-q|^2 + g1*g2 > |a-q|^2 + 0.98e-14*D^2.  Either way every
+    computed distance from a left-out point is strictly below one from some
+    other point to the same q, so no farthest pair, as computed, ends at a
+    left-out point.  A hull that drops corners bulging out by less than a
+    tolerance would not serve here: such a corner can end the farthest
+    pair.
     """
     if len(pts) <= 2:
         return pts
     ys = [p.y for p in pts]
     width = pts[-1].x - pts[0].x
     height = max(ys) - min(ys)
-    inward = -1e-7 * (width * width + height * height)
+    box = width * width + height * height
+    straight = 1e-7 * box
+    inward = -straight
+    b = math.sqrt(box)
+    twice_b = 2.0 * b
+    delta = 12.0 * _UNIT * b
+    hypot = math.hypot
 
     def half(seq) -> list[Point]:
         out: list[Point] = []
         for p in seq:
+            px, py = p
             while len(out) >= 2:
                 (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (p.y - oy) - (ay - oy) * (p.x - ox) >= inward:
-                    break
+                cross = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+                if cross >= inward:
+                    if cross > straight:
+                        break
+                    h = abs(cross) / hypot(px - ox, py - oy)
+                    if (ax - ox) * (px - ax) + (ay - oy) * (py - ay) <= twice_b * (h + delta):
+                        break
                 out.pop()
             out.append(p)
         return out
@@ -387,7 +447,7 @@ def _elect_safe_point(config: Configuration) -> Point:
     locs = config.locations
     for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
-        totals = {k: sum(symmetry.Rays.of(config, locs[k].location).dists) for k in group}
+        totals = {k: _plain_sum(symmetry.Rays.of(config, locs[k].location).dists) for k in group}
         order = sorted(group, key=totals.__getitem__)
         first = next((pos for pos, k in enumerate(order) if _is_safe(config, k)), None)
         if first is None:

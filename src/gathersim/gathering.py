@@ -14,7 +14,7 @@ from . import configuration as cfg
 from . import symmetry
 from .configuration import ConfigClass, Configuration
 from .errors import BivalentInput, WrongClass
-from .geometry import TAU, Point, angle_cw, dist, on_open_segment, rotate_cw
+from .geometry import TAU, Point, _plain_sum, angle_cw, dist, on_open_segment, rotate_cw
 
 RULE_M_DIRECT = "M_direct"
 RULE_M_SIDESTEP = "M_sidestep"
@@ -187,5 +187,5 @@ def potential(config: Configuration, cls: ConfigClass | None = None) -> Potentia
         cls = cfg.classify(config)
     if cls.tag != cfg.TAG_ASYMMETRIC or cls.elected is None:
         raise WrongClass(f"potential is defined for class A, not {cls.tag}")
-    total = sum(symmetry.Rays.of(config, cls.elected).dists)
+    total = _plain_sum(symmetry.Rays.of(config, cls.elected).dists)
     return PotentialValue(config.multiplicity_at(cls.elected), 1.0 / total)

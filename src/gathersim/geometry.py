@@ -53,6 +53,21 @@ def dist(u: Point, v: Point) -> float:
     return math.hypot(u[0] - v[0], u[1] - v[1])
 
 
+def _plain_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values`` added left to right, rounding each step.
+
+    From Python 3.12 the builtin ``sum`` compensates float rounding, so its
+    result, and every trace built on it, would depend on the interpreter.
+    It is private so that the benchmark's tracer, which wraps every public
+    function, leaves its time in its callers' self time, as it did the
+    builtin's.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ccw_angle_of(p: Point, c: Point) -> float:
     """Counterclockwise bearing of p as seen from c, in (-pi, pi]."""
     return math.atan2(p[1] - c[1], p[0] - c[0])
@@ -122,24 +137,6 @@ def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, to
         return True
     slack = tol.eps_len * diameter
     return all(_point_line_offset(p, a, b) <= slack for p in points)
-
-
-def _farthest_pair(pts: list[Point]) -> tuple[Point, Point, float]:
-    best = (pts[0], pts[0], 0.0)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            d = dist(p, q)
-            if d > best[2]:
-                best = (p, q, d)
-    return best
-
-
-def farthest_pair(points: Iterable[Point]) -> tuple[Point, Point, float]:
-    """The two mutually farthest points and their distance (the diameter)."""
-    pts = list(points)
-    if not pts:
-        raise EmptyInput("farthest_pair of no points")
-    return _farthest_pair(pts)
 
 
 # --- smallest enclosing circle -------------------------------------------------

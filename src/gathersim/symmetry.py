@@ -13,12 +13,11 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
-from .geometry import TAU, Point, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
+from .geometry import TAU, Point, _plain_sum, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
 
 if TYPE_CHECKING:
     from .configuration import Configuration
@@ -86,26 +85,36 @@ def circular_clusters(values: list[float], slack: float, modulus: float) -> list
     modulus, so consumers can compare means directly.
 
     Each mean sums its members in ascending order, a straddling cluster's
-    shifted members last.  Rounding can invert the means of neighbouring
-    runs (at slack 0: three 0.1s, seven ``nextafter(0.1, 1)``), hence the sort.
+    shifted members last, left to right from 0.0 as the sweep meets them
+    (``_plain_sum`` without a call per cluster).  Rounding can invert the
+    means of neighbouring runs (at slack 0: three 0.1s, seven
+    ``nextafter(0.1, 1)``), hence the sort.
     """
     if not values:
         return []
     order = sorted(range(len(values)), key=values.__getitem__)
     groups: list[list[int]] = [[order[0]]]
     prev = values[order[0]]
+    sums = [0.0 + prev]
     for k in order[1:]:
         value = values[k]
         if value - prev <= slack:
             groups[-1].append(k)
+            sums[-1] += value
         else:
             groups.append([k])
+            sums.append(0.0 + value)
         prev = value
-    wrap = groups.pop() if len(groups) > 1 and values[order[0]] + modulus - prev <= slack else []
+    wrap: list[int] = []
+    if len(groups) > 1 and values[order[0]] + modulus - prev <= slack:
+        wrap = groups.pop()
+        sums.pop()
+    total = sums[0]
+    for k in wrap:
+        total += values[k] - modulus
     first = groups[0]
-    total = sum(chain(map(values.__getitem__, first), (values[k] - modulus for k in wrap)))
     out = [(total / (len(first) + len(wrap)), sorted(first + wrap))]
-    out += [(sum(map(values.__getitem__, g)) / len(g), sorted(g)) for g in groups[1:]]
+    out += [(added / len(g), sorted(g)) for g, added in zip(groups[1:], sums[1:])]
     out.sort(key=itemgetter(0))
     return out
 
@@ -777,8 +786,8 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
         if math.hypot(gx, gy) <= ms[a] * (1.0 + 1e-12):
             return locs[a].location
 
-    sx = sum(x * m for x, m in zip(xs, ms))
-    sy = sum(y * m for y, m in zip(ys, ms))
+    sx = _plain_sum(x * m for x, m in zip(xs, ms))
+    sy = _plain_sum(y * m for y, m in zip(ys, ms))
     yx = sx / config.n
     yy = sy / config.n
     for _ in range(_WEBER_MAX_ITER):
@@ -885,7 +894,7 @@ def _pull_vector(xs, ys, ms, a: int, dists: list[float]) -> tuple[float, float]:
 def _push_off_vertex(xs, ys, ms, a: int, dists: list[float]) -> tuple[float, float]:
     gx, gy = _pull_vector(xs, ys, ms, a, dists)
     norm = math.hypot(gx, gy)
-    damping = sum(m / d for k, (m, d) in enumerate(zip(ms, dists)) if k != a)
+    damping = _plain_sum(m / d for k, (m, d) in enumerate(zip(ms, dists)) if k != a)
     t = (norm - ms[a]) / damping
     return xs[a] + t * gx / norm, ys[a] + t * gy / norm
 

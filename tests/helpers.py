@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterable
 
 from gathersim import Configuration, Point
 from gathersim.errors import EmptyInput
-from gathersim.geometry import DEFAULT_TOLERANCE, TAU, Tolerance, _point_line_offset, dist, farthest_pair, within_line
+from gathersim.geometry import DEFAULT_TOLERANCE, TAU, Tolerance, _point_line_offset, dist, within_line
 
 
 # --- geometry predicates without a caller in the package ---------------------------
@@ -31,6 +32,24 @@ def on_half_line(p: Point, origin: Point, through: Point, tol: Tolerance | None 
         return False
     dot = (p[0] - origin[0]) * (through[0] - origin[0]) + (p[1] - origin[1]) * (through[1] - origin[1])
     return dot > 0.0
+
+
+def _farthest_pair(pts: list[Point]) -> tuple[Point, Point, float]:
+    best = (pts[0], pts[0], 0.0)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            d = dist(p, q)
+            if d > best[2]:
+                best = (p, q, d)
+    return best
+
+
+def farthest_pair(points: Iterable[Point]) -> tuple[Point, Point, float]:
+    """The two mutually farthest points and their distance (the diameter)."""
+    pts = list(points)
+    if not pts:
+        raise EmptyInput("farthest_pair of no points")
+    return _farthest_pair(pts)
 
 
 def collinear(points, tol: Tolerance | None = None) -> bool:

@@ -13,17 +13,25 @@ from __future__ import annotations
 
 import math
 from array import array
+from functools import reduce
+from operator import add
 from unittest import mock
 
 from gathersim import Point, geometry, symmetry
 from gathersim.configuration import _assert_asymmetric
 from gathersim.errors import DegenerateCenter
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, wrap_near_zero
+from helpers import farthest_pair
 
 
 def bits(p) -> tuple[str, str]:
     """Exact identity of a point's coordinates, signed zeros included."""
     return (float(p[0]).hex(), float(p[1]).hex())
+
+
+def left_sum(values) -> float:
+    """Floats added left to right, as the builtin ``sum`` did before Python 3.12."""
+    return reduce(add, values, 0.0)
 
 
 def outcome(fn, config):
@@ -48,7 +56,8 @@ def screen_skips(config) -> bool:
 #
 # One table of every pairwise distance; the diameter is its maximum, the
 # farthest pair its lexicographically first maximum, and locations come from
-# union-find over every pair within the merge slack.
+# union-find over every pair within the merge slack.  The linear endpoints
+# are the first maximum over every pair of locations.
 
 
 def distance_table(config) -> list[array]:
@@ -66,6 +75,12 @@ def farthest_pair_reference(config):
     diameter = max(map(max, table))
     i, row = next((i, row) for i, row in enumerate(table) if diameter in row)
     return config.points[i], config.points[row.index(diameter)]
+
+
+def linear_endpoints_reference(config) -> tuple[Point, Point]:
+    """The first location pair at the maximum over every pair, in (x, y) order."""
+    a, b, _ = farthest_pair(config.occupied_points())
+    return (a, b) if a <= b else (b, a)
 
 
 def locations_reference(config) -> list[tuple[tuple[str, str], int, list[int]]]:
@@ -115,8 +130,8 @@ def weber_reference(config) -> Point:
         gx, gy = _pull_vector(locs, l)
         if math.hypot(gx, gy) <= l.multiplicity * (1.0 + 1e-12):
             return l.location
-    sx = sum(l.location.x * l.multiplicity for l in locs)
-    sy = sum(l.location.y * l.multiplicity for l in locs)
+    sx = left_sum(l.location.x * l.multiplicity for l in locs)
+    sy = left_sum(l.location.y * l.multiplicity for l in locs)
     y = Point(sx / config.n, sy / config.n)
     for _ in range(symmetry._WEBER_MAX_ITER):
         near = next((l for l in locs if dist(l.location, y) <= tiny), None)
@@ -201,7 +216,7 @@ def _pull_vector(locs, at):
 def _push_off_vertex(locs, at):
     gx, gy = _pull_vector(locs, at)
     norm = math.hypot(gx, gy)
-    damping = sum(l.multiplicity / dist(l.location, at.location) for l in locs if l is not at)
+    damping = left_sum(l.multiplicity / dist(l.location, at.location) for l in locs if l is not at)
     t = (norm - at.multiplicity) / damping
     return Point(at.location.x + t * gx / norm, at.location.y + t * gy / norm)
 
@@ -250,7 +265,7 @@ def elect_reference(config) -> Point:
     mult = {loc.location: loc.multiplicity for loc in config.locations}
     best_mult = max(mult[p] for p in safe)
     cands = [p for p in safe if mult[p] == best_mult]
-    totals = {p: sum(dist(p, q) for q in config.points) for p in cands}
+    totals = {p: left_sum(dist(p, q) for q in config.points) for p in cands}
     lowest = min(totals.values())
     tied = [p for p in cands if totals[p] <= lowest + config.merge_slack]
     if len(tied) == 1:
@@ -298,7 +313,7 @@ def circular_clusters_reference(values, slack, modulus):
             groups[0].append(k)
     out = []
     for g in groups:
-        mean = sum(shifted.get(k, values[k]) for k in g) / len(g)
+        mean = left_sum(shifted.get(k, values[k]) for k in g) / len(g)
         out.append((mean, sorted(g)))
     out.sort(key=lambda item: item[0])
     return out

@@ -5,6 +5,7 @@ complete.  The long sweep (criterion 6) is shared with criteria 7 and 8
 through a session fixture.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -295,6 +296,15 @@ def sweep_runs():
         )
     elapsed = time.time() - started
     return {"runs": runs, "elapsed": elapsed}
+
+
+def test_sweep_traces_are_pinned(sweep_runs):
+    digest = hashlib.sha256()
+    for entry in sweep_runs["runs"]:
+        result = entry["result"]
+        digest.update(trace_lines(result.records).encode())
+        digest.update(f"{result.outcome}|{result.rounds}\n".encode())
+    assert digest.hexdigest() == "2e4dc3b47cff7059f23322edef32e642ebbd0afe08bc25f5aa4deeb531ff243d"
 
 
 def test_criterion_6_wait_freedom_and_termination(sweep_runs):

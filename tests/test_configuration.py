@@ -7,13 +7,13 @@ from gathersim import (
     Configuration,
     Point,
     classify,
-    geometry,
     is_gathered,
     median_interval,
     moving_set,
     safe_points,
     symmetry,
 )
+from gathersim import configuration
 from gathersim.configuration import (
     TAG_ASYMMETRIC,
     TAG_BIVALENT,
@@ -23,17 +23,19 @@ from gathersim.configuration import (
     TAG_QREGULAR,
     _assert_asymmetric,
     _elect_safe_point,
+    _hull_candidates,
 )
 from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
 from gathersim.geometry import TAU, Tolerance, ccw_angle_of, dist
 from gathersim.simulator import LocalFrame
-from helpers import Similarity, collinear, mixed_configuration, on_ray
+from helpers import Similarity, collinear, farthest_pair, mixed_configuration, on_ray
 from references import (
     bits,
     diameter_reference,
     elect_reference,
     farthest_pair_reference,
+    linear_endpoints_reference,
     location_dists_reference,
     locations_reference,
     outcome,
@@ -110,14 +112,15 @@ def test_median_interval_examples():
 
 
 def test_l2w_classification_measures_endpoints_once(monkeypatch):
-    original = geometry.farthest_pair
+    original = configuration._farthest_pairs
     calls = []
-    monkeypatch.setattr(geometry, "farthest_pair", lambda pts: calls.append(pts) or original(pts))
+    monkeypatch.setattr(configuration, "_farthest_pairs", lambda pts: calls.append(pts) or original(pts))
     config = Configuration([(0, 0), (1, 0), (3, 0), (4, 0)])
     cls = classify(config)
     assert cls.tag == TAG_L2W and cls.endpoints == (Point(0, 0), Point(4, 0))
     assert median_interval(config) == (Point(1, 0), Point(3, 0))
-    assert len(calls) == 1
+    # one pair loop for the diameter, one for the endpoints
+    assert len(calls) == 2
 
 
 def test_safe_points_examples():
@@ -386,9 +389,71 @@ def _tied_diameters():
 def test_table_farthest_pair_keeps_tie_break():
     for points in _tied_diameters():
         config = Configuration(points)
-        a, b, diameter = geometry.farthest_pair(points)
+        a, b, diameter = farthest_pair(points)
         assert config.farthest_pair == (a, b) and config.diameter == diameter
         assert config.is_linear == collinear(points, config.tol)
+
+
+def _near_collinear_inputs():
+    """Points on a line, some stacked, some pushed off it by 1e-12 to 1e-9 of
+    the diameter, each with a similarity image, up to n=640."""
+    rng = random.Random(11)
+    out = []
+    for n in (3, 4, 7, 12, 40, 160, 640):
+        for jitter in (0.0, 1e-12, 1e-11, 1e-10, 1e-9) if n < 640 else (0.0, 1e-10):
+            theta = rng.choice((0.0, math.pi / 2, rng.uniform(0, math.tau)))
+            ox, oy = rng.uniform(-5, 5), rng.uniform(-5, 5)
+            ts = [rng.choice((rng.uniform(0, 1), float(rng.randint(0, 4)) / 4)) for _ in range(n)]
+            pts = []
+            for t in ts:
+                s = jitter * rng.uniform(-1, 1)
+                pts.append(Point(ox + t * math.cos(theta) - s * math.sin(theta), oy + t * math.sin(theta) + s * math.cos(theta)))
+            pts[rng.randrange(n)] = pts[0]
+            out.append(pts)
+            out.append(Similarity.random(rng).apply_config(Configuration(pts)).points)
+    return out
+
+
+def test_hull_filter_matches_pair_scan():
+    # the straight pop leaves every farthest pair: the diameter, the robot
+    # pair and the linear endpoints are the O(n^2) scans' doubles, bit for bit
+    linear = 0
+    for pts in _near_collinear_inputs() + _tied_diameters():
+        config = Configuration(pts)
+        assert config.diameter.hex() == diameter_reference(config).hex(), pts
+        assert [bits(p) for p in config.farthest_pair] == [bits(p) for p in farthest_pair_reference(config)], pts
+        if config.is_linear:
+            linear += 1
+            assert [bits(p) for p in config.linear_endpoints] == [bits(p) for p in linear_endpoints_reference(config)]
+    assert linear >= 60
+
+
+def test_straight_pop_keeps_knife_edge_ties():
+    # (1 - 2^-53, 0) is inside (-2, 0)->(1, 0) by one ulp, yet rounds to the
+    # same distance 3 from (-2, 0): it ends the first farthest robot pair
+    edge = [Point(-2.0, 0.0), Point(1.0 - 2.0**-53, 0.0), Point(1.0, 0.0)]
+    for pts in (edge, edge[::-1], [edge[0], edge[1], Point(0.5, 0.0), edge[2]]):
+        config = Configuration(pts)
+        assert config.farthest_pair == farthest_pair_reference(config)
+    # two location pairs tie at the largest distance: the first in location
+    # order gives the endpoints
+    c, s = math.cos(0.05006), math.sin(0.05006)
+    for q, a, b in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)):
+        pts = [None] * 3
+        pts[q], pts[a], pts[b] = Point(0.0, 0.0), Point(c, s), Point(c, -s)
+        config = Configuration(pts, Tolerance(eps_len=0.1))
+        assert classify(config).tag == TAG_L1W and len(config.locations) == 3
+        assert config.linear_endpoints == linear_endpoints_reference(config)
+
+
+def test_collinear_configuration_keeps_two_hull_candidates():
+    rng = random.Random(5)
+    for n in (160, 640):
+        pts = [Point(0.5 + 3 * t, -1.0 + 4 * t) for t in (rng.random() for _ in range(n))]
+        config = Configuration(pts)
+        assert len(config._distinct[1]) == n
+        assert len(_hull_candidates(config._distinct[1])) <= 4
+        assert config.is_linear
 
 
 def _mirror_symmetric(rng):

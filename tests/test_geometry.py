@@ -8,6 +8,7 @@ from gathersim import Point, Tolerance
 from gathersim.errors import DegenerateAngle, EmptyInput
 from gathersim.geometry import (
     TAU,
+    _plain_sum,
     angle_cw,
     dist,
     on_open_segment,
@@ -24,6 +25,12 @@ def test_dist_examples():
     assert dist(Point(0, 0), Point(3, 4)) == 5
     assert dist(Point(1, 1), Point(1, 1)) == 0
     assert dist(Point(0, 0), Point(1, 1)) == pytest.approx(math.sqrt(2))
+
+
+def test_plain_sum_rounds_each_step():
+    # a compensated sum (the builtin's from Python 3.12) gives 1.0
+    assert _plain_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _plain_sum([]) == 0.0 and str(_plain_sum([-0.0])) == "0.0"
 
 
 def test_angle_cw_examples():
