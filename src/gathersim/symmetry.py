@@ -145,9 +145,10 @@ class Rays:
     slack in index order and ``r_min`` is their smallest distance (0.0 when
     there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
     direction, or None within the merge slack, and ``index`` the robots of
-    ``off`` sorted by direction; both are built on first use, as most
-    centers (every location, for the Weber pull and the class-A sums) never
-    need a direction.  Every ray test reads a ``Rays``: the successor sweep
+    ``off`` sorted by direction; both are built on first use, as many
+    centers (the locations whose exact pull or distance sum is taken: at
+    or below the cell tree's leaf size, every location) never need a
+    direction.  Every ray test reads a ``Rays``: the successor sweep
     and the M side step around the elected point, quasi-regularity around
     each candidate center, and the safe-point test around each location.
     It keeps the points, never the configuration that caches it: a
@@ -683,16 +684,26 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     removes centers where no order would be accepted, so the result is the
     same as without it.
 
-    The distances from each location to every robot, the robots off it and
-    their smallest distance come from the location's cached ``Rays``, shared
-    with the Weber search, the safe-point test, the class-A election and
-    the asymmetry screen; directions are computed only for the centers
-    that pass the pull bound.  Each center costs O(n) for its pull;
-    only the centers that pass cluster and sort their rays, and there the
-    partner count stops at the first miss beyond the multiplicity, each
-    miss found by binary search.  On generic configurations almost every
-    center fails the pull bound, so the occupied-center search costs
-    O(n^2) distance and vector terms plus O(n log n) per surviving center.
+    Above ``configuration._LEAF_SIZE`` robots the pull is bounded before
+    it is computed.  ``CellTree.bounds`` gives, from one walk down the
+    configuration's cell tree, a lower bound on the computed |P_c| and one
+    on r_min, which bounds the slack from above (``_direction_slack`` only
+    grows as r_min shrinks, and float division, max and min are monotone).
+    A center whose pull bound exceeds the skip threshold at that slack
+    would be skipped by the exact test too, so it is skipped without a
+    ``Rays``.  Every other center builds its cached ``Rays``, shared with
+    the Weber search, the safe-point test, the class-A election and the
+    asymmetry screen, and runs the exact test on the same doubles in the
+    same order; directions are computed only for the centers that pass it.
+    A bound walks the cells near c and one far cell per far region, about
+    O(log n) cells plus the robots of the nearby leaves on spread-out
+    input, and the exact test costs O(n); only the centers that pass it
+    cluster and sort their rays, and there the partner count stops at the
+    first miss beyond the multiplicity, each miss found by binary search.
+    On generic configurations almost every center fails the pull bound, so
+    the occupied-center search costs one bound per location plus O(n log n)
+    per surviving center; without a tree it costs O(n^2) distance and
+    vector terms.
 
     The Weber search that follows checks only the surviving centers as
     possible optimal vertices, in location order.  A skipped location has
@@ -716,9 +727,14 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     n = config.n
     points = config.points
+    cells = config._cells
     survivors = []
     for k, loc in enumerate(config.locations):
         c = loc.location
+        if cells is not None:
+            pull, r_min, _ = cells.bounds(c)
+            if pull > loc.multiplicity + 3.0 * n * n * _direction_slack(config, r_min, _COORD_DRIFT) + n * 1e-12:
+                continue
         cx, cy = c
         rays = Rays.of(config, c)
         row, off = rays.dists, rays.off

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from unittest import mock
 
 import pytest
 
@@ -9,7 +10,10 @@ from gathersim import (
     Configuration,
     Point,
     classify,
+    compute,
+    configuration,
     detect_quasi_regular,
+    geometry,
     periodicity,
     qregular_test,
     regularity_at,
@@ -21,7 +25,14 @@ from gathersim import (
     weber_numeric,
     weber_point,
 )
-from gathersim.configuration import ConfigClass, TAG_ASYMMETRIC, TAG_MULTIPLE, _elect_safe_point, safe_points
+from gathersim.configuration import (
+    ConfigClass,
+    TAG_ASYMMETRIC,
+    TAG_MULTIPLE,
+    _assert_asymmetric,
+    _elect_safe_point,
+    safe_points,
+)
 from gathersim.errors import (
     AllAtCenter,
     ClassWithoutUniqueWeber,
@@ -45,6 +56,7 @@ from references import (
     bits,
     circular_clusters_reference,
     elect_reference,
+    left_sum,
     outcome,
     safe_points_reference,
     screen_reference,
@@ -973,30 +985,181 @@ def test_rays_are_cached_per_center():
 
 
 def test_classified_configuration_is_freed_by_reference_counting():
-    # a Rays holds no reference back to its configuration, so no cycle keeps
-    # either alive once the last reference goes
+    # neither a Rays nor the cell tree holds a reference back to its
+    # configuration, so no cycle keeps any of them alive once the last
+    # reference goes
     enabled = gc.isenabled()
     gc.disable()
     try:
-        config = uniform_configuration(random.Random(5), 12)
+        config = uniform_configuration(random.Random(5), 40)
         assert classify(config).tag == TAG_ASYMMETRIC
-        refs = [weakref.ref(config)] + [weakref.ref(rays) for rays in config._rays.values()]
-        assert len(refs) > config.n
-        del config
+        cells = config._cells
+        assert cells is not None and len(cells._bounds) == len(config.locations) and config._rays
+        refs = [weakref.ref(config), weakref.ref(cells)] + [weakref.ref(rays) for rays in config._rays.values()]
+        del config, cells
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
 
 
-def test_most_centers_never_compute_directions():
-    # class A reads every location's distances, but directions only around
-    # the centers that pass the pull bound and the safe points it tests
-    config = uniform_configuration(random.Random(160), 160)
-    assert classify(config).tag == TAG_ASYMMETRIC
-    built = list(config._rays.values())
-    assert len(built) >= len(config.locations)
-    assert sum("angles" in vars(rays) for rays in built) < len(built)
+def _pull_survivors(config):
+    """Locations whose exact pull passes the skip test of ``detect_quasi_regular``."""
+    n = config.n
+    count = 0
+    for loc in config.locations:
+        c = loc.location
+        r_min = min(d for d in (dist(q, c) for q in config.points) if d > config.merge_slack)
+        slack = symmetry._direction_slack(config, r_min, symmetry._COORD_DRIFT)
+        count += _pull(config, c) <= loc.multiplicity + 3.0 * n * n * slack + n * 1e-12
+    return count
+
+
+def _screen_collisions(config):
+    """Locations that share (multiplicity, rounded largest distance) with another."""
+    groups = {}
+    for loc in config.locations:
+        far = max(dist(loc.location, q) for q in config.points)
+        key = (loc.multiplicity, round(far / config.diameter, 9))
+        groups[key] = groups.get(key, 0) + 1
+    return sum(size for size in groups.values() if size > 1)
+
+
+def test_most_centers_never_compute_directions(monkeypatch):
+    # class A builds a Rays only around the centers that pass the pull
+    # bound, the locations whose exact distance sum the election takes, the
+    # safe points it tests and the members of screen collisions, plus the
+    # Weber candidate and a vertex the Weber search may push off; that is a
+    # small share of the locations.  Directions are computed only around
+    # the centers and safe points it tests.
+    summed, tested = [], []
+    plain_sum, is_safe = configuration._plain_sum, configuration._is_safe
+    monkeypatch.setattr(configuration, "_plain_sum", lambda row: summed.append(row) or plain_sum(row))
+    monkeypatch.setattr(configuration, "_is_safe", lambda config, k: tested.append(k) or is_safe(config, k))
+    for n in (160, 320):
+        config = uniform_configuration(random.Random(n), n)
+        summed.clear()
+        tested.clear()
+        assert classify(config).tag == TAG_ASYMMETRIC
+        built = list(config._rays.values())
+        needed = _pull_survivors(config) + len(summed) + len(set(tested)) + _screen_collisions(config) + 2
+        assert len(built) <= needed < n // 4, (n, len(built), needed)
+        assert sum("angles" in vars(rays) for rays in built) < len(built)
+
+
+def test_cell_tree_only_above_leaf_size(monkeypatch):
+    built = []
+    init = geometry.CellTree.__init__
+    monkeypatch.setattr(geometry.CellTree, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    rng = random.Random(8)
+    for _ in range(60):
+        config = mixed_configuration(rng, rng.randint(3, configuration._LEAF_SIZE))
+        if config.n > configuration._LEAF_SIZE:
+            continue
+        cls = classify(config)
+        if cls.tag != "B":
+            for i in range(config.n):
+                compute(config, i, cls)
+    assert built == []
+    config = uniform_configuration(rng, 160)
+    classify(config)
+    assert len(built) == 1 and config._cells is not None
+
+
+# --- the cell tree's bounds, above the leaf size ------------------------------------
+#
+# Each bound must stay at or below the exact value it bounds, computed as
+# the unpruned routines compute it, and every decision it prunes must match
+# the references bit for bit.
+
+
+def _offset(config, factor=1e6):
+    """The configuration translated by ``factor`` times its diameter."""
+    shift = factor * config.diameter
+    return Configuration([Point(p.x + shift, p.y - 0.5 * shift) for p in config.points], config.tol)
+
+
+def _large_inputs():
+    rng = random.Random(12)
+    out = []
+    # mirror images across an axis have equal distance sums, up to the
+    # order of their terms, and different views
+    for pairs in (5, 12, 40, 80):
+        half = [Point(rng.uniform(0.05, 1), rng.uniform(-1, 1)) for _ in range(pairs)]
+        config = Configuration(half + [Point(-p.x, p.y) for p in half])
+        out += [config, Similarity.random(rng).apply_config(config)]
+    # one robot moved by about a tenth of the merge slack: the mirror sums
+    # then differ by more than the bounds' rounding margins, yet still tie
+    for pairs in (5, 6, 7, 8, 9) * 3:
+        half = [Point(rng.uniform(0.05, 1), rng.uniform(-1, 1)) for _ in range(pairs)]
+        half.append(Point(half[0].x + 2e-10, half[0].y))
+        out.append(Configuration(half[1:] + [Point(-p.x, p.y) for p in half[:-1]]))
+    # stacked multiplicities shared by several locations
+    for n in (12, 40, 160):
+        spots = [Point(rng.random(), rng.random()) for _ in range(n // 2)]
+        pts = spots + spots[: n // 6] + spots[: n // 12] + [Point(rng.random(), rng.random()) for _ in range(n // 4)]
+        out.append(Configuration(pts))
+    # one far outlier
+    for n in (12, 40, 160):
+        pts = [Point(rng.random(), rng.random()) for _ in range(n - 1)]
+        out.append(Configuration(pts + [Point(rng.uniform(-1e3, 1e3), 1e3)]))
+    # an m-gon with one vertex parked on its center: the center's pull is
+    # exactly its multiplicity; jittered, it moves either side of it
+    for m in (9, 12, 16, 24, 40, 80, 160):
+        for jitter in (0.0, 0.5e-9):
+            center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            phase = rng.uniform(0, TAU)
+            pts = [on_ray(center, phase + j * TAU / m + rng.uniform(-jitter, jitter), 1.0) for j in range(1, m)]
+            out.append(Configuration(pts + [center]))
+    out += [uniform_configuration(rng, n) for n in (9, 20, 60, 160)]
+    out += [_offset(config) for config in out[::3]]
+    half = [Point(rng.uniform(0.05, 1), rng.uniform(-1, 1)) for _ in range(320)]
+    out += [Configuration(half + [Point(-p.x, p.y) for p in half]), uniform_configuration(rng, 640)]
+    return [config for config in out if not config.is_linear]
+
+
+def _screen_passes(config):
+    """Whether ``_assert_asymmetric`` returns without running ``symmetricity``,
+    which is not run: mirror images always collide, and their views cost
+    O(n^2 log n)."""
+    with mock.patch.object(symmetry, "symmetricity", side_effect=StopIteration):
+        try:
+            _assert_asymmetric(config)
+        except StopIteration:
+            return False
+    return True
+
+
+def test_cell_bounds_hold_and_keep_every_decision():
+    checked = found = view_decided = collided = 0
+    for config in _large_inputs():
+        cells = config._cells
+        assert cells is not None
+        for loc in config.locations:
+            c = loc.location
+            row = [dist(c, q) for q in config.points]
+            pull, r_min, total = cells.bounds(c)
+            assert pull <= _pull(config, c), (config, c)
+            assert r_min <= min(d for d in row if d > config.merge_slack), (config, c)
+            assert total <= left_sum(row), (config, c)
+            checked += 1
+        # the reference runs every order at every location, O(n^3); above
+        # n = 80 the exact path that the tree prunes stands in for it
+        unpruned = Configuration(config.points, config.tol)
+        unpruned._cells = None
+        expected = _detect_reference(config) if config.n <= 80 else detect_quasi_regular(unpruned)
+        assert detect_quasi_regular(config) == expected, config
+        found += expected is not None
+        elected = outcome(_elect_safe_point, config)
+        assert elected == outcome(elect_reference, config), config
+        passes = screen_reference(config)
+        assert _screen_passes(config) == passes, config
+        collided += not passes
+        safe = safe_points_reference(config)
+        if safe:
+            nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), left_sum(dist(p, q) for q in config.points)))
+            view_decided += elected != bits(nearest)
+    assert checked > 3500 and found >= 16 and view_decided >= 4 and collided >= 20
 
 
 def _orbit_dirs(rng, m, orbits, jitter):
