@@ -118,7 +118,14 @@ class LocalFrame:
         return Point(x * ct + y * st, -x * st + y * ct)
 
     def apply_config(self, config: Configuration) -> Configuration:
-        return Configuration([self.apply_point(p) for p in config.points], config.tol)
+        # apply_point's arithmetic, with the rotation's cos and sin taken once
+        ct = math.cos(self.rotation)
+        st = math.sin(self.rotation)
+        s = self.scale
+        tx, ty = self.translation
+        return Configuration(
+            [Point(s * (x * ct - y * st) + tx, s * (x * st + y * ct) + ty) for x, y in config.points], config.tol
+        )
 
 
 @dataclass

@@ -654,6 +654,23 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     configuration, so the geometric-median candidate is validated by the
     ray periodicity test.
 
+    That verdict first reads a probe: ``_weber_search`` reweights only
+    until a step is at most ``_PROBE_STEP_REL`` times the diameter, and
+    ``_newton_polish``, the routine that also finishes ``weber_numeric``,
+    converges quadratically from there.  A probe at a location, or with
+    regularity order below 2 at the ``_CANDIDATE_ERROR`` slack, ends the
+    search with None, so a class-A configuration never runs the converged
+    search.  Only an accepted probe runs ``weber_numeric`` with the same
+    vertex list, and the verdict is taken again at its point unless the two
+    points are equal (equal points differ at most in the sign of a zero,
+    which changes no distance or direction; see ``Rays.of``): a QR center
+    always carries the converged search's doubles.  The two verdicts can differ only where the two points
+    straddle a location's merge slack or the regularity knife edge.  Away
+    from a location the probe lay within 2e-14 times the diameter of the
+    converged point on every unoccupied candidate of the benchmark
+    workloads and the tests; near one, where both stall, each fell within
+    the merge slack of that location.
+
     ``_deficits_for`` is the one acceptance test.  Before it runs, order m is
     rejected when either exact bound proves it would return None:
 
@@ -758,14 +775,25 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
             if res is not None:
                 return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
-    candidate = weber_numeric(config, survivors if exact else None)
-    if config.find_location(candidate) is not None:
+    vertices = survivors if exact else None
+    probe = _weber_search(config, vertices, _PROBE_STEP_REL)
+    order = _unoccupied_order(config, probe)
+    if order < 2:
         return None
-    slack = _direction_slack(config, min(Rays.of(config, candidate).dists), _CANDIDATE_ERROR)
-    order = regularity_at(config, candidate, slack)
-    if order >= 2:
-        return QRegularityResult(candidate, order, {})
-    return None
+    candidate = weber_numeric(config, vertices)
+    if candidate != probe:
+        order = _unoccupied_order(config, candidate)
+        if order < 2:
+            return None
+    return QRegularityResult(candidate, order, {})
+
+
+def _unoccupied_order(config: Configuration, c: Point) -> int:
+    """The regularity order of c as an unoccupied center; 0 at a location."""
+    if config.find_location(c) is not None:
+        return 0
+    slack = _direction_slack(config, min(Rays.of(config, c).dists), _CANDIDATE_ERROR)
+    return regularity_at(config, c, slack)
 
 
 # --- Weber point ------------------------------------------------------------------
@@ -773,6 +801,7 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
 _WEBER_STEP_REL = 1e-10
 _WEBER_MAX_ITER = 1000
 _POLISH_STEP_REL = 1e-15
+_PROBE_STEP_REL = 1e-3
 
 
 def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) -> Point:
@@ -790,12 +819,20 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
     """
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
+    return _weber_search(config, vertices, _WEBER_STEP_REL)
+
+
+def _weber_search(config: Configuration, vertices: Sequence[int] | None, stop_rel: float) -> Point:
+    """``weber_numeric``'s search, reweighting until a step is at most
+    ``stop_rel`` times the diameter; a vertex closer than
+    ``_WEBER_STEP_REL`` times the diameter is pushed off whatever the stop."""
     locs = config.locations
     xs = [l.location.x for l in locs]
     ys = [l.location.y for l in locs]
     ms = [l.multiplicity for l in locs]
     diam = config.diameter
     tiny = _WEBER_STEP_REL * diam
+    stop = stop_rel * diam
 
     for a in range(len(locs)) if vertices is None else vertices:
         gx, gy = _pull_vector(xs, ys, ms, a, _vertex_dists(config, a))
@@ -823,7 +860,7 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
             ny = wy / wsum
             step = math.hypot(nx - yx, ny - yy)
             yx, yy = nx, ny
-            if step <= tiny:
+            if step <= stop:
                 break
     return _newton_polish(xs, ys, ms, Point(yx, yy), diam)
 

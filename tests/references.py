@@ -4,7 +4,8 @@ Each function below is a routine as it stood before a faster form replaced
 it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
-election; a rescan of every robot at every successor step; and ray
+election; quasi-regularity detection that converges every Weber
+candidate; a rescan of every robot at every successor step; and ray
 clustering with a dict of shifted values.  The current code must return
 the same doubles, bit for bit, so comparisons use ``bits``.
 """
@@ -219,6 +220,63 @@ def _push_off_vertex(locs, at):
     damping = left_sum(l.multiplicity / dist(l.location, at.location) for l in locs if l is not at)
     t = (norm - at.multiplicity) / damping
     return Point(at.location.x + t * gx / norm, at.location.y + t * gy / norm)
+
+
+# --- quasi-regularity detection ----------------------------------------------------
+#
+# The occupied centers are searched as ``detect_quasi_regular`` does; the
+# unoccupied candidate is always the converged Weber point, here the
+# reference search's (``weber_numeric`` returns the same doubles for every
+# vertex list the detection hands it), tested at a location and then by
+# ``regularity_at``.
+
+
+def detect_quasi_regular_reference(config):
+    n = config.n
+    points = config.points
+    cells = config._cells
+    slack_of = symmetry._direction_slack
+    for loc in config.locations:
+        c = loc.location
+        if cells is not None:
+            pull, r_min, _ = cells.bounds(c)
+            if pull > loc.multiplicity + 3.0 * n * n * slack_of(config, r_min, symmetry._COORD_DRIFT) + n * 1e-12:
+                continue
+        rays = symmetry.Rays.of(config, c)
+        row, off = rays.dists, rays.off
+        slack = slack_of(config, rays.r_min, symmetry._COORD_DRIFT)
+        pull_x = pull_y = 0.0
+        for i in off:
+            x, y = points[i]
+            pull_x += (x - c.x) / row[i]
+            pull_y += (y - c.y) / row[i]
+        if math.hypot(pull_x, pull_y) > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
+            continue
+        dirs = symmetry._ray_clusters(config, c, off, slack)
+        index = symmetry._RayIndex([theta for theta, _ in dirs])
+        for m in range(n, 1, -1):
+            if symmetry._orbit_lower_bound(len(dirs), len(off), m) > loc.multiplicity:
+                continue
+            if symmetry._partnerless_rays_exceed(index, m, slack, loc.multiplicity):
+                continue
+            res = symmetry._deficits_for(dirs, loc.multiplicity, m, slack, c)
+            if res is not None:
+                return res
+    candidate = weber_reference(config)
+    if config.find_location(candidate) is not None:
+        return None
+    slack = slack_of(config, min(symmetry.Rays.of(config, candidate).dists), symmetry._CANDIDATE_ERROR)
+    order = symmetry.regularity_at(config, candidate, slack)
+    if order >= 2:
+        return symmetry.QRegularityResult(candidate, order, {})
+    return None
+
+
+def qr_bits(res):
+    """A detection result as exact bits: center, order and deficits in order."""
+    if res is None:
+        return None
+    return bits(res.center), res.m, [(theta.hex(), count) for theta, count in res.deficits.items()]
 
 
 # --- safe points and the class-A election --------------------------------------------

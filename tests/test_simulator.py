@@ -30,6 +30,7 @@ from gathersim.simulator import (
     trace_lines,
 )
 from gathersim.symmetry import weber_numeric
+from references import bits
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 L2W_LINE = Configuration([(0, 0), (1, 0), (3, 0), (4, 0)])
@@ -227,6 +228,16 @@ def test_local_frame_round_trip():
         frame = LocalFrame.random(rng, 2.0)
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
         assert dist(frame.invert_point(frame.apply_point(p)), p) <= 1e-12 * max(1, abs(p.x), abs(p.y))
+
+
+def test_local_frame_config_image_is_pointwise():
+    rng = random.Random(47)
+    for _ in range(20):
+        frame = LocalFrame.random(rng, 2.0)
+        config = uniform_configuration(rng, rng.randint(3, 12))
+        image = frame.apply_config(config)
+        assert [bits(p) for p in image.points] == [bits(frame.apply_point(p)) for p in config.points]
+        assert image.tol == config.tol
 
 
 def test_check_transition_rules():

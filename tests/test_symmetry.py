@@ -29,6 +29,7 @@ from gathersim.configuration import (
     ConfigClass,
     TAG_ASYMMETRIC,
     TAG_MULTIPLE,
+    TAG_QREGULAR,
     _assert_asymmetric,
     _elect_safe_point,
     safe_points,
@@ -55,9 +56,11 @@ from references import (
     CenterContext,
     bits,
     circular_clusters_reference,
+    detect_quasi_regular_reference,
     elect_reference,
     left_sum,
     outcome,
+    qr_bits,
     safe_points_reference,
     screen_reference,
     screen_skips,
@@ -785,13 +788,15 @@ def _weber_edge_inputs():
 
 def test_weber_search_matches_reference(monkeypatch):
     """``weber_numeric`` returns the reference's doubles, both on its own and
-    with the vertex list that ``detect_quasi_regular`` hands it."""
+    with every vertex list that ``detect_quasi_regular`` hands the Weber
+    search (its probe and the exact search)."""
     handed = []
     original = symmetry.weber_numeric
+    search = symmetry._weber_search
 
-    def recording(config, vertices=None):
+    def recording(config, vertices, stop_rel):
         handed.append(vertices)
-        return original(config, vertices)
+        return search(config, vertices, stop_rel)
 
     pushed = []
     push_off = symmetry._push_off_vertex
@@ -800,7 +805,7 @@ def test_weber_search_matches_reference(monkeypatch):
         pushed.append(args)
         return push_off(*args)
 
-    monkeypatch.setattr(symmetry, "weber_numeric", recording)
+    monkeypatch.setattr(symmetry, "_weber_search", recording)
     monkeypatch.setattr(symmetry, "_push_off_vertex", pushing)
     restricted = full = on_vertex = 0
     for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
@@ -809,13 +814,78 @@ def test_weber_search_matches_reference(monkeypatch):
         on_vertex += expected in {bits(loc.location) for loc in config.locations}
         handed.clear()
         detect_quasi_regular(config)
-        for vertices in handed:
+        for vertices in handed[:]:  # the checks below search again and record
             assert bits(original(config, vertices)) == expected, config
             if vertices is None:
                 full += 1
             else:
                 restricted += len(vertices) < len(config.locations)
     assert restricted > 150 and full > 30 and on_vertex > 200 and len(pushed) > 40
+
+
+def _equiangular(rng, k, per_ray=1):
+    """k equally spaced rays around an unoccupied center, robots at unequal
+    radii: the unit vectors cancel, the centroid is off the center, and the
+    reweighting takes about 40 iterations to converge (a regular polygon's
+    takes one)."""
+    center = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    phase = rng.uniform(0, TAU)
+    return Configuration(
+        [on_ray(center, phase + j * TAU / k, rng.uniform(0.2, 1.5)) for j in range(k) for _ in range(per_ray)]
+    )
+
+
+def _probe_inputs():
+    """Equiangular configurations, and the same with one robot moved by
+    r*diameter, r from 1e-13 to 1e-6, across the regularity knife edge."""
+    rng = random.Random(47)
+    out = []
+    for k in range(3, 13):
+        for per_ray in (1, 1, 2):
+            config = _equiangular(rng, k, per_ray)
+            out.append(config)
+            for r in (1e-13, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6):
+                pts = list(config.points)
+                i = rng.randrange(len(pts))
+                pts[i] = on_ray(pts[i], rng.uniform(0, TAU), r * config.diameter)
+                out.append(Configuration(pts))
+    return out
+
+
+def test_detect_matches_converged_reference():
+    """Deciding the unoccupied center on the probe gives the converged
+    detection's center doubles, order and deficits on every input."""
+    probes = _probe_inputs()
+    inputs = _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs() + probes
+    unoccupied = rejected_probes = 0
+    for k, config in enumerate(inputs):
+        expected = detect_quasi_regular_reference(config)
+        assert qr_bits(detect_quasi_regular(config)) == qr_bits(expected), config
+        unoccupied += expected is not None and config.find_location(expected.center) is None
+        rejected_probes += expected is None and k >= len(inputs) - len(probes)
+    assert unoccupied > 150 and 0 < rejected_probes < len(probes) // 2
+
+
+def test_class_a_runs_no_exact_weber_search(monkeypatch):
+    """A class-A classification decides on the probe alone; a QR one with an
+    unoccupied center runs the exact search once and keeps its doubles."""
+    calls = []
+    original = symmetry.weber_numeric
+
+    def counting(config, vertices=None):
+        calls.append(vertices)
+        return original(config, vertices)
+
+    monkeypatch.setattr(symmetry, "weber_numeric", counting)
+    uniform = uniform_configuration(random.Random(53), 20)
+    assert classify(uniform).tag == TAG_ASYMMETRIC
+    assert calls == []
+    regular = Configuration([on_ray(Point(0.25, -0.5), j * TAU / 12, 1.0) for j in range(12)])
+    for config in (regular, _equiangular(random.Random(59), 9)):
+        calls.clear()
+        cls = classify(config)
+        assert cls.tag == TAG_QREGULAR and len(calls) == 1
+        assert bits(cls.weber) == bits(weber_reference(config))
 
 
 def test_election_and_screen_match_reference_on_center_inputs():
