@@ -27,7 +27,7 @@ from . import configuration as cfg
 from . import gathering, symmetry
 from .configuration import ConfigClass, Configuration
 from .errors import BivalentInitial, InvariantViolation, TooFewRobots
-from .geometry import TAU, Point, Tolerance, dist
+from .geometry import TAU, Point, Tolerance, _plain_sum, dist
 
 log = logging.getLogger("gathersim")
 
@@ -139,21 +139,6 @@ class TraceRecord:
     stops: list[Point]
     gathered: bool
 
-    def to_obj(self) -> dict:
-        return {
-            "round": self.round,
-            "class": self.cls,
-            "positions": [[p.x, p.y] for p in self.positions],
-            "crashed": list(self.crashed),
-            "activated": list(self.activated),
-            "decisions": [
-                {"robot": robot, "rule": rule, "dest": [dest.x, dest.y]}
-                for robot, rule, dest in self.decisions
-            ],
-            "stops": [[p.x, p.y] for p in self.stops],
-            "gathered": self.gathered,
-        }
-
     @classmethod
     def from_obj(cls, obj: dict) -> "TraceRecord":
         return cls(
@@ -225,8 +210,26 @@ def dumps_17g(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _xy_list(points: Iterable[Point]) -> str:
+    return ",".join(f"[{x:.17g},{y:.17g}]" for x, y in points)
+
+
+def _trace_line(rec: TraceRecord) -> str:
+    """The line ``dumps_17g`` wrote for a dict of the record's fields."""
+    decisions = ",".join(
+        f'{{"robot":{robot!r},"rule":{json.dumps(rule)},"dest":[{x:.17g},{y:.17g}]}}'
+        for robot, rule, (x, y) in rec.decisions
+    )
+    return (
+        f'{{"round":{rec.round!r},"class":{json.dumps(rec.cls)},"positions":[{_xy_list(rec.positions)}],'
+        f'"crashed":[{",".join("true" if c else "false" for c in rec.crashed)}],'
+        f'"activated":[{",".join(map(repr, rec.activated))}],"decisions":[{decisions}],'
+        f'"stops":[{_xy_list(rec.stops)}],"gathered":{"true" if rec.gathered else "false"}}}\n'
+    )
+
+
 def trace_lines(records: Iterable[TraceRecord]) -> str:
-    return "".join(dumps_17g(rec.to_obj()) + "\n" for rec in records)
+    return "".join(map(_trace_line, records))
 
 
 def read_trace(stream: IO[str]) -> list[TraceRecord]:
@@ -281,37 +284,38 @@ def _greedy_activation(
     Candidates are the forced set alone plus the forced set extended by one
     live robot; the lookahead assumes minimal-delta stops.  Progress is
     measured as (highest live multiplicity, -total live spread), minimized.
+
+    Each live robot is moved once.  One table of the live robots' distances
+    after the forced moves serves every candidate: the extra robot replaces
+    a row and a column (``dist`` is symmetric bit for bit).  The spread adds
+    the upper triangle row by row from 0.0, as the pairwise sum did, so
+    every double and every tie decided by the sorted candidate is kept.
     """
-    candidates = [frozenset(forced)]
-    candidates += [frozenset(forced | {i}) for i in live if i not in forced]
-    best: tuple[tuple, tuple, frozenset] | None = None
-    for cand in candidates:
-        pts = list(state.config.points)
-        for i in sorted(cand):
-            pts[i] = _move_toward(pts[i], decisions[i].destination, params.delta, "minimal", None)
-        live_pts = [pts[i] for i in live]
-        metric = (_max_multiplicity(live_pts, state.config.merge_slack), -_spread(live_pts))
-        key = (metric, tuple(sorted(cand)), cand)
-        if best is None or key[:2] < best[:2]:
+    points = state.config.points
+    slack = state.config.merge_slack
+    moved = {i: _move_toward(points[i], decisions[i].destination, params.delta, "minimal", None) for i in live}
+    base = [moved[i] if i in forced else points[i] for i in live]
+    m = len(base)
+    table = [[dist(p, q) for q in base] for p in base]
+    counts = [sum(d <= slack for d in row) for row in table]
+    upper = [d for a, row in enumerate(table) for d in row[a + 1:]]
+    offset = [a * m - a * (a + 1) // 2 for a in range(m)]  # row a's start in upper
+    best = ((max(counts), -_plain_sum(upper)), tuple(sorted(forced)))
+    for k, i in enumerate(live):
+        if i in forced:
+            continue
+        row = [dist(moved[i], q) for q in base]
+        row[k] = 0.0
+        cand_counts = [c - (table[a][k] <= slack) + (row[a] <= slack) for a, c in enumerate(counts)]
+        cand_counts[k] = sum(d <= slack for d in row)
+        pairs = upper.copy()
+        for a in range(k):
+            pairs[offset[a] + k - a - 1] = row[a]
+        pairs[offset[k]:offset[k] + m - k - 1] = row[k + 1:]
+        key = ((max(cand_counts), -_plain_sum(pairs)), tuple(sorted(forced | {i})))
+        if key < best:
             best = key
-    assert best is not None
-    return set(best[2])
-
-
-def _max_multiplicity(points: list[Point], slack: float) -> int:
-    best = 0
-    for i, p in enumerate(points):
-        count = sum(1 for q in points if dist(p, q) <= slack)
-        best = max(best, count)
-    return best
-
-
-def _spread(points: list[Point]) -> float:
-    total = 0.0
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
-            total += dist(p, q)
-    return total
+    return set(best[1])
 
 
 def _move_toward(
@@ -338,7 +342,12 @@ def step(
     rng: random.Random,
     cls: ConfigClass | None = None,
 ) -> tuple[SimState, TraceRecord, bool, bool]:
-    """Execute one round; returns (state, record, endpoint_moved, changed)."""
+    """Execute one round; returns (state, record, endpoint_moved, changed).
+
+    A round that moves no robot (no actor, or every actor stays) returns
+    the input's own ``Configuration``, which ``run`` does not classify
+    again.  Stops are tested by identity: ``==`` takes -0.0 for 0.0.
+    """
     config = state.config
     if cls is None:
         cls = cfg.classify(config)
@@ -406,7 +415,8 @@ def step(
         stops=stops,
         gathered=False,
     )
-    new_state = SimState(state.round + 1, Configuration(new_points, config.tol), crashed, since)
+    kept = all(stop is config.points[i] for i, stop in zip(actors, stops))
+    new_state = SimState(state.round + 1, config if kept else Configuration(new_points, config.tol), crashed, since)
     return new_state, record, endpoint_moved, changed
 
 
@@ -565,7 +575,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
         except InvariantViolation as exc:
             records.append(_terminal_record(state, cls, False))
             return RunResult(OUTCOME_VIOLATION, state.round, records, str(exc), crashes, params.seed, checks)
-        cls = cfg.classify(state.config)
+        if state.config is not config:
+            cls = cfg.classify(state.config)
 
 
 def _terminal_record(state: SimState, cls: ConfigClass, gathered: bool) -> TraceRecord:

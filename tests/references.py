@@ -5,9 +5,11 @@ it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
 election; quasi-regularity detection that converges every Weber
-candidate; a rescan of every robot at every successor step; and ray
-clustering with a dict of shifted values.  The current code must return
-the same doubles, bit for bit, so comparisons use ``bits``.
+candidate; a rescan of every robot at every successor step; ray
+clustering with a dict of shifted values; the greedy lookahead that moves
+and measures every candidate afresh; and the trace writer that builds a
+dict per record.  The current code must return the same doubles, bit for
+bit, so comparisons use ``bits``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from gathersim import Point, geometry, symmetry
 from gathersim.configuration import _assert_asymmetric
 from gathersim.errors import DegenerateCenter
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, wrap_near_zero
+from gathersim.simulator import _move_toward, dumps_17g
 from helpers import farthest_pair
 
 
@@ -494,3 +497,65 @@ def sidestep_angle_reference(config, self_index, elected) -> float:
         raise RuntimeError("successor sweep missed every off-ray robot")
     return TAU
 
+
+# --- simulator -----------------------------------------------------------------------
+#
+# The greedy lookahead copied the points for every candidate, moved its
+# robots again and measured the moved live robots with O(n^2) ``dist``
+# calls, O(n^3) per round.  A trace line was a dict per record, written by
+# ``dumps_17g``.
+
+
+def max_multiplicity(points, slack: float) -> int:
+    best = 0
+    for i, p in enumerate(points):
+        count = sum(1 for q in points if dist(p, q) <= slack)
+        best = max(best, count)
+    return best
+
+
+def spread(points) -> float:
+    total = 0.0
+    for i, p in enumerate(points):
+        for q in points[i + 1:]:
+            total += dist(p, q)
+    return total
+
+
+def greedy_keys_reference(state, params, forced, live, decisions) -> list[tuple[tuple, tuple]]:
+    """(metric, sorted candidate) of every candidate, in candidate order."""
+    candidates = [frozenset(forced)]
+    candidates += [frozenset(forced | {i}) for i in live if i not in forced]
+    keys = []
+    for cand in candidates:
+        pts = list(state.config.points)
+        for i in sorted(cand):
+            pts[i] = _move_toward(pts[i], decisions[i].destination, params.delta, "minimal", None)
+        live_pts = [pts[i] for i in live]
+        metric = (max_multiplicity(live_pts, state.config.merge_slack), -spread(live_pts))
+        keys.append((metric, tuple(sorted(cand))))
+    return keys
+
+
+def greedy_activation_reference(state, params, forced, live, decisions) -> set[int]:
+    return set(min(greedy_keys_reference(state, params, forced, live, decisions))[1])
+
+
+def to_obj(record) -> dict:
+    return {
+        "round": record.round,
+        "class": record.cls,
+        "positions": [[p.x, p.y] for p in record.positions],
+        "crashed": list(record.crashed),
+        "activated": list(record.activated),
+        "decisions": [
+            {"robot": robot, "rule": rule, "dest": [dest.x, dest.y]}
+            for robot, rule, dest in record.decisions
+        ],
+        "stops": [[p.x, p.y] for p in record.stops],
+        "gathered": record.gathered,
+    }
+
+
+def trace_lines_reference(records) -> str:
+    return "".join(dumps_17g(to_obj(record)) + "\n" for record in records)

@@ -38,6 +38,7 @@ from gathersim.geometry import TAU
 from gathersim.gathering import RULE_M_SIDESTEP
 from gathersim.simulator import OUTCOME_GATHERED, dumps_17g, trace_lines
 from helpers import on_ray
+from references import trace_lines_reference
 
 
 def _polygon(rng: random.Random, n: int) -> Configuration:
@@ -118,7 +119,9 @@ def _golden_run(kind: str, n: int, activation: str, stop: str, crashes: str, see
 def test_golden_trace(case):
     result = _golden_run(*case)
     assert result.outcome == OUTCOME_GATHERED, result.detail
-    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
+    text = trace_lines(result.records)
+    assert text == trace_lines_reference(result.records)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_RUNS[case]
 
 
@@ -283,8 +286,9 @@ def test_golden_trace_large(case):
     result = run(config, adv, params)
     assert result.outcome == OUTCOME_GATHERED, result.detail
     assert sum(record.cls == TAG_ASYMMETRIC for record in result.records) >= 15
-    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
-    assert digest == GOLDEN_LARGE_RUNS[case]
+    text = trace_lines(result.records)
+    assert text == trace_lines_reference(result.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LARGE_RUNS[case]
 
 
 # SHA-256 of the trace of 40 uniform robots (``random.Random(40)``),
@@ -299,8 +303,9 @@ def test_golden_trace_m_heavy():
     result = run(config, adv, SimParams(delta=0.01, max_rounds=10_000, seed=1))
     assert result.outcome == OUTCOME_GATHERED, result.detail
     assert sum(record.cls == "M" for record in result.records) == 58
-    digest = hashlib.sha256(trace_lines(result.records).encode()).hexdigest()
-    assert digest == GOLDEN_M_HEAVY_RUN
+    text = trace_lines(result.records)
+    assert text == trace_lines_reference(result.records)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_M_HEAVY_RUN
 
 
 # --- snapshots at n = 160 -------------------------------------------------------------

@@ -14,8 +14,8 @@ from gathersim import (
     run,
     step,
 )
-from gathersim import configuration
-from gathersim.configuration import TAG_BIVALENT, TAG_L2W, TAG_QREGULAR
+from gathersim import configuration, gathering, simulator
+from gathersim.configuration import ALL_TAGS, TAG_BIVALENT, TAG_L2W, TAG_QREGULAR
 from gathersim.errors import BivalentInitial, TooFewRobots
 from gathersim.generators import uniform_configuration
 from gathersim.geometry import dist
@@ -23,6 +23,7 @@ from gathersim.simulator import (
     OUTCOME_GATHERED,
     OUTCOME_MAX_ROUNDS,
     LocalFrame,
+    TraceRecord,
     TransitionContext,
     check_transition,
     dumps_17g,
@@ -30,7 +31,7 @@ from gathersim.simulator import (
     trace_lines,
 )
 from gathersim.symmetry import weber_numeric
-from references import bits
+from references import bits, greedy_activation_reference, greedy_keys_reference, trace_lines_reference
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 L2W_LINE = Configuration([(0, 0), (1, 0), (3, 0), (4, 0)])
@@ -356,3 +357,142 @@ def test_merge_slack_floor_is_float_resolution():
     assert len(pair.locations) == 1 and pair.diameter > 0.0
     apart = Configuration([(x, 1.0), (x + 1e-6, 1.0)])
     assert len(apart.locations) == 2
+
+
+# --- rounds that move no robot -------------------------------------------------------
+
+
+def test_step_without_a_move_keeps_the_configuration():
+    # robot 0 sits on the elected point of this M configuration and stays
+    config = Configuration([(0, 0), (0, 0), (4, 0), (8, 1)])
+    assert classify(config).tag == "M"
+    adv = AdversarySpec(activation="round_robin", stop_policy="minimal")
+    params = SimParams(delta=0.5)
+    state, record, _, changed = step(fresh_state(config), adv, params, random.Random(1))
+    assert record.activated == [0] and record.decisions[0][1] == gathering.RULE_STAY
+    assert state.config is config and not changed
+
+    nobody = AdversarySpec(activation="random", activation_prob=0.0)
+    state, record, _, changed = step(fresh_state(config), nobody, params, random.Random(1))
+    assert record.activated == [] and state.config is config and not changed
+
+    moving = SimState(2, config, [False] * 4, [0] * 4)
+    state, record, _, changed = step(moving, adv, params, random.Random(1))
+    assert record.activated == [2] and changed
+    assert state.config is not config and state.config.points[2] != config.points[2]
+
+
+@pytest.mark.parametrize(
+    "activation, crashes",
+    [("adversarial_greedy", ()), ("round_robin", ((0, 1), (3, 4)))],
+)
+def test_run_classifies_each_distinct_configuration_once(monkeypatch, activation, crashes):
+    images = []
+    apply_config = LocalFrame.apply_config
+    monkeypatch.setattr(LocalFrame, "apply_config", lambda self, c: images.append(apply_config(self, c)) or images[-1])
+    calls = []
+    monkeypatch.setattr(configuration, "classify", lambda config: calls.append(config) or classify(config))
+    initial = uniform_configuration(random.Random(49), 6)
+    adv = AdversarySpec(activation=activation, stop_policy="minimal", crash_schedule=crashes)
+    result = run(initial, adv, SimParams(delta=0.05, seed=5, max_rounds=10_000))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    framed = {id(image) for image in images}
+    global_calls = [config for config in calls if id(config) not in framed]
+    positions = [[bits(p) for p in record.positions] for record in result.records]
+    distinct = 1 + sum(a != b for a, b in zip(positions, positions[1:]))
+    assert distinct < len(result.records)
+    assert len(global_calls) == distinct
+
+
+# --- the greedy lookahead ------------------------------------------------------------
+
+
+def _greedy_inputs(config, crashed, forced, delta):
+    cls = classify(config)
+    decisions = {}
+    for loc in config.locations:
+        decision = gathering.compute(config, loc.indices[0], cls)
+        for i in loc.indices:
+            if not crashed[i]:
+                decisions[i] = decision
+    state = SimState(0, config, crashed, [0] * config.n)
+    live = [i for i in range(config.n) if not crashed[i]]
+    return state, SimParams(delta=delta), set(forced), live, decisions
+
+
+def _greedy_cases():
+    rng = random.Random(50)
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        for _ in range(rng.randint(0, 2)):
+            # a second robot on a robot, or within the merge slack of one
+            a, b = rng.sample(range(n), 2)
+            pts[b] = Point(pts[a].x + rng.choice((0.0, 1e-13, 5e-11)), pts[a].y)
+        yield Configuration(pts), rng, False
+    for k in (4, 6):
+        for scale in (1.0, 3.5):
+            phase = rng.uniform(0, math.tau)
+            turns = [phase + j * math.tau / k for j in range(k)]
+            ring = [Point(scale * math.cos(t), scale * math.sin(t)) for t in turns]
+            yield Configuration(ring), rng, True
+            yield Configuration(ring + [Point(0.0, 0.0)]), rng, True
+        yield Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)]), rng, True
+
+
+def test_greedy_lookahead_matches_reference():
+    ties = ring_ties = merges = 0
+    for config, rng, ring in _greedy_cases():
+        if classify(config).tag == TAG_BIVALENT:
+            continue
+        for _ in range(4):
+            crashed = [rng.random() < 0.2 for _ in range(config.n)]
+            crashed[rng.randrange(config.n)] = False
+            live = [i for i in range(config.n) if not crashed[i]]
+            forced = rng.sample(live, rng.randint(0, len(live) // 2))
+            delta = rng.choice((0.01, 0.2, 1.0, 3.0)) * config.diameter
+            args = _greedy_inputs(config, crashed, forced, delta)
+            assert simulator._greedy_activation(*args) == greedy_activation_reference(*args)
+            metrics = [key[0] for key in greedy_keys_reference(*args)]
+            # the sorted candidate tuple decides between equal minimal
+            # metrics; on a ring, between candidates whose spreads add the
+            # same distances in different orders
+            tie = metrics.count(min(metrics)) > 1
+            ties += tie
+            ring_ties += tie and ring
+            # a minimal move lands a robot within the merge slack of another
+            merges += max(m for m, _ in metrics) > max(config.multiplicity_at(config.points[i]) for i in live)
+    assert ties >= 20 and ring_ties >= 5 and merges >= 20
+
+
+# --- the trace writer ----------------------------------------------------------------
+
+EXTREMES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e-17)
+
+
+def test_trace_writer_matches_reference():
+    rules = [getattr(gathering, name) for name in dir(gathering) if name.startswith("RULE_")]
+    assert len(rules) == 7
+    rng = random.Random(51)
+    records = []
+    for rnd in range(40):
+        n = rng.randint(1, 6)
+        pts = [Point(rng.choice(EXTREMES), rng.choice(EXTREMES)) for _ in range(n)]
+        actors = sorted(rng.sample(range(n), rng.randint(0, n)))
+        records.append(
+            TraceRecord(
+                round=rnd,
+                cls=rng.choice(ALL_TAGS),
+                positions=pts,
+                crashed=[rng.random() < 0.3 for _ in range(n)],
+                activated=actors,
+                decisions=[(i, rng.choice(rules), rng.choice(pts)) for i in actors],
+                stops=[Point(rng.uniform(-2, 2), rng.choice(EXTREMES)) for _ in actors],
+                gathered=rng.random() < 0.2,
+            )
+        )
+    records.append(TraceRecord(40, "M", [Point(-0.0, 5e-324)] * 3, [True, False, True], [], [], [], True))
+    text = trace_lines(records)
+    assert text == trace_lines_reference(records)
+    assert read_trace(text.splitlines()) == records
+    assert trace_lines([]) == ""
