@@ -61,12 +61,6 @@ def load_configuration(path: str, tol: Tolerance | None = None) -> Configuration
     return Configuration(points, tol)
 
 
-def save_configuration(config: Configuration, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_17g({"points": [[p.x, p.y] for p in config.points]}))
-        fh.write("\n")
-
-
 def _setup_logging() -> None:
     level_name = os.environ.get("GATHER_LOG", "warning").upper()
     level = getattr(logging, level_name, logging.WARNING)

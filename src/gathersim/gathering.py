@@ -24,6 +24,10 @@ RULE_L2W_CENTER = "L2W_center"
 RULE_L2W_ROTATE = "L2W_rotate"
 RULE_STAY = "Stay"
 
+# Robots up to which the class-M blocked test scans every robot even when a
+# ray index exists: at that size the scan costs no more than the lookup.
+_SCAN_UP_TO = 8
+
 
 @dataclass
 class ComputeDecision:
@@ -104,15 +108,26 @@ def _blocked(config: Configuration, r: Point, elected: Point) -> bool:
     (u = 2^-53), so the margins, a relative 1e-12 on the slack term and
     1e-14*D^2 on each bound, keep every robot it can accept.  Robots at r
     or at e pass the filter but never lie strictly between them.
+
+    The filter runs on every robot, unless there are more than
+    ``_SCAN_UP_TO``, the elected point's ``symmetry.Rays`` has built its
+    ray index (the side step builds it for the first blocked robot of a
+    configuration) and s, the cross bound over r_min*|b|, is below 1/2;
+    then it runs on ``_blocker_window``.
     """
     ex, ey = elected
     bx = r.x - ex
     by = r.y - ey
     nb = bx * bx + by * by
+    norm_b = math.hypot(bx, by)
     margin = 1e-14 * config.diameter * config.diameter
-    cross_bound = config.merge_slack * math.hypot(bx, by) * (1.0 + 1e-12) + margin
+    cross_bound = config.merge_slack * norm_b * (1.0 + 1e-12) + margin
+    candidates = config.points
+    rays = config._rays.get(elected) if config.n > _SCAN_UP_TO else None
+    if rays is not None and rays.built_index() is not None and 2.0 * cross_bound < rays.r_min * norm_b:
+        candidates = _blocker_window(rays, bx, by, cross_bound / (rays.r_min * norm_b))
     tol = config.tol
-    for q in config.points:
+    for q in candidates:
         ax = q.x - ex
         ay = q.y - ey
         dot = ax * bx + ay * by
@@ -125,6 +140,29 @@ def _blocked(config: Configuration, r: Point, elected: Point) -> bool:
         ):
             return True
     return False
+
+
+def _blocker_window(rays: symmetry.Rays, bx: float, by: float, s: float) -> list[Point]:
+    """The robots that ``_blocked``'s filter can accept, given s < 1/2:
+    those within the merge slack of the elected point, and those whose
+    direction from it lies within asin(s) + ``_ANGLE_ROUNDING`` of b's.
+
+    Soundness, for an accepted robot q beyond the merge slack, at an exact
+    angle phi between a and b: the computed cross product is within
+    3u*|a||b| of |a||b| sin(phi), and |a| >= r_min, as ``r_min`` is the
+    smallest computed |a| and ``hypot`` errs by under an ulp.  So
+    |sin(phi)| <= s*(1 + 6u) + 3u, under 0.51.  If cos(phi) <= 0, then
+    a.b <= -0.86*|a||b| <= -1.7 * cross bound, below -margin even with
+    its rounding, so the dot test rejects q; otherwise |phi| <= asin(s)
+    + 8u (asin has slope at most 1.16 there).  The directions of a (from
+    ``Rays.angles``) and of b (computed the same way) are each within
+    2e-15 of the exact ones, and the index's window bounds and turn
+    copies add about as much again, all far inside ``_ANGLE_ROUNDING``.
+    """
+    direction = math.atan2(by, bx) % TAU
+    points = rays.points
+    near = rays.index.around(direction, math.asin(s) + symmetry._ANGLE_ROUNDING)
+    return [points[k] for k in near] + [points[k] for k in rays.at_center]
 
 
 def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> float:

@@ -41,6 +41,8 @@ OUTCOME_VIOLATION = "InvariantViolation"
 # Transition checks pin the Weber point / elected location across rounds;
 # numeric Weber points are trusted to this fraction of the diameter.
 _WEBER_MATCH_REL = 1e-6
+# A robot's local-frame decision must map back within this fraction of the
+# diameter, or within the coordinates' resolution when that is larger.
 _FRAME_MATCH_REL = 1e-9
 
 
@@ -367,7 +369,7 @@ def step(
     actors = sorted(i for i in selected if not crashed[i])
 
     scale_ref = max(config.diameter, 1e-9)
-    frame_tol = _FRAME_MATCH_REL * max(config.diameter, 1.0)
+    frame_tol = max(_FRAME_MATCH_REL * config.diameter, config.resolution)
     new_points = list(config.points)
     recorded = []
     stops = []

@@ -149,8 +149,9 @@ class Rays:
     centers (the locations whose exact pull or distance sum is taken: at
     or below the cell tree's leaf size, every location) never need a
     direction.  Every ray test reads a ``Rays``: the successor sweep
-    and the M side step around the elected point, quasi-regularity around
-    each candidate center, and the safe-point test around each location.
+    and the M side step around the elected point (and the M blocked test,
+    once the side step has built the index), quasi-regularity around each
+    candidate center, and the safe-point test around each location.
     It keeps the points, never the configuration that caches it: a
     reference back would form a cycle that only the cyclic garbage
     collector frees.
@@ -191,6 +192,16 @@ class Rays:
         angles = self.angles
         order = sorted(self.off, key=angles.__getitem__)
         return _RayIndex([angles[i] for i in order], order)
+
+    def built_index(self) -> _RayIndex | None:
+        """``index`` if some reader has built it, else None; builds nothing."""
+        return self.__dict__.get("index")
+
+    @cached_property
+    def at_center(self) -> list[int]:
+        """The robots within the merge slack of the center, in index order."""
+        slack = self.merge_slack
+        return [i for i, d in enumerate(self.dists) if d <= slack]
 
 
 def _sweep_slack(config: Configuration, rays: Rays, angle_slack: float | None) -> float:

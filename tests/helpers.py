@@ -10,6 +10,7 @@ from typing import Iterable
 from gathersim import Configuration, Point
 from gathersim.errors import EmptyInput
 from gathersim.geometry import DEFAULT_TOLERANCE, TAU, Tolerance, _point_line_offset, dist, within_line
+from gathersim.simulator import dumps_17g
 
 
 # --- geometry predicates without a caller in the package ---------------------------
@@ -278,3 +279,14 @@ def mixed_configuration(rng: random.Random, n: int) -> Configuration:
     if roll < 0.92 or n % 2:
         return generators.construct_quasi_regular(rng).config
     return generators.bivalent_configuration(rng, n)
+
+
+# --- configuration files ------------------------------------------------------------
+
+
+def save_configuration(config: Configuration, path: str) -> None:
+    """Write the robots as ``{"points": [[x, y], ...]}``, the JSON form
+    ``gathersim.cli.load_configuration`` reads, each float round-tripping."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_17g({"points": [[p.x, p.y] for p in config.points]}))
+        fh.write("\n")

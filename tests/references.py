@@ -4,11 +4,12 @@ Each function below is a routine as it stood before a faster form replaced
 it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
-election; quasi-regularity detection that converges every Weber
-candidate; a rescan of every robot at every successor step; ray
-clustering with a dict of shifted values; the greedy lookahead that moves
-and measures every candidate afresh; and the trace writer that builds a
-dict per record.  The current code must return the same doubles, bit for
+election; the diameter's loop over every pair of hull candidates;
+quasi-regularity detection that converges every Weber candidate; a
+rescan of every robot at every successor step and at every class-M
+blocked test; ray clustering with a dict of shifted values; the greedy
+lookahead that moves and measures every candidate afresh; and the trace
+writer that builds a dict per record.  The current code must return the same doubles, bit for
 bit, so comparisons use ``bits``.
 """
 
@@ -23,7 +24,7 @@ from unittest import mock
 from gathersim import Point, geometry, symmetry
 from gathersim.configuration import _assert_asymmetric
 from gathersim.errors import DegenerateCenter
-from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, wrap_near_zero
+from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, on_open_segment, wrap_near_zero
 from gathersim.simulator import _move_toward, dumps_17g
 from helpers import farthest_pair
 
@@ -79,6 +80,24 @@ def farthest_pair_reference(config):
     diameter = max(map(max, table))
     i, row = next((i, row) for i, row in enumerate(table) if diameter in row)
     return config.points[i], config.points[row.index(diameter)]
+
+
+def farthest_pairs_reference(hull):
+    """``configuration._farthest_pairs`` as the loop over every pair of
+    candidates, in candidate order."""
+    hypot = math.hypot
+    best = 0.0
+    pairs = []
+    for k, p in enumerate(hull):
+        px, py = p
+        for q in hull[k + 1:]:
+            d = hypot(px - q.x, py - q.y)
+            if d >= best:
+                if d > best:
+                    best = d
+                    pairs = []
+                pairs.append((p, q))
+    return best, pairs
 
 
 def linear_endpoints_reference(config) -> tuple[Point, Point]:
@@ -496,6 +515,29 @@ def sidestep_angle_reference(config, self_index, elected) -> float:
     if off_ray_count:
         raise RuntimeError("successor sweep missed every off-ray robot")
     return TAU
+
+
+def blocked_reference(config, r, elected) -> bool:
+    """``gathering._blocked`` as the filtered scan over every robot."""
+    ex, ey = elected
+    bx = r.x - ex
+    by = r.y - ey
+    nb = bx * bx + by * by
+    margin = 1e-14 * config.diameter * config.diameter
+    cross_bound = config.merge_slack * math.hypot(bx, by) * (1.0 + 1e-12) + margin
+    for q in config.points:
+        ax = q.x - ex
+        ay = q.y - ey
+        dot = ax * bx + ay * by
+        if (
+            -margin < dot < nb + margin
+            and abs(ax * by - ay * bx) <= cross_bound
+            and q != r
+            and q != elected
+            and on_open_segment(q, r, elected, config.tol)
+        ):
+            return True
+    return False
 
 
 # --- simulator -----------------------------------------------------------------------

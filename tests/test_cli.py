@@ -3,8 +3,9 @@ import json
 import pytest
 
 from gathersim import cli
-from gathersim.cli import load_configuration, main, save_configuration
+from gathersim.cli import load_configuration, main
 from gathersim import Configuration, Point
+from helpers import mixed_configuration, save_configuration
 
 
 SQUARE_POINTS = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
@@ -230,8 +231,6 @@ def test_classify_agrees_with_library(tmp_path, capsys):
     import random
 
     from gathersim import classify
-    from gathersim.cli import save_configuration
-    from helpers import mixed_configuration
 
     rng = random.Random(55)
     for k in range(20):

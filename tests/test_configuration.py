@@ -23,7 +23,9 @@ from gathersim.configuration import (
     TAG_QREGULAR,
     _assert_asymmetric,
     _elect_safe_point,
+    _farthest_pairs,
     _hull_candidates,
+    _opposite_pairs,
 )
 from gathersim.errors import NotLinear
 from gathersim.generators import symmetric_configuration
@@ -35,6 +37,7 @@ from references import (
     diameter_reference,
     elect_reference,
     farthest_pair_reference,
+    farthest_pairs_reference,
     linear_endpoints_reference,
     location_dists_reference,
     locations_reference,
@@ -454,6 +457,71 @@ def test_collinear_configuration_keeps_two_hull_candidates():
         assert len(config._distinct[1]) == n
         assert len(_hull_candidates(config._distinct[1])) <= 4
         assert config.is_linear
+
+
+_PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29), (12, 35, 37), (9, 40, 41), (11, 60, 61))
+
+
+def _convex_inputs():
+    """Point lists in or near convex position: regular 3..200-gons; a circle
+    of rational points whose antipodal pairs tie exactly, alone, doubled and
+    with copies jittered by 1e-12; squares whose sides are near-straight
+    stretches; ellipses; and each family again far from the origin."""
+    rng = random.Random(17)
+    out = []
+    for n in range(3, 201):
+        c = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        radius = rng.uniform(0.5, 2.0)
+        phase = rng.uniform(0, TAU)
+        out.append([on_ray(c, phase + k * TAU / n, radius) for k in range(n)])
+    circle = [Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 1.0), Point(0.0, -1.0)]
+    for a, b, c in _PYTHAGOREAN:
+        x, y = a / c, b / c
+        circle += [Point(sx * u, sy * v) for u, v in ((x, y), (y, x)) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+    out.append(circle)
+    out.append(circle + circle[::3])
+    out.append(circle + [Point(p.x + 1e-12 * rng.choice((-1, 1)), p.y) for p in circle[::2]])
+    for per_side in (10, 40):
+        for bump in (0.0, 1e-12, 1e-9, 1e-6):
+            square = []
+            for k in range(per_side):
+                t = k / per_side
+                for x, y in ((t, 0.0), (1.0, t), (1.0 - t, 1.0), (0.0, 1.0 - t)):
+                    square.append(Point(x + bump * rng.uniform(-1, 1), y + bump * rng.uniform(-1, 1)))
+            out.append(square)
+    for _ in range(40):
+        a, b = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        out.append([Point(a * math.cos(t), b * math.sin(t)) for t in (rng.uniform(0, TAU) for _ in range(rng.randint(3, 120)))])
+    out += [[Point(p.x + 1e6, p.y - 1e6) for p in pts] for pts in out[::5]]
+    return out
+
+
+def test_opposite_pairs_match_pair_loop():
+    # the diameter measured on near-opposite pairs is the loop's double,
+    # with the loop's pairs in the loop's order, above and below the
+    # crossover
+    above = 0
+    for pts in _convex_inputs():
+        hull = _hull_candidates(sorted(set(pts)))
+        best, pairs = farthest_pairs_reference(hull)
+        expected = (best.hex(), [(bits(p), bits(q)) for p, q in pairs])
+        for got in (_farthest_pairs(hull), _opposite_pairs(hull)):
+            assert (got[0].hex(), [(bits(p), bits(q)) for p, q in got[1]]) == expected, pts
+        above += len(hull) > configuration._OPPOSITE_FROM
+    assert above >= 180
+
+
+def test_regular_polygon_diameter_measures_linear_pairs(monkeypatch):
+    # a regular 160-gon keeps all 160 points as candidates; the loop
+    # measures 12,720 pairs, the window a few per candidate
+    hull = _hull_candidates(sorted(on_ray(Point(0.3, -0.2), 0.1 + k * TAU / 160, 1.5) for k in range(160)))
+    assert len(hull) == 160
+    expected = farthest_pairs_reference(hull)
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *args: calls.append(1) or hypot(*args))
+    assert _farthest_pairs(hull) == expected
+    assert len(calls) <= 3 * 160
 
 
 def _mirror_symmetric(rng):

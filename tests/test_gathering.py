@@ -13,6 +13,7 @@ from gathersim import (
     moving_set,
     potential,
 )
+from gathersim import gathering, symmetry
 from gathersim.configuration import TAG_ASYMMETRIC, TAG_BIVALENT, TAG_MULTIPLE
 from gathersim.errors import BivalentInput, DegenerateAngle, WrongClass
 from gathersim.gathering import (
@@ -28,7 +29,7 @@ from gathersim.gathering import (
 )
 from gathersim.geometry import TAU, Tolerance, angle_cw, dist, on_open_segment, rotate_cw
 from helpers import Similarity, mixed_configuration, on_half_line, on_ray, segments_intersect
-from references import sidestep_angle_reference
+from references import blocked_reference, sidestep_angle_reference
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 ASYM4 = Configuration([(0, 0), (3, 0), (0, 4), (1, 1)])
@@ -338,6 +339,110 @@ def test_blocked_filter_keeps_every_blocker():
                 checked += 1
                 blocked += full
     assert knife_edges >= 250 and checked > 3000 and blocked >= knife_edges
+
+
+def _blocked_inputs():
+    """(configuration, center) pairs: knife-edge blockers, mixed inputs at
+    every location, robots within the merge slack of the center, a robot
+    so close to it that the window bound is large, rays holding many
+    robots, and similarity images of a quarter of them."""
+    rng = random.Random(41)
+    out = []
+    for _ in range(150):
+        config = _knife_edge_blocker(rng)
+        if config is not None:
+            out.append((config, config.points[0]))
+    for _ in range(150):
+        config = mixed_configuration(rng, rng.randint(3, 12))
+        out.extend((config, loc.location) for loc in config.locations)
+    for n in (8, 30, 90):
+        e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        # robots within the merge slack of e, on both sides of it
+        pts = [e, on_ray(e, rng.uniform(0, TAU), 3e-10), on_ray(e, rng.uniform(0, TAU), 5e-10)]
+        for _ in range(n // 3):
+            theta = rng.uniform(0, TAU)
+            pts.extend(on_ray(e, theta, rng.uniform(0.1, 1.0)) for _ in range(rng.randint(1, 6)))
+        config = Configuration(pts)
+        out.append((config, e))
+        # one more robot near e (the merge slack is about 2e-9): within the
+        # slack, just past it (s above 1/2, so the blocked test scans) and
+        # far enough out for a wide window
+        for near in (1.2e-9, 3e-9, 1e-7):
+            out.append((Configuration(pts + [on_ray(e, rng.uniform(0, TAU), near)]), e))
+    tiny = Tolerance(eps_len=1e-14)
+    for near in (2e-14, 1e-12, 1e-8):
+        e = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        pts = [e] * 3 + [on_ray(e, rng.uniform(0, TAU), near)]
+        for _ in range(8):
+            theta = rng.uniform(0, TAU)
+            pts.extend(on_ray(e, theta, rng.uniform(0.3, 1.0)) for _ in range(3))
+        out.append((Configuration(pts, tiny), e))
+    for config, e in out[::4]:
+        frame = Similarity.random(rng)
+        out.append((frame.apply_config(config), frame(e)))
+    return out
+
+
+def test_indexed_blocked_matches_scan(monkeypatch):
+    # with the center's ray index built, the blocked test reads a window of
+    # it, at any size; it must give the scan's answer on every robot
+    windows = []
+    original = gathering._blocker_window
+    monkeypatch.setattr(gathering, "_blocker_window", lambda *args: windows.append(1) or original(*args))
+    monkeypatch.setattr(gathering, "_SCAN_UP_TO", 0)
+    checked = blocked = 0
+    for config, e in _blocked_inputs():
+        rays = symmetry.Rays.of(config, e)
+        if not rays.off:
+            continue
+        rays.index
+        for r in config.points:
+            if dist(r, e) <= config.merge_slack:
+                continue
+            expected = blocked_reference(config, r, e)
+            assert _blocked(config, r, e) == expected, (config, r, e)
+            checked += 1
+            blocked += expected
+    assert checked > 3000 and blocked > 400 and 0 < len(windows) < checked
+
+
+def _multiple_snapshot(rng, n):
+    """Two robots on a point e and the rest in pairs on rays through it, the
+    outer robot of each pair blocked by the inner one."""
+    e = Point(rng.random(), rng.random())
+    pts = [e, e]
+    rays = (n - 1) // 2
+    for r in range(rays):
+        theta = (r + 0.25 + 0.5 * rng.random()) * TAU / rays
+        inner = rng.uniform(0.2, 0.6)
+        for radius in [inner, inner + rng.uniform(0.2, 0.6)][: min(2, n - 2 - 2 * r)]:
+            pts.append(on_ray(e, theta, radius))
+    return Configuration(pts)
+
+
+def test_indexed_blocked_tests_a_few_robots(monkeypatch):
+    # n=160 class M: once the first side step has built the ray index, each
+    # blocked test filters a handful of robots instead of all 160
+    sizes = []
+    original = gathering._blocker_window
+
+    def counted(*args):
+        window = original(*args)
+        sizes.append(len(window))
+        return window
+
+    monkeypatch.setattr(gathering, "_blocker_window", counted)
+    config = _multiple_snapshot(random.Random(160), 160)
+    cls = classify(config)
+    assert cls.tag == TAG_MULTIPLE and config.n == 160
+    decisions = [compute(config, i, cls) for i in range(config.n)]
+    rules = Counter(d.rule for d in decisions)
+    assert rules == {RULE_STAY: 2, RULE_M_DIRECT: 79, RULE_M_SIDESTEP: 79}
+    # robot 2 is the first tested, robot 3 the first blocked; from robot 4
+    # on every test reads the index
+    assert len(sizes) == config.n - 4 and max(sizes) <= 8
+    for r in config.points[2:]:
+        assert _blocked(config, r, cls.elected) == blocked_reference(config, r, cls.elected)
 
 
 def _sidestep_outcome(fn, config, i, elected):

@@ -22,6 +22,7 @@ from gathersim.geometry import dist
 from gathersim.simulator import (
     OUTCOME_GATHERED,
     OUTCOME_MAX_ROUNDS,
+    OUTCOME_VIOLATION,
     LocalFrame,
     TraceRecord,
     TransitionContext,
@@ -357,6 +358,27 @@ def test_merge_slack_floor_is_float_resolution():
     assert len(pair.locations) == 1 and pair.diameter > 0.0
     apart = Configuration([(x, 1.0), (x + 1e-6, 1.0)])
     assert len(apart.locations) == 2
+
+
+def test_frame_monitor_tolerance_is_relative_to_the_diameter(monkeypatch):
+    # at a diameter of about 1e-3, a local-frame destination that maps back
+    # 1e-7 of the diameter off is a frame-dependent decision
+    rng = random.Random(3)
+    config = Configuration([(0.3 + 1e-3 * rng.random(), 0.4 + 1e-3 * rng.random()) for _ in range(5)])
+    assert 5e-4 < config.diameter < 2e-3
+    adv = AdversarySpec()
+    params = SimParams(delta=0.05 * config.diameter, max_rounds=1000, seed=1)
+    assert run(config, adv, params).outcome == OUTCOME_GATHERED
+    offset = 1e-7 * config.diameter
+    invert = LocalFrame.invert_point
+
+    def shifted(frame, q):
+        x, y = invert(frame, q)
+        return Point(x + offset, y)
+
+    monkeypatch.setattr(LocalFrame, "invert_point", shifted)
+    result = run(config, adv, params)
+    assert result.outcome == OUTCOME_VIOLATION and "frame-dependent" in result.detail
 
 
 # --- rounds that move no robot -------------------------------------------------------
