@@ -22,11 +22,9 @@ from .simulator import AdversarySpec, RunResult, SimParams, SimState, TraceRecor
 from .symmetry import (
     QRegularityResult,
     StringOfAngles,
-    SymmetryReport,
     View,
     detect_quasi_regular,
     periodicity,
-    qregular_test,
     regularity_at,
     string_of_angles,
     successor,
@@ -49,7 +47,6 @@ __all__ = [
     "SimParams",
     "SimState",
     "StringOfAngles",
-    "SymmetryReport",
     "Tolerance",
     "TraceRecord",
     "View",
@@ -61,7 +58,6 @@ __all__ = [
     "moving_set",
     "periodicity",
     "potential",
-    "qregular_test",
     "regularity_at",
     "run",
     "safe_points",

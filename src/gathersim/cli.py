@@ -182,7 +182,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     tol = Tolerance(args.eps, args.eps)
     config = load_configuration(args.input, tol)
     cls = cfg.classify(config)
-    report: dict = {"class": cls.tag, "sym": symmetry.symmetricity(config).sym}
+    report: dict = {"class": cls.tag, "sym": symmetry.symmetricity(config)}
     if not config.is_linear:
         report["qreg"] = cls.qreg if cls.tag == cfg.TAG_QREGULAR else 1
     if cls.weber is not None:

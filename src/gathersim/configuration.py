@@ -616,44 +616,12 @@ def _elect_safe_point(config: Configuration) -> Point:
 def _assert_asymmetric(config: Configuration) -> None:
     """All views must be distinct when no quasi-regular structure exists.
 
-    A cheap screen first: if every location has a distinct (multiplicity,
-    distance multiset) signature, views are necessarily distinct.  Distances
-    are rounded relative to the diameter, like every other slack, so the
-    screen behaves the same at every scale.
-
-    Full signatures are only built within groups of locations that share
-    (multiplicity, rounded largest distance).  Dividing by the diameter and
-    rounding are both monotone, so a signature's largest entry is its
-    location's rounded largest distance: equal signatures always share a
-    group, and the screen passes exactly when all signatures are distinct.
-    A location whose ``Rays`` row is not built yet takes its largest
-    distance over the cached ``_hull_candidates``, O(h) for h candidates:
-    every computed distance from it to a robot is at most one to a
-    candidate (see there), and the candidates are robot points, so this is
-    the maximum of its row bit for bit.  Rows, O(n) each, are built only
-    for the locations of a group with more than one member.
+    With chirality two views are equal only under a rotational symmetry
+    about the centroid, which ``symmetry.symmetricity`` tests.
     """
-    diameter = config.diameter
-    locs = config.locations
-    groups: dict[tuple[int, float], list[int]] = {}
-    for k, loc in enumerate(locs):
-        rays = config._rays.get(loc.location)
-        if rays is None:
-            cx, cy = loc.location
-            far = max(math.hypot(x - cx, y - cy) for x, y in config._hull)
-        else:
-            far = max(rays.dists)
-        groups.setdefault((loc.multiplicity, round(far / diameter, 9)), []).append(k)
-    if all(
-        len({tuple(sorted(round(d / diameter, 9) for d in symmetry.Rays.of(config, locs[k].location).dists))
-             for k in members}) == len(members)
-        for members in groups.values()
-        if len(members) > 1
-    ):
-        return
-    report = symmetry.symmetricity(config)
-    if report.sym != 1:
-        raise RuntimeError(f"classified asymmetric but sym={report.sym}")
+    sym = symmetry.symmetricity(config)
+    if sym != 1:
+        raise RuntimeError(f"classified asymmetric but sym={sym}")
 
 
 def is_gathered(config: Configuration, live: Sequence[bool], moving: Iterable[Point]) -> bool:

@@ -3,7 +3,9 @@
 The rotational structure of a configuration is probed in two independent
 ways: a cyclic sweep around a candidate center (the successor chain and its
 string of angles) and a counting argument on rotated rays.  Both are kept
-and cross-checked wherever the protocol relies on them.
+and cross-checked wherever the protocol relies on them.  ``symmetricity``
+rotates each robot about the centroid and matches its image; class A
+asserts an order of 1.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ class View(NamedTuple):
     """
 
     encoding: tuple[tuple[float, float, int], ...]
-
-
-@dataclass
-class SymmetryReport:
-    sym: int
-    classes: list[list[Point]]
 
 
 @dataclass
@@ -402,29 +398,87 @@ def _encode_from(
     return tuple(entries)
 
 
-def views_equal(a: View, b: View, tol_len: float = 1e-9, tol_angle: float = 1e-9) -> bool:
-    if len(a.encoding) != len(b.encoding):
-        return False
-    for (aa, ar, am), (ba, br, bm) in zip(a.encoding, b.encoding):
-        if am != bm or abs(aa - ba) > tol_angle or abs(ar - br) > tol_len:
-            return False
-    return True
+_ROTATION_WINDOW = 0.1
+_ROTATION_FLOOR = 4.0
 
 
-def symmetricity(config: Configuration) -> SymmetryReport:
-    """Partition occupied positions by equal views; sym is the largest class."""
-    locs = config.locations
-    vs = [view(config, l.location) for l in locs]
-    classes: list[list[int]] = []
-    for i in range(len(locs)):
-        for cls in classes:
-            if views_equal(vs[i], vs[cls[0]], config.tol.eps_len, config.tol.eps_angle):
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-    groups = [[locs[i].location for i in cls] for cls in classes]
-    return SymmetryReport(max(len(g) for g in groups), groups)
+def symmetricity(config: Configuration) -> int:
+    """The order of the robots' rotational symmetry: the largest k >= 2 for
+    which rotation by 2*pi/k about the center maps the robots onto
+    themselves within the window, or 1.
+
+    With chirality two views are equal only under such a rotation (Suzuki
+    and Yamashita, SIAM J. Comput. 1999), so 1 means every view is
+    distinct.  The center is the ``math.fsum`` centroid g, or the point of
+    the location within the merge slack of g: the center that
+    ``detect_quasi_regular`` tests.  Robots within the merge slack of the
+    center are skipped, as its ray tests skip them.  Order k holds when,
+    for every distinct point p of the rest, at distance r, as many robots
+    lie within w = a * r / k + floor of p's image as of p, where
+    a = _ROTATION_WINDOW * eps_angle and floor = _ROTATION_FLOOR *
+    resolution.  Counting robots, not location
+    representatives, sees a robot moved within its stack.  A robot within
+    w of the image has a distance within 2w of r, so its candidates come
+    from one binary search over the sorted distances.  Orders run over the
+    divisors of the robot count off the center, largest first; an
+    asymmetric configuration fails each on its first point, so the test
+    costs O(n log n) (a symmetric one up to O(n^2)).
+
+    Exact symmetry passes.  Take the roundings of a configuration that the
+    rotation about c maps onto itself, with no robot within the merge slack
+    of c but those on it.  With M the largest coordinate magnitude and
+    u = 2^-53, each coordinate errs by u*M, the centroid by about 3*u*M (so
+    an occupied c is found as its location), and each computed image by a
+    few u*(M + r) more: about 15*u*M + 4*u*r < 64*u*M = floor, as r < 3*M.
+    So the robots near p and near its image correspond one to one, unless
+    one lies that close to distance w from p: a stack split by about the
+    window (a one-ulp split counts the same on both sides).
+
+    A pass is quasi-regular.  Chained around an orbit, k steps of at most
+    w put every j-th image within a * r + k * floor of a robot of its count
+    (hence the 1/k).  So, seen from the center, each ray turned by a
+    multiple of 2*pi/k meets a ray of equal count within
+    d = a + k * floor / r, at most a fifth of ``eps_angle`` while
+    k * floor / r <= a (for the default eps_angle of 1e-9, robots farther
+    than about 7e-5 * k * M from the center), and the pull is below n*d,
+    inside the skip threshold.  At an occupied center the residues of order k chain in
+    steps below the slack, so ``_deficits_for`` finds one cluster per
+    orbit, one ray per slot and equal counts: no deficit.  An unoccupied
+    center rests on the assumption that ``_unoccupied_order`` makes: the
+    Weber candidate lies within ``_CANDIDATE_ERROR`` * D of the center, the
+    error its slack is widened for, and the rays seen from it lie within d
+    of an exact k-fold structure besides.  Both hold away from the ray
+    tests' own knife edges: two rays or residues about one slack apart.
+    """
+    n = config.n
+    center = Point(math.fsum(x for x, _ in config.points) / n, math.fsum(y for _, y in config.points) / n)
+    loc = config.find_location(center)
+    cx, cy = center if loc is None else loc.location
+    hypot = math.hypot
+    slack = config.merge_slack
+    floor = _ROTATION_FLOOR * config.resolution
+    relative = _ROTATION_WINDOW * config.tol.eps_angle
+    ring = sorted((hypot(x - cx, y - cy), x, y, len(stack)) for (x, y), stack in config._distinct[0].items())
+    ring = [point for point in ring if point[0] > slack]
+    radii = [r for r, _, _, _ in ring]
+
+    def near(x: float, y: float, r: float, window: float) -> int:
+        """Robots within window of (x, y), a point at distance r from the center."""
+        lo = bisect_left(radii, r - 2.0 * window)
+        hi = bisect_right(radii, r + 2.0 * window)
+        return sum(count for _, qx, qy, count in ring[lo:hi] if hypot(qx - x, qy - y) <= window)
+
+    def holds(k: int) -> bool:
+        cos, sin = math.cos(TAU / k), math.sin(TAU / k)
+        for r, x, y, _ in ring:
+            window = relative / k * r + floor
+            dx, dy = x - cx, y - cy
+            if near(cx + cos * dx - sin * dy, cy + sin * dx + cos * dy, r, window) != near(x, y, r, window):
+                return False
+        return True
+
+    off = sum(count for _, _, _, count in ring)
+    return next((k for k in range(off, 1, -1) if off % k == 0 and holds(k)), 1)
 
 
 # --- regularity and quasi-regularity ----------------------------------------------
@@ -581,26 +635,6 @@ def _rotation_certified(dirs: list[tuple[float, int]], m: int, step: float, wind
     return True
 
 
-def qregular_test(config: Configuration, p: Point, m: int) -> QRegularityResult | None:
-    """Check whether parking robots from p onto deficient rays makes the ray
-    structure invariant under rotation by 2*pi/m around p.
-
-    Succeeds iff the total deficit does not exceed the multiplicity of p.
-    """
-    if m < 2:
-        raise ValueError("rotational order must be at least 2")
-    loc = config.find_location(p)
-    if loc is None:
-        raise NotOccupied(f"{p} is not an occupied location")
-    center = loc.location
-    rays = Rays.of(config, center)
-    if not rays.off:
-        return QRegularityResult(center, m, {})
-    slack = _direction_slack(config, rays.r_min, _COORD_DRIFT)
-    dirs = _ray_clusters(config, center, rays.off, slack)
-    return _deficits_for(dirs, loc.multiplicity, m, slack, center)
-
-
 def _deficits_for(
     dirs: list[tuple[float, int]], mult_center: int, m: int, slack: float, center: Point
 ) -> QRegularityResult | None:
@@ -720,9 +754,9 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     A center whose pull bound exceeds the skip threshold at that slack
     would be skipped by the exact test too, so it is skipped without a
     ``Rays``.  Every other center builds its cached ``Rays``, shared with
-    the Weber search, the safe-point test, the class-A election and the
-    asymmetry screen, and runs the exact test on the same doubles in the
-    same order; directions are computed only for the centers that pass it.
+    the Weber search, the safe-point test and the class-A election, and
+    runs the exact test on the same doubles in the same order; directions
+    are computed only for the centers that pass it.
     A bound walks the cells near c and one far cell per far region, about
     O(log n) cells plus the robots of the nearby leaves on spread-out
     input, and the exact test costs O(n); only the centers that pass it

@@ -259,6 +259,29 @@ def on_ray(center: Point, theta: float, radius: float) -> Point:
     return Point(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta))
 
 
+# --- quasi-regularity at one center and order ----------------------------------------
+
+
+def deficits_at(config: Configuration, p: Point, m: int):
+    """``symmetry._deficits_for`` at the occupied location p and order m, on
+    the rays and slack ``detect_quasi_regular`` would use there: the robots
+    that must leave p for the rays to repeat under rotation by 2*pi/m, or
+    None when p holds too few."""
+    from gathersim import symmetry
+    from gathersim.errors import NotOccupied
+
+    loc = config.find_location(p)
+    if loc is None:
+        raise NotOccupied(f"{p} is not an occupied location")
+    center = loc.location
+    rays = symmetry.Rays.of(config, center)
+    if not rays.off:
+        return symmetry.QRegularityResult(center, m, {})
+    slack = symmetry._direction_slack(config, rays.r_min, symmetry._COORD_DRIFT)
+    dirs = symmetry._ray_clusters(config, center, rays.off, slack)
+    return symmetry._deficits_for(dirs, loc.multiplicity, m, slack, center)
+
+
 # --- configuration mixes for partition-style tests ----------------------------------
 
 

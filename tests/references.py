@@ -19,10 +19,8 @@ import math
 from array import array
 from functools import reduce
 from operator import add
-from unittest import mock
 
 from gathersim import Point, geometry, symmetry
-from gathersim.configuration import _assert_asymmetric
 from gathersim.errors import DegenerateCenter
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, on_open_segment, wrap_near_zero
 from gathersim.simulator import _move_toward, dumps_17g
@@ -45,16 +43,6 @@ def outcome(fn, config):
         return bits(fn(config))
     except RuntimeError as exc:
         return str(exc)
-
-
-def screen_skips(config) -> bool:
-    """True when ``_assert_asymmetric`` returns without running ``symmetricity``."""
-    with mock.patch.object(symmetry, "symmetricity", wraps=symmetry.symmetricity) as spy:
-        try:
-            _assert_asymmetric(config)
-        except RuntimeError:
-            pass
-    return not spy.called
 
 
 # --- location layer ------------------------------------------------------------------
@@ -353,21 +341,36 @@ def elect_reference(config) -> Point:
     return max(tied, key=lambda p: symmetry.view(config, p).encoding)
 
 
-# --- asymmetry screen ------------------------------------------------------------------
+# --- symmetricity ----------------------------------------------------------------------
+#
+# Occupied locations partitioned by pairwise view comparison, O(n^3): each
+# location joins the first class whose first view it equals within the
+# tolerances, and sym is the size of the largest class.
 
 
-def screen_reference(config) -> bool:
-    """True when every (multiplicity, rounded distance multiset) signature is
-    distinct, so ``_assert_asymmetric`` may skip ``symmetricity``."""
-    diameter = config.diameter
-    sigs = set()
-    for loc in config.locations:
-        row = [dist(loc.location, q) for q in config.points]
-        sig = (loc.multiplicity, tuple(sorted(round(d / diameter, 9) for d in row)))
-        if sig in sigs:
+def views_equal(a, b, tol_len: float = 1e-9, tol_angle: float = 1e-9) -> bool:
+    if len(a.encoding) != len(b.encoding):
+        return False
+    for (aa, ar, am), (ba, br, bm) in zip(a.encoding, b.encoding):
+        if am != bm or abs(aa - ba) > tol_angle or abs(ar - br) > tol_len:
             return False
-        sigs.add(sig)
     return True
+
+
+def symmetricity_reference(config) -> tuple[int, list[list[Point]]]:
+    """(sym, the classes of equal views as location points)."""
+    locs = config.locations
+    vs = [symmetry.view(config, l.location) for l in locs]
+    classes: list[list[int]] = []
+    for i in range(len(locs)):
+        for cls in classes:
+            if views_equal(vs[i], vs[cls[0]], config.tol.eps_len, config.tol.eps_angle):
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    groups = [[locs[i].location for i in cls] for cls in classes]
+    return max(len(g) for g in groups), groups
 
 
 # --- ray clustering --------------------------------------------------------------------

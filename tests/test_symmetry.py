@@ -1,8 +1,8 @@
 import gc
 import math
 import random
+import types
 import weakref
-from unittest import mock
 
 import pytest
 
@@ -15,7 +15,6 @@ from gathersim import (
     detect_quasi_regular,
     geometry,
     periodicity,
-    qregular_test,
     regularity_at,
     string_of_angles,
     successor,
@@ -30,7 +29,6 @@ from gathersim.configuration import (
     TAG_ASYMMETRIC,
     TAG_MULTIPLE,
     TAG_QREGULAR,
-    _assert_asymmetric,
     _elect_safe_point,
     safe_points,
 )
@@ -42,15 +40,17 @@ from gathersim.errors import (
     NotOccupied,
 )
 from gathersim.generators import (
+    bivalent_configuration,
     broken_quasi_regular,
+    collinear_configuration,
     construct_quasi_regular,
     multiplicity_configuration,
     symmetric_configuration,
     uniform_configuration,
 )
 from gathersim.geometry import TAU, Tolerance, dist
-from gathersim.symmetry import StringOfAngles, views_equal
-from helpers import Similarity, grid_weber, mixed_configuration, on_ray
+from gathersim.symmetry import StringOfAngles
+from helpers import Similarity, deficits_at, grid_weber, mixed_configuration, on_ray
 from gathersim.simulator import LocalFrame
 from references import (
     CenterContext,
@@ -62,10 +62,10 @@ from references import (
     outcome,
     qr_bits,
     safe_points_reference,
-    screen_reference,
-    screen_skips,
     string_of_angles_reference,
     successor_reference,
+    symmetricity_reference,
+    views_equal,
     weber_reference,
 )
 
@@ -119,19 +119,39 @@ def test_view_not_occupied():
 
 
 def test_symmetricity_examples():
-    assert symmetricity(SQUARE).sym == 4
-    assert symmetricity(ASYM4).sym == 1
-    assert symmetricity(pentagon(extra_center=True)).sym == 5
+    assert symmetricity(SQUARE) == 4
+    assert symmetricity(ASYM4) == 1
+    assert symmetricity(pentagon(extra_center=True)) == 5
+
+
+def _rotation_maps_robots(config, k):
+    """Brute force: rotating by 2*pi/k about the centroid sends the robots
+    off it onto themselves, as many within 1e-9 D of each location as
+    there were (robots within the merge slack of the centroid left out)."""
+    n = config.n
+    g = Point(sum(p.x for p in config.points) / n, sum(p.y for p in config.points) / n)
+    tol = 1e-9 * config.diameter
+    off = [p for p in config.points if dist(p, g) > config.merge_slack]
+    images = [on_ray(g, math.atan2(p.y - g.y, p.x - g.x) + TAU / k, dist(p, g)) for p in off]
+    return all(
+        sum(dist(q, loc.location) <= tol for q in images) == sum(dist(q, loc.location) <= tol for q in off)
+        for loc in config.locations
+    )
 
 
 def test_symmetricity_partitions_locations():
+    # the order is the size of the largest class of equal views; rotating
+    # by 2*pi/order about the centroid maps the robots onto themselves, and
+    # no larger order does
     rng = random.Random(12)
     for _ in range(40):
         config = mixed_configuration(rng, rng.randint(1, 10))
-        report = symmetricity(config)
-        flattened = [p for group in report.classes for p in group]
-        assert len(flattened) == len(config.locations)
-        assert report.sym == max(len(g) for g in report.classes)
+        order = symmetricity(config)
+        sym, classes = symmetricity_reference(config)
+        assert len([p for group in classes for p in group]) == len(config.locations)
+        assert order == sym, config
+        assert order == 1 or _rotation_maps_robots(config, order), config
+        assert not any(_rotation_maps_robots(config, k) for k in range(order + 1, config.n + 1)), config
 
 
 def test_kgon_property():
@@ -139,19 +159,9 @@ def test_kgon_property():
     for _ in range(40):
         k = rng.randint(2, 6)
         config = symmetric_configuration(rng, k=k, orbits=rng.randint(1, 2))
-        report = symmetricity(config)
-        assert report.sym >= k
-        from gathersim.geometry import smallest_enclosing_circle
-
-        center = smallest_enclosing_circle(config.occupied_points()).center
-        for group in report.classes:
-            if len(group) == 1 and dist(group[0], center) <= config.merge_slack:
-                continue
-            assert len(group) % report.sym == 0 or len(group) == report.sym
-            radii = [dist(p, center) for p in group]
-            assert max(radii) - min(radii) <= 1e-9 * max(radii)
-            mults = {config.multiplicity_at(p) for p in group}
-            assert len(mults) == 1
+        order = symmetricity(config)
+        assert order % k == 0, (config, k, order)
+        assert _rotation_maps_robots(config, order), config
 
 
 # --- successor and string of angles -------------------------------------------------
@@ -285,14 +295,14 @@ def test_regularity_examples():
 
 def test_qregular_test_examples():
     config = Configuration([(0, 0), (0, 0), (1, 0), (0, -1)])
-    res = qregular_test(config, Point(0, 0), 2)
+    res = deficits_at(config, Point(0, 0), 2)
     assert res is not None
     assert res.center == Point(0, 0)
     deficits = {round(math.degrees(a)) % 360: d for a, d in res.deficits.items()}
     assert deficits == {180: 1, 90: 1}
 
-    assert qregular_test(Configuration([(0, 0), (1, 0), (0, -1)]), Point(0, 0), 2) is None
-    assert qregular_test(SQUARE, Point(1, 1), 2) is None
+    assert deficits_at(Configuration([(0, 0), (1, 0), (0, -1)]), Point(0, 0), 2) is None
+    assert deficits_at(SQUARE, Point(1, 1), 2) is None
 
 
 def test_detect_quasi_regular_examples():
@@ -312,15 +322,56 @@ def test_detect_quasi_regular_examples():
         detect_quasi_regular(Configuration([(0, 0), (1, 0), (2, 0)]))
 
 
+def test_symmetricity_matches_view_partition():
+    # the rotation order equals the size of the largest class of equal
+    # views on 1,000 configurations from every generator
+    rng = random.Random(19)
+    generators = {
+        "mixed": lambda: mixed_configuration(rng, rng.randint(1, 10)),
+        "symmetric": lambda: symmetric_configuration(rng, with_center=False),
+        "symmetric with center": lambda: symmetric_configuration(rng, with_center=True),
+        "quasi-regular": lambda: construct_quasi_regular(rng).config,
+        "multiplicity": lambda: multiplicity_configuration(rng, rng.randint(2, 10)),
+        "collinear": lambda: collinear_configuration(rng, rng.randint(2, 10)),
+        "bivalent": lambda: bivalent_configuration(rng, 2 * rng.randint(1, 5)),
+    }
+    for name, generate in generators.items():
+        orders = set()
+        for _ in range(1000):
+            config = generate()
+            order = symmetricity(config)
+            assert order == symmetricity_reference(config)[0], (name, config)
+            orders.add(order)
+        assert len(orders) > 1 or name in ("quasi-regular", "bivalent"), (name, orders)
+
+
+def test_symmetricity_rejects_each_order_on_the_first_robot(monkeypatch):
+    # a regular 319-gon plus one robot, on a mirror axis of the polygon or
+    # off it: one distance per robot from the center, then each order fails
+    # on the robot nearest the center, which has at most one robot at its
+    # own distance within the window
+    calls = []
+    counting = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    counting.hypot = lambda *args: calls.append(args) or math.hypot(*args)
+    monkeypatch.setattr(symmetry, "math", counting)
+    n = 320
+    orders = sum(n % k == 0 for k in range(2, n + 1))
+    for extra in (Point(0.3, 0.0), Point(0.3, 0.1)):
+        config = Configuration([on_ray(Point(0, 0), j * TAU / (n - 1), 1.0) for j in range(n - 1)] + [extra])
+        calls.clear()
+        assert symmetricity(config) == 1
+        assert len(calls) <= n + 4 * orders, len(calls)
+
+
 def test_sym_implies_quasi_regular():
     rng = random.Random(17)
     for _ in range(30):
         config = symmetric_configuration(rng)
-        report = symmetricity(config)
-        if report.sym <= 1 or config.is_linear:
+        order = symmetricity(config)
+        if order <= 1 or config.is_linear:
             continue
         res = detect_quasi_regular(config)
-        assert res is not None and res.m >= report.sym
+        assert res is not None and res.m >= order
 
 
 def test_qregular_matches_brute_force_construction():
@@ -335,7 +386,7 @@ def test_qregular_matches_brute_force_construction():
             continue
         for loc in config.locations:
             for m in range(2, config.n + 1):
-                res = qregular_test(config, loc.location, m)
+                res = deficits_at(config, loc.location, m)
                 expected = _brute_deficit(config, loc.location, m)
                 if res is None:
                     assert expected is None or expected > loc.multiplicity
@@ -889,16 +940,11 @@ def test_class_a_runs_no_exact_weber_search(monkeypatch):
 
 
 def test_election_and_screen_match_reference_on_center_inputs():
-    """Lazy safe-point election and the bucketed screen decide as the
-    reference does on every input of the pruning and Weber tests."""
-    screened = 0
+    """Lazy safe-point election decides as the reference does on every
+    input of the pruning and Weber tests."""
     for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
         assert [bits(p) for p in safe_points(config)] == [bits(p) for p in safe_points_reference(config)]
         assert outcome(_elect_safe_point, config) == outcome(elect_reference, config), config
-        skips = screen_reference(config)
-        assert screen_skips(config) == skips, config
-        screened += not skips
-    assert screened > 15
 
 
 # --- the cached ray index -----------------------------------------------------------
@@ -1085,22 +1131,11 @@ def _pull_survivors(config):
     return count
 
 
-def _screen_collisions(config):
-    """Locations that share (multiplicity, rounded largest distance) with another."""
-    groups = {}
-    for loc in config.locations:
-        far = max(dist(loc.location, q) for q in config.points)
-        key = (loc.multiplicity, round(far / config.diameter, 9))
-        groups[key] = groups.get(key, 0) + 1
-    return sum(size for size in groups.values() if size > 1)
-
-
 def test_most_centers_never_compute_directions(monkeypatch):
     # class A builds a Rays only around the centers that pass the pull
-    # bound, the locations whose exact distance sum the election takes, the
-    # safe points it tests and the members of screen collisions, plus the
-    # Weber candidate and a vertex the Weber search may push off; that is a
-    # small share of the locations.  Directions are computed only around
+    # bound, the locations whose exact distance sum the election takes and
+    # the safe points it tests, plus the Weber candidate and a vertex the
+    # Weber search may push off; that is a small share of the locations.  Directions are computed only around
     # the centers and safe points it tests.
     summed, tested = [], []
     plain_sum, is_safe = configuration._plain_sum, configuration._is_safe
@@ -1112,7 +1147,7 @@ def test_most_centers_never_compute_directions(monkeypatch):
         tested.clear()
         assert classify(config).tag == TAG_ASYMMETRIC
         built = list(config._rays.values())
-        needed = _pull_survivors(config) + len(summed) + len(set(tested)) + _screen_collisions(config) + 2
+        needed = _pull_survivors(config) + len(summed) + len(set(tested)) + 2
         assert len(built) <= needed < n // 4, (n, len(built), needed)
         assert sum("angles" in vars(rays) for rays in built) < len(built)
 
@@ -1188,20 +1223,8 @@ def _large_inputs():
     return [config for config in out if not config.is_linear]
 
 
-def _screen_passes(config):
-    """Whether ``_assert_asymmetric`` returns without running ``symmetricity``,
-    which is not run: mirror images always collide, and their views cost
-    O(n^2 log n)."""
-    with mock.patch.object(symmetry, "symmetricity", side_effect=StopIteration):
-        try:
-            _assert_asymmetric(config)
-        except StopIteration:
-            return False
-    return True
-
-
 def test_cell_bounds_hold_and_keep_every_decision():
-    checked = found = view_decided = collided = 0
+    checked = found = view_decided = 0
     for config in _large_inputs():
         cells = config._cells
         assert cells is not None
@@ -1222,14 +1245,11 @@ def test_cell_bounds_hold_and_keep_every_decision():
         found += expected is not None
         elected = outcome(_elect_safe_point, config)
         assert elected == outcome(elect_reference, config), config
-        passes = screen_reference(config)
-        assert _screen_passes(config) == passes, config
-        collided += not passes
         safe = safe_points_reference(config)
         if safe:
             nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), left_sum(dist(p, q) for q in config.points)))
             view_decided += elected != bits(nearest)
-    assert checked > 3500 and found >= 16 and view_decided >= 4 and collided >= 20
+    assert checked > 3500 and found >= 16 and view_decided >= 4
 
 
 def _orbit_dirs(rng, m, orbits, jitter):
