@@ -21,12 +21,9 @@ from .geometry import Circle, Point, Tolerance
 from .simulator import AdversarySpec, RunResult, SimParams, SimState, TraceRecord, run, step
 from .symmetry import (
     QRegularityResult,
-    StringOfAngles,
     View,
     detect_quasi_regular,
-    periodicity,
     regularity_at,
-    string_of_angles,
     successor,
     symmetricity,
     view,
@@ -46,7 +43,6 @@ __all__ = [
     "RunResult",
     "SimParams",
     "SimState",
-    "StringOfAngles",
     "Tolerance",
     "TraceRecord",
     "View",
@@ -56,13 +52,11 @@ __all__ = [
     "is_gathered",
     "median_interval",
     "moving_set",
-    "periodicity",
     "potential",
     "regularity_at",
     "run",
     "safe_points",
     "step",
-    "string_of_angles",
     "successor",
     "symmetricity",
     "view",

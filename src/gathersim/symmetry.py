@@ -1,11 +1,12 @@
-"""Views, rotational symmetry, ray periodicity and Weber point machinery.
+"""Views, rotational symmetry, quasi-regularity and Weber point machinery.
 
-The rotational structure of a configuration is probed in two independent
-ways: a cyclic sweep around a candidate center (the successor chain and its
-string of angles) and a counting argument on rotated rays.  Both are kept
-and cross-checked wherever the protocol relies on them.  ``symmetricity``
-rotates each robot about the centroid and matches its image; class A
-asserts an order of 1.
+One structure test decides the rotational order of the rays around every
+candidate center: ``_deficits_for`` places each ray in one of m slots and
+counts the robots the center must give up to fill them.  An occupied center
+runs it with its multiplicity, the unoccupied Weber candidate with
+multiplicity 0.  The successor sweep around a center serves the class-M
+side step.  ``symmetricity`` rotates each robot about the centroid and
+matches its image; class A asserts an order of 1.
 """
 
 from __future__ import annotations
@@ -42,18 +43,6 @@ class View(NamedTuple):
     """
 
     encoding: tuple[tuple[float, float, int], ...]
-
-
-@dataclass
-class StringOfAngles:
-    """Clockwise hop angles of the successor sweep around a center."""
-
-    angles: tuple[float, ...]
-    start: Point
-    center: Point
-
-    def __len__(self) -> int:
-        return len(self.angles)
 
 
 @dataclass
@@ -305,43 +294,6 @@ def successor(config: Configuration, i: int, c: Point, angle_slack: float | None
     return _successor_step(config, rays, _sweep_slack(config, rays, angle_slack), i)
 
 
-def string_of_angles(config: Configuration, i: int, c: Point, angle_slack: float | None = None) -> StringOfAngles:
-    """Hop angles of the full successor cycle around c, started at robot i.
-
-    The string has one entry per robot not located at c; hops that stay on
-    the same ray (co-located robots, moves inward) contribute angle zero.
-    Each step costs O(log n) plus the robots on the rays it looks at (see
-    ``_successor_step``).
-    """
-    rays = Rays.of(config, c)
-    if rays.angles[i] is None:
-        raise DegenerateCenter(f"robot {i} sits on the center {c}")
-    slack = _sweep_slack(config, rays, angle_slack)
-    angles = []
-    cur = i
-    for _ in range(len(rays.off)):
-        nxt = _successor_step(config, rays, slack, cur)
-        hop = _cw(rays.angles[cur], rays.angles[nxt], slack)  # type: ignore[arg-type]
-        angles.append(0.0 if abs(hop) <= slack else hop)
-        cur = nxt
-    return StringOfAngles(tuple(angles), config.points[i], c)
-
-
-def periodicity(sa: StringOfAngles, eps_angle: float = 1e-9) -> int:
-    """Greatest k dividing |SA| such that SA is the k-fold repeat of a block."""
-    angles = sa.angles if isinstance(sa, StringOfAngles) else tuple(sa)
-    m = len(angles)
-    if m == 0:
-        raise ValueError("periodicity of an empty string")
-    for k in range(m, 1, -1):
-        if m % k:
-            continue
-        block = m // k
-        if all(abs(angles[j] - angles[j % block]) <= eps_angle for j in range(block, m)):
-            return k
-    return 1
-
-
 # --- views and symmetricity ------------------------------------------------------
 
 
@@ -441,14 +393,20 @@ def symmetricity(config: Configuration) -> int:
     d = a + k * floor / r, at most a fifth of ``eps_angle`` while
     k * floor / r <= a (for the default eps_angle of 1e-9, robots farther
     than about 7e-5 * k * M from the center), and the pull is below n*d,
-    inside the skip threshold.  At an occupied center the residues of order k chain in
-    steps below the slack, so ``_deficits_for`` finds one cluster per
-    orbit, one ray per slot and equal counts: no deficit.  An unoccupied
-    center rests on the assumption that ``_unoccupied_order`` makes: the
-    Weber candidate lies within ``_CANDIDATE_ERROR`` * D of the center, the
-    error its slack is widened for, and the rays seen from it lie within d
-    of an exact k-fold structure besides.  Both hold away from the ray
-    tests' own knife edges: two rays or residues about one slack apart.
+    inside the skip threshold.  So the residues of order k chain in steps
+    below the slack, and ``_structure`` finds one cluster per orbit, one ray
+    per slot and equal counts: no deficit, which an occupied center's
+    multiplicity covers and the unoccupied Weber candidate's multiplicity 0
+    covers too.  The candidate is not the center itself, but on exactly
+    symmetric input both Weber searches land within a quarter of
+    ``_CANDIDATE_ERROR`` * D of it (a test checks orders 2 to 24 with one
+    to three orbits).  Seen from a point e off the center, a robot at
+    distance r turns by at most about e/r and its rotated image moves by at
+    most 2e, so each step of the chain grows by at most 2e/r, under half
+    the widening term ``_CANDIDATE_ERROR`` * D / r_min of the candidate's
+    slack: the steps stay below d + slack/2, inside the slack.  Both
+    centers are accepted away from the structure test's own knife edge:
+    two rays or residues about one slack apart.
     """
     n = config.n
     center = Point(math.fsum(x for x, _ in config.points) / n, math.fsum(y for _, y in config.points) / n)
@@ -487,43 +445,17 @@ def symmetricity(config: Configuration) -> int:
 def regularity_at(config: Configuration, c: Point, angle_slack: float | None = None) -> int:
     """Rotational order of the ray structure around c (1 when none).
 
-    Computed as the periodicity of the string of angles and confirmed by the
-    rotated-ray counting test; the returned order always satisfies both.  On
-    exact inputs the two agree outright; for inputs sitting on the tolerance
-    knife edge the largest confirmed divisor wins, so the function stays
-    total and conservative.
-
-    The distances, the robots off c and their directions come from the
-    cached ``Rays`` around c.  The periodicity divides the number of robots
-    off c, so the counting test runs first on those divisors; when none of
-    them passes, the answer is 1 and the successor sweep is skipped.  The
-    counting test accepts an order whose summed ray drift certifies it in
-    O(n) (``_rotation_certified``); otherwise it finds each rotated ray by
-    binary search over the sorted ray directions: an order k that holds
-    costs O(n k log n), and one that fails usually does so on the first
-    ray, in O(k log n).  The sweep walks the sorted index, O(n log n) in
-    all when each ray holds few robots.
+    The largest order that ``_structure`` accepts with no robot on c: the
+    rays of the robots off c fill every slot of each of their orbits with
+    equal counts.  Robots within the merge slack of c are left out, as in
+    every ray test.  The slack defaults to ``eps_angle``, widened for a
+    robot very close to c.
     """
     rays = Rays.of(config, c)
-    off = rays.off
-    if not off:
+    if not rays.off:
         raise AllAtCenter(f"no robot off the center {c}")
-    angle_slack = _sweep_slack(config, rays, angle_slack)
-    dirs = _ray_clusters(config, c, off, angle_slack)
-    if len(dirs) == 1:
-        return 1
-    index = _RayIndex([theta for theta, _ in dirs])
-    divisors = (k for k in range(len(off), 1, -1) if len(off) % k == 0)
-    largest = next((k for k in divisors if _ray_rotation_holds(index, dirs, k, angle_slack)), 1)
-    if largest == 1:
-        return 1
-    sa = string_of_angles(config, off[0], c, angle_slack)
-    per = periodicity(sa, angle_slack)
-    # divisors of per above `largest` divide len(off) too, so they already failed
-    for k in sorted((k for k in range(1, min(per, largest) + 1) if per % k == 0), reverse=True):
-        if k in (1, largest) or _ray_rotation_holds(index, dirs, k, angle_slack):
-            return k
-    return 1
+    res = _structure(config, c, 0, _sweep_slack(config, rays, angle_slack))
+    return 1 if res is None else res.m
 
 
 def _ray_clusters(
@@ -571,70 +503,6 @@ class _RayIndex:
         return self.rays[lo:hi]
 
 
-def _ray_rotation_holds(index: _RayIndex, dirs: list[tuple[float, int]], m: int, slack: float) -> bool:
-    """Every ray rotated by a multiple of 2*pi/m meets a ray of equal count.
-
-    ``index`` indexes the directions of ``dirs``; the exact window test runs
-    on the candidates it finds within twice the window.  A rotation that
-    ``_rotation_certified`` proves returns True without that O(R*m) loop.
-    """
-    window = 4.0 * slack
-    step = TAU / m
-    if _rotation_certified(dirs, m, step, window):
-        return True
-    for theta, count in dirs:
-        for k in range(1, m):
-            target = (theta + k * step) % TAU
-            if not any(
-                min(abs(target - other), TAU - abs(target - other)) <= window and count == c2
-                for other, c2 in (dirs[j] for j in index.around(target, 2.0 * window))
-            ):
-                return False
-    return True
-
-
-def _rotation_certified(dirs: list[tuple[float, int]], m: int, step: float, window: float) -> bool:
-    """A sufficient condition, checked in O(R), for ``_ray_rotation_holds``.
-
-    With R rays, a multiple of m, and s = R/m, ray j's partner under one
-    rotation is ray j+s (indices mod R, one turn added past the end).  The
-    certificate sums e_j = |theta[j+s] - theta[j] - step| over all rays and
-    requires equal counts along every orbit j, j+s, j+2s, ...  Soundness:
-    for any ray j and shift k < m, ray j+k*s has ray j's count and its
-    direction differs from theta[j] + k*step by at most the k terms e_j,
-    e_{j+s}, ..., e_{j+(k-1)s}, distinct terms of the sum E.  So when E is
-    within the window, every (ray, shift) pair of the loop has a partner of
-    equal count within the window.
-
-    Rounding: each computed e_j is within 3 half-ulps of 4*pi (2.7e-15) of
-    the exact value, each addition to a partial sum (kept below the budget,
-    so below the window) errs by at most u*window, and the loop's target
-    and circular distance add under 3e-15 more.  The budget leaves (R + 1)
-    times ``_ANGLE_ROUNDING`` * (1 + window) for these, so an accepted sum
-    proves every pair.  The sum stops at the first ray that takes it over
-    the budget or breaks an orbit's count, so an order that fails usually
-    costs O(1).
-    """
-    rays = len(dirs)
-    if rays % m:
-        return False
-    s = rays // m
-    budget = window - (rays + 1) * _ANGLE_ROUNDING * (1.0 + window)
-    drift = 0.0
-    for j, (theta, count) in enumerate(dirs):
-        if j + s < rays:
-            partner, partner_count = dirs[j + s]
-        else:
-            partner, partner_count = dirs[j + s - rays]
-            partner += TAU
-        if partner_count != count:
-            return False
-        drift += abs(partner - theta - step)
-        if drift > budget:
-            return False
-    return True
-
-
 def _deficits_for(
     dirs: list[tuple[float, int]], mult_center: int, m: int, slack: float, center: Point
 ) -> QRegularityResult | None:
@@ -676,7 +544,7 @@ def _orbit_lower_bound(rays: int, robots: int, m: int) -> int:
 def _partnerless_rays_exceed(index: _RayIndex, m: int, slack: float, budget: int) -> bool:
     """More than ``budget`` rays have no ray near their direction + 2*pi/m.
 
-    Sound only as a rejection of order m; see ``detect_quasi_regular``.
+    Sound only as a rejection of order m; see ``_structure``.
     """
     step = TAU / m
     window = 2.0 * (m - 1) * slack
@@ -691,33 +559,15 @@ def _partnerless_rays_exceed(index: _RayIndex, m: int, slack: float, budget: int
     return False
 
 
-def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
-    """Find the center and maximal order of quasi-regularity, if any.
+def _structure(config: Configuration, c: Point, multiplicity: int, slack: float) -> QRegularityResult | None:
+    """The largest order m <= n at which ``_deficits_for`` accepts the rays
+    around c with ``multiplicity`` robots on c, or None.
 
-    Occupied candidate centers are tested combinatorially for every order
-    down from n; an unoccupied center can only belong to an already regular
-    configuration, so the geometric-median candidate is validated by the
-    ray periodicity test.
-
-    That verdict first reads a probe: ``_weber_search`` reweights only
-    until a step is at most ``_PROBE_STEP_REL`` times the diameter, and
-    ``_newton_polish``, the routine that also finishes ``weber_numeric``,
-    converges quadratically from there.  A probe at a location, or with
-    regularity order below 2 at the ``_CANDIDATE_ERROR`` slack, ends the
-    search with None, so a class-A configuration never runs the converged
-    search.  Only an accepted probe runs ``weber_numeric`` with the same
-    vertex list, and the verdict is taken again at its point unless the two
-    points are equal (equal points differ at most in the sign of a zero,
-    which changes no distance or direction; see ``Rays.of``): a QR center
-    always carries the converged search's doubles.  The two verdicts can differ only where the two points
-    straddle a location's merge slack or the regularity knife edge.  Away
-    from a location the probe lay within 2e-14 times the diameter of the
-    converged point on every unoccupied candidate of the benchmark
-    workloads and the tests; near one, where both stall, each fell within
-    the merge slack of that location.
-
-    ``_deficits_for`` is the one acceptance test.  Before it runs, order m is
-    rejected when either exact bound proves it would return None:
+    This is the one structure test for every center: an occupied location
+    passes its multiplicity, the unoccupied Weber candidate 0, so there it
+    accepts only rays that already fill every slot of their orbits with
+    equal counts.  Before ``_deficits_for`` runs, order m is rejected when
+    either exact bound proves it would return None:
 
     * the integer lower bound: each orbit needs m occupied slots;
     * the partner count.  An orbit's residue cluster holds at most m rays,
@@ -728,14 +578,59 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
       orbit's next slot empty, a distinct slot per ray (two rays sharing one
       would also share a slot, which the full test rejects), and each empty
       slot costs at least one deficit.  The deficits total at most the
-      center's multiplicity, so more partnerless rays than that reject m.
+      multiplicity, so more partnerless rays than that reject m.
 
-    Before any of that, a center c of multiplicity mu is skipped for every
-    order when the unit vectors toward the robots off c sum to a vector P_c
-    with |P_c| > mu + 3*n^2*slack + n*1e-12.  This is the tolerant form of
-    the Weber-point condition: the center of a quasi-regular configuration
-    is its Weber point, and an occupied point is the Weber point exactly
-    when its pull |P_c| is at most its multiplicity.  Soundness: suppose
+    The rays are clustered and sorted once, O(n log n); the partner count
+    stops at the first miss beyond the multiplicity, each miss found by
+    binary search.
+    """
+    off = Rays.of(config, c).off
+    dirs = _ray_clusters(config, c, off, slack)
+    index = _RayIndex([theta for theta, _ in dirs])
+    for m in range(config.n, 1, -1):
+        if _orbit_lower_bound(len(dirs), len(off), m) > multiplicity:
+            continue
+        if _partnerless_rays_exceed(index, m, slack, multiplicity):
+            continue
+        res = _deficits_for(dirs, multiplicity, m, slack, c)
+        if res is not None:
+            return res
+    return None
+
+
+def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
+    """Find the center and maximal order of quasi-regularity, if any.
+
+    Every candidate center runs the same structure test, ``_structure``:
+    each occupied location with its multiplicity, for every order down from
+    n, then the geometric-median candidate, which can only be the center of
+    an already regular configuration, with multiplicity 0 at the
+    ``_CANDIDATE_ERROR`` slack.
+
+    That verdict first reads a probe: ``_weber_search`` reweights only
+    until a step is at most ``_PROBE_STEP_REL`` times the diameter, and
+    ``_newton_polish``, the routine that also finishes ``weber_numeric``,
+    converges quadratically from there.  A probe at a location, or with
+    regularity order below 2, ends the search with None, so a class-A
+    configuration never runs the converged search.  Only an accepted probe
+    runs ``weber_numeric`` with the same vertex list, and the verdict is
+    taken again at its point unless the two points are equal (equal points
+    differ at most in the sign of a zero, which changes no distance or
+    direction; see ``Rays.of``): a QR center always carries the converged
+    search's doubles.  The two verdicts can differ only where the two
+    points straddle a location's merge slack or the structure test's knife
+    edge.  Away from a location the probe lay within 2e-14 times the
+    diameter of the converged point on every unoccupied candidate of the
+    benchmark workloads and the tests; near one, where both stall, each
+    fell within the merge slack of that location.
+
+    Before its structure test, an occupied center c of multiplicity mu is
+    skipped for every order when the unit vectors toward the robots off c
+    sum to a vector P_c with |P_c| > mu + 3*n^2*slack + n*1e-12.  This is
+    the tolerant form of the Weber-point condition: the center of a
+    quasi-regular configuration is its Weber point, and an occupied point
+    is the Weber point exactly when its pull |P_c| is at most its
+    multiplicity.  Soundness: suppose
     ``_deficits_for`` accepts order m at c and add its at most mu deficit
     robots.  Each orbit's rays then lie within (m-1)*slack of the slots of
     an exact m-fold structure with equal counts per slot, whose unit vectors
@@ -760,12 +655,10 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     A bound walks the cells near c and one far cell per far region, about
     O(log n) cells plus the robots of the nearby leaves on spread-out
     input, and the exact test costs O(n); only the centers that pass it
-    cluster and sort their rays, and there the partner count stops at the
-    first miss beyond the multiplicity, each miss found by binary search.
-    On generic configurations almost every center fails the pull bound, so
-    the occupied-center search costs one bound per location plus O(n log n)
-    per surviving center; without a tree it costs O(n^2) distance and
-    vector terms.
+    run ``_structure``.  On generic configurations almost every center
+    fails the pull bound, so the occupied-center search costs one bound per
+    location plus O(n log n) per surviving center; without a tree it costs
+    O(n^2) distance and vector terms.
 
     The Weber search that follows checks only the surviving centers as
     possible optimal vertices, in location order.  A skipped location has
@@ -809,16 +702,9 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         if math.hypot(pull_x, pull_y) > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
             continue
         survivors.append(k)
-        dirs = _ray_clusters(config, c, off, slack)
-        index = _RayIndex([theta for theta, _ in dirs])
-        for m in range(n, 1, -1):
-            if _orbit_lower_bound(len(dirs), len(off), m) > loc.multiplicity:
-                continue
-            if _partnerless_rays_exceed(index, m, slack, loc.multiplicity):
-                continue
-            res = _deficits_for(dirs, loc.multiplicity, m, slack, c)
-            if res is not None:
-                return res
+        res = _structure(config, c, loc.multiplicity, slack)
+        if res is not None:
+            return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
     vertices = survivors if exact else None
     probe = _weber_search(config, vertices, _PROBE_STEP_REL)

@@ -5,12 +5,17 @@ it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
 election; the diameter's loop over every pair of hull candidates;
-quasi-regularity detection that converges every Weber candidate; a
-rescan of every robot at every successor step and at every class-M
-blocked test; ray clustering with a dict of shifted values; the greedy
-lookahead that moves and measures every candidate afresh; and the trace
-writer that builds a dict per record.  The current code must return the same doubles, bit for
-bit, so comparisons use ``bits``.
+quasi-regularity detection that converges every Weber candidate and runs
+every order at its center; a rescan of every robot at every successor
+step and at every class-M blocked test; ray clustering with a dict of
+shifted values; the greedy lookahead that moves and measures every
+candidate afresh; and the trace writer that builds a dict per record.  The
+current code must return the same doubles, bit for bit, so comparisons use
+``bits``.
+
+The string of angles and its periodicity are the paper's definition of a
+regular configuration, kept here as the oracle that the structure test of
+``symmetry.regularity_at`` is checked against.
 """
 
 from __future__ import annotations
@@ -238,7 +243,19 @@ def _push_off_vertex(locs, at):
 # unoccupied candidate is always the converged Weber point, here the
 # reference search's (``weber_numeric`` returns the same doubles for every
 # vertex list the detection hands it), tested at a location and then by
-# ``regularity_at``.
+# ``_deficits_for`` at every order with no robot on it.
+
+
+def structure_reference(config, c, multiplicity, slack):
+    """``symmetry._structure`` without its prunes: ``_deficits_for`` at
+    every order from n down, on the rays of the robots off c."""
+    off = [i for i, p in enumerate(config.points) if dist(p, c) > config.merge_slack]
+    dirs = symmetry._ray_clusters(config, c, off, slack)
+    for m in range(config.n, 1, -1):
+        res = symmetry._deficits_for(dirs, multiplicity, m, slack, c)
+        if res is not None:
+            return res
+    return None
 
 
 def detect_quasi_regular_reference(config):
@@ -276,10 +293,7 @@ def detect_quasi_regular_reference(config):
     if config.find_location(candidate) is not None:
         return None
     slack = slack_of(config, min(symmetry.Rays.of(config, candidate).dists), symmetry._CANDIDATE_ERROR)
-    order = symmetry.regularity_at(config, candidate, slack)
-    if order >= 2:
-        return symmetry.QRegularityResult(candidate, order, {})
-    return None
+    return structure_reference(config, candidate, 0, slack)
 
 
 def qr_bits(res):
@@ -481,8 +495,12 @@ def successor_reference(config, i, c, angle_slack=None):
     return successor_step(ctx, i)
 
 
-def string_of_angles_reference(config, i, c, angle_slack=None) -> list[str]:
-    """The hop angles of the sweep, as hex strings."""
+def string_of_angles(config, i, c, angle_slack=None) -> tuple[float, ...]:
+    """Hop angles of the full successor cycle around c, started at robot i.
+
+    The string has one entry per robot not located at c; hops that stay on
+    the same ray (co-located robots, moves inward) contribute angle zero.
+    """
     ctx = CenterContext(config, c, angle_slack)
     if ctx.at_center[i]:
         raise DegenerateCenter(f"robot {i} sits on the center {c}")
@@ -491,9 +509,24 @@ def string_of_angles_reference(config, i, c, angle_slack=None) -> list[str]:
     for _ in range(sum(1 for at in ctx.at_center if not at)):
         nxt = successor_step(ctx, cur)
         hop = wrap_near_zero((ctx.angs[cur] - ctx.angs[nxt]) % TAU, ctx.slack)
-        angles.append((0.0 if abs(hop) <= ctx.slack else hop).hex())
+        angles.append(0.0 if abs(hop) <= ctx.slack else hop)
         cur = nxt
-    return angles
+    return tuple(angles)
+
+
+def periodicity(angles, eps_angle: float = 1e-9) -> int:
+    """Greatest k dividing the string's length such that the string is the
+    k-fold repeat of a block."""
+    m = len(angles)
+    if m == 0:
+        raise ValueError("periodicity of an empty string")
+    for k in range(m, 1, -1):
+        if m % k:
+            continue
+        block = m // k
+        if all(abs(angles[j] - angles[j % block]) <= eps_angle for j in range(block, m)):
+            return k
+    return 1
 
 
 def _same_ray(config, center, a, b) -> bool:

@@ -243,12 +243,12 @@ def test_classify_agrees_with_library(tmp_path, capsys):
         assert report["class"] == classify(config).tag
 
 
-def test_classify_knife_edge_pentagon(capsys):
+def test_classify_knife_edge_pentagon_quasi_regular(capsys):
     # classify used to exit 1 here, with "classified asymmetric but sym=4"
     path = Path(__file__).parent / "data" / "knife_edge_pentagon.json"
     assert main(["classify", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert (report["class"], report["sym"]) == ("A", 1)
+    assert (report["class"], report["sym"], report["qreg"]) == ("QR", 1, 5)
 
 
 def test_gather_log_env(square_json, capsys, monkeypatch):

@@ -276,16 +276,34 @@ def test_asymmetry_check_runs_at_every_scale(scale):
             _assert_asymmetric(Configuration(pts))
 
 
-KNIFE_EDGE_PENTAGON = Path(__file__).parent / "data" / "knife_edge_pentagon.json"
+DATA = Path(__file__).parent / "data"
 
 
-def test_knife_edge_pentagon_classifies_asymmetric():
-    # five robots near a regular pentagon: quasi-regularity rejects them, and
-    # a pairwise view test that is not transitive once reported sym=4 here
-    points = json.loads(KNIFE_EDGE_PENTAGON.read_text())["points"]
+def test_knife_edge_pentagon_classifies_quasi_regular():
+    # five robots near a regular pentagon: seen from their Weber point the
+    # rays fill the five slots within the angle slack, though consecutive
+    # hop angles differ by more than it, so they are quasi-regular of order
+    # 5, as they are with a sixth robot on that point; a pairwise view test
+    # that is not transitive once reported sym=4 here
+    points = json.loads((DATA / "knife_edge_pentagon.json").read_text())["points"]
     config = Configuration(points)
     assert symmetry.symmetricity(config) == 1
+    cls = classify(config)
+    assert (cls.tag, cls.qreg) == (TAG_QREGULAR, 5)
+
+
+def test_turned_pentagon_reaches_the_asymmetry_check(monkeypatch):
+    # the same pentagon with one robot turned by five slacks (5e-9) about
+    # the Weber point: seen from the new Weber point its residue of order 5
+    # lies 1.2 to 3.1 slacks from the others, so the structure test rejects
+    # every order and class A runs the asymmetry check
+    checked = []
+    check = configuration._assert_asymmetric
+    monkeypatch.setattr(configuration, "_assert_asymmetric", lambda config: checked.append(config) or check(config))
+    config = Configuration(json.loads((DATA / "turned_pentagon.json").read_text())["points"])
+    assert symmetry.symmetricity(config) == 1
     assert classify(config).tag == TAG_ASYMMETRIC
+    assert checked == [config]
 
 
 def test_center_robot_moved_within_the_merge_slack():
