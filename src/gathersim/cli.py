@@ -132,7 +132,6 @@ def _run_setup(
     params = SimParams(
         delta=max(config.diameter, 1e-6) / 100.0 if delta is None else float(delta),
         max_rounds=int(settings["max_rounds"]),
-        tol=config.tol,
         fairness_bound=int(settings["fairness_bound"]),
         seed=int(settings["seed"]),
     )

@@ -14,7 +14,7 @@ class DegenerateAngle(GatherError, ValueError):
 
 
 class DegenerateCenter(GatherError, ValueError):
-    """Successor/string-of-angles query for a robot sitting on the center."""
+    """Successor query for a robot sitting on the center."""
 
 
 class NotOccupied(GatherError, ValueError):

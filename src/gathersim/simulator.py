@@ -20,14 +20,14 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 from . import configuration as cfg
 from . import gathering, symmetry
 from .configuration import ConfigClass, Configuration
 from .errors import BivalentInitial, InvariantViolation, TooFewRobots
-from .geometry import TAU, Point, Tolerance, _plain_sum, dist
+from .geometry import TAU, Point, _plain_sum, dist
 
 log = logging.getLogger("gathersim")
 
@@ -50,7 +50,6 @@ _FRAME_MATCH_REL = 1e-9
 class SimParams:
     delta: float
     max_rounds: int = 100_000
-    tol: Tolerance = field(default_factory=Tolerance)
     fairness_bound: int = 8
     seed: int = 0
 

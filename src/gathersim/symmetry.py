@@ -398,7 +398,7 @@ def symmetricity(config: Configuration) -> int:
     per slot and equal counts: no deficit, which an occupied center's
     multiplicity covers and the unoccupied Weber candidate's multiplicity 0
     covers too.  The candidate is not the center itself, but on exactly
-    symmetric input both Weber searches land within a quarter of
+    symmetric input the Weber search lands within a quarter of
     ``_CANDIDATE_ERROR`` * D of it (a test checks orders 2 to 24 with one
     to three orbits).  Seen from a point e off the center, a robot at
     distance r turns by at most about e/r and its rotated image moves by at
@@ -607,22 +607,10 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     an already regular configuration, with multiplicity 0 at the
     ``_CANDIDATE_ERROR`` slack.
 
-    That verdict first reads a probe: ``_weber_search`` reweights only
-    until a step is at most ``_PROBE_STEP_REL`` times the diameter, and
-    ``_newton_polish``, the routine that also finishes ``weber_numeric``,
-    converges quadratically from there.  A probe at a location, or with
-    regularity order below 2, ends the search with None, so a class-A
-    configuration never runs the converged search.  Only an accepted probe
-    runs ``weber_numeric`` with the same vertex list, and the verdict is
-    taken again at its point unless the two points are equal (equal points
-    differ at most in the sign of a zero, which changes no distance or
-    direction; see ``Rays.of``): a QR center always carries the converged
-    search's doubles.  The two verdicts can differ only where the two
-    points straddle a location's merge slack or the structure test's knife
-    edge.  Away from a location the probe lay within 2e-14 times the
-    diameter of the converged point on every unoccupied candidate of the
-    benchmark workloads and the tests; near one, where both stall, each
-    fell within the merge slack of that location.
+    The candidate is ``weber_numeric``'s point, searched once with the
+    surviving locations as its vertex list (see below), and the verdict is
+    taken once there: at a location, or with regularity order below 2, the
+    result is None; otherwise the candidate is the QR center.
 
     Before its structure test, an occupied center c of multiplicity mu is
     skipped for every order when the unit vectors toward the robots off c
@@ -707,15 +695,10 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
             return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
     vertices = survivors if exact else None
-    probe = _weber_search(config, vertices, _PROBE_STEP_REL)
-    order = _unoccupied_order(config, probe)
+    candidate = weber_numeric(config, vertices)
+    order = _unoccupied_order(config, candidate)
     if order < 2:
         return None
-    candidate = weber_numeric(config, vertices)
-    if candidate != probe:
-        order = _unoccupied_order(config, candidate)
-        if order < 2:
-            return None
     return QRegularityResult(candidate, order, {})
 
 
@@ -729,10 +712,13 @@ def _unoccupied_order(config: Configuration, c: Point) -> int:
 
 # --- Weber point ------------------------------------------------------------------
 
-_WEBER_STEP_REL = 1e-10
-_WEBER_MAX_ITER = 1000
+_REWEIGHT_STOP_REL = 1e-3
+_VERTEX_PUSH_REL = 1e-10
 _POLISH_STEP_REL = 1e-15
-_PROBE_STEP_REL = 1e-3
+# a guard that never binds: reweighting to the stop took at most 134 passes
+# (push-offs included) over sweep-small seeds 1, 2 and 13, sync-large seeds
+# 1-2, classify-snapshots seeds 1-3, the acceptance sweep and the test inputs
+_WEBER_MAX_ITER = 1000
 
 
 def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) -> Point:
@@ -743,27 +729,24 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
     robot are returned exactly.  ``vertices`` lists the indices into
     ``config.locations``, ascending, of the locations to check; the default
     is every location, and a caller may leave out only locations that
-    provably fail the check (see ``detect_quasi_regular``).  Reweighting
-    alone stalls when the median lies close to an occupied location; the
-    damped Newton steps on the (there smooth) objective recover full float
-    precision.
+    provably fail the check (see ``detect_quasi_regular``).
+
+    Reweighting (Weiszfeld's iteration) runs until a step is at most
+    ``_REWEIGHT_STOP_REL`` times the diameter D; an iterate within
+    ``_VERTEX_PUSH_REL`` * D of a location is pushed off it first.  The
+    damped Newton steps of ``_newton_polish`` on the (there smooth)
+    objective then converge quadratically to full float precision, also
+    where reweighting alone would stall near an occupied location.
     """
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
-    return _weber_search(config, vertices, _WEBER_STEP_REL)
-
-
-def _weber_search(config: Configuration, vertices: Sequence[int] | None, stop_rel: float) -> Point:
-    """``weber_numeric``'s search, reweighting until a step is at most
-    ``stop_rel`` times the diameter; a vertex closer than
-    ``_WEBER_STEP_REL`` times the diameter is pushed off whatever the stop."""
     locs = config.locations
     xs = [l.location.x for l in locs]
     ys = [l.location.y for l in locs]
     ms = [l.multiplicity for l in locs]
     diam = config.diameter
-    tiny = _WEBER_STEP_REL * diam
-    stop = stop_rel * diam
+    tiny = _VERTEX_PUSH_REL * diam
+    stop = _REWEIGHT_STOP_REL * diam
 
     for a in range(len(locs)) if vertices is None else vertices:
         gx, gy = _pull_vector(xs, ys, ms, a, _vertex_dists(config, a))

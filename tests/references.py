@@ -135,13 +135,15 @@ def location_dists_reference(config) -> list[list[str]]:
 #
 # Every location is checked as an optimal vertex with fresh distances, and
 # each reweighting iteration scans all locations for a nearby vertex before
-# its weight pass.
+# its weight pass.  Reweighting stops at the search's own rule, a step of at
+# most ``_REWEIGHT_STOP_REL`` times the diameter, and the polish finishes.
 
 
 def weber_reference(config) -> Point:
     locs = config.locations
     diam = config.diameter
-    tiny = symmetry._WEBER_STEP_REL * diam
+    tiny = symmetry._VERTEX_PUSH_REL * diam
+    stop = symmetry._REWEIGHT_STOP_REL * diam
     for l in locs:
         gx, gy = _pull_vector(locs, l)
         if math.hypot(gx, gy) <= l.multiplicity * (1.0 + 1e-12):
@@ -163,7 +165,7 @@ def weber_reference(config) -> Point:
         y_new = Point(wx / wsum, wy / wsum)
         step = dist(y_new, y)
         y = y_new
-        if step <= tiny:
+        if step <= stop:
             break
     return _newton_polish(locs, y, diam)
 
@@ -240,9 +242,9 @@ def _push_off_vertex(locs, at):
 # --- quasi-regularity detection ----------------------------------------------------
 #
 # The occupied centers are searched as ``detect_quasi_regular`` does; the
-# unoccupied candidate is always the converged Weber point, here the
-# reference search's (``weber_numeric`` returns the same doubles for every
-# vertex list the detection hands it), tested at a location and then by
+# unoccupied candidate is the one Weber search's point, here the reference
+# search's (``weber_numeric`` returns the same doubles for every vertex list
+# the detection hands it), tested at a location and then by
 # ``_deficits_for`` at every order with no robot on it.
 
 

@@ -304,7 +304,7 @@ def test_sweep_traces_are_pinned(sweep_runs):
         result = entry["result"]
         digest.update(trace_lines(result.records).encode())
         digest.update(f"{result.outcome}|{result.rounds}\n".encode())
-    assert digest.hexdigest() == "2e4dc3b47cff7059f23322edef32e642ebbd0afe08bc25f5aa4deeb531ff243d"
+    assert digest.hexdigest() == "b18ce9c18487d8fb3d9bfbdd3594590c38617a9d05d1b68eb030234d9f4be912"
 
 
 def test_criterion_6_wait_freedom_and_termination(sweep_runs):
@@ -322,7 +322,7 @@ def test_criterion_6_wait_freedom_and_termination(sweep_runs):
     rng = random.Random(99)
     for entry in rng.sample(sweep_runs["runs"], 25):
         for record in entry["result"].records[:-1]:
-            config = Configuration(record.positions, entry["params"].tol)
+            config = Configuration(record.positions, entry["config"].tol)
             cls = classify(config)
             moving = moving_set(config, cls)
             stationary = [
@@ -351,9 +351,10 @@ def _replay_transitions(entry):
     failures = []
     records = entry["result"].records
     params = entry["params"]
+    tol = entry["config"].tol
     for rec, nxt in zip(records, records[1:]):
-        prev_config = Configuration(rec.positions, params.tol)
-        next_config = Configuration(nxt.positions, params.tol)
+        prev_config = Configuration(rec.positions, tol)
+        next_config = Configuration(nxt.positions, tol)
         prev_cls = classify(prev_config)
         if prev_cls.tag != rec.cls:
             failures.append((entry["index"], rec.round, "trace class mismatch"))

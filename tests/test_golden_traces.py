@@ -88,7 +88,7 @@ GOLDEN_RUNS = {
     ("multiplicity", 5, "adversarial_greedy", "minimal", "n-2", 18): "443ba895209d7b22ad5b40f4f49d79b8de5544943cfd93e9170331bd46fa925b",
     ("symmetric", 6, "synchronous", "full_move", "n-2", 19): "15a4741399e0f592e6c49da2f77b921fd36d21bb021a7e7b80d2203a41392229",
     ("symmetric", 7, "random", "minimal", "none", 20): "154690e49bef74b7818fa9c4cbc88e79c68ad2b1f0723bfbacdd70cdb417d1e2",
-    ("symmetric", 8, "round_robin", "random_fraction", "n-2", 21): "74376a1fba82eb6b3b5b9354e47c6f18ed7a23bb16740a24549cca85968ad2f3",
+    ("symmetric", 8, "round_robin", "random_fraction", "n-2", 21): "212c0c37d5170271b867597a8f10bf7849085b74d58a8b5c6ebf1bf876eae3ac",
     ("symmetric", 6, "adversarial_greedy", "minimal", "none", 22): "39621a1c95acc826c70c72f937f74fdd007bd4cd6b6abe2004dbece6fbd86078",
     ("quasi_regular", 6, "synchronous", "random_fraction", "none", 23): "8fad1dddc0125217ca93a14b737875061b912860e1a802a04038d3da5a332231",
     ("quasi_regular", 8, "random", "full_move", "n-2", 24): "5ed9fc1421f753ac759e50802049e0d5cc98bb9838015a46b88e8360e116995a",

@@ -808,15 +808,13 @@ def _weber_edge_inputs():
 
 def test_weber_search_matches_reference(monkeypatch):
     """``weber_numeric`` returns the reference's doubles, both on its own and
-    with every vertex list that ``detect_quasi_regular`` hands the Weber
-    search (its probe and the exact search)."""
+    with every vertex list that ``detect_quasi_regular`` hands it."""
     handed = []
     original = symmetry.weber_numeric
-    search = symmetry._weber_search
 
-    def recording(config, vertices, stop_rel):
+    def recording(config, vertices=None):
         handed.append(vertices)
-        return search(config, vertices, stop_rel)
+        return original(config, vertices)
 
     pushed = []
     push_off = symmetry._push_off_vertex
@@ -825,7 +823,7 @@ def test_weber_search_matches_reference(monkeypatch):
         pushed.append(args)
         return push_off(*args)
 
-    monkeypatch.setattr(symmetry, "_weber_search", recording)
+    monkeypatch.setattr(symmetry, "weber_numeric", recording)
     monkeypatch.setattr(symmetry, "_push_off_vertex", pushing)
     restricted = full = on_vertex = 0
     for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
@@ -855,7 +853,7 @@ def _equiangular(rng, k, per_ray=1):
     )
 
 
-def _probe_inputs():
+def _equiangular_inputs():
     """Equiangular configurations, and the same with one robot moved by
     r*diameter, r from 1e-13 to 1e-6, across the regularity knife edge."""
     rng = random.Random(47)
@@ -872,23 +870,26 @@ def _probe_inputs():
     return out
 
 
-def test_detect_matches_converged_reference():
-    """Deciding the unoccupied center on the probe gives the converged
-    detection's center doubles, order and deficits on every input."""
-    probes = _probe_inputs()
-    inputs = _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs() + probes
-    unoccupied = rejected_probes = 0
+def test_detect_matches_reference():
+    """The detection gives the reference's center doubles, order and
+    deficits on every input, on both sides of the regularity knife edge."""
+    equiangular = _equiangular_inputs()
+    inputs = _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs() + equiangular
+    unoccupied = rejected = 0
     for k, config in enumerate(inputs):
         expected = detect_quasi_regular_reference(config)
         assert qr_bits(detect_quasi_regular(config)) == qr_bits(expected), config
         unoccupied += expected is not None and config.find_location(expected.center) is None
-        rejected_probes += expected is None and k >= len(inputs) - len(probes)
-    assert unoccupied > 150 and 0 < rejected_probes < len(probes) // 2
+        rejected += expected is None and k >= len(inputs) - len(equiangular)
+    assert unoccupied > 150 and 0 < rejected < len(equiangular) // 2
 
 
-def test_class_a_runs_no_exact_weber_search(monkeypatch):
-    """A class-A classification decides on the probe alone; a QR one with an
-    unoccupied center runs the exact search once and keeps its doubles."""
+def test_classification_runs_one_weber_search(monkeypatch):
+    """A classification that reaches the unoccupied candidate runs the Weber
+    search exactly once, class A and QR alike, and a QR center carries the
+    reference search's doubles."""
+    uniform = uniform_configuration(random.Random(53), 20)  # the generator classifies
+    regular = Configuration([on_ray(Point(0.25, -0.5), j * TAU / 12, 1.0) for j in range(12)])
     calls = []
     original = symmetry.weber_numeric
 
@@ -897,15 +898,24 @@ def test_class_a_runs_no_exact_weber_search(monkeypatch):
         return original(config, vertices)
 
     monkeypatch.setattr(symmetry, "weber_numeric", counting)
-    uniform = uniform_configuration(random.Random(53), 20)
-    assert classify(uniform).tag == TAG_ASYMMETRIC
-    assert calls == []
-    regular = Configuration([on_ray(Point(0.25, -0.5), j * TAU / 12, 1.0) for j in range(12)])
+    assert classify(uniform).tag == TAG_ASYMMETRIC and len(calls) == 1
     for config in (regular, _equiangular(random.Random(59), 9)):
         calls.clear()
         cls = classify(config)
         assert cls.tag == TAG_QREGULAR and len(calls) == 1
         assert bits(cls.weber) == bits(weber_reference(config))
+
+
+def test_weber_search_does_not_depend_on_its_cap(monkeypatch):
+    """The reweighting stop ends every search long before the iteration
+    guard: with the guard cut from 1000 to 100, every Weber point and every
+    detection keeps its bits (these inputs take at most 28 passes)."""
+    inputs = _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs() + _equiangular_inputs()
+    expected = [(bits(weber_numeric(config)), qr_bits(detect_quasi_regular(config))) for config in inputs]
+    monkeypatch.setattr(symmetry, "_WEBER_MAX_ITER", 100)
+    for config, want in zip(inputs, expected):
+        fresh = Configuration(config.points, config.tol)
+        assert (bits(weber_numeric(fresh)), qr_bits(detect_quasi_regular(fresh))) == want, config
 
 
 def test_election_and_screen_match_reference_on_center_inputs():
@@ -938,7 +948,7 @@ def test_unoccupied_center_keeps_its_order_once_occupied():
     filled = detect_quasi_regular(Configuration(list(pentagon.points) + [res.center]))
     assert filled is not None and (filled.center, filled.m) == (res.center, 5)
     checked = 0
-    for config in _prune_inputs() + _knife_edge_inputs() + _probe_inputs():
+    for config in _prune_inputs() + _knife_edge_inputs() + _equiangular_inputs():
         res = detect_quasi_regular(config)
         if res is None or config.find_location(res.center) is not None:
             continue
@@ -987,13 +997,13 @@ def test_regularity_matches_the_string_of_angles_on_exact_inputs():
 
 def test_regularity_departs_from_the_string_of_angles_only_upward():
     """On every unoccupied Weber candidate of the pruning, knife-edge and
-    probe inputs, the structure test's order is at least the string's.
+    equiangular inputs, the structure test's order is at least the string's.
     It is higher where the rays lie within the slack of an m-fold structure
     while consecutive hop angles differ by more than the slack: on 429
     candidates, 21 that the string leaves at 1 have an order of 2 or more,
     and 10 more have a higher order."""
     candidates = flips = rises = 0
-    for config in _prune_inputs() + _knife_edge_inputs() + _probe_inputs():
+    for config in _prune_inputs() + _knife_edge_inputs() + _equiangular_inputs():
         candidate = weber_numeric(config)
         if config.find_location(candidate) is not None:
             continue
@@ -1008,11 +1018,11 @@ def test_regularity_departs_from_the_string_of_angles_only_upward():
 
 
 def test_weber_searches_land_on_the_symmetry_center():
-    """On exactly symmetric input with an unoccupied center, the probe and
-    the converged search both lie within a quarter of ``_CANDIDATE_ERROR``
-    times the diameter of the ``math.fsum`` centroid, the bound the
-    ``symmetricity`` argument for an unoccupied center rests on (the worst
-    seen is about 3e-16 times the diameter)."""
+    """On exactly symmetric input with an unoccupied center, the Weber search
+    lands within a quarter of ``_CANDIDATE_ERROR`` times the diameter of the
+    ``math.fsum`` centroid, the bound the ``symmetricity`` argument for an
+    unoccupied center rests on (the worst seen is about 3e-16 times the
+    diameter)."""
     rng = random.Random(97)
     checked = 0
     for k in range(2, 25):
@@ -1024,8 +1034,7 @@ def test_weber_searches_land_on_the_symmetry_center():
                 n = config.n
                 g = Point(math.fsum(x for x, _ in config.points) / n, math.fsum(y for _, y in config.points) / n)
                 bound = symmetry._CANDIDATE_ERROR * config.diameter / 4.0
-                probe = symmetry._weber_search(config, None, symmetry._PROBE_STEP_REL)
-                assert dist(probe, g) <= bound and dist(weber_numeric(config), g) <= bound, config
+                assert dist(weber_numeric(config), g) <= bound, config
                 checked += 1
     assert checked > 500
 
