@@ -44,9 +44,14 @@ ALL_TAGS = (TAG_BIVALENT, TAG_MULTIPLE, TAG_L1W, TAG_L2W, TAG_QREGULAR, TAG_ASYM
 _RESOLUTION = 8.0 * sys.float_info.epsilon
 # Unit roundoff of a double, 2^-53.
 _UNIT = sys.float_info.epsilon / 2.0
-# Robots per leaf of the cell tree; configurations of at most this many
-# robots build none.
+# Robots per leaf of the cell tree.
 _LEAF_SIZE = 8
+# Robots above which classification builds the cell tree; at or below it
+# one exact pass over every robot pair serves every location.
+_TREE_FROM = 64
+# Distinct points up to which the diameter measures every pair of them,
+# without the hull.
+_ALL_PAIRS_UP_TO = 20
 # Hull candidates above which the diameter measures only near-opposite pairs.
 _OPPOSITE_FROM = 32
 
@@ -114,32 +119,113 @@ class Configuration:
         return stacks, sorted(stacks)
 
     @cached_property
-    def _hull(self) -> list[Point]:
-        """``_hull_candidates`` of the distinct points: every computed
-        distance from any point to a robot is at most one to a candidate."""
-        return _hull_candidates(self._distinct[1])
-
-    @cached_property
     def _farthest(self) -> tuple[float, list[tuple[Point, Point]]]:
-        """The diameter and the pairs of distinct points at it."""
-        return _farthest_pairs(self._hull)
+        """The diameter and the pairs of distinct points at it.
+
+        Up to ``_ALL_PAIRS_UP_TO`` distinct points every pair of them is
+        measured; above, only pairs of their ``_hull_candidates``, which
+        hold every pair at the maximum (see there).  Either way the maximum
+        is the same double and the pairs at it are the same set, in another
+        order and orientation, which no reader depends on: ``hypot``
+        ignores signs, and ``farthest_pair`` takes a minimum over them.
+
+        That is the crossover measured on points uniform in a square and
+        on random points on a circle (CPython 3.11, a shared 2-core x86-64
+        host, best of 7 x 200 calls): every pair takes 5.3, 11.8 and 18.0
+        us at 10, 16 and 20 points, the hull and its pairs 9.8, 15.6 and
+        19.0 us (12.9, 22.9 and 31.9 us on the circle); at 24 points the
+        hull wins on uniform input, 20.1 against 25.2 us.
+        """
+        pts = self._distinct[1]
+        return _farthest_pairs(pts if len(pts) <= _ALL_PAIRS_UP_TO else _hull_candidates(pts))
 
     @cached_property
     def _cells(self) -> geometry.CellTree | None:
-        """The robots' ``geometry.CellTree``, or None for at most
-        ``_LEAF_SIZE`` robots, where its root would be a leaf and each of
-        its bounds an exact O(n) pass."""
-        if self.n <= _LEAF_SIZE:
+        """The robots' ``geometry.CellTree`` above ``_TREE_FROM`` robots,
+        else None.
+
+        The tree's bounds spare exact work only when they prune most of
+        the robots; at small n a walk measures most of them exactly anyway,
+        and ``_pair_sums`` measures every location for less than the tree's
+        build and walks cost.  The crossover, measured as whole
+        ``classify`` calls on fresh configurations, pass against tree
+        (CPython 3.11, a shared 2-core x86-64 host, best of 5): uniform
+        class-A input in a square, 298 against 360 us at n = 20, 1011
+        against 1200 at 64, 2758 against 2870 at 128 and 3904 against 3628
+        at 160; a regular polygon (QR), 501 against 588 us at 40, 914
+        against 923 at 64, 1252 against 1193 at 80 and 3846 against 2602
+        at 160.  The pass alone takes 48, 438 and 2684 us at n = 20, 64 and
+        160, the tree's build plus one walk per location 102, 592 and 2140.
+        Up to 64 robots the pass is thus no slower on either input.
+        """
+        if self.n <= _TREE_FROM:
             return None
         return geometry.CellTree(self.points, _LEAF_SIZE, self.merge_slack)
 
     @cached_property
-    def diameter(self) -> float:
-        """The largest ``hypot(px - x, py - y)`` over all pairs of robots.
+    def _pair_sums(self) -> list[tuple[float, float, float]]:
+        """(pull, r_min, sum) at each location's lowest robot c, in location
+        order, exactly as they are taken from c's ``symmetry.Rays``: pull is
+        ``hypot`` of the unit vectors (x - cx, y - cy) / d toward the robots
+        whose d = ``hypot(x - cx, y - cy)`` exceeds the merge slack, added in
+        index order from 0.0; r_min is their smallest d (0.0 when there is
+        none); sum is the ``_plain_sum`` of every robot's d in index order.
+        The same triple as ``geometry.CellTree.bounds``, with each bound
+        exact.
 
-        Only pairs of ``_hull_candidates`` are measured; the result is the
-        same double as the maximum over every pair (see there).
+        One pass over the robot pairs k < l with a lowest robot among them,
+        each measured once as ``hypot(x_l - x_k, y_l - y_k)``.  That is the
+        d of the pair from either end, as ``hypot`` ignores signs, and
+        x_k - x_l is exactly -(x_l - x_k) up to the sign of a zero, so l's
+        unit vector toward k is exactly the negated one of k toward l.  A
+        sum that starts at 0.0 is never -0.0, so adding a zero of either
+        sign leaves it unchanged, as does leaving out c's own d of 0.0.
+        Robot l meets its partners k < l in ascending order, while the
+        outer loop reaches them, then the rest in its own row: in index
+        order, so every sum rounds as the row-by-row one does.  O(n^2)
+        ``hypot`` calls, half those of one ``Rays`` per robot.
         """
+        points = self.points
+        n = len(points)
+        slack = self.merge_slack
+        hypot = math.hypot
+        lows = [loc.indices[0] for loc in self.locations]
+        is_low = [False] * n
+        for i in lows:
+            is_low[i] = True
+        pulls_x = [0.0] * n
+        pulls_y = [0.0] * n
+        nearest = [math.inf] * n
+        totals = [0.0] * n
+        for k, (xk, yk) in enumerate(points):
+            pull_x, pull_y, r_min, total = pulls_x[k], pulls_y[k], nearest[k], totals[k]
+            for l in range(k + 1, n) if is_low[k] else lows[bisect_right(lows, k):]:
+                x, y = points[l]
+                dx = x - xk
+                dy = y - yk
+                d = hypot(dx, dy)
+                total += d
+                totals[l] += d
+                if d > slack:
+                    ux = dx / d
+                    uy = dy / d
+                    pull_x += ux
+                    pull_y += uy
+                    pulls_x[l] -= ux
+                    pulls_y[l] -= uy
+                    if d < r_min:
+                        r_min = d
+                    if d < nearest[l]:
+                        nearest[l] = d
+            pulls_x[k], pulls_y[k], nearest[k], totals[k] = pull_x, pull_y, r_min, total
+        return [
+            (hypot(pulls_x[i], pulls_y[i]), nearest[i] if nearest[i] < math.inf else 0.0, totals[i]) for i in lows
+        ]
+
+    @cached_property
+    def diameter(self) -> float:
+        """The largest ``hypot(px - x, py - y)`` over all pairs of robots,
+        from ``_farthest``."""
         return self._farthest[0]
 
     @cached_property
@@ -272,7 +358,7 @@ class Configuration:
 
 def _farthest_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
     """The largest ``hypot(px - x, py - y)`` between two distinct points, and
-    every pair at it, given the points' ``_hull_candidates``.
+    every pair at it, given the points or their ``_hull_candidates``.
 
     Only pairs of candidates are measured, each in candidate order; they
     hold every pair at the maximum (see there).  No pair of a single point
@@ -555,6 +641,9 @@ def _elect_safe_point(config: Configuration) -> Point:
     one, so only locations up to that bound are tested.  The tied set keeps
     location order, so the view comparison breaks exact ties as before.
 
+    Without a cell tree (up to ``_TREE_FROM`` robots) every location's sum
+    comes from ``Configuration._pair_sums``, the ``_plain_sum`` of its
+    ``Rays`` row bit for bit, so no location builds a ``Rays`` for its sum.
     With a cell tree, exact sums are taken only where they can matter.  The
     locations are visited in ascending order of their sum's lower bound
     (``geometry.CellTree.bounds``), and the visit stops at the first bound
@@ -580,11 +669,8 @@ def _elect_safe_point(config: Configuration) -> Point:
 
     for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
-        # Without a tree every sum is taken.  The visit below, with each
-        # exact sum as its own bound, would make the same calls, but it made
-        # an election at n <= 8 about a tenth slower.
         if cells is None:
-            totals = {k: _plain_sum(symmetry.Rays.of(config, locs[k].location).dists) for k in group}
+            totals = {k: config._pair_sums[k][2] for k in group}
         else:
             lower = {k: cells.bounds(locs[k].location)[2] for k in group}
             totals = {}

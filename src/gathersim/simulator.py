@@ -336,28 +336,38 @@ def _move_toward(
 # --- the round -------------------------------------------------------------------
 
 
+def _decide(config: Configuration, cls: ConfigClass) -> list[gathering.ComputeDecision]:
+    """Each location's decision, computed for its lowest robot: co-located
+    robots always receive identical decisions."""
+    return [gathering.compute(config, loc.indices[0], cls) for loc in config.locations]
+
+
 def step(
     state: SimState,
     adv: AdversarySpec,
     params: SimParams,
     rng: random.Random,
     cls: ConfigClass | None = None,
+    decided: list[gathering.ComputeDecision] | None = None,
 ) -> tuple[SimState, TraceRecord, bool, bool]:
     """Execute one round; returns (state, record, endpoint_moved, changed).
 
+    ``cls`` and ``decided`` may carry the configuration's class and its
+    per-location decisions (``_decide``), which ``run`` has already taken.
     A round that moves no robot (no actor, or every actor stays) returns
-    the input's own ``Configuration``, which ``run`` does not classify
-    again.  Stops are tested by identity: ``==`` takes -0.0 for 0.0.
+    the input's own ``Configuration``, which ``run`` neither classifies nor
+    decides again.  Stops are tested by identity: ``==`` takes -0.0 for 0.0.
     """
     config = state.config
     if cls is None:
         cls = cfg.classify(config)
     if cls.tag == cfg.TAG_BIVALENT:
         raise InvariantViolation(f"round {state.round}: bivalent configuration")
+    if decided is None:
+        decided = _decide(config, cls)
 
     decisions: dict[int, gathering.ComputeDecision] = {}
-    for loc in config.locations:
-        decision = gathering.compute(config, loc.indices[0], cls)
+    for loc, decision in zip(config.locations, decided):
         for i in loc.indices:
             if not state.crashed[i]:
                 decisions[i] = decision
@@ -533,6 +543,7 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     records: list[TraceRecord] = []
     # (class, configuration, endpoint moved, positions changed) of the last step
     prev: tuple[ConfigClass, Configuration, bool, bool] | None = None
+    decided: list[gathering.ComputeDecision] | None = None
     checks = 0
 
     while True:
@@ -547,7 +558,9 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
                 checks += 1
                 if violation is not None:
                     raise InvariantViolation(f"round {state.round}: {violation}")
-            moving = gathering.moving_set(config, cls)
+            if decided is None:
+                decided = _decide(config, cls)
+            moving = [loc.location for loc, d in zip(config.locations, decided) if d.rule != gathering.RULE_STAY]
             live = [not c for c in state.crashed]
             gathered = cfg.is_gathered(config, live, moving)
             if records:
@@ -569,7 +582,7 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
                 records.append(_terminal_record(state, cls, False))
                 return RunResult(OUTCOME_MAX_ROUNDS, state.round, records, None, crashes, params.seed, checks)
 
-            state, record, endpoint_moved, changed = step(state, adv, params, rng, cls)
+            state, record, endpoint_moved, changed = step(state, adv, params, rng, cls, decided)
             records.append(record)
             prev = (cls, config, endpoint_moved, changed)
             log.debug("round %d: class %s, %d activated", record.round, record.cls, len(record.activated))
@@ -578,6 +591,7 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
             return RunResult(OUTCOME_VIOLATION, state.round, records, str(exc), crashes, params.seed, checks)
         if state.config is not config:
             cls = cfg.classify(state.config)
+            decided = None
 
 
 def _terminal_record(state: SimState, cls: ConfigClass, gathered: bool) -> TraceRecord:

@@ -414,6 +414,9 @@ def test_run_classifies_each_distinct_configuration_once(monkeypatch, activation
     monkeypatch.setattr(LocalFrame, "apply_config", lambda self, c: images.append(apply_config(self, c)) or images[-1])
     calls = []
     monkeypatch.setattr(configuration, "classify", lambda config: calls.append(config) or classify(config))
+    decided = []
+    compute = gathering.compute
+    monkeypatch.setattr(gathering, "compute", lambda config, *args: decided.append(config) or compute(config, *args))
     initial = uniform_configuration(random.Random(49), 6)
     adv = AdversarySpec(activation=activation, stop_policy="minimal", crash_schedule=crashes)
     result = run(initial, adv, SimParams(delta=0.05, seed=5, max_rounds=10_000))
@@ -424,6 +427,10 @@ def test_run_classifies_each_distinct_configuration_once(monkeypatch, activation
     distinct = 1 + sum(a != b for a, b in zip(positions, positions[1:]))
     assert distinct < len(result.records)
     assert len(global_calls) == distinct
+    # each one is decided once per location, shared by run and step
+    classified = {id(config) for config in global_calls}
+    global_decisions = [config for config in decided if id(config) in classified]
+    assert len(global_decisions) == sum(len(config.locations) for config in global_calls)
 
 
 # --- the greedy lookahead ------------------------------------------------------------

@@ -7,6 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gathersim import (
     Configuration,
@@ -48,7 +49,7 @@ from gathersim.generators import (
     symmetric_configuration,
     uniform_configuration,
 )
-from gathersim.geometry import TAU, Tolerance, dist
+from gathersim.geometry import TAU, Tolerance, _plain_sum, dist
 from helpers import Similarity, deficits_at, grid_weber, mixed_configuration, on_ray
 from gathersim.simulator import LocalFrame
 from references import (
@@ -1186,17 +1187,23 @@ def test_rays_are_cached_per_center():
 def test_classified_configuration_is_freed_by_reference_counting():
     # neither a Rays nor the cell tree holds a reference back to its
     # configuration, so no cycle keeps any of them alive once the last
-    # reference goes
+    # reference goes; at the tree cutoff the exact pair pass serves instead
     enabled = gc.isenabled()
     gc.disable()
     try:
-        config = uniform_configuration(random.Random(5), 40)
-        assert classify(config).tag == TAG_ASYMMETRIC
-        cells = config._cells
-        assert cells is not None and len(cells._bounds) == len(config.locations) and config._rays
-        refs = [weakref.ref(config), weakref.ref(cells)] + [weakref.ref(rays) for rays in config._rays.values()]
-        del config, cells
-        assert [ref() for ref in refs] == [None] * len(refs)
+        for n in (configuration._TREE_FROM, configuration._TREE_FROM + 1):
+            config = uniform_configuration(random.Random(5), n)
+            assert classify(config).tag == TAG_ASYMMETRIC
+            cells = config._cells
+            if n > configuration._TREE_FROM:
+                assert cells is not None and len(cells._bounds) == len(config.locations)
+            else:
+                assert cells is None and len(config._pair_sums) == len(config.locations)
+            assert config._rays
+            refs = [weakref.ref(config)] + [weakref.ref(rays) for rays in config._rays.values()]
+            refs += [weakref.ref(cells)] if cells is not None else []
+            del config, cells
+            assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
@@ -1235,30 +1242,42 @@ def test_most_centers_never_compute_directions(monkeypatch):
         assert sum("angles" in vars(rays) for rays in built) < len(built)
 
 
-def test_cell_tree_only_above_leaf_size(monkeypatch):
+def test_cell_tree_only_above_tree_from(monkeypatch):
     built = []
     init = geometry.CellTree.__init__
     monkeypatch.setattr(geometry.CellTree, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     rng = random.Random(8)
-    for _ in range(60):
-        config = mixed_configuration(rng, rng.randint(3, configuration._LEAF_SIZE))
-        if config.n > configuration._LEAF_SIZE:
+    sizes = [rng.randint(3, configuration._TREE_FROM) for _ in range(40)] + [configuration._TREE_FROM]
+    for n in sizes:
+        config = mixed_configuration(rng, n)
+        if config.n > configuration._TREE_FROM:
             continue
         cls = classify(config)
         if cls.tag != "B":
             for i in range(config.n):
                 compute(config, i, cls)
     assert built == []
-    config = uniform_configuration(rng, 160)
+    config = uniform_configuration(rng, configuration._TREE_FROM + 1)
     classify(config)
     assert len(built) == 1 and config._cells is not None
 
 
-# --- the cell tree's bounds, above the leaf size ------------------------------------
+# --- the cell tree's bounds and the exact pair pass ----------------------------------
 #
 # Each bound must stay at or below the exact value it bounds, computed as
 # the unpruned routines compute it, and every decision it prunes must match
-# the references bit for bit.
+# the references bit for bit.  The tree is built directly, at every size, so
+# the bounds keep their coverage below the size from which classification
+# builds one.  The exact pass must give each location's values bit for bit
+# as its ``Rays`` row does.
+
+
+def _on_path(config, cells):
+    """A fresh copy of config whose classification bounds with ``cells``,
+    or measures every location with the exact pair pass for None."""
+    copy = Configuration(config.points, config.tol)
+    copy._cells = cells
+    return copy
 
 
 def _offset(config, factor=1e6):
@@ -1309,8 +1328,7 @@ def _large_inputs():
 def test_cell_bounds_hold_and_keep_every_decision():
     checked = found = view_decided = 0
     for config in _large_inputs():
-        cells = config._cells
-        assert cells is not None
+        cells = geometry.CellTree(config.points, configuration._LEAF_SIZE, config.merge_slack)
         for loc in config.locations:
             c = loc.location
             row = [dist(c, q) for q in config.points]
@@ -1320,19 +1338,66 @@ def test_cell_bounds_hold_and_keep_every_decision():
             assert total <= left_sum(row), (config, c)
             checked += 1
         # the reference runs every order at every location, O(n^3); above
-        # n = 80 the exact path that the tree prunes stands in for it
-        unpruned = Configuration(config.points, config.tol)
-        unpruned._cells = None
-        expected = _detect_reference(config) if config.n <= 80 else detect_quasi_regular(unpruned)
-        assert detect_quasi_regular(config) == expected, config
+        # n = 80 the reference's exact loop over each location's Rays, the
+        # work both paths prune, stands in for it
+        if config.n <= 80:
+            expected = _detect_reference(config)
+        else:
+            expected = detect_quasi_regular_reference(_on_path(config, None))
+        elected = outcome(elect_reference, config)
+        for path in (cells, None):
+            assert detect_quasi_regular(_on_path(config, path)) == expected, (config, path)
+            assert outcome(_elect_safe_point, _on_path(config, path)) == elected, (config, path)
         found += expected is not None
-        elected = outcome(_elect_safe_point, config)
-        assert elected == outcome(elect_reference, config), config
         safe = safe_points_reference(config)
         if safe:
             nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), left_sum(dist(p, q) for q in config.points)))
             view_decided += elected != bits(nearest)
     assert checked > 3500 and found >= 16 and view_decided >= 4
+
+
+_signed = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _pair_pass_inputs(draw):
+    """Robots with stacks, twins whose zero coordinates change sign, robots
+    about the merge slack from another, and all of it offset by 1e6 times
+    the diameter."""
+    base = draw(st.lists(st.builds(Point, _signed, _signed), min_size=2, max_size=14))
+    points = list(base)
+    extras = st.tuples(st.integers(0, len(base) - 1), st.sampled_from(("stack", "flip", "near")), st.floats(-3.0, 3.0))
+    for k, kind, t in draw(st.lists(extras, max_size=8)):
+        x, y = base[k]
+        if kind == "stack":
+            points.append(base[k])
+        elif kind == "flip":
+            points.append(Point(-x if x == 0.0 else x, -y if y == 0.0 else y))
+        else:
+            points.append(Point(x + t * 1e-9, y - t * 1e-9))
+    points = draw(st.permutations(points))
+    if draw(st.booleans()):
+        shift = 1e6 * Configuration(points).diameter
+        points = [Point(x + shift, y - 0.5 * shift) for x, y in points]
+    return Configuration(points)
+
+
+@given(_pair_pass_inputs())
+@settings(max_examples=300, deadline=None)
+def test_pair_pass_matches_every_rays_row(config):
+    # the pull, r_min and distance sum that detect_quasi_regular and the
+    # class-A election take from each location's Rays row, bit for bit
+    for loc, (pull, r_min, total) in zip(config.locations, config._pair_sums, strict=True):
+        c = loc.location
+        rays = symmetry.Rays(config, c)
+        pull_x = pull_y = 0.0
+        for i in rays.off:
+            x, y = config.points[i]
+            pull_x += (x - c.x) / rays.dists[i]
+            pull_y += (y - c.y) / rays.dists[i]
+        assert pull.hex() == math.hypot(pull_x, pull_y).hex(), (config, c)
+        assert r_min.hex() == rays.r_min.hex(), (config, c)
+        assert total.hex() == _plain_sum(rays.dists).hex(), (config, c)
 
 
 # --- ray clustering against the reference ----------------------------------------------
