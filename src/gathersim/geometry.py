@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -52,6 +53,28 @@ DEFAULT_TOLERANCE = Tolerance()
 def dist(u: Point, v: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(u[0] - v[0], u[1] - v[1])
+
+
+class _cached(cached_property):
+    """A ``functools.cached_property`` whose first read stores ``func(obj)``
+    in the instance ``__dict__``, where every later read finds it, and does
+    nothing else; read on the class, it is the descriptor itself.
+
+    The base class's first read takes an ``RLock`` on CPython 3.10 and 3.11
+    (3.12 dropped it), and a simulator run builds thousands of short-lived
+    configurations whose attributes are each read once.  Without the lock,
+    two threads that first read one attribute at once would each compute
+    it and store equal values, as on 3.12; nothing here shares an instance
+    between threads.  It stays a ``cached_property`` with ``func``, so code
+    that finds lazy attributes by that type, as the benchmark's tracer
+    does, still finds every one.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _plain_sum(values: Iterable[float]) -> float:

@@ -119,13 +119,14 @@ class LocalFrame:
         return Point(x * ct + y * st, -x * st + y * ct)
 
     def apply_config(self, config: Configuration) -> Configuration:
-        # apply_point's arithmetic, with the rotation's cos and sin taken once
+        # apply_point's arithmetic, with the rotation's cos and sin taken
+        # once; plain float pairs, which Configuration makes Points of
         ct = math.cos(self.rotation)
         st = math.sin(self.rotation)
         s = self.scale
         tx, ty = self.translation
         return Configuration(
-            [Point(s * (x * ct - y * st) + tx, s * (x * st + y * ct) + ty) for x, y in config.points], config.tol
+            [(s * (x * ct - y * st) + tx, s * (x * st + y * ct) + ty) for x, y in config.points], config.tol
         )
 
 

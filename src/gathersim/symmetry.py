@@ -15,12 +15,11 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
-from .geometry import TAU, Point, _plain_sum, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
+from .geometry import TAU, Point, _cached, _plain_sum, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
 
 if TYPE_CHECKING:
     from .configuration import Configuration
@@ -132,8 +131,11 @@ class Rays:
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
     centers (the locations whose exact pull or distance sum the cell-tree
-    path takes) never need a direction.  Up to ``configuration._TREE_FROM``
-    robots no location builds one for its pull or sum at all:
+    path takes) never need a direction.  They and ``at_center`` are
+    ``geometry._cached`` attributes, kept in the instance ``__dict__``
+    from their first read, where ``built_index`` looks for ``index``.  Up
+    to ``configuration._TREE_FROM`` robots no location builds one for its
+    pull or sum at all:
     ``Configuration._pair_sums`` takes every location's, bit for bit as its
     ``Rays`` would, in one pass over the robot pairs, with half the
     ``hypot`` calls of one ``Rays`` per robot (48 us at n = 20, against
@@ -157,7 +159,7 @@ class Rays:
         self.off = off = [i for i, d in enumerate(dists) if d > merge_slack]
         self.r_min = min(map(dists.__getitem__, off)) if off else 0.0
 
-    @cached_property
+    @_cached
     def angles(self) -> list[float | None]:
         cx, cy = self.center
         atan2 = math.atan2
@@ -177,7 +179,7 @@ class Rays:
             rays = config._rays[center] = cls(config, center)
         return rays
 
-    @cached_property
+    @_cached
     def index(self) -> _RayIndex:
         angles = self.angles
         order = sorted(self.off, key=angles.__getitem__)
@@ -187,7 +189,7 @@ class Rays:
         """``index`` if some reader has built it, else None; builds nothing."""
         return self.__dict__.get("index")
 
-    @cached_property
+    @_cached
     def at_center(self) -> list[int]:
         """The robots within the merge slack of the center, in index order."""
         slack = self.merge_slack

@@ -2,7 +2,8 @@
 
 Each function below is a routine as it stood before a faster form replaced
 it: the full n x n distance table behind the diameter, the farthest pair
-and the location merge; fresh ``dist`` calls, every location checked and
+and the location merge; the merge's union-find over the distinct points,
+run whatever their x gaps; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
 election; the diameter's loop over every pair of hull candidates;
 quasi-regularity detection that converges every Weber candidate and runs
@@ -25,7 +26,7 @@ from array import array
 from functools import reduce
 from operator import add
 
-from gathersim import Point, geometry, symmetry
+from gathersim import LocationSummary, Point, geometry, symmetry
 from gathersim.errors import DegenerateCenter
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, on_open_segment, wrap_near_zero
 from gathersim.simulator import _move_toward, dumps_17g
@@ -99,7 +100,7 @@ def linear_endpoints_reference(config) -> tuple[Point, Point]:
     return (a, b) if a <= b else (b, a)
 
 
-def locations_reference(config) -> list[tuple[tuple[str, str], int, list[int]]]:
+def locations_table_reference(config) -> list[tuple[tuple[str, str], int, list[int]]]:
     """(location bits, multiplicity, indices) of every location, in order."""
     slack = config.merge_slack
     n = config.n
@@ -125,10 +126,42 @@ def locations_reference(config) -> list[tuple[tuple[str, str], int, list[int]]]:
     return out
 
 
+def locations_reference(config) -> list[LocationSummary]:
+    """``Configuration.locations`` as union-find over the distinct points,
+    whatever their x gaps: each point is linked to every earlier point
+    within the x window of twice the merge slack that passes the exact
+    ``hypot(...) <= slack`` test."""
+    slack = config.merge_slack
+    window = 2.0 * slack
+    hypot = math.hypot
+    stacks, pts = config._distinct
+    parent = {p: p for p in pts}
+
+    def find(p):
+        while parent[p] is not p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for k, p in enumerate(pts):
+        px, py = p
+        for j in range(k - 1, -1, -1):
+            q = pts[j]
+            qx, qy = q
+            if px - qx > window:
+                break
+            if hypot(px - qx, py - qy) <= slack:
+                parent[find(q)] = find(p)
+    groups = {}
+    for p, idx in stacks.items():
+        groups.setdefault(find(p), []).extend(idx)
+    return [LocationSummary(config.points[idx[0]], len(idx), idx) for idx in map(sorted, groups.values())]
+
+
 def location_dists_reference(config) -> list[list[str]]:
     """Each location's table row, as hex strings."""
     table = distance_table(config)
-    return [[d.hex() for d in table[idx[0]]] for _, _, idx in locations_reference(config)]
+    return [[d.hex() for d in table[idx[0]]] for _, _, idx in locations_table_reference(config)]
 
 
 # --- Weber search -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,7 @@ from references import (
     linear_endpoints_reference,
     location_dists_reference,
     locations_reference,
+    locations_table_reference,
     outcome,
     safe_points_reference,
 )
@@ -66,12 +69,92 @@ def test_multiplicities_sum_to_n():
 
 
 def test_configuration_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one robot"):
         Configuration([])
-    with pytest.raises(ValueError):
-        Configuration([(float("nan"), 0)])
-    with pytest.raises(ValueError):
-        Configuration([(0, float("inf"))])
+    # the first point with a non-finite coordinate is named
+    for pts, bad in [
+        ([(float("nan"), 0)], "Point(x=nan, y=0.0)"),
+        ([(0, float("inf"))], "Point(x=0.0, y=inf)"),
+        ([(0, 0), (2, float("nan"))], "Point(x=2.0, y=nan)"),
+        ([(0, 0), [float("inf"), 3]], "Point(x=inf, y=3.0)"),
+        ([(0, 0), (1, 1), Point(4.0, -math.inf)], "Point(x=4.0, y=-inf)"),
+        ([(1, 2), (-math.inf, math.nan), (math.nan, 0)], "Point(x=-inf, y=nan)"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            Configuration(pts)
+        assert str(caught.value) == f"non-finite coordinate: {bad}"
+
+
+def test_configuration_stores_float_points():
+    # ints, lists, tuples, Points and a generator of them are all accepted,
+    # and every coordinate is stored as a float in a Point
+    pairs = [(1, 2), [3, -4.5], Point(5, 6), Point(-0.0, 7.25), (8.0, 9)]
+    for given in (pairs, tuple(pairs), iter(pairs)):
+        config = Configuration(given)
+        assert config.points == ((1.0, 2.0), (3.0, -4.5), (5.0, 6.0), (0.0, 7.25), (8.0, 9.0))
+        assert all(type(p) is Point and type(p.x) is float and type(p.y) is float for p in config.points)
+        assert bits(config.points[3]) == bits((-0.0, 7.25))
+        assert config.n == 5
+
+
+# The public lazy attributes; the benchmark's tracer reports each one.
+_LAZY = {
+    Configuration: {
+        "diameter",
+        "farthest_pair",
+        "resolution",
+        "merge_slack",
+        "locations",
+        "location_of",
+        "is_linear",
+        "linear_endpoints",
+    },
+    symmetry.Rays: {"angles", "index", "at_center"},
+}
+
+
+def test_lazy_attributes_are_cached_properties():
+    for cls, names in _LAZY.items():
+        public = {
+            name
+            for name, value in vars(cls).items()
+            if not name.startswith("_") and isinstance(value, (property, cached_property))
+        }
+        assert public == names, cls
+        for name in names:
+            assert callable(vars(cls)[name].func), name
+
+
+def test_lazy_attributes_compute_once(monkeypatch):
+    calls = Counter()
+
+    def counted(key, func):
+        def wrapper(obj):
+            calls[key, id(obj)] += 1
+            return func(obj)
+
+        return wrapper
+
+    for cls in _LAZY:
+        for name, prop in vars(cls).items():
+            if isinstance(prop, cached_property):
+                monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    plane = Configuration([(0, 0), (0, 0), (3, 1), (1, 4), (-2, 2)])
+    line = Configuration([(0, 0), (1, 1), (1, 1), (3, 3)])
+    for config, names in ((plane, _LAZY[Configuration] - {"linear_endpoints"}), (line, _LAZY[Configuration])):
+        names = names | {"_distinct", "_farthest", "_cells", "_pair_sums"}
+        for _ in range(2):
+            for name in sorted(names):
+                getattr(config, name)
+        assert {key: count for (key, obj), count in calls.items() if obj == id(config)} == dict.fromkeys(names, 1)
+    rays = symmetry.Rays.of(plane, plane.locations[0].location)
+    assert rays.built_index() is None and rays.built_index() is None
+    assert not {"angles", "index", "at_center"} & set(vars(rays))
+    for _ in range(2):
+        for name in sorted(_LAZY[symmetry.Rays]):
+            getattr(rays, name)
+    assert {key: count for (key, obj), count in calls.items() if obj == id(rays)} == dict.fromkeys(_LAZY[symmetry.Rays], 1)
+    assert rays.built_index() is rays.index
 
 
 def test_classify_examples():
@@ -478,12 +561,81 @@ def test_location_layer_matches_table_reference():
         assert config.diameter.hex() == diameter_reference(config).hex(), pts
         assert [bits(p) for p in config.farthest_pair] == [bits(p) for p in farthest_pair_reference(config)], pts
         locs = [(bits(l.location), l.multiplicity, l.indices) for l in config.locations]
-        assert locs == locations_reference(config), pts
+        assert locs == locations_table_reference(config), pts
         rows = [symmetry.Rays.of(config, loc.location).dists for loc in config.locations]
         assert [[d.hex() for d in row] for row in rows] == location_dists_reference(config)
         assert config.is_linear == collinear(config.points, config.tol)
         merged += any(len({p for p in (config.points[i] for i in l.indices)}) > 1 for l in config.locations)
     assert len(inputs) == 696 and merged >= 150
+
+
+def _location_pass_inputs():
+    """(merge slack or None, points) around the location pass's shortcut,
+    each in three robot orders: consecutive x gaps at exactly twice the
+    merge slack and one ulp of the coordinate either side, equal x, pairs
+    and chains within the slack, stacks and signed zeros, and spread-out
+    points.
+
+    Two anchors (c - 1, c - 8) and (c + 1, c + 8) fix the diameter and the
+    largest coordinate magnitude: at c = 0 the slack is 1e-9 of the
+    diameter, and at c = 2^25 - 8 (over 1e6 diameters off the origin) the
+    resolution, 2^-24, and every x below is exact on the double grid there.
+    The cases at the origin are also translated by 1e6 diameters.
+    """
+    rng = random.Random(20)
+
+    def around(c):
+        anchors = [Point(c - 1.0, c - 8.0), Point(c + 1.0, c + 8.0)]
+        slack = Configuration(anchors).merge_slack
+        edge = c + 2.0 * slack
+        out = []
+        for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            for dy in (0.0, 0.5 * slack, 0.5):
+                out.append(anchors + [Point(c, c), Point(x, c + dy)])
+                out.append(anchors + [Point(c, c), Point(x, c + dy), Point(c + 0.5, c)])
+        out.append(anchors + [Point(c, c + dy) for dy in (0.0, 0.5 * slack, 0.5, 1.0)])
+        out.append(anchors + [Point(c, c), Point(c + 0.9 * slack, c), Point(c + 0.25, c + 0.25)])
+        out.append(anchors + [Point(c + k * 0.9 * slack, c + k * 0.3 * slack) for k in range(5)])
+        out.append(anchors + [Point(c + 0.5, c + k * 0.9 * slack) for k in range(4)] + [Point(c, c)])
+        out.append(anchors + [Point(c, c)] * 3 + [Point(c + 0.5, c + 0.5)] * 2 + [Point(c - 0.5, c)])
+        spread = [Point(c + rng.uniform(-0.9, 0.9), c + rng.uniform(-7.0, 7.0)) for _ in range(12)]
+        out.append(anchors + spread + spread[:3])
+        return [(slack, pts) for pts in out]
+
+    origin = around(0.0)
+    signed = [Point(0.0, 0.0), Point(-0.0, 0.0), Point(0.5, -0.0), Point(0.5, 0.0), Point(0.0, -0.0), Point(-0.0, -0.0)]
+    origin.append((None, [Point(-1.0, -8.0), Point(1.0, 8.0)] + signed))
+    origin.append((None, [Point(-1.0, -8.0), Point(1.0, 8.0), Point(0.0, 3.0)] + signed))
+    cases = origin + around(2.0**25 - 8.0)
+    for _, pts in origin:
+        offset = 1e6 * Configuration(pts).diameter
+        cases.append((None, [Point(p.x + offset, p.y - offset) for p in pts]))
+    out = []
+    for slack, pts in cases:
+        for _ in range(3):
+            out.append((slack, list(pts)))
+            pts = rng.sample(pts, len(pts))
+    return out
+
+
+def test_location_pass_matches_union_find():
+    # spread-out points skip the union-find; every input must give the
+    # union-find's locations, signed zeros and fresh index lists included
+    shortcut = merged = 0
+    for slack, pts in _location_pass_inputs():
+        config = Configuration(pts)
+        if slack is not None:
+            assert config.merge_slack == slack, pts
+        locs = config.locations
+        want = locations_reference(config)
+        assert locs == want, pts
+        assert [bits(loc.location) for loc in locs] == [bits(loc.location) for loc in want], pts
+        stacks, distinct = config._distinct
+        assert not any(loc.indices is idx for loc in locs for idx in stacks.values())
+        window = 2.0 * config.merge_slack
+        shortcut += all(q.x - p.x > window for p, q in zip(distinct, distinct[1:]))
+        merged += len(locs) < len(distinct)
+    assert shortcut >= 40 and merged >= 20, (shortcut, merged)
 
 
 def _tied_diameters():

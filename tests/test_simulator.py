@@ -240,6 +240,12 @@ def test_local_frame_config_image_is_pointwise():
         image = frame.apply_config(config)
         assert [bits(p) for p in image.points] == [bits(frame.apply_point(p)) for p in config.points]
         assert image.tol == config.tol
+        # the same configuration, bit for bit, as one built from the points
+        pointwise = Configuration([frame.apply_point(p) for p in config.points], config.tol)
+        assert [bits(p) for p in image.points] == [bits(p) for p in pointwise.points]
+        assert all(type(p) is Point for p in image.points) and image.n == pointwise.n
+        assert [bits(loc.location) for loc in image.locations] == [bits(loc.location) for loc in pointwise.locations]
+        assert image.diameter.hex() == pointwise.diameter.hex()
 
 
 def test_check_transition_rules():
