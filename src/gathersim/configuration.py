@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from . import geometry, symmetry
-from .errors import ClassWithoutUniqueWeber, NotLinear
+from .errors import AsymmetryViolated, ClassWithoutUniqueWeber, NotLinear
 from .geometry import TAU, Point, Tolerance, _cached, _plain_sum, dist
 
 TAG_BIVALENT = "B"
@@ -650,7 +650,8 @@ def _elect_safe_point(config: Configuration) -> Point:
 
     Distance sums are compared with tolerance so the winner is stable under
     the float noise of a robot's local coordinate frame; exact ties fall
-    through to the total order on views.
+    through to the total order on views.  No safe point at all raises
+    ``AsymmetryViolated``.
 
     Safety is tested lazily, with the same result as filtering every
     location through ``safe_points`` first.  The winning multiplicity is the
@@ -716,18 +717,19 @@ def _elect_safe_point(config: Configuration) -> Point:
         if len(tied) == 1:
             return locs[tied[0]].location
         return max((locs[k].location for k in sorted(tied)), key=lambda p: symmetry.view(config, p).encoding)
-    raise RuntimeError("non-linear configuration without a safe point")
+    raise AsymmetryViolated("non-linear configuration without a safe point")
 
 
 def _assert_asymmetric(config: Configuration) -> None:
     """All views must be distinct when no quasi-regular structure exists.
 
     With chirality two views are equal only under a rotational symmetry
-    about the centroid, which ``symmetry.symmetricity`` tests.
+    about the centroid, which ``symmetry.symmetricity`` tests; one found
+    raises ``AsymmetryViolated``.
     """
     sym = symmetry.symmetricity(config)
     if sym != 1:
-        raise RuntimeError(f"classified asymmetric but sym={sym}")
+        raise AsymmetryViolated(f"classified asymmetric but sym={sym}")
 
 
 def is_gathered(config: Configuration, live: Sequence[bool], moving: Iterable[Point]) -> bool:

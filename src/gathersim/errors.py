@@ -55,3 +55,9 @@ class TooFewRobots(GatherError, ValueError):
 
 class InvariantViolation(GatherError, RuntimeError):
     """A run-time invariant of the protocol was broken during simulation."""
+
+
+class AsymmetryViolated(GatherError, RuntimeError):
+    """A configuration classified asymmetric breaks a class-A invariant: it has
+    a rotational symmetry or no safe point (seen on inputs translated far
+    beyond their diameter)."""

@@ -617,7 +617,15 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     The candidate is ``weber_numeric``'s point, searched once with the
     surviving locations as its vertex list (see below), and the verdict is
     taken once there: at a location, or with regularity order below 2, the
-    result is None; otherwise the candidate is the QR center.
+    result is None; otherwise the candidate is the QR center.  The search
+    runs in its two steps.  After the vertex check and the reweighting
+    (``_weber_start``), ``_rejects_every_order`` bounds, from one pass at
+    the reweighting's end point y, a disc around y that holds the point the
+    Newton polish would reach, and rejects every order for every center in
+    that disc.  Only when it cannot does the polish run from the same y,
+    followed by the structure test at its point, so the result is the same
+    as after ``weber_numeric``.  On class-A input the certificate usually
+    holds, and neither the polish nor the candidate's ``Rays`` is built.
 
     Before its structure test, an occupied center c of multiplicity mu is
     skipped for every order when the unit vectors toward the robots off c
@@ -714,12 +722,159 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         if res is not None:
             return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
-    vertices = survivors if exact else None
-    candidate = weber_numeric(config, vertices)
+    xs, ys, ms = sites = _sites(config)
+    start, vertex = _weber_start(config, sites, survivors if exact else None)
+    if vertex or _rejects_every_order(config, sites, start, exact):
+        return None
+    candidate = _newton_polish(xs, ys, ms, start, config.diameter)
     order = _unoccupied_order(config, candidate)
     if order < 2:
         return None
     return QRegularityResult(candidate, order, {})
+
+
+def _rejects_every_order(
+    config: Configuration, sites: _Sites, y: Point, exact: bool
+) -> bool:
+    """Whether the candidate ``_newton_polish`` reaches from y provably has
+    order < 2 as an unoccupied center; ``exact`` says every robot sits on
+    its location's point.
+
+    ``_polish_disc`` puts that candidate c within R of y.  Let delta be the
+    largest distance of a robot from its location's point and s = R +
+    delta, at most d_min / 2, d_min the nearest location's distance from y.
+    A robot of location j then lies at least d_min / 2 from c, beyond the
+    merge slack (checked: d_min > 4 * merge slack), so every robot is off c
+    and the slack ``_unoccupied_order`` uses there is at most
+    ``_direction_slack`` at d_min / 4.  Its direction from c differs from
+    phi_j, the direction of location j from y, by at most asin(s / d_j) <=
+    1.05 * s / d_j, as s / d_j <= 1/2.
+
+    Suppose ``_structure`` accepts order m at c with multiplicity 0.  Then
+    ``_deficits_for`` has filled every slot of every orbit with equal
+    counts, so m divides n, and while 16 * (m - 1) * slack < 2*pi/m each
+    ray has a ray within 2 * (m - 1) * slack of its direction + 2*pi/m (the
+    partner argument in ``_structure``).  Each robot lies within (count - 1)
+    * slack of its ray's mean and the two rays hold at most n robots, so
+    every robot has a robot within (2m + n - 4) * slack of its direction +
+    2*pi/m, seen from c.  Seen from y, every location j thus has a location
+    k within 1.05 * s * (1/d_j + 1/d_k) + (2m + n) * slack of phi_j +
+    2*pi/m, where 4 * ``_ANGLE_ROUNDING`` covers the rounding of the
+    directions.  So one location without such a partner rejects m, one
+    sort and a binary search per probe, as in ``_RayIndex``.  When every
+    divisor m >= 2 of n is rejected, the order at c is below 2 (0 when c is
+    a location), and the search ends as it would after the polish.
+    """
+    disc = _polish_disc(sites, y, config.n)
+    if disc is None:
+        return False
+    spread, ds = disc
+    if not exact:
+        spread += max(dist(config.points[i], loc.location) for loc in config.locations for i in loc.indices)
+    d_min = min(ds)
+    if 2.0 * spread > d_min or d_min <= 4.0 * config.merge_slack:
+        return False
+    xs, ys, _ = sites
+    yx, yy = y
+    n = config.n
+    slack = _direction_slack(config, 0.25 * d_min, _CANDIDATE_ERROR)
+    atan2 = math.atan2
+    phis = [atan2(ly - yy, lx - yx) % TAU for lx, ly in zip(xs, ys)]
+    turns = [1.05 * spread / d for d in ds]
+    widest = 1.05 * spread / d_min + _ANGLE_ROUNDING
+    order = sorted(range(len(phis)), key=phis.__getitem__)
+    index = _RayIndex([phis[k] for k in order], order)
+    pi = math.pi
+    for m in range(2, n + 1):
+        if n % m:
+            continue
+        step = TAU / m
+        if 16.0 * (m - 1) * slack >= step:
+            return False
+        room = (2 * m + n) * slack + 4.0 * _ANGLE_ROUNDING
+        for phi, turn in zip(phis, turns):
+            target = (phi + step) % TAU
+            window = turn + room
+            near = index.around(target, window + widest)
+            if not near or not any(abs((phis[k] - target + pi) % TAU - pi) <= window + turns[k] for k in near):
+                break  # this location has no partner: order m fails
+        else:
+            return False
+    return True
+
+
+def _polish_disc(
+    sites: _Sites, y: Point, n: int
+) -> tuple[float, list[float]] | None:
+    """A radius R such that ``_newton_polish`` from y ends within R of y,
+    and the distances d_j from y to the locations; None when not certified.
+
+    The polish descends f(z) = sum of m_j * |z - p_j| over the locations
+    p_j of multiplicity m_j (n robots in all).  Away from the p_j the
+    Hessian of f is the sum of w_j * (I - u_j u_j^T), u_j the unit vector
+    from p_j to z and w_j = m_j / |z - p_j|; its smallest eigenvalue is
+    (sum of w_j - |sum of w_j * e^(2i phi_j)|) / 2, phi_j the direction of
+    u_j.  One pass at y gives the d_j, the gradient norm g and that
+    eigenvalue, lam0.  Take rho = min(d_min / 2, 4 * g / lam0).  On the
+    disc B(y, rho) every w_j is at least m_j / (d_j + rho), and w_j *
+    e^(2i phi_j) = m_j * h(z - p_j), with h(v) = v^2 / |v|^3 in complex
+    terms, moves by at most 2 * m_j * rho / (d_j - rho)^2 from its value at
+    y, as |h'(v)| = 2 / |v|^2 and the disc stays d_j - rho from p_j.  So on
+    the disc the Hessian is at least lam = (sum of m_j / (d_j + rho) - |sum
+    at y| - 2 * rho * sum of m_j / (d_j - rho)^2) / 2.
+
+    Let 2 * g < lam * rho.  On the circle |z - y| = rho, f(z) >= f(y) - g
+    * rho + lam * rho^2 / 2 > f(y), so the minimizer c* of f lies in the
+    disc, within g / lam of y (along the segment from y to c* the slope
+    grows by at least lam per unit length).  Along the ray from c* through
+    a point z the slope grows by at least lam per unit length up to the
+    circle, at least rho - g / lam away, and never falls after it; so z,
+    with gradient norm G < lam * rho - g, lies within G / lam of c*.  The
+    polish ends at y or at a step it accepted because the gradient norm it
+    computes fell, never on a p_j (there its norm is inf), so its end point
+    has G at most g plus rounding, and lies within R = 2 * g / lam of y.
+
+    Rounding (u = 2^-53, L locations): each computed gradient norm errs by
+    at most 1.5 * (L + 5) * n * u, as each term m_j * (z - p_j) / d_j errs
+    by a relative 5u and the running sums by (L - 1) * n * u.  The polish
+    takes at most 60 steps and compares two norms in each, so its end
+    point's norm exceeds the computed g by at most 121 such errors, and the
+    true g does by 1: adding 1.5e-14 * (L + 5) * n to g, twice that to 2g,
+    covers all 122.  The
+    terms of lam add up to at most 6 * s1 (s1 the sum of m_j / d_j) and err
+    by a relative (L + 8) * u; lam is lowered by 1e-15 * (L + 10) * s1.
+    """
+    xs, ys, ms = sites
+    yx, yy = y
+    hypot = math.hypot
+    gx = gy = s1 = cx = cy = 0.0
+    ds = []
+    for lx, ly, m in zip(xs, ys, ms):
+        dx = yx - lx
+        dy = yy - ly
+        d = hypot(dx, dy)
+        if d == 0.0:
+            return None
+        w = m / d
+        gx += w * dx
+        gy += w * dy
+        s1 += w
+        q = w / (d * d)
+        cx += q * (dx - dy) * (dx + dy)
+        cy += 2.0 * q * dx * dy
+        ds.append(d)
+    g = hypot(gx, gy) + 1.5e-14 * (len(ds) + 5) * n
+    a = hypot(cx, cy)
+    lam = 0.5 * (s1 - a)
+    if lam <= 0.0:
+        return None
+    rho = min(0.5 * min(ds), 4.0 * g / lam)
+    near = sum([m / (d + rho) for d, m in zip(ds, ms)])
+    turning = sum([m / ((d - rho) * (d - rho)) for d, m in zip(ds, ms)])
+    lam = 0.5 * (near - a - 2.0 * rho * turning) - 1e-15 * (len(ds) + 10) * s1
+    if lam * rho <= 2.0 * g:
+        return None
+    return 2.0 * g / lam, ds
 
 
 def _unoccupied_order(config: Configuration, c: Point) -> int:
@@ -732,6 +887,8 @@ def _unoccupied_order(config: Configuration, c: Point) -> int:
 
 # --- Weber point ------------------------------------------------------------------
 
+# the Weber objective's terms: location x and y coordinates, multiplicities
+_Sites = tuple[list[float], list[float], list[int]]
 _REWEIGHT_STOP_REL = 1e-3
 _VERTEX_PUSH_REL = 1e-10
 _POLISH_STEP_REL = 1e-15
@@ -751,19 +908,38 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
     is every location, and a caller may leave out only locations that
     provably fail the check (see ``detect_quasi_regular``).
 
-    Reweighting (Weiszfeld's iteration) runs until a step is at most
-    ``_REWEIGHT_STOP_REL`` times the diameter D; an iterate within
-    ``_VERTEX_PUSH_REL`` * D of a location is pushed off it first.  The
-    damped Newton steps of ``_newton_polish`` on the (there smooth)
-    objective then converge quadratically to full float precision, also
-    where reweighting alone would stall near an occupied location.
+    ``_weber_start`` runs the vertex check and the reweighting; the damped
+    Newton steps of ``_newton_polish`` on the (there smooth) objective then
+    converge quadratically to full float precision, also where reweighting
+    alone would stall near an occupied location.  ``detect_quasi_regular``
+    runs the same two steps, with a certificate between them that can make
+    the polish unnecessary.
     """
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
+    xs, ys, ms = sites = _sites(config)
+    start, vertex = _weber_start(config, sites, vertices)
+    return start if vertex else _newton_polish(xs, ys, ms, start, config.diameter)
+
+
+def _sites(config: Configuration) -> _Sites:
+    """The terms of the Weber objective: location coordinates and multiplicities."""
     locs = config.locations
-    xs = [l.location.x for l in locs]
-    ys = [l.location.y for l in locs]
-    ms = [l.multiplicity for l in locs]
+    return [l.location.x for l in locs], [l.location.y for l in locs], [l.multiplicity for l in locs]
+
+
+def _weber_start(
+    config: Configuration, sites: _Sites, vertices: Sequence[int] | None
+) -> tuple[Point, bool]:
+    """The first optimal vertex, flagged True, else the point the polish starts from.
+
+    Reweighting (Weiszfeld's iteration) starts at the centroid and runs
+    until a step is at most ``_REWEIGHT_STOP_REL`` times the diameter D; an
+    iterate within ``_VERTEX_PUSH_REL`` * D of a location is pushed off it
+    first.
+    """
+    xs, ys, ms = sites
+    locs = config.locations
     diam = config.diameter
     tiny = _VERTEX_PUSH_REL * diam
     stop = _REWEIGHT_STOP_REL * diam
@@ -771,7 +947,7 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
     for a in range(len(locs)) if vertices is None else vertices:
         gx, gy = _pull_vector(xs, ys, ms, a, _vertex_dists(config, a))
         if math.hypot(gx, gy) <= ms[a] * (1.0 + 1e-12):
-            return locs[a].location
+            return locs[a].location, True
 
     sx = _plain_sum(x * m for x, m in zip(xs, ms))
     sy = _plain_sum(y * m for y, m in zip(ys, ms))
@@ -796,7 +972,7 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
             yx, yy = nx, ny
             if step <= stop:
                 break
-    return _newton_polish(xs, ys, ms, Point(yx, yy), diam)
+    return Point(yx, yy), False
 
 
 def _vertex_dists(config: Configuration, a: int) -> list[float]:

@@ -32,7 +32,7 @@ from gathersim.configuration import (
     _hull_candidates,
     _opposite_pairs,
 )
-from gathersim.errors import NotLinear
+from gathersim.errors import AsymmetryViolated, GatherError, NotLinear
 from gathersim.generators import construct_quasi_regular, symmetric_configuration
 from gathersim.geometry import TAU, Tolerance, ccw_angle_of, dist
 from gathersim.simulator import LocalFrame
@@ -357,6 +357,23 @@ def test_asymmetry_check_runs_at_every_scale(scale):
             assert pts[i] != pts[i - 1]
         with pytest.raises(RuntimeError, match="classified asymmetric"):
             _assert_asymmetric(Configuration(pts))
+
+
+def test_class_a_invariants_raise_a_typed_error(monkeypatch):
+    # a 6-fold symmetric configuration translated by 1e7 times its
+    # diameter: quasi-regularity no longer finds its center, so it reaches
+    # class A, where the rotation test still sees the symmetry; the error
+    # is typed, and still a RuntimeError for callers that catch that
+    base = symmetric_configuration(random.Random(5))
+    shift = 1e7 * base.diameter
+    far = Configuration([Point(x + shift, y + shift) for x, y in base.points], base.tol)
+    with pytest.raises(AsymmetryViolated, match="classified asymmetric but sym=6") as raised:
+        classify(far)
+    assert isinstance(raised.value, RuntimeError) and isinstance(raised.value, GatherError)
+    assert classify(base).tag == TAG_QREGULAR
+    monkeypatch.setattr(configuration, "_is_safe", lambda config, k: False)
+    with pytest.raises(AsymmetryViolated, match="non-linear configuration without a safe point"):
+        _elect_safe_point(Configuration([(0, 0), (3, 0), (0, 4), (1, 1)]))
 
 
 DATA = Path(__file__).parent / "data"

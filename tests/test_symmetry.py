@@ -809,13 +809,14 @@ def _weber_edge_inputs():
 
 def test_weber_search_matches_reference(monkeypatch):
     """``weber_numeric`` returns the reference's doubles, both on its own and
-    with every vertex list that ``detect_quasi_regular`` hands it."""
+    with every vertex list that ``detect_quasi_regular`` hands its search."""
     handed = []
     original = symmetry.weber_numeric
+    start = symmetry._weber_start
 
-    def recording(config, vertices=None):
+    def recording(config, sites, vertices):
         handed.append(vertices)
-        return original(config, vertices)
+        return start(config, sites, vertices)
 
     pushed = []
     push_off = symmetry._push_off_vertex
@@ -824,7 +825,7 @@ def test_weber_search_matches_reference(monkeypatch):
         pushed.append(args)
         return push_off(*args)
 
-    monkeypatch.setattr(symmetry, "weber_numeric", recording)
+    monkeypatch.setattr(symmetry, "_weber_start", recording)
     monkeypatch.setattr(symmetry, "_push_off_vertex", pushing)
     restricted = full = on_vertex = 0
     for config in _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs():
@@ -887,24 +888,148 @@ def test_detect_matches_reference():
 
 def test_classification_runs_one_weber_search(monkeypatch):
     """A classification that reaches the unoccupied candidate runs the Weber
-    search exactly once, class A and QR alike, and a QR center carries the
-    reference search's doubles."""
+    search exactly once.  On class-A input the certificate rejects every
+    order before the polish, so no Newton step runs and no ``Rays`` is built
+    around a point that is not a location; on QR input the search runs to
+    the end, and the center carries the reference search's doubles."""
     uniform = uniform_configuration(random.Random(53), 20)  # the generator classifies
+    uniform = Configuration(uniform.points, uniform.tol)
     regular = Configuration([on_ray(Point(0.25, -0.5), j * TAU / 12, 1.0) for j in range(12)])
-    calls = []
-    original = symmetry.weber_numeric
+    searches, polishes = [], []
+    start, polish = symmetry._weber_start, symmetry._newton_polish
 
-    def counting(config, vertices=None):
-        calls.append(vertices)
-        return original(config, vertices)
+    def counting_start(config, sites, vertices):
+        searches.append(vertices)
+        return start(config, sites, vertices)
 
-    monkeypatch.setattr(symmetry, "weber_numeric", counting)
-    assert classify(uniform).tag == TAG_ASYMMETRIC and len(calls) == 1
+    def counting_polish(*args):
+        polishes.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(symmetry, "_weber_start", counting_start)
+    monkeypatch.setattr(symmetry, "_newton_polish", counting_polish)
+    assert classify(uniform).tag == TAG_ASYMMETRIC
+    assert len(searches) == 1 and not polishes
+    assert all(uniform.find_location(center) is not None for center in uniform._rays)
     for config in (regular, _equiangular(random.Random(59), 9)):
-        calls.clear()
+        searches.clear()
+        polishes.clear()
         cls = classify(config)
-        assert cls.tag == TAG_QREGULAR and len(calls) == 1
+        assert cls.tag == TAG_QREGULAR and len(searches) == len(polishes) == 1
         assert bits(cls.weber) == bits(weber_reference(config))
+
+
+# --- the order certificate before the polish ------------------------------------------
+#
+# ``_polish_disc`` bounds where ``_newton_polish`` can end from the
+# reweighting's end point y; ``_rejects_every_order`` rejects every order for
+# every center in that disc.  The tests run the polish and the structure test
+# the certificate skips, and check the disc also against the points beyond
+# the polished candidate whose gradient norm is no larger than y's, which a
+# polish is allowed to end on.
+
+
+def _exact(config):
+    return all(config.points[i] == loc.location for loc in config.locations for i in loc.indices)
+
+
+def _farthest_low_gradient(sites, y, c):
+    """A point on the ray from y through c, beyond c, whose computed gradient
+    norm is at most y's, found by bisection: as far as the Hessian lets it be."""
+    g = symmetry._gradient(*sites, y)[2]
+    length = dist(c, y)
+    ux, uy = (c.x - y.x) / length, (c.y - y.y) / length
+    lo, hi = 0.0, 4.0 * length
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if symmetry._gradient(*sites, Point(c.x + mid * ux, c.y + mid * uy))[2] <= g:
+            lo = mid
+        else:
+            hi = mid
+    return Point(c.x + lo * ux, c.y + lo * uy)
+
+
+def _check_certificate(config):
+    """Check the disc and the rejection at the reweighting's end point and at
+    the converged Weber point; returns (discs, rejections, order-1 candidates)."""
+    sites = symmetry._sites(config)
+    start, vertex = symmetry._weber_start(config, sites, None)
+    if vertex:
+        return 0, 0, 0
+    discs = rejections = order_one = 0
+    for y in (start, weber_numeric(config)):
+        disc = symmetry._polish_disc(sites, y, config.n)
+        candidate = symmetry._newton_polish(*sites, y, config.diameter)
+        order = symmetry._unoccupied_order(config, candidate)
+        order_one += order < 2
+        if disc is None:
+            continue
+        radius = disc[0]
+        discs += 1
+        assert dist(candidate, y) <= radius, (config, y)
+        if candidate != y:
+            assert dist(_farthest_low_gradient(sites, y, candidate), y) <= radius, (config, y)
+        if symmetry._rejects_every_order(config, sites, y, _exact(config)):
+            assert order < 2, (config, y)
+            rejections += 1
+    return discs, rejections, order_one
+
+
+def test_order_certificate_is_sound():
+    """Wherever the certificate rejects, the polish and the structure test
+    give an order below 2, across the regularity knife edge (equiangular
+    rays with one robot moved by 1e-13 to 1e-6 of the diameter), the
+    pruning and center-skip inputs and the Weber edge cases."""
+    inputs = _equiangular_inputs() + _prune_inputs() + _knife_edge_inputs() + _weber_edge_inputs()
+    discs = rejections = order_one = 0
+    for config in inputs:
+        found = _check_certificate(config)
+        discs += found[0]
+        rejections += found[1]
+        order_one += found[2]
+    assert discs > 800 and rejections > 120 and order_one > 2 * rejections
+
+
+@st.composite
+def _jittered_equiangular(draw):
+    """Equiangular rays around an unoccupied center with every robot moved
+    by up to ``_CANDIDATE_ERROR`` times the diameter, and up to three robots
+    doubled by a copy a sliver off them, within the merge slack."""
+    k = draw(st.integers(3, 12))
+    per_ray = draw(st.integers(1, 2))
+    center = Point(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    phase = draw(st.floats(0, TAU))
+    radius = st.floats(0.2, 1.5)
+    pts = [on_ray(center, phase + j * TAU / k, draw(radius)) for j in range(k) for _ in range(per_ray)]
+    reach = symmetry._CANDIDATE_ERROR * Configuration(pts).diameter
+    turn = st.floats(0, TAU)
+    pts = [on_ray(p, draw(turn), draw(st.floats(0, 1)) * reach) for p in pts]
+    slack = Configuration(pts).merge_slack
+    for i in draw(st.lists(st.integers(0, len(pts) - 1), max_size=3)):
+        pts.append(on_ray(pts[i], draw(turn), draw(st.floats(0.01, 0.5)) * slack))
+    return Configuration(pts)
+
+
+@given(_jittered_equiangular())
+@settings(max_examples=200, deadline=None)
+def test_order_certificate_is_sound_near_regular_centers(config):
+    _check_certificate(config)
+
+
+def test_order_certificate_rejects_most_uniform_class_a():
+    rng = random.Random(61)
+    candidates = rejected = 0
+    for _ in range(100):
+        config = uniform_configuration(rng, rng.randint(16, 24))
+        if classify(config).tag != TAG_ASYMMETRIC:
+            continue
+        sites = symmetry._sites(config)
+        start, vertex = symmetry._weber_start(config, sites, None)
+        if vertex:
+            continue
+        candidates += 1
+        rejected += symmetry._rejects_every_order(config, sites, start, _exact(config))
+    assert candidates > 80 and rejected > 0.7 * candidates
 
 
 def test_weber_search_does_not_depend_on_its_cap(monkeypatch):
