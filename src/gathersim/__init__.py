@@ -17,7 +17,7 @@ from .configuration import (
     weber_point,
 )
 from .gathering import ComputeDecision, PotentialValue, compute, moving_set, potential
-from .geometry import Circle, Point, Tolerance
+from .geometry import Point, Tolerance
 from .simulator import AdversarySpec, RunResult, SimParams, SimState, TraceRecord, run, step
 from .symmetry import (
     QRegularityResult,
@@ -32,7 +32,6 @@ from .symmetry import (
 
 __all__ = [
     "AdversarySpec",
-    "Circle",
     "ComputeDecision",
     "ConfigClass",
     "Configuration",

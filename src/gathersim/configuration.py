@@ -650,8 +650,8 @@ def _elect_safe_point(config: Configuration) -> Point:
 
     Distance sums are compared with tolerance so the winner is stable under
     the float noise of a robot's local coordinate frame; exact ties fall
-    through to the total order on views.  No safe point at all raises
-    ``AsymmetryViolated``.
+    through to the view order, ``symmetry.greatest_view``.  No safe point
+    at all raises ``AsymmetryViolated``.
 
     Safety is tested lazily, with the same result as filtering every
     location through ``safe_points`` first.  The winning multiplicity is the
@@ -660,7 +660,7 @@ def _elect_safe_point(config: Configuration) -> Point:
     the sum of the first safe location in ascending-sum order, and the tied
     set is every safe location whose sum is within the merge slack of that
     one, so only locations up to that bound are tested.  The tied set keeps
-    location order, so the view comparison breaks exact ties as before.
+    location order, the order ``symmetry.greatest_view`` needs.
 
     Without a cell tree (up to ``_TREE_FROM`` robots) every location's sum
     comes from ``Configuration._pair_sums``, the ``_plain_sum`` of its
@@ -716,7 +716,7 @@ def _elect_safe_point(config: Configuration) -> Point:
                 tied.append(k)
         if len(tied) == 1:
             return locs[tied[0]].location
-        return max((locs[k].location for k in sorted(tied)), key=lambda p: symmetry.view(config, p).encoding)
+        return symmetry.greatest_view(config, [locs[k].location for k in sorted(tied)])
     raise AsymmetryViolated("non-linear configuration without a safe point")
 
 

@@ -5,10 +5,6 @@ class GatherError(Exception):
     """Base class for all library errors."""
 
 
-class EmptyInput(GatherError, ValueError):
-    """An operation that needs at least one point received none."""
-
-
 class DegenerateAngle(GatherError, ValueError):
     """Angle query where one of the rays has zero length."""
 

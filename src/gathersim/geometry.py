@@ -9,13 +9,12 @@ the same for a configuration and any scaled copy of it.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import DegenerateAngle, EmptyInput
+from .errors import DegenerateAngle
 
 TAU = 2.0 * math.pi
 
@@ -23,11 +22,6 @@ TAU = 2.0 * math.pi
 class Point(NamedTuple):
     x: float
     y: float
-
-
-class Circle(NamedTuple):
-    center: Point
-    radius: float
 
 
 @dataclass(frozen=True)
@@ -161,95 +155,6 @@ def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, to
         return True
     slack = tol.eps_len * diameter
     return all(_point_line_offset(p, a, b) <= slack for p in points)
-
-
-# --- smallest enclosing circle -------------------------------------------------
-#
-# Incremental construction with a fixed-seed shuffle: the minimal circle is
-# unique, the shuffle only protects the expected running time and keeps the
-# result independent of input order.
-
-_SEC_SHUFFLE_SEED = 0x5EC
-
-
-def smallest_enclosing_circle(points: Iterable[Point]) -> Circle:
-    """Minimal-radius circle containing every point."""
-    pts = [Point(float(p[0]), float(p[1])) for p in set(points)]
-    if not pts:
-        raise EmptyInput("smallest enclosing circle of no points")
-    random.Random(_SEC_SHUFFLE_SEED).shuffle(pts)
-    c: Circle | None = None
-    for i, p in enumerate(pts):
-        if c is None or not _in_circle(c, p):
-            c = _sec_one_point(pts[: i + 1], p)
-    assert c is not None
-    return c
-
-
-def _sec_one_point(pts: list[Point], p: Point) -> Circle:
-    c = Circle(p, 0.0)
-    for i, q in enumerate(pts):
-        if not _in_circle(c, q):
-            if c.radius == 0.0:
-                c = _circle_from_diameter(p, q)
-            else:
-                c = _sec_two_points(pts[: i + 1], p, q)
-    return c
-
-
-def _sec_two_points(pts: list[Point], p: Point, q: Point) -> Circle:
-    circ = _circle_from_diameter(p, q)
-    left: Circle | None = None
-    right: Circle | None = None
-    for r in pts:
-        if _in_circle(circ, r):
-            continue
-        cross = _cross(p, q, r)
-        c = _circumcircle(p, q, r)
-        if c is None:
-            continue
-        if cross > 0.0 and (left is None or _cross(p, q, c.center) > _cross(p, q, left.center)):
-            left = c
-        elif cross < 0.0 and (right is None or _cross(p, q, c.center) < _cross(p, q, right.center)):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right  # type: ignore[return-value]
-    if right is None:
-        return left
-    return left if left.radius <= right.radius else right
-
-
-def _circle_from_diameter(p: Point, q: Point) -> Circle:
-    center = Point((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    return Circle(center, max(dist(center, p), dist(center, q)))
-
-
-def _circumcircle(a: Point, b: Point, c: Point) -> Circle | None:
-    ox = (min(a[0], b[0], c[0]) + max(a[0], b[0], c[0])) / 2.0
-    oy = (min(a[1], b[1], c[1]) + max(a[1], b[1], c[1])) / 2.0
-    ax, ay = a[0] - ox, a[1] - oy
-    bx, by = b[0] - ox, b[1] - oy
-    cx, cy = c[0] - ox, c[1] - oy
-    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = Point(x, y)
-    return Circle(center, max(dist(center, a), dist(center, b), dist(center, c)))
-
-
-_CONTAINMENT_SLACK = 1.0 + 1e-14
-
-
-def _in_circle(c: Circle, p: Point) -> bool:
-    return dist(c.center, p) <= c.radius * _CONTAINMENT_SLACK
-
-
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 # --- cell tree -------------------------------------------------------------------

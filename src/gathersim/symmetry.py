@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
-from .geometry import TAU, Point, _cached, _plain_sum, ccw_angle_of, dist, smallest_enclosing_circle, wrap_near_zero
+from .geometry import TAU, Point, _cached, _plain_sum, ccw_angle_of, dist, wrap_near_zero
 
 if TYPE_CHECKING:
     from .configuration import Configuration
@@ -37,8 +37,9 @@ class View(NamedTuple):
     """Scale-free polar encoding of a configuration from one occupied point.
 
     Entries are (clockwise angle from the reference direction, distance
-    normalized by the enclosing-circle radius, multiplicity), sorted by
-    (angle, distance).
+    normalized by the configuration diameter, multiplicity), sorted by
+    (angle, distance).  Views are ordered within the tolerances, not
+    exactly: see ``_greatest``.
     """
 
     encoding: tuple[tuple[float, float, int], ...]
@@ -293,23 +294,34 @@ def _successor_step(config: Configuration, rays: Rays, slack: float, i: int) -> 
     return _farthest_then_index(dists, merge_slack, bucket)
 
 
-def successor(config: Configuration, i: int, c: Point, angle_slack: float | None = None) -> int:
-    """Index of the clockwise successor of robot i around center c."""
+def successor(config: Configuration, i: int, c: Point) -> int:
+    """Index of the clockwise successor of robot i around center c, at the
+    angle slack ``eps_angle`` widened for the robot nearest c."""
     rays = Rays.of(config, c)
     if rays.angles[i] is None:
         raise DegenerateCenter(f"robot {i} sits on the center {c}")
-    return _successor_step(config, rays, _sweep_slack(config, rays, angle_slack), i)
+    return _successor_step(config, rays, _direction_slack(config, rays.r_min, _COORD_DRIFT), i)
 
 
 # --- views and symmetricity ------------------------------------------------------
 
 
+def _center(config: Configuration) -> Point:
+    """The ``math.fsum`` centroid g of the robots, or the point of the
+    location within the merge slack of g: the center of every view and of
+    ``symmetricity``."""
+    n = config.n
+    center = Point(math.fsum(x for x, _ in config.points) / n, math.fsum(y for _, y in config.points) / n)
+    loc = config.find_location(center)
+    return center if loc is None else loc.location
+
+
 def view(config: Configuration, p: Point) -> View:
     """Polar encoding of the configuration as seen from occupied position p.
 
-    The reference direction points toward the center of the smallest
-    enclosing circle; a robot located on that center instead uses whichever
-    other occupied position maximizes its own encoding.
+    The reference direction points toward the center (``_center``).  A
+    robot located on the center instead takes each other location in turn
+    as its reference and keeps the greatest encoding (``_greatest``).
     """
     loc = config.find_location(p)
     if loc is None:
@@ -317,24 +329,45 @@ def view(config: Configuration, p: Point) -> View:
     locs = config.locations
     if len(locs) == 1:
         return View(((0.0, 0.0, config.n),))
-    occupied = [l.location for l in locs]
-    sec = smallest_enclosing_circle(occupied)
-    if dist(loc.location, sec.center) > config.merge_slack:
-        refs = [sec.center]
-    else:
-        refs = [l.location for l in locs if l is not loc]
-    best: tuple[tuple[float, float, int], ...] | None = None
-    for ref in refs:
-        enc = _encode_from(config, loc.location, ref, sec.radius)
-        if best is None or enc > best:
-            best = enc
-    assert best is not None
-    return View(best)
+    center = _center(config)
+    if dist(loc.location, center) > config.merge_slack:
+        return View(_encode_from(config, loc.location, center))
+    encodings = [_encode_from(config, loc.location, l.location) for l in locs if l is not loc]
+    return View(encodings[_greatest(encodings, config)])
 
 
-def _encode_from(
-    config: Configuration, origin: Point, ref: Point, sec_radius: float
-) -> tuple[tuple[float, float, int], ...]:
+def greatest_view(config: Configuration, points: Sequence[Point]) -> Point:
+    """The occupied point of greatest view, ties to the earliest (``_greatest``).
+
+    Points given in robot-index order, as ``locations`` lists them, come in
+    the same order in every local frame, so under chirality the result is
+    the same in every frame (Suzuki and Yamashita, SIAM J. Comput. 1999),
+    up to the knife edge of two entries about one tolerance apart.
+    """
+    return points[_greatest([view(config, p).encoding for p in points], config)]
+
+
+def _greatest(encodings: list[tuple[tuple[float, float, int], ...]], config: Configuration) -> int:
+    """The position of the running maximum of the encodings: a later one
+    replaces the maximum only when it orders strictly above it.
+
+    Two encodings are compared entry by entry, left to right: angles within
+    ``eps_angle`` count as equal and so do distances within ``eps_len``,
+    then multiplicities decide.  So the float noise of a robot's frame
+    decides nothing, where an exact comparison could turn on an ulp (an
+    entry on the reference ray, at angle +-0, against the view's own (0, 0)
+    entry).
+    """
+    slacks = (config.tol.eps_angle, config.tol.eps_len, 0)
+    best = 0
+    for k in range(1, len(encodings)):
+        pairs = zip(encodings[k], encodings[best])
+        if next((x > y for a, b in pairs for x, y, slack in zip(a, b, slacks) if abs(x - y) > slack), False):
+            best = k
+    return best
+
+
+def _encode_from(config: Configuration, origin: Point, ref: Point) -> tuple[tuple[float, float, int], ...]:
     eps = config.tol.eps_angle
     phi_ref = ccw_angle_of(ref, origin)
     dists = Rays.of(config, origin).dists
@@ -344,17 +377,11 @@ def _encode_from(
         if d <= config.merge_slack:
             raw.append((0.0, 0.0, l.multiplicity))
         else:
-            theta = (phi_ref - ccw_angle_of(l.location, origin)) % TAU
-            theta = wrap_near_zero(theta, eps)
-            raw.append((theta, d / sec_radius, l.multiplicity))
+            theta = wrap_near_zero((phi_ref - ccw_angle_of(l.location, origin)) % TAU, eps)
+            raw.append((theta, d / config.diameter, l.multiplicity))
     # snap angles to cluster means so same-ray entries sort purely by radius
     clusters = circular_clusters([max(a, 0.0) % TAU for a, _, _ in raw], eps, TAU)
-    snapped = [0.0] * len(raw)
-    for mean, members in clusters:
-        for k in members:
-            snapped[k] = mean
-    entries = sorted((snapped[k], raw[k][1], raw[k][2]) for k in range(len(raw)))
-    return tuple(entries)
+    return tuple(sorted((mean, raw[k][1], raw[k][2]) for mean, members in clusters for k in members))
 
 
 _ROTATION_WINDOW = 0.1
@@ -368,10 +395,10 @@ def symmetricity(config: Configuration) -> int:
 
     With chirality two views are equal only under such a rotation (Suzuki
     and Yamashita, SIAM J. Comput. 1999), so 1 means every view is
-    distinct.  The center is the ``math.fsum`` centroid g, or the point of
-    the location within the merge slack of g: the center that
-    ``detect_quasi_regular`` tests.  Robots within the merge slack of the
-    center are skipped, as its ray tests skip them.  Order k holds when,
+    distinct.  The center is ``_center``, the center of every view: the
+    ``math.fsum`` centroid g, or the point of the location within the merge
+    slack of g, which ``detect_quasi_regular`` tests.  Robots within the
+    merge slack of the center are skipped, as its ray tests skip them.  Order k holds when,
     for every distinct point p of the rest, at distance r, as many robots
     lie within w = a * r / k + floor of p's image as of p, where
     a = _ROTATION_WINDOW * eps_angle and floor = _ROTATION_FLOOR *
@@ -415,10 +442,7 @@ def symmetricity(config: Configuration) -> int:
     centers are accepted away from the structure test's own knife edge:
     two rays or residues about one slack apart.
     """
-    n = config.n
-    center = Point(math.fsum(x for x, _ in config.points) / n, math.fsum(y for _, y in config.points) / n)
-    loc = config.find_location(center)
-    cx, cy = center if loc is None else loc.location
+    cx, cy = _center(config)
     hypot = math.hypot
     slack = config.merge_slack
     floor = _ROTATION_FLOOR * config.resolution
@@ -615,17 +639,18 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     ``_CANDIDATE_ERROR`` slack.
 
     The candidate is ``weber_numeric``'s point, searched once with the
-    surviving locations as its vertex list (see below), and the verdict is
-    taken once there: at a location, or with regularity order below 2, the
-    result is None; otherwise the candidate is the QR center.  The search
-    runs in its two steps.  After the vertex check and the reweighting
-    (``_weber_start``), ``_rejects_every_order`` bounds, from one pass at
-    the reweighting's end point y, a disc around y that holds the point the
-    Newton polish would reach, and rejects every order for every center in
-    that disc.  Only when it cannot does the polish run from the same y,
-    followed by the structure test at its point, so the result is the same
-    as after ``weber_numeric``.  On class-A input the certificate usually
-    holds, and neither the polish nor the candidate's ``Rays`` is built.
+    surviving locations as ``_weber_start``'s vertex list (see below), and
+    the verdict is taken once there: at a location, or with regularity
+    order below 2, the result is None; otherwise the candidate is the QR
+    center.  The search runs in its two steps.  After the vertex check and
+    the reweighting (``_weber_start``), ``_rejects_every_order`` bounds,
+    from one pass at the reweighting's end point y, a disc around y that
+    holds the point the Newton polish would reach, and rejects every order
+    for every center in that disc.  Only when it cannot does the polish run
+    from the same y, followed by the structure test at its point, so the
+    result is the same as after ``weber_numeric``.  On class-A input the
+    certificate usually holds, and neither the polish nor the candidate's
+    ``Rays`` is built.
 
     Before its structure test, an occupied center c of multiplicity mu is
     skipped for every order when the unit vectors toward the robots off c
@@ -676,10 +701,10 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     possible optimal vertices, in location order.  A skipped location has
     |P_c| > mu + 3*n^2*slack + n*1e-12, where slack >= 3e-15 (the widened
     slack is at least ``_COORD_DRIFT``, as r_min <= diameter), while the
-    vertex test in ``weber_numeric`` accepts a pull of at most
+    vertex test in ``_weber_start`` accepts a pull of at most
     mu*(1+1e-12) < mu + n*1e-12, as mu <= n-2 in a non-linear
     configuration.  The margin is over 9e-15*n^2.  When every robot sits
-    exactly on its location's point, the pull that ``weber_numeric`` sums
+    exactly on its location's point, the pull that ``_weber_start`` sums
     over locations, each term times its multiplicity, is made of the same
     unit-vector terms as P_c, so the two differ only by the rounding of at
     most n terms of size at most 1: a few times n^2*1.1e-16, far inside the
@@ -898,15 +923,12 @@ _POLISH_STEP_REL = 1e-15
 _WEBER_MAX_ITER = 1000
 
 
-def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) -> Point:
+def weber_numeric(config: Configuration) -> Point:
     """Geometric median: iterative reweighting plus a Newton polish.
 
     Non-linear configurations only, where the minimizer is unique.  Occupied
     locations are checked for optimality directly, so medians that sit on a
-    robot are returned exactly.  ``vertices`` lists the indices into
-    ``config.locations``, ascending, of the locations to check; the default
-    is every location, and a caller may leave out only locations that
-    provably fail the check (see ``detect_quasi_regular``).
+    robot are returned exactly.
 
     ``_weber_start`` runs the vertex check and the reweighting; the damped
     Newton steps of ``_newton_polish`` on the (there smooth) objective then
@@ -918,7 +940,7 @@ def weber_numeric(config: Configuration, vertices: Sequence[int] | None = None) 
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
     xs, ys, ms = sites = _sites(config)
-    start, vertex = _weber_start(config, sites, vertices)
+    start, vertex = _weber_start(config, sites, None)
     return start if vertex else _newton_polish(xs, ys, ms, start, config.diameter)
 
 
@@ -933,6 +955,10 @@ def _weber_start(
 ) -> tuple[Point, bool]:
     """The first optimal vertex, flagged True, else the point the polish starts from.
 
+    ``vertices`` lists the indices into ``config.locations``, ascending, of
+    the locations checked for optimality; None checks every location, and a
+    caller may leave out only locations that provably fail the check (see
+    ``detect_quasi_regular``).
     Reweighting (Weiszfeld's iteration) starts at the centroid and runs
     until a step is at most ``_REWEIGHT_STOP_REL`` times the diameter D; an
     iterate within ``_VERTEX_PUSH_REL`` * D of a location is pushed off it

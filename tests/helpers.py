@@ -8,7 +8,6 @@ import random
 from typing import Iterable
 
 from gathersim import Configuration, Point
-from gathersim.errors import EmptyInput
 from gathersim.geometry import DEFAULT_TOLERANCE, TAU, Tolerance, _point_line_offset, dist, within_line
 from gathersim.simulator import dumps_17g
 
@@ -49,7 +48,7 @@ def farthest_pair(points: Iterable[Point]) -> tuple[Point, Point, float]:
     """The two mutually farthest points and their distance (the diameter)."""
     pts = list(points)
     if not pts:
-        raise EmptyInput("farthest_pair of no points")
+        raise ValueError("farthest_pair of no points")
     return _farthest_pair(pts)
 
 
@@ -71,7 +70,7 @@ def hull_vertices(points, tol: Tolerance | None = None) -> list[Point]:
     tol = tol or DEFAULT_TOLERANCE
     pts = sorted(set(points))
     if not pts:
-        raise EmptyInput("convex hull of no points")
+        raise ValueError("convex hull of no points")
     if len(pts) == 1:
         return [pts[0]]
     _, _, diameter = farthest_pair(pts)
@@ -91,49 +90,6 @@ def hull_vertices(points, tol: Tolerance | None = None) -> list[Point]:
     lower = half(pts)
     upper = half(pts[::-1])
     return lower[:-1] + upper[:-1]
-
-
-# --- brute-force smallest enclosing circle ----------------------------------------
-
-
-def brute_sec(points: list[Point]) -> tuple[Point, float]:
-    """Minimum over all circles spanned by two or three support points."""
-    pts = list(set(points))
-    if len(pts) == 1:
-        return pts[0], 0.0
-    best: tuple[Point, float] | None = None
-    for a, b in itertools.combinations(pts, 2):
-        center = Point((a.x + b.x) / 2, (a.y + b.y) / 2)
-        cand = (center, max(dist(center, a), dist(center, b)))
-        best = _keep_if_enclosing(best, cand, pts)
-    for a, b, c in itertools.combinations(pts, 3):
-        cc = _circumcenter(a, b, c)
-        if cc is None:
-            continue
-        cand = (cc, max(dist(cc, a), dist(cc, b), dist(cc, c)))
-        best = _keep_if_enclosing(best, cand, pts)
-    assert best is not None
-    return best
-
-
-def _keep_if_enclosing(best, cand, pts):
-    center, radius = cand
-    if all(dist(center, p) <= radius * (1 + 1e-12) + 1e-12 for p in pts):
-        if best is None or radius < best[1]:
-            return cand
-    return best
-
-
-def _circumcenter(a: Point, b: Point, c: Point) -> Point | None:
-    d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-    if abs(d) < 1e-14:
-        return None
-    asq = a.x * a.x + a.y * a.y
-    bsq = b.x * b.x + b.y * b.y
-    csq = c.x * c.x + c.y * c.y
-    ux = (asq * (b.y - c.y) + bsq * (c.y - a.y) + csq * (a.y - b.y)) / d
-    uy = (asq * (c.x - b.x) + bsq * (a.x - c.x) + csq * (b.x - a.x)) / d
-    return Point(ux, uy)
 
 
 # --- grid-search geometric median --------------------------------------------------

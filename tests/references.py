@@ -385,9 +385,23 @@ def elect_reference(config) -> Point:
     totals = {p: left_sum(dist(p, q) for q in config.points) for p in cands}
     lowest = min(totals.values())
     tied = [p for p in cands if totals[p] <= lowest + config.merge_slack]
-    if len(tied) == 1:
-        return tied[0]
-    return max(tied, key=lambda p: symmetry.view(config, p).encoding)
+    views = {p: symmetry.view(config, p) for p in tied}
+    tol = config.tol
+    return reduce(lambda best, p: p if view_above(views[p], views[best], tol.eps_len, tol.eps_angle) else best, tied)
+
+
+def view_above(a, b, tol_len: float = 1e-9, tol_angle: float = 1e-9) -> bool:
+    """Whether view a orders above view b: the first entry pair that
+    ``views_equal`` tells apart decides, by angle, then distance, then
+    multiplicity."""
+    for (aa, ar, am), (ba, br, bm) in zip(a.encoding, b.encoding):
+        if abs(aa - ba) > tol_angle:
+            return aa > ba
+        if abs(ar - br) > tol_len:
+            return ar > br
+        if am != bm:
+            return am > bm
+    return False
 
 
 # --- symmetricity ----------------------------------------------------------------------

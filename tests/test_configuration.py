@@ -850,6 +850,54 @@ def test_election_and_screen_match_reference():
     assert view_decided >= 30 and fell_through >= 18
 
 
+def _collinear_tie(rng):
+    """Mirror pairs across the y axis, then a pair P near the axis and a
+    pair Q placed so that P, the centroid (0, g) and Q are collinear: seen
+    from P, toward the centroid, Q lies on the reference ray, at an angle
+    that rounds to either side of zero."""
+    pairs = [(rng.uniform(0.1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 5))]
+    px, py = rng.uniform(0.02, 0.08), rng.uniform(-0.3, 0.3)
+    t = rng.uniform(1.5, 3.0)
+    # g once Q = P + t * ((0, g) - P) and every mirror image have joined
+    g = (2 * sum(y for _, y in pairs) + 2 * py * (2 - t)) / (2 * len(pairs) + 4 - 2 * t)
+    pairs += [(px, py), (px * (1 - t), py + t * (g - py))]
+    pts = [Point(x, y) for x, y in pairs] + [Point(-x, y) for x, y in pairs]
+    return Similarity.random(rng).apply_config(Configuration(pts))
+
+
+def test_view_decided_elections_are_frame_free(monkeypatch):
+    """An election that the view order decides elects the same point in
+    every local frame: each elected point maps back within 1e-9 * D through
+    every frame, on mirror-symmetric inputs, on mirror pairs with a location
+    on the line through a tied candidate and the centroid, and on the six
+    robots of ``mirror_tie.json``, whose tied pair is also the diametral
+    pair (each one's partner lies on the line through it and the pair's
+    midpoint)."""
+    rng = random.Random(11)
+    greatest = symmetry.greatest_view
+    decided = []
+    monkeypatch.setattr(symmetry, "greatest_view", lambda config, points: decided.append(1) or greatest(config, points))
+    start = Configuration(json.loads((DATA / "mirror_tie.json").read_text())["points"])
+    families = {
+        "mirror": [(_mirror_symmetric(rng), 5) for _ in range(160)],
+        "collinear": [(_collinear_tie(rng), 5) for _ in range(160)],
+        "start": [(start, 40)],
+    }
+    view_decided = Counter()
+    for family, inputs in families.items():
+        for config, draws in inputs:
+            decided.clear()
+            elected = _elect_safe_point(config)
+            if not decided:
+                continue
+            view_decided[family] += 1
+            for _ in range(draws):
+                frame = LocalFrame.random(rng, config.diameter)
+                mapped = frame.invert_point(_elect_safe_point(frame.apply_config(config)))
+                assert dist(mapped, elected) <= 1e-9 * config.diameter, (config, frame)
+    assert view_decided["mirror"] >= 150 and view_decided["collinear"] >= 150 and view_decided["start"] == 1
+
+
 def _two_crowded_rays(rng: random.Random, n: int, straddle: bool):
     """A robot c with two rays about 1e-9 apart holding ceil(n/2) robots
     between them, more than either ray holds, side by side or one on each

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gathersim import Point, Tolerance
-from gathersim.errors import DegenerateAngle, EmptyInput
+from gathersim.errors import DegenerateAngle
 from gathersim.geometry import (
     TAU,
     _plain_sum,
@@ -13,9 +13,8 @@ from gathersim.geometry import (
     dist,
     on_open_segment,
     rotate_cw,
-    smallest_enclosing_circle,
 )
-from helpers import brute_extreme_points, brute_sec, collinear, hull_vertices, on_half_line
+from helpers import brute_extreme_points, collinear, hull_vertices, on_half_line
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coord, coord)
@@ -105,37 +104,6 @@ def test_on_half_line_excludes_origin(origin, through):
     assert not on_half_line(origin, origin, through)
 
 
-def test_sec_examples():
-    c = smallest_enclosing_circle([Point(1, 1), Point(-1, 1), Point(-1, -1), Point(1, -1)])
-    assert c.center == pytest.approx((0, 0), abs=1e-12)
-    assert c.radius == pytest.approx(math.sqrt(2))
-    c = smallest_enclosing_circle([Point(0, 0)])
-    assert c == (Point(0, 0), 0)
-    c = smallest_enclosing_circle([Point(0, 0), Point(4, 0), Point(1, 1)])
-    assert c.center == pytest.approx((2, 0), abs=1e-12)
-    assert c.radius == pytest.approx(2)
-    with pytest.raises(EmptyInput):
-        smallest_enclosing_circle([])
-
-
-def test_sec_matches_brute_force():
-    rng = random.Random(42)
-    for _ in range(150):
-        pts = [Point(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(rng.randint(1, 10))]
-        got = smallest_enclosing_circle(pts)
-        center, radius = brute_sec(pts)
-        scale = max(radius, 1e-9)
-        assert abs(got.radius - radius) <= 1e-9 * scale
-        assert dist(got.center, center) <= 1e-6 * scale
-        # every point enclosed
-        assert all(dist(got.center, p) <= got.radius * (1 + 1e-9) + 1e-12 for p in pts)
-
-
-def test_sec_deterministic():
-    pts = [Point(i * 0.37 % 1, (i * i * 0.11) % 1) for i in range(9)]
-    assert smallest_enclosing_circle(pts) == smallest_enclosing_circle(list(reversed(pts)))
-
-
 def test_hull_examples():
     assert set(hull_vertices([Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)])) == {
         Point(0, 0),
@@ -147,7 +115,7 @@ def test_hull_examples():
         Point(1, 1),
     }
     assert hull_vertices([Point(0, 0)]) == [Point(0, 0)]
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError):
         hull_vertices([])
 
 

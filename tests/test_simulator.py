@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,17 @@ def test_step_square_minimal_keeps_center():
     assert cls.tag == TAG_QREGULAR
     assert dist(cls.weber, Point(0, 0)) <= 1e-9
     assert dist(weber_numeric(state.config), Point(0, 0)) <= 1e-9
+
+
+def test_mirror_tie_start_gathers():
+    """Six robots in three mirror pairs whose tied pair is also the
+    diametral pair gather under synchronous activation, every robot's
+    decision checked in its own local frame, on every seed."""
+    points = json.loads((Path(__file__).parent / "data" / "mirror_tie.json").read_text())["points"]
+    config = Configuration(points)
+    for seed in range(10):
+        result = run(config, AdversarySpec(), SimParams(delta=config.diameter / 20, seed=seed))
+        assert result.outcome == OUTCOME_GATHERED, (seed, result.detail)
 
 
 def test_step_l2w_endpoint_activation_leaves_line():

@@ -117,6 +117,26 @@ def test_view_not_occupied():
         view(SQUARE, Point(0.5, 0.5))
 
 
+def test_views_order_within_the_tolerances():
+    # entries within eps_angle or eps_len of each other tie, and the
+    # earliest of tied encodings stays the maximum; beyond them they decide
+    base = ((0.0, 0.0, 1), (1.0, 0.5, 2))
+    noisy = ((1e-12, 0.0, 1), (1.0 - 1e-12, 0.5 + 1e-12, 2))
+    assert symmetry._greatest([base, noisy], SQUARE) == 0
+    assert symmetry._greatest([noisy, base], SQUARE) == 0
+    assert symmetry._greatest([base, noisy, ((0.0, 0.0, 1), (1.0, 0.5, 3))], SQUARE) == 2
+    assert symmetry._greatest([base, ((-1e-6, 0.0, 1), (1.0, 0.5, 2))], SQUARE) == 0
+    assert symmetry._greatest([base, ((0.0, 0.0, 1), (1.0, 0.5 + 1e-6, 2))], SQUARE) == 1
+    # the corners of a turned square have equal views up to rounding: the
+    # first point given wins, in either order
+    rng = random.Random(4)
+    for _ in range(20):
+        square = Similarity.random(rng).apply_config(SQUARE)
+        points = square.occupied_points()
+        assert symmetry.greatest_view(square, points) == points[0]
+        assert symmetry.greatest_view(square, points[::-1]) == points[-1]
+
+
 # --- symmetricity ------------------------------------------------------------------
 
 
@@ -808,8 +828,9 @@ def _weber_edge_inputs():
 
 
 def test_weber_search_matches_reference(monkeypatch):
-    """``weber_numeric`` returns the reference's doubles, both on its own and
-    with every vertex list that ``detect_quasi_regular`` hands its search."""
+    """``weber_numeric`` returns the reference's doubles, and so does its
+    search (``_weber_start``, then ``_newton_polish``) with every vertex
+    list that ``detect_quasi_regular`` hands it."""
     handed = []
     original = symmetry.weber_numeric
     start = symmetry._weber_start
@@ -835,7 +856,10 @@ def test_weber_search_matches_reference(monkeypatch):
         handed.clear()
         detect_quasi_regular(config)
         for vertices in handed[:]:  # the checks below search again and record
-            assert bits(original(config, vertices)) == expected, config
+            xs, ys, ms = sites = symmetry._sites(config)
+            start_point, vertex = symmetry._weber_start(config, sites, vertices)
+            got = start_point if vertex else symmetry._newton_polish(xs, ys, ms, start_point, config.diameter)
+            assert bits(got) == expected, config
             if vertices is None:
                 full += 1
             else:
@@ -1252,12 +1276,20 @@ def _successors(fn, config, center, slack):
     return out
 
 
+def _successor_at(config, i, center, slack):
+    """``successor`` at angle slack ``slack``, None for its default."""
+    rays = symmetry.Rays.of(config, center)
+    if slack is None or rays.angles[i] is None:
+        return successor(config, i, center)  # raises DegenerateCenter on the center
+    return symmetry._successor_step(config, rays, slack, i)
+
+
 def test_indexed_successor_matches_scan():
     stepped = 0
     for config, center, slacks in _sweep_inputs():
         for slack in slacks:
             expected = _successors(successor_reference, config, center, slack)
-            assert _successors(successor, config, center, slack) == expected, (config, center, slack)
+            assert _successors(_successor_at, config, center, slack) == expected, (config, center, slack)
             stepped += config.n
     assert stepped > 5000
 
@@ -1291,7 +1323,7 @@ def test_indexed_successor_at_slack_knife_edges():
                 slack = math.nextafter(slack, 0.0)
             for _ in range(7):
                 expected = _successors(successor_reference, config, center, slack)
-                assert _successors(successor, config, center, slack) == expected, (config, center, slack)
+                assert _successors(_successor_at, config, center, slack) == expected, (config, center, slack)
                 slack = math.nextafter(slack, 1.0)
                 cases += 1
     assert cases > 800
