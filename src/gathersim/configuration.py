@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
 from . import geometry, symmetry
 from .errors import AsymmetryViolated, ClassWithoutUniqueWeber, NotLinear
-from .geometry import TAU, Point, Tolerance, _cached, _plain_sum, dist
+from .geometry import Point, Tolerance, _cached, _plain_sum, dist
 
 TAG_BIVALENT = "B"
 TAG_MULTIPLE = "M"
@@ -48,10 +48,11 @@ _LEAF_SIZE = 8
 # Robots above which classification builds the cell tree; at or below it
 # one exact pass over every robot pair serves every location.
 _TREE_FROM = 64
-# Distinct points up to which the diameter measures every pair of them,
-# without the hull.
+# Distinct points up to which ``_farthest_pairs`` measures every pair of
+# them, without the hull.
 _ALL_PAIRS_UP_TO = 20
-# Hull candidates above which the diameter measures only near-opposite pairs.
+# Hull candidates above which ``_farthest_pairs`` measures only
+# near-opposite pairs.
 _OPPOSITE_FROM = 32
 
 
@@ -128,24 +129,9 @@ class Configuration:
 
     @_cached
     def _farthest(self) -> tuple[float, list[tuple[Point, Point]]]:
-        """The diameter and the pairs of distinct points at it.
-
-        Up to ``_ALL_PAIRS_UP_TO`` distinct points every pair of them is
-        measured; above, only pairs of their ``_hull_candidates``, which
-        hold every pair at the maximum (see there).  Either way the maximum
-        is the same double and the pairs at it are the same set, in another
-        order and orientation, which no reader depends on: ``hypot``
-        ignores signs, and ``farthest_pair`` takes a minimum over them.
-
-        That is the crossover measured on points uniform in a square and
-        on random points on a circle (CPython 3.11, a shared 2-core x86-64
-        host, best of 7 x 200 calls): every pair takes 5.3, 11.8 and 18.0
-        us at 10, 16 and 20 points, the hull and its pairs 9.8, 15.6 and
-        19.0 us (12.9, 22.9 and 31.9 us on the circle); at 24 points the
-        hull wins on uniform input, 20.1 against 25.2 us.
-        """
-        pts = self._distinct[1]
-        return _farthest_pairs(pts if len(pts) <= _ALL_PAIRS_UP_TO else _hull_candidates(pts))
+        """The diameter and the pairs of distinct points at it, from
+        ``_farthest_pairs``."""
+        return _farthest_pairs(self._distinct[1])
 
     @_cached
     def _cells(self) -> geometry.CellTree | None:
@@ -349,7 +335,7 @@ class Configuration:
             raise NotLinear("endpoints of a non-linear configuration")
         occupied = self.occupied_points()
         points = set(occupied)
-        _, pairs = _farthest_pairs(_hull_candidates([p for p in self._distinct[1] if p in points]))
+        _, pairs = _farthest_pairs([p for p in self._distinct[1] if p in points])
         if not pairs:
             return occupied[0], occupied[0]
         a, b = pairs[0]
@@ -376,31 +362,49 @@ class Configuration:
         return f"Configuration({list(self.points)!r})"
 
 
-def _farthest_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
-    """The largest ``hypot(px - x, py - y)`` between two distinct points, and
-    every pair at it, given the points or their ``_hull_candidates``.
+def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
+    """The largest ``hypot(px - x, py - y)`` between two of the distinct
+    points pts, given in (x, y) order, and every pair at it.  No pair of a
+    single point gives 0.0 and no pairs.
 
-    Only pairs of candidates are measured, each in candidate order; they
-    hold every pair at the maximum (see there).  No pair of a single point
-    gives 0.0 and no pairs.  Above ``_OPPOSITE_FROM`` candidates only the
-    near-opposite pairs of ``_opposite_pairs`` are measured, which hold
-    every pair at the maximum too, so the result is the same.  That is the
-    crossover measured on regular polygons and ellipses (CPython 3.11, a
-    shared 2-core x86-64 host, best of 7 x 20 calls): the loop over every
-    pair takes 27, 57 and 94 us at 16, 24 and 32 candidates, the windows
-    47, 56 and 82 us; at 48 and 160 candidates the loop takes 146 and
-    1590 us, the windows 85 and 272 us.
+    This is the one place that decides which pairs are measured, and one
+    loop measures them all: point k against its partners l > k, in
+    ascending order.  Up to ``_ALL_PAIRS_UP_TO`` points every pair of them
+    is measured; above, only pairs of their ``_hull_candidates``, which
+    hold every pair at the maximum (see there).  Above ``_OPPOSITE_FROM``
+    candidates each one meets only the partners in its window of
+    ``_partner_windows``, which hold every pair at the maximum too.  Either
+    way the maximum is the same double and the pairs at it are the same
+    set; without the hull they come in another order and orientation,
+    which no reader depends on: ``hypot`` ignores signs, and
+    ``farthest_pair`` and ``linear_endpoints`` take a minimum over them.
+    With the hull the windows give the pairs in the order of the loop over
+    every pair of candidates.
+
+    The crossovers, timed as whole calls forced to each side on a shared
+    2-core x86-64 host, best of 7, in us under CPython 3.11.7 / 3.12.1 /
+    3.13.0:
+
+    * every pair against the hull, points uniform in a square: 18.3 / 22.0
+      / 22.3 against 20.2 / 25.5 / 25.0 at 20 points, 25.1 / 29.8 / 30.3
+      against 22.6 / 28.8 / 28.3 at 24.  On a circle every point is a
+      candidate, and every pair wins up to 32 points and more.
+    * the loop over every pair of candidates against the windows, on
+      regular polygons, hull included: 65.0 / 78.8 / 78.8 against 72.9 /
+      83.0 / 77.2 at 32 candidates, 94.0 / 111.8 / 112.5 against 91.0 /
+      102.2 / 96.7 at 40, and 1106 / 1251 / 1267 against 348 / 397 / 377
+      at 160.  Ellipses give the same picture.  At 36 the windows win
+      under 3.12 and 3.13, not under 3.11 (79.8 against 82.8).
     """
-    if len(hull) > _OPPOSITE_FROM:
-        pairs_at = _opposite_pairs(hull)
-        if pairs_at is not None:
-            return pairs_at
+    if len(pts) > _ALL_PAIRS_UP_TO:
+        pts = _hull_candidates(pts)
+    windows = _partner_windows(pts) if len(pts) > _OPPOSITE_FROM else None
     hypot = math.hypot
     best = 0.0
     pairs: list[tuple[Point, Point]] = []
-    for k, p in enumerate(hull):
+    for k, p in enumerate(pts):
         px, py = p
-        for q in hull[k + 1:]:
+        for q in pts[k + 1:] if windows is None else windows[k]:
             d = hypot(px - q.x, py - q.y)
             if d >= best:
                 if d > best:
@@ -410,10 +414,11 @@ def _farthest_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]
     return best, pairs
 
 
-def _opposite_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]] | None:
-    """``_farthest_pairs`` measuring, for each candidate, only the partners
-    in an angular window around its opposite direction; None when the
-    candidates' spread is too extreme for squared distances.
+def _partner_windows(hull: list[Point]) -> list[list[Point]]:
+    """For each candidate k, the candidates l > k, in ascending order, in
+    an angular window around its opposite direction; every l > k when the
+    window opens the whole turn, as it does for every candidate when their
+    spread is too extreme for squared distances.
 
     From g, the candidates' float centroid, candidate i lies at computed
     distance r_i and direction theta_i; R and r_lo are the largest and
@@ -434,9 +439,9 @@ def _opposite_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]
     lower and the quotient a relative 1e-12 lower, each far more than the
     rounding of the exact values and of the arithmetic; the window is
     widened by ``symmetry._ANGLE_ROUNDING``.  A zero divisor, or a window
-    of half a turn or more, opens the whole turn.  So every pair whose computed
-    distance is the maximum is measured, and the pairs at it are returned
-    in the loop's (k, l) order.
+    of half a turn or more, opens the whole turn.  So every pair whose
+    computed distance is the maximum lies in its first candidate's window.
+    The directions, sorted, are looked up in a ``symmetry._RayIndex``.
     """
     h = len(hull)
     hypot = math.hypot
@@ -448,7 +453,7 @@ def _opposite_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]
     radii = [hypot(x - gx, y - gy) for x, y in hull]
     big = max(radii)
     if not 1e-140 < big < 1e140:
-        return None
+        return [hull[k + 1:] for k in range(h)]
     low = min(radii)
     thetas = [atan2(y - gy, x - gx) for x, y in hull]
     ends = {xs.index(min(xs)), xs.index(max(xs)), ys.index(min(ys)), ys.index(max(ys))}
@@ -456,35 +461,24 @@ def _opposite_pairs(hull: list[Point]) -> tuple[float, list[tuple[Point, Point]]
     b2 = (beta * (1.0 - 1e-12)) ** 2
     big2 = big * big
     order = sorted(range(h), key=thetas.__getitem__)
-    values = [thetas[k] for k in order]
-    values += [v + TAU for v in values]
-    labels = order * 2
+    index = symmetry._RayIndex([thetas[k] for k in order], order)
+    around = index.around
     reach_pad = symmetry._ANGLE_ROUNDING
-    best = 0.0
-    at_best: list[tuple[int, int]] = []
+    acos = math.acos
+    pi = math.pi
+    windows = []
     for i, r_i in enumerate(radii):
         r2 = r_i * r_i
         room = b2 - r2 - big2 - 1e-12 * (b2 + r2 + big2)
         divisor = 2.0 * r_i * (big if room > 0.0 else low)
         bound = room / divisor if divisor > 0.0 else -1.0
         bound -= 1e-12 * abs(bound)
-        reach = math.acos(min(bound, 1.0)) + reach_pad if bound > -1.0 else math.pi
-        if reach >= math.pi:
-            partners = range(i + 1, h)
+        reach = acos(min(bound, 1.0)) + reach_pad if bound > -1.0 else pi
+        if reach >= pi:
+            windows.append(hull[i + 1:])
         else:
-            target = thetas[i] + math.pi
-            partners = labels[bisect_left(values, target - reach):bisect_right(values, target + reach)]
-        px = xs[i]
-        py = ys[i]
-        for j in partners:
-            if j > i:
-                d = hypot(px - xs[j], py - ys[j])
-                if d >= best:
-                    if d > best:
-                        best = d
-                        at_best = []
-                    at_best.append((i, j))
-    return best, [(hull[k], hull[l]) for k, l in sorted(at_best)]
+            windows.append([hull[j] for j in sorted(around(thetas[i] + pi, reach)) if j > i])
+    return windows
 
 
 def _hull_candidates(pts: list[Point]) -> list[Point]:

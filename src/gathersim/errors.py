@@ -57,3 +57,8 @@ class AsymmetryViolated(GatherError, RuntimeError):
     """A configuration classified asymmetric breaks a class-A invariant: it has
     a rotational symmetry or no safe point (seen on inputs translated far
     beyond their diameter)."""
+
+
+class SweepMissed(GatherError, RuntimeError):
+    """The class-M side step's successor sweep never left the moving robot's
+    ray, though some robot lies off it."""

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import configuration as cfg
 from . import symmetry
 from .configuration import ConfigClass, Configuration
-from .errors import BivalentInput, WrongClass
+from .errors import BivalentInput, SweepMissed, WrongClass
 from .geometry import TAU, Point, _plain_sum, angle_cw, dist, on_open_segment, rotate_cw
 
 RULE_M_DIRECT = "M_direct"
@@ -23,10 +23,6 @@ RULE_A_ELECT = "A_elect"
 RULE_L2W_CENTER = "L2W_center"
 RULE_L2W_ROTATE = "L2W_rotate"
 RULE_STAY = "Stay"
-
-# Robots up to which the class-M blocked test scans every robot even when a
-# ray index exists: at that size the scan costs no more than the lookup.
-_SCAN_UP_TO = 8
 
 
 @dataclass
@@ -109,11 +105,10 @@ def _blocked(config: Configuration, r: Point, elected: Point) -> bool:
     1e-14*D^2 on each bound, keep every robot it can accept.  Robots at r
     or at e pass the filter but never lie strictly between them.
 
-    The filter runs on every robot, unless there are more than
-    ``_SCAN_UP_TO``, the elected point's ``symmetry.Rays`` has built its
-    ray index (the side step builds it for the first blocked robot of a
-    configuration) and s, the cross bound over r_min*|b|, is below 1/2;
-    then it runs on ``_blocker_window``.
+    The filter runs on every robot, unless the elected point's
+    ``symmetry.Rays`` has built its ray index (the side step builds it for
+    the first blocked robot of a configuration) and s, the cross bound over
+    r_min*|b|, is below 1/2; then it runs on ``_blocker_window``.
     """
     ex, ey = elected
     bx = r.x - ex
@@ -123,7 +118,7 @@ def _blocked(config: Configuration, r: Point, elected: Point) -> bool:
     margin = 1e-14 * config.diameter * config.diameter
     cross_bound = config.merge_slack * norm_b * (1.0 + 1e-12) + margin
     candidates = config.points
-    rays = config._rays.get(elected) if config.n > _SCAN_UP_TO else None
+    rays = config._rays.get(elected)
     if rays is not None and rays.built_index() is not None and 2.0 * cross_bound < rays.r_min * norm_b:
         candidates = _blocker_window(rays, bx, by, cross_bound / (rays.r_min * norm_b))
     tol = config.tol
@@ -170,7 +165,8 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
 
     Falls back to a full turn when every robot outside the elected point
     lies on the ray through the moving robot, so the side step still clears
-    one third of the available gap.
+    one third of the available gap.  Raises ``errors.SweepMissed`` when the
+    sweep ends on the robot's ray though some robot lies off it.
 
     Every robot's sweep walks the one ``symmetry.Rays`` index around the
     elected point, O(log n) per step.  The off-ray robots are counted only
@@ -187,7 +183,7 @@ def _sidestep_angle(config: Configuration, self_index: int, elected: Point) -> f
         if not _same_ray(config, elected, r, q):
             return angle_cw(r, elected, q, config.tol)
     if any(not _same_ray(config, elected, r, config.points[i]) for i in symmetry.Rays.of(config, elected).off):
-        raise RuntimeError("successor sweep missed every off-ray robot")
+        raise SweepMissed("successor sweep missed every off-ray robot")
     return TAU
 
 

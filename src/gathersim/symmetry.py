@@ -197,13 +197,6 @@ class Rays:
         return [i for i, d in enumerate(self.dists) if d <= slack]
 
 
-def _sweep_slack(config: Configuration, rays: Rays, angle_slack: float | None) -> float:
-    """The given angle slack, or the default widened for the nearest robot."""
-    if angle_slack is None:
-        return _direction_slack(config, rays.r_min, _COORD_DRIFT)
-    return angle_slack
-
-
 def _cw(a: float, b: float, slack: float) -> float:
     """Clockwise angle from direction a to direction b; ~0 on the same ray."""
     return wrap_near_zero((a - b) % TAU, slack)
@@ -485,7 +478,9 @@ def regularity_at(config: Configuration, c: Point, angle_slack: float | None = N
     rays = Rays.of(config, c)
     if not rays.off:
         raise AllAtCenter(f"no robot off the center {c}")
-    res = _structure(config, c, 0, _sweep_slack(config, rays, angle_slack))
+    if angle_slack is None:
+        angle_slack = _direction_slack(config, rays.r_min, _COORD_DRIFT)
+    res = _structure(config, c, 0, angle_slack)
     return 1 if res is None else res.m
 
 
@@ -512,20 +507,16 @@ class _RayIndex:
     ``thetas`` are sorted and span at most a turn, so the three copies,
     each rounded monotonically, are sorted one after another.  ``rays``
     holds, for each entry of ``values``, its direction's position in
-    ``thetas`` or its entry of ``labels``.  ``probes`` lists the directions clockwise from the ray that opens the
-    widest empty sector: rotated counterclockwise by less than that sector,
-    it and its clockwise neighbours land in the sector, so a search for rays
-    without a rotated partner meets them first.
+    ``thetas`` or its entry of ``labels``.  The same holds for directions
+    in [-pi, pi], as ``configuration._partner_windows`` gives them.
     """
 
-    __slots__ = ("values", "rays", "probes")
+    __slots__ = ("thetas", "values", "rays")
 
     def __init__(self, thetas: list[float], labels: list[int] | None = None):
+        self.thetas = thetas
         self.values = [theta - TAU for theta in thetas] + thetas + [theta + TAU for theta in thetas]
         self.rays = (list(range(len(thetas))) if labels is None else labels) * 3
-        gaps = [b - a for a, b in zip(thetas, thetas[1:])] + [thetas[0] + TAU - thetas[-1]]
-        opener = max(range(len(gaps)), key=gaps.__getitem__)
-        self.probes = thetas[opener::-1] + thetas[:opener:-1]
 
     def around(self, target: float, reach: float) -> list[int]:
         """Indices of the rays within reach of target, up to rounding of the bounds."""
@@ -538,8 +529,6 @@ def _deficits_for(
     dirs: list[tuple[float, int]], mult_center: int, m: int, slack: float, center: Point
 ) -> QRegularityResult | None:
     step = TAU / m
-    if _orbit_lower_bound(len(dirs), sum(c for _, c in dirs), m) > mult_center:
-        return None
     residues = [theta % step for theta, _ in dirs]
     orbits = circular_clusters(residues, slack, step)
     total = 0
@@ -582,7 +571,7 @@ def _partnerless_rays_exceed(index: _RayIndex, m: int, slack: float, budget: int
     if window >= step / 8.0:
         return False
     misses = 0
-    for theta in index.probes:
+    for theta in index.thetas:
         if not index.around((theta + step) % TAU, window):
             misses += 1
             if misses > budget:
@@ -600,7 +589,9 @@ def _structure(config: Configuration, c: Point, multiplicity: int, slack: float)
     equal counts.  Before ``_deficits_for`` runs, order m is rejected when
     either exact bound proves it would return None:
 
-    * the integer lower bound: each orbit needs m occupied slots;
+    * the integer lower bound: each orbit needs m occupied slots.
+      ``_deficits_for`` does not repeat it: an order it rejects would end
+      there with a deficit total above the multiplicity anyway;
     * the partner count.  An orbit's residue cluster holds at most m rays,
       so its single-link chain spans at most (m-1)*slack.  While
       2*(m-1)*slack stays below step/8 (step = 2*pi/m), every ray rounds to
@@ -612,8 +603,9 @@ def _structure(config: Configuration, c: Point, multiplicity: int, slack: float)
       multiplicity, so more partnerless rays than that reject m.
 
     The rays are clustered and sorted once, O(n log n); the partner count
-    stops at the first miss beyond the multiplicity, each miss found by
-    binary search.
+    walks the sorted directions, one binary search each, and stops at the
+    first miss beyond the multiplicity.  The verdict does not depend on the
+    order of the walk.
     """
     off = Rays.of(config, c).off
     dirs = _ray_clusters(config, c, off, slack)
@@ -786,7 +778,7 @@ def _rejects_every_order(
     k within 1.05 * s * (1/d_j + 1/d_k) + (2m + n) * slack of phi_j +
     2*pi/m, where 4 * ``_ANGLE_ROUNDING`` covers the rounding of the
     directions.  So one location without such a partner rejects m, one
-    sort and a binary search per probe, as in ``_RayIndex``.  When every
+    sort and a binary search per location, as in ``_RayIndex``.  When every
     divisor m >= 2 of n is rejected, the order at c is below 2 (0 when c is
     a location), and the search ends as it would after the polish.
     """

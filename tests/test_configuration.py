@@ -30,7 +30,6 @@ from gathersim.configuration import (
     _elect_safe_point,
     _farthest_pairs,
     _hull_candidates,
-    _opposite_pairs,
 )
 from gathersim.errors import AsymmetryViolated, GatherError, NotLinear
 from gathersim.generators import construct_quasi_regular, symmetric_configuration
@@ -782,31 +781,38 @@ def _convex_inputs():
     return out
 
 
-def test_opposite_pairs_match_pair_loop():
+def test_opposite_pairs_match_pair_loop(monkeypatch):
     # the diameter measured on near-opposite pairs is the loop's double,
     # with the loop's pairs in the loop's order, above and below the
-    # crossover
+    # crossover: every input takes the hull, and the windows are forced
+    # below the crossover too
+    crossover = configuration._OPPOSITE_FROM
+    monkeypatch.setattr(configuration, "_ALL_PAIRS_UP_TO", 0)
     above = 0
     for pts in _convex_inputs():
-        hull = _hull_candidates(sorted(set(pts)))
+        pts = sorted(set(pts))
+        hull = _hull_candidates(pts)
         best, pairs = farthest_pairs_reference(hull)
         expected = (best.hex(), [(bits(p), bits(q)) for p, q in pairs])
-        for got in (_farthest_pairs(hull), _opposite_pairs(hull)):
+        for opposite_from in (crossover, 0):
+            monkeypatch.setattr(configuration, "_OPPOSITE_FROM", opposite_from)
+            got = _farthest_pairs(pts)
             assert (got[0].hex(), [(bits(p), bits(q)) for p, q in got[1]]) == expected, pts
-        above += len(hull) > configuration._OPPOSITE_FROM
+        above += len(hull) > crossover
     assert above >= 180
 
 
 def test_regular_polygon_diameter_measures_linear_pairs(monkeypatch):
     # a regular 160-gon keeps all 160 points as candidates; the loop
     # measures 12,720 pairs, the window a few per candidate
-    hull = _hull_candidates(sorted(on_ray(Point(0.3, -0.2), 0.1 + k * TAU / 160, 1.5) for k in range(160)))
+    pts = sorted(on_ray(Point(0.3, -0.2), 0.1 + k * TAU / 160, 1.5) for k in range(160))
+    hull = _hull_candidates(pts)
     assert len(hull) == 160
     expected = farthest_pairs_reference(hull)
     calls = []
     hypot = math.hypot
     monkeypatch.setattr(math, "hypot", lambda *args: calls.append(1) or hypot(*args))
-    assert _farthest_pairs(hull) == expected
+    assert _farthest_pairs(pts) == expected
     assert len(calls) <= 3 * 160
 
 

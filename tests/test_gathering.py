@@ -15,7 +15,8 @@ from gathersim import (
 )
 from gathersim import gathering, symmetry
 from gathersim.configuration import TAG_ASYMMETRIC, TAG_BIVALENT, TAG_MULTIPLE
-from gathersim.errors import BivalentInput, DegenerateAngle, WrongClass
+from gathersim.cli import main
+from gathersim.errors import BivalentInput, DegenerateAngle, GatherError, SweepMissed, WrongClass
 from gathersim.gathering import (
     RULE_A_ELECT,
     RULE_L2W_CENTER,
@@ -28,7 +29,7 @@ from gathersim.gathering import (
     _sidestep_angle,
 )
 from gathersim.geometry import TAU, Tolerance, angle_cw, dist, on_open_segment, rotate_cw
-from helpers import Similarity, mixed_configuration, on_half_line, on_ray, segments_intersect
+from helpers import Similarity, mixed_configuration, on_half_line, on_ray, save_configuration, segments_intersect
 from references import blocked_reference, sidestep_angle_reference
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
@@ -65,6 +66,21 @@ def test_compute_m_sidestep_all_on_ray():
     decision = compute(config, 3)
     assert decision.rule == RULE_M_SIDESTEP
     assert decision.destination == pytest.approx(rotate_cw(Point(8, 0), Point(0, 0), TAU / 3))
+
+
+def test_sidestep_sweep_that_misses_raises_a_typed_error(monkeypatch, tmp_path, capsys):
+    # a successor sweep that never leaves the robot's ray, though (-1, 0)
+    # lies off it, is a program fault: a typed error, still a RuntimeError,
+    # which the CLI reports as an error with exit 1
+    config = Configuration([(-1, 0), (0, 0), (0, 0), (4, 0), (8, 0)])
+    path = tmp_path / "blocked.json"
+    save_configuration(config, str(path))
+    monkeypatch.setattr(symmetry, "successor", lambda config, i, c: i)
+    with pytest.raises(SweepMissed, match="successor sweep missed every off-ray robot") as raised:
+        compute(config, 4)
+    assert isinstance(raised.value, RuntimeError) and isinstance(raised.value, GatherError)
+    assert main(["classify", str(path), "--decide"]) == 1
+    assert capsys.readouterr().err == "error: successor sweep missed every off-ray robot\n"
 
 
 def test_compute_m_sidestep_at_tiny_eps_len():
@@ -389,7 +405,6 @@ def test_indexed_blocked_matches_scan(monkeypatch):
     windows = []
     original = gathering._blocker_window
     monkeypatch.setattr(gathering, "_blocker_window", lambda *args: windows.append(1) or original(*args))
-    monkeypatch.setattr(gathering, "_SCAN_UP_TO", 0)
     checked = blocked = 0
     for config, e in _blocked_inputs():
         rays = symmetry.Rays.of(config, e)

@@ -24,7 +24,7 @@ import random
 
 import pytest
 
-from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, compute, run
+from gathersim import AdversarySpec, Configuration, Point, SimParams, classify, compute, configuration, run
 from gathersim.configuration import ALL_TAGS, TAG_ASYMMETRIC, TAG_BIVALENT, TAG_QREGULAR
 from gathersim.generators import (
     bivalent_configuration,
@@ -353,3 +353,48 @@ def test_golden_classify_huge():
     assert shape == [("QR", 160, 0), ("QR", 5, 0), ("M", None, 77), ("M", None, 79)]
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == GOLDEN_CLASSIFY_HUGE
+
+
+# --- every size crossover, flipped to each side --------------------------------------
+
+_HUGE = 10**9
+
+# each side of every crossover that picks a code path by size; the window
+# side also takes the hull at every size, so windows serve every diameter
+_FORK_SIDES = [
+    {"_ALL_PAIRS_UP_TO": 0},
+    {"_ALL_PAIRS_UP_TO": _HUGE},
+    {"_ALL_PAIRS_UP_TO": 0, "_OPPOSITE_FROM": 0},
+    {"_OPPOSITE_FROM": _HUGE},
+    {"_TREE_FROM": 0},
+    {"_TREE_FROM": _HUGE},
+]
+
+
+def _decision_lines() -> list[str]:
+    """``classify`` and every robot's ``compute`` on the n = 24, 40, 80 and
+    160 snapshots and on a uniform class-A start of 160 robots, built afresh."""
+    uniform = uniform_configuration(random.Random(161), 160)
+    lines = []
+    for config in _large_snapshots() + _huge_snapshots() + [uniform]:
+        cls = classify(config)
+        lines.append(_class_line(cls))
+        if cls.tag != TAG_BIVALENT:
+            decisions = [compute(config, i, cls) for i in range(config.n)]
+            lines.extend(dumps_17g([d.rule, d.destination, d.elected]) for d in decisions)
+    assert classify(uniform).tag == TAG_ASYMMETRIC
+    return lines
+
+
+def test_crossovers_pick_paths_with_equal_results(monkeypatch):
+    """Each path a size crossover picks gives the other path's doubles: with
+    every crossover flipped to each side, the decisions on the large
+    snapshots and the traces of the grid runs stay the same."""
+    expected = _decision_lines()
+    for side in _FORK_SIDES:
+        with monkeypatch.context() as patch:
+            for name, value in side.items():
+                patch.setattr(configuration, name, value)
+            assert _decision_lines() == expected, side
+            for case in sorted(GOLDEN_LARGE_RUNS):
+                test_golden_trace_large(case)
