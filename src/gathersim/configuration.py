@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from . import geometry, symmetry
-from .errors import AsymmetryViolated, ClassWithoutUniqueWeber, NotLinear
+from .errors import AsymmetryViolated, ClassWithoutUniqueWeber, NotLinear, OutOfScale
 from .geometry import Point, Tolerance, _cached, _plain_sum, dist
 
 TAG_BIVALENT = "B"
@@ -45,8 +45,9 @@ _RESOLUTION = 8.0 * sys.float_info.epsilon
 _UNIT = sys.float_info.epsilon / 2.0
 # Robots per leaf of the cell tree.
 _LEAF_SIZE = 8
-# Robots above which classification builds the cell tree; at or below it
-# one exact pass over every robot pair serves every location.
+# Robots above which ``Configuration._lower_sums`` bounds the locations with
+# the cell tree; at or below it one exact pass over every robot pair serves
+# every location.
 _TREE_FROM = 64
 # Distinct points up to which ``_farthest_pairs`` measures every pair of
 # them, without the hull.
@@ -54,6 +55,14 @@ _ALL_PAIRS_UP_TO = 20
 # Hull candidates above which ``_farthest_pairs`` measures only
 # near-opposite pairs.
 _OPPOSITE_FROM = 32
+# Nonzero diameters outside this range are refused by ``classify``.  Over
+# 243 inputs of every class, 2 to 160 robots, each scaled by exact powers
+# of two, every class held from diameters of 2.2e-102 to 1.4e108 and some
+# changed or raised beyond: the Weber certificate's m/d^3 terms overflow or
+# underflow there (``symmetry._polish_disc``), and from about 1e154 so do
+# the squared lengths of the linearity test.
+_MIN_DIAMETER = 1e-90
+_MAX_DIAMETER = 1e90
 
 
 @dataclass(slots=True)
@@ -134,27 +143,65 @@ class Configuration:
         return _farthest_pairs(self._distinct[1])
 
     @_cached
-    def _cells(self) -> geometry.CellTree | None:
-        """The robots' ``geometry.CellTree`` above ``_TREE_FROM`` robots,
-        else None.
+    def _lower_sums(self) -> list[tuple[float, float, float]]:
+        """Lower bounds on each location's ``_sums_at``, in location order:
+        the one place that chooses how classification measures a location.
 
-        The tree's bounds spare exact work only when they prune most of
-        the robots; at small n a walk measures most of them exactly anyway,
-        and ``_pair_sums`` measures every location for less than the tree's
-        build and walks cost.  The crossover, measured as whole
-        ``classify`` calls on fresh configurations, pass against tree
-        (CPython 3.11, a shared 2-core x86-64 host, best of 5): uniform
-        class-A input in a square, 298 against 360 us at n = 20, 1011
-        against 1200 at 64, 2758 against 2870 at 128 and 3904 against 3628
-        at 160; a regular polygon (QR), 501 against 588 us at 40, 914
-        against 923 at 64, 1252 against 1193 at 80 and 3846 against 2602
-        at 160.  The pass alone takes 48, 438 and 2684 us at n = 20, 64 and
-        160, the tree's build plus one walk per location 102, 592 and 2140.
-        Up to 64 robots the pass is thus no slower on either input.
+        Up to ``_TREE_FROM`` robots it is ``_pair_sums`` itself, every bound
+        exact.  Above, ``geometry._cell_bounds`` bounds every location from
+        one tree over the robots, built for them and then dropped; its
+        bounds spare exact work only when they prune most of the robots,
+        and at small n a walk measures most of them exactly anyway.
+
+        The crossover, timed as whole ``classify`` calls on fresh
+        configurations forced to each side, pass against tree, in us, best
+        of 14 on a shared 2-core x86-64 host, under three CPython versions:
+
+        ==========  ====  ===========  ===========  ===========
+        input          n       3.11.7       3.12.1       3.13.0
+        ==========  ====  ===========  ===========  ===========
+        uniform A     20    215 / 271    259 / 315    248 / 301
+        uniform A     40    444 / 579    536 / 667    541 / 646
+        uniform A     64    798 / 957   999 / 1132  1024 / 1116
+        uniform A     80  1116 / 1301  1419 / 1521  1450 / 1514
+        uniform A    128  2392 / 2340  2989 / 2762  3084 / 2763
+        uniform A    160  3457 / 3050  4358 / 3516  4501 / 3452
+        polygon QR    20    227 / 275    271 / 320    255 / 298
+        polygon QR    40    547 / 623    664 / 712    634 / 664
+        polygon QR    64    990 / 988  1208 / 1143  1185 / 1088
+        polygon QR    80  1338 / 1246  1652 / 1442  1638 / 1364
+        polygon QR   128  2750 / 2099  3415 / 2372  3463 / 2282
+        polygon QR   160  3931 / 2668  4988 / 3047  5011 / 2885
+        ==========  ====  ===========  ===========  ===========
+
+        "uniform A" is uniform input in a square, "polygon QR" a regular
+        polygon.  The pass wins on both up to 40 robots and the tree on
+        both from 128; between, the polygon favours the tree and the
+        uniform input the pass, so neither side loses over its whole range.
         """
         if self.n <= _TREE_FROM:
-            return None
-        return geometry.CellTree(self.points, _LEAF_SIZE, self.merge_slack)
+            return self._pair_sums
+        centers = [loc.location for loc in self.locations]
+        return geometry._cell_bounds(self.points, centers, _LEAF_SIZE, self.merge_slack)
+
+    def _sums_at(self, k: int) -> tuple[float, float, float]:
+        """The exact (pull, r_min, sum) of ``_pair_sums`` at the k-th
+        location: its entry up to ``_TREE_FROM`` robots, else the same
+        doubles from the location's ``symmetry.Rays`` row, each robot's d
+        added in index order and its unit vector (x - cx, y - cy) / d added
+        when d exceeds the merge slack.  O(n) above ``_TREE_FROM``."""
+        if self.n <= _TREE_FROM:
+            return self._pair_sums[k]
+        cx, cy = c = self.locations[k].location
+        rays = symmetry.Rays.of(self, c)
+        slack = self.merge_slack
+        pull_x = pull_y = total = 0.0
+        for (x, y), d in zip(self.points, rays.dists):
+            total += d
+            if d > slack:
+                pull_x += (x - cx) / d
+                pull_y += (y - cy) / d
+        return math.hypot(pull_x, pull_y), rays.r_min, total
 
     @_cached
     def _pair_sums(self) -> list[tuple[float, float, float]]:
@@ -164,8 +211,6 @@ class Configuration:
         whose d = ``hypot(x - cx, y - cy)`` exceeds the merge slack, added in
         index order from 0.0; r_min is their smallest d (0.0 when there is
         none); sum is the ``_plain_sum`` of every robot's d in index order.
-        The same triple as ``geometry.CellTree.bounds``, with each bound
-        exact.
 
         One pass over the robot pairs k < l with a lowest robot among them,
         each measured once as ``hypot(x_l - x_k, y_l - y_k)``.  That is the
@@ -610,9 +655,15 @@ def _is_safe(config: Configuration, k: int) -> bool:
 
 
 def classify(config: Configuration) -> ConfigClass:
-    """Assign the configuration its unique class tag plus analysis detail."""
+    """Assign the configuration its unique class tag plus analysis detail.
+
+    A nonzero diameter outside [``_MIN_DIAMETER``, ``_MAX_DIAMETER``]
+    raises ``OutOfScale``.
+    """
+    diameter = config.diameter
+    if diameter and not _MIN_DIAMETER <= diameter <= _MAX_DIAMETER:
+        raise OutOfScale(f"diameter {diameter!r} outside [{_MIN_DIAMETER!r}, {_MAX_DIAMETER!r}]")
     locs = config.locations
-    n = config.n
 
     if len(locs) == 2 and locs[0].multiplicity == locs[1].multiplicity:
         return ConfigClass(TAG_BIVALENT)
@@ -656,25 +707,21 @@ def _elect_safe_point(config: Configuration) -> Point:
     one, so only locations up to that bound are tested.  The tied set keeps
     location order, the order ``symmetry.greatest_view`` needs.
 
-    Without a cell tree (up to ``_TREE_FROM`` robots) every location's sum
-    comes from ``Configuration._pair_sums``, the ``_plain_sum`` of its
-    ``Rays`` row bit for bit, so no location builds a ``Rays`` for its sum.
-    With a cell tree, exact sums are taken only where they can matter.  The
-    locations are visited in ascending order of their sum's lower bound
-    (``geometry.CellTree.bounds``), and the visit stops at the first bound
-    above b + merge slack, b the lowest exact sum of a safe location found
-    so far.  Every location whose sum is at most s + merge slack, s the
-    group's lowest safe sum, is visited: b >= s, so its bound, at most its
-    sum, is at most b + merge slack (float addition is monotone).  The
-    first safe location and the tied set thus lie among the visited ones,
-    and the ascending-sum order, ties by location order, runs on their
-    exact sums as it runs on every sum without the tree.  Each location's
-    sum is its ``Rays`` row added left to right, so O(n) per visited
-    location.
+    Exact sums (``Configuration._sums_at``) are taken only where they can
+    matter.  The locations are visited in ascending order of their sum's
+    lower bound (``Configuration._lower_sums``), and the visit stops at the
+    first bound above b + merge slack, b the lowest exact sum of a safe
+    location found so far.  Every location whose sum is at most s + merge
+    slack, s the group's lowest safe sum, is visited: b >= s, so its bound,
+    at most its sum, is at most b + merge slack (float addition is
+    monotone).  The first safe location and the tied set thus lie among
+    the visited ones, and the ascending-sum order, ties by location order,
+    runs on their exact sums as it would on every sum.  Where the bounds
+    are exact, safety is tested on the same locations as in that order.
     """
     locs = config.locations
     slack = config.merge_slack
-    cells = config._cells
+    lower = config._lower_sums
     safe: dict[int, bool] = {}
 
     def is_safe(k: int) -> bool:
@@ -684,20 +731,15 @@ def _elect_safe_point(config: Configuration) -> Point:
 
     for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
-        if cells is None:
-            totals = {k: config._pair_sums[k][2] for k in group}
-        else:
-            lower = {k: cells.bounds(locs[k].location)[2] for k in group}
-            totals = {}
-            best = math.inf
-            for k in sorted(group, key=lower.__getitem__):
-                if lower[k] > best + slack:
-                    break
-                total = totals[k] = _plain_sum(symmetry.Rays.of(config, locs[k].location).dists)
-                if total < best and is_safe(k):
-                    best = total
-            totals = {k: totals[k] for k in sorted(totals)}
-        order = sorted(totals, key=totals.__getitem__)
+        totals = {}
+        best = math.inf
+        for k in sorted(group, key=lambda k: lower[k][2]):
+            if lower[k][2] > best + slack:
+                break
+            total = totals[k] = config._sums_at(k)[2]
+            if total < best and is_safe(k):
+                best = total
+        order = sorted(sorted(totals), key=totals.__getitem__)
         first = next((pos for pos, k in enumerate(order) if is_safe(k)), None)
         if first is None:
             continue

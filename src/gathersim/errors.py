@@ -62,3 +62,8 @@ class AsymmetryViolated(GatherError, RuntimeError):
 class SweepMissed(GatherError, RuntimeError):
     """The class-M side step's successor sweep never left the moving robot's
     ray, though some robot lies off it."""
+
+
+class OutOfScale(GatherError, ValueError):
+    """Classification asked of a configuration whose diameter lies outside
+    the range over which its classes are measured to be scale-free."""

@@ -165,107 +165,96 @@ def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, to
 # Fermat-Weber problem" (Comput. Geom. 2003).
 
 # A cell whose radius is below this share of its centroid's distance from a
-# center counts as one far cell in ``CellTree.bounds``.
+# center counts as one far cell in ``_cell_bounds``.
 _OPENING_RATIO = 0.4
 # Half the largest second derivative of the unit vector x/|x| along a unit
 # step, times |x|^2: sqrt(4/3)/2 = 0.5773502691..., rounded up.
 _CURVATURE = 0.57735027
 
 
-class CellTree:
-    """A k-d tree over a point multiset, with a count, a centroid and a
-    radius per cell.
+def _cell_bounds(
+    points: tuple[Point, ...], centers: Iterable[Point], leaf_size: int, slack: float
+) -> list[tuple[float, float, float]]:
+    """Lower bounds (pull, r_min, sum) for the points seen from each center.
 
-    A cell splits at the median of its wider coordinate until it holds at
-    most ``leaf_size`` points.  Each cell is a tuple (gx, gy, radius, count,
-    count * radius^2, reach, left, right, points): the centroid is the
-    ``math.fsum`` of the coordinates over the count, and the radius is the
-    largest computed ``hypot`` from that float centroid to a point of the
-    cell, times 1 + 1e-15.  A computed ``hypot`` of two rounded differences
-    is within a factor 1 +- 3u (u = 2^-53) of the distance, so every point
-    lies in the closed disk of that radius around the float centroid.  A
-    cell is far from every center beyond ``reach``, the larger of
-    radius / ``_OPENING_RATIO`` and twice the slack.  Leaves keep their
-    points; ``left`` and ``right`` are None there, ``points`` elsewhere.
+    ``pull`` bounds the computed length of the sum of the unit vectors
+    (x - cx, y - cy) / d toward the points whose computed distance
+    d = ``hypot(x - cx, y - cy)`` exceeds ``slack``, added in index order
+    as ``Rays`` rows add them; ``r_min`` bounds the smallest such d (it is
+    inf when there is none); ``sum`` bounds the ``_plain_sum`` of every
+    point's d in index order.  ``slack`` is the merge slack of the
+    configuration the points come from, so points within it of the center
+    are left out, as ``Rays.off`` leaves them out.
 
-    ``slack`` is the merge slack of the configuration the points come from:
-    ``bounds`` leaves out points within it of the center, as ``Rays.off``
-    does.  The tree keeps the points, never the configuration: a reference
-    back would form a cycle that only the cyclic garbage collector frees.
+    The bounds come from a k-d tree over the points, with a count, a
+    centroid and a radius per cell, built once for all the centers and
+    then dropped.  A cell splits at the median of its wider coordinate
+    until it holds at most ``leaf_size`` points.  Each cell is a tuple
+    (gx, gy, radius, count, count * radius^2, reach, left, right, points):
+    the centroid is the ``math.fsum`` of the coordinates over the count,
+    and the radius is the largest computed ``hypot`` from that float
+    centroid to a point of the cell, times 1 + 1e-15.  A computed
+    ``hypot`` of two rounded differences is within a factor 1 +- 3u
+    (u = 2^-53) of the distance, so every point lies in the closed disk of
+    that radius around the float centroid.  A cell is far from every
+    center beyond ``reach``, the larger of radius / ``_OPENING_RATIO`` and
+    twice the slack.  Leaves keep their points; ``left`` and ``right`` are
+    None there, ``points`` elsewhere.  The centroid of a cell errs by at
+    most 2.01u times the largest coordinate magnitude per axis (one
+    correctly rounded sum, one division), so by less than
+    ``centroid_error``, 3.2u times it, in the plane.
+
+    One walk down the tree per center, from the root.  A cell whose
+    centroid g lies at a computed distance d beyond its reach is far, and
+    is not opened; there rho < 0.4 d for its radius rho.  A leaf that is
+    not far is measured exactly, with the doubles ``Rays`` computes, each
+    point's d compared with the slack as ``Rays.off`` compares it.
+
+    * Pull.  Write f(x) = x/|x| for x = p - c.  Along any unit step h,
+      |f''(x)[h, h]| <= sqrt(4/3)/|x|^2 (the maximum over the split of
+      h along and across x), so by Taylor's theorem with the remainder
+      taken along the segment from g to p, which stays at least
+      d - rho from c, f(p) = f(g) + Df(g)(p - g) + R with
+      |R| <= ``_CURVATURE`` * rho^2 / (d - rho)^2.  Summed over the
+      cell, the first-order terms add up to Df(g) times count times
+      (true centroid - g), at most count * ``centroid_error`` / d, as
+      |Df(g)| = 1/d.  Each point of a far cell also lies beyond the
+      slack: d - rho > 0.6 d > 1.2 * slack, up to a relative 4u.  So
+      with V the sum of count * (g - c) / d over far cells plus the
+      exact unit vectors in leaves, |P_c| >= |V| - sum over far cells
+      of (``_CURVATURE`` * count * rho^2 / (d - rho)^2 + count *
+      ``centroid_error`` / d).  Rounding: every term of V has magnitude
+      at most its count, so the computed V and the computed exact pull
+      each lie within (n^2 + 6n)u of the true sums, and the two error
+      sums, at most 0.4 n and n/10 (d > 2 * slack >= 16u times the
+      largest coordinate), err by a relative (n + 8)u.  The margin
+      (n + 8) n 1e-15 covers all of it.
+    * r_min.  A point of a far cell lies at least d - rho from the
+      center; (d - rho)(1 - 1e-15) is below its computed distance, as d
+      errs by at most a relative 3u and d - rho > 0.6 d.  Leaves give
+      the computed distances themselves.
+    * Sum.  For any set of points, the sum of their distances from c is
+      at least count * |c - centroid| (the triangle inequality on the
+      sum of the vectors).  The float centroid lies within
+      ``centroid_error`` of the true one, so a far cell adds at least
+      count * (d (1 - 3u) - ``centroid_error``), and a leaf its exact
+      distances.  The computed total of m <= n terms and the computed
+      ``_plain_sum`` each err by at most a relative (n + 3)u, which the
+      factor 1 - (n + 4) 1e-15 covers.
     """
-
-    def __init__(self, points: tuple[Point, ...], leaf_size: int, slack: float):
-        self.n = len(points)
-        self.slack = slack
-        # the centroid of a cell errs by at most 2.01u times the largest
-        # coordinate magnitude per axis (one correctly rounded sum, one
-        # division), so by less than 3.2u times it in the plane
-        self.centroid_error = 3.6e-16 * max(max(abs(x), abs(y)) for x, y in points)
-        self.root = _cell(list(points), leaf_size, 2.0 * slack)
-        self._bounds: dict[Point, tuple[float, float, float]] = {}
-
-    def bounds(self, center: Point) -> tuple[float, float, float]:
-        """Lower bounds (pull, r_min, sum) for the points seen from center.
-
-        ``pull`` bounds the computed length of the sum of the unit vectors
-        (x - cx, y - cy) / d toward the points whose computed distance
-        d = ``hypot(x - cx, y - cy)`` exceeds the slack, added in index
-        order as ``symmetry.detect_quasi_regular`` adds them; ``r_min``
-        bounds the smallest such d (it is inf when there is none); ``sum``
-        bounds the ``_plain_sum`` of every point's d in index order.  Cached
-        per center.
-
-        One walk down the tree, from the root.  A cell whose centroid g
-        lies at a computed distance d beyond its reach is far, and is not
-        opened; there rho < 0.4 d for its radius rho.  A leaf that is not
-        far is measured exactly, with the doubles ``Rays`` computes, each
-        point's d compared with the slack as ``Rays.off`` compares it.
-
-        * Pull.  Write f(x) = x/|x| for x = p - c.  Along any unit step h,
-          |f''(x)[h, h]| <= sqrt(4/3)/|x|^2 (the maximum over the split of
-          h along and across x), so by Taylor's theorem with the remainder
-          taken along the segment from g to p, which stays at least
-          d - rho from c, f(p) = f(g) + Df(g)(p - g) + R with
-          |R| <= ``_CURVATURE`` * rho^2 / (d - rho)^2.  Summed over the
-          cell, the first-order terms add up to Df(g) times count times
-          (true centroid - g), at most count * ``centroid_error`` / d, as
-          |Df(g)| = 1/d.  Each point of a far cell also lies beyond the
-          slack: d - rho > 0.6 d > 1.2 * slack, up to a relative 4u.  So
-          with V the sum of count * (g - c) / d over far cells plus the
-          exact unit vectors in leaves, |P_c| >= |V| - sum over far cells
-          of (``_CURVATURE`` * count * rho^2 / (d - rho)^2 + count *
-          ``centroid_error`` / d).  Rounding: every term of V has magnitude
-          at most its count, so the computed V and the computed exact pull
-          each lie within (n^2 + 6n)u of the true sums, and the two error
-          sums, at most 0.4 n and n/10 (d > 2 * slack >= 16u times the
-          largest coordinate), err by a relative (n + 8)u.  The margin
-          (n + 8) n 1e-15 covers all of it.
-        * r_min.  A point of a far cell lies at least d - rho from the
-          center; (d - rho)(1 - 1e-15) is below its computed distance, as d
-          errs by at most a relative 3u and d - rho > 0.6 d.  Leaves give
-          the computed distances themselves.
-        * Sum.  For any set of points, the sum of their distances from c is
-          at least count * |c - centroid| (the triangle inequality on the
-          sum of the vectors).  The float centroid lies within
-          ``centroid_error`` of the true one, so a far cell adds at least
-          count * (d (1 - 3u) - ``centroid_error``), and a leaf its exact
-          distances.  The computed total of m <= n terms and the computed
-          ``_plain_sum`` each err by at most a relative (n + 3)u, which the
-          factor 1 - (n + 4) 1e-15 covers.
-        """
-        cached = self._bounds.get(center)
-        if cached is not None:
-            return cached
-        cx, cy = center
-        slack = self.slack
-        hypot = math.hypot
+    n = len(points)
+    centroid_error = 3.6e-16 * max(max(abs(x), abs(y)) for x, y in points)
+    root = _cell(list(points), leaf_size, 2.0 * slack)
+    hypot = math.hypot
+    out = []
+    for cx, cy in centers:
         px = py = curve = spread = total = 0.0
         r_min = r_far = math.inf
-        stack = [self.root]
+        stack = [root]
         pop = stack.pop
         push = stack.append
         while stack:
-            gx, gy, rad, count, moment, reach, left, right, points = pop()
+            gx, gy, rad, count, moment, reach, left, right, cell_points = pop()
             dx = gx - cx
             dy = gy - cy
             d = hypot(dx, dy)
@@ -280,7 +269,7 @@ class CellTree:
                 if gap < r_far:
                     r_far = gap
             elif left is None:
-                for x, y in points:
+                for x, y in cell_points:
                     dx = x - cx
                     dy = y - cy
                     d = hypot(dx, dy)
@@ -293,12 +282,10 @@ class CellTree:
             else:
                 push(left)
                 push(right)
-        n = self.n
-        error = self.centroid_error
-        pull = hypot(px, py) - _CURVATURE * curve - error * spread - (n + 8) * n * 1e-15
-        lower = total * (1.0 - (n + 4) * 1e-15) - n * error
-        out = self._bounds[center] = (pull, min(r_min, r_far * (1.0 - 1e-15)), lower)
-        return out
+        pull = hypot(px, py) - _CURVATURE * curve - centroid_error * spread - (n + 8) * n * 1e-15
+        lower = total * (1.0 - (n + 4) * 1e-15) - n * centroid_error
+        out.append((pull, min(r_min, r_far * (1.0 - 1e-15)), lower))
+    return out
 
 
 def _cell(points: list[Point], leaf_size: int, near: float) -> tuple:

@@ -68,7 +68,6 @@ class AdversarySpec:
     activation_prob: float = 0.5
     stop_policy: str = "full_move"
     crash_schedule: tuple[tuple[int, int], ...] = ()
-    faulty_sets: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.activation not in ACTIVATION_POLICIES:
@@ -523,9 +522,6 @@ def _validate_crashes(n: int, adv: AdversarySpec) -> int:
         robots.add(i)
     if len(robots) >= n:
         raise ValueError("at least one robot must never crash")
-    if adv.faulty_sets is not None and robots:
-        if not any(robots <= set(fs) for fs in adv.faulty_sets):
-            raise ValueError("crash schedule is not covered by any faulty set")
     return len(robots)
 
 

@@ -131,20 +131,14 @@ class Rays:
     there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
-    centers (the locations whose exact pull or distance sum the cell-tree
-    path takes) never need a direction.  They and ``at_center`` are
-    ``geometry._cached`` attributes, kept in the instance ``__dict__``
-    from their first read, where ``built_index`` looks for ``index``.  Up
-    to ``configuration._TREE_FROM`` robots no location builds one for its
-    pull or sum at all:
-    ``Configuration._pair_sums`` takes every location's, bit for bit as its
-    ``Rays`` would, in one pass over the robot pairs, with half the
-    ``hypot`` calls of one ``Rays`` per robot (48 us at n = 20, against
-    102 us for the tree's build and walks; see ``Configuration._cells``).
-    Every ray test reads a ``Rays``: the successor sweep and the M side
-    step around the elected point (and the M blocked test, once the side
-    step has built the index), quasi-regularity around each candidate
-    center, and the safe-point test around each location.
+    centers (the locations whose exact pull or distance sum
+    ``Configuration._sums_at`` takes) never need a direction.  They and
+    ``at_center`` are ``geometry._cached`` attributes, kept in the instance
+    ``__dict__`` from their first read, where ``built_index`` looks for
+    ``index``.  Every ray test reads a ``Rays``: the successor sweep and
+    the M side step around the elected point (and the M blocked test, once
+    the side step has built the index), quasi-regularity around each
+    candidate center, and the safe-point test around each location.
     It keeps the points, never the configuration that caches it: a
     reference back would form a cycle that only the cyclic garbage
     collector frees.
@@ -661,33 +655,18 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     removes centers where no order would be accepted, so the result is the
     same as without it.
 
-    Up to ``configuration._TREE_FROM`` robots every location's pull and
-    r_min come from ``Configuration._pair_sums``, one exact pass over the
-    robot pairs whose doubles are those of the location's ``Rays``, and
-    only the centers that pass the test build a ``Rays``, in
-    ``_structure``.  The pass costs O(n^2) terms, half of the O(n^2) a
-    row per location costs, and below the cutoff less than the tree: 48
-    against 102 us at n = 20, 438 against 592 us at 64 (see
-    ``Configuration._cells`` for the crossover).
-
-    Above the cutoff the pull is bounded before it is computed.
-    ``CellTree.bounds`` gives, from one walk down the
-    configuration's cell tree, a lower bound on the computed |P_c| and one
+    The pull is bounded before it is computed.  ``Configuration._lower_sums``
+    gives, for every location, a lower bound on the computed |P_c| and one
     on r_min, which bounds the slack from above (``_direction_slack`` only
     grows as r_min shrinks, and float division, max and min are monotone).
     A center whose pull bound exceeds the skip threshold at that slack
-    would be skipped by the exact test too, so it is skipped without a
-    ``Rays``.  Every other center builds its cached ``Rays``, shared with
-    the Weber search, the safe-point test and the class-A election, and
-    runs the exact test on the same doubles in the same order; directions
-    are computed only for the centers that pass it.
-    A bound walks the cells near c and one far cell per far region, about
-    O(log n) cells plus the robots of the nearby leaves on spread-out
-    input, and the exact test costs O(n); only the centers that pass it
-    run ``_structure``.  On generic configurations almost every center
-    fails the pull bound, so the occupied-center search costs one bound per
-    location plus O(n log n) per surviving center; without a tree it costs
-    O(n^2) distance and vector terms.
+    would be skipped by the exact test too, so it is skipped without
+    measuring it.  Every other center takes its exact pull and r_min from
+    ``Configuration._sums_at`` and runs the exact test; directions are
+    computed only for the centers that pass it, in ``_structure``.  On
+    generic configurations almost every center fails the pull bound, so
+    the occupied-center search costs the bounds plus O(n log n) per
+    surviving center.
 
     The Weber search that follows checks only the surviving centers as
     possible optimal vertices, in location order.  A skipped location has
@@ -711,31 +690,18 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     n = config.n
     points = config.points
-    cells = config._cells
+    lower = config._lower_sums
     survivors = []
     for k, loc in enumerate(config.locations):
-        c = loc.location
-        if cells is None:
-            pull, r_min, _ = config._pair_sums[k]
-        else:
-            pull, r_min, _ = cells.bounds(c)
-            if pull > loc.multiplicity + 3.0 * n * n * _direction_slack(config, r_min, _COORD_DRIFT) + n * 1e-12:
-                continue
-            cx, cy = c
-            rays = Rays.of(config, c)
-            row = rays.dists
-            r_min = rays.r_min
-            pull_x = pull_y = 0.0
-            for i in rays.off:
-                x, y = points[i]
-                pull_x += (x - cx) / row[i]
-                pull_y += (y - cy) / row[i]
-            pull = math.hypot(pull_x, pull_y)
+        pull, r_min, _ = lower[k]
+        if pull > loc.multiplicity + 3.0 * n * n * _direction_slack(config, r_min, _COORD_DRIFT) + n * 1e-12:
+            continue
+        pull, r_min, _ = config._sums_at(k)
         slack = _direction_slack(config, r_min, _COORD_DRIFT)
         if pull > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
             continue
         survivors.append(k)
-        res = _structure(config, c, loc.multiplicity, slack)
+        res = _structure(config, loc.location, loc.multiplicity, slack)
         if res is not None:
             return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)

@@ -274,7 +274,8 @@ def _push_off_vertex(locs, at):
 
 # --- quasi-regularity detection ----------------------------------------------------
 #
-# The occupied centers are searched as ``detect_quasi_regular`` does; the
+# The occupied centers are searched as ``detect_quasi_regular`` does, but
+# every one is measured exactly, from its own distance row; the
 # unoccupied candidate is the one Weber search's point, here the reference
 # search's (``weber_numeric`` returns the same doubles for every vertex list
 # the detection hands it), tested at a location and then by
@@ -294,19 +295,17 @@ def structure_reference(config, c, multiplicity, slack):
 
 
 def detect_quasi_regular_reference(config):
+    """``symmetry.detect_quasi_regular`` with every location's exact pull
+    and r_min taken from that location's own distance row, with no bound
+    first."""
     n = config.n
     points = config.points
-    cells = config._cells
     slack_of = symmetry._direction_slack
     for loc in config.locations:
         c = loc.location
-        if cells is not None:
-            pull, r_min, _ = cells.bounds(c)
-            if pull > loc.multiplicity + 3.0 * n * n * slack_of(config, r_min, symmetry._COORD_DRIFT) + n * 1e-12:
-                continue
-        rays = symmetry.Rays.of(config, c)
-        row, off = rays.dists, rays.off
-        slack = slack_of(config, rays.r_min, symmetry._COORD_DRIFT)
+        row = [dist(p, c) for p in points]
+        off = [i for i, d in enumerate(row) if d > config.merge_slack]
+        slack = slack_of(config, min((row[i] for i in off), default=0.0), symmetry._COORD_DRIFT)
         pull_x = pull_y = 0.0
         for i in off:
             x, y = points[i]
@@ -327,7 +326,7 @@ def detect_quasi_regular_reference(config):
     candidate = weber_reference(config)
     if config.find_location(candidate) is not None:
         return None
-    slack = slack_of(config, min(symmetry.Rays.of(config, candidate).dists), symmetry._CANDIDATE_ERROR)
+    slack = slack_of(config, min(dist(p, candidate) for p in points), symmetry._CANDIDATE_ERROR)
     return structure_reference(config, candidate, 0, slack)
 
 

@@ -90,6 +90,13 @@ def test_classify_parse_error(tmp_path):
     assert main(["classify", str(tmp_path / "missing.json")]) == 1
 
 
+def test_classify_out_of_scale_is_an_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"points": [[0, 0], [1e170, 0], [0, 1e170], [3e170, 2e170]]}))
+    assert main(["classify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: diameter")
+
+
 def test_simulate_square(square_json, tmp_path, capsys):
     out = tmp_path / "trace.jsonl"
     summary = tmp_path / "summary.json"

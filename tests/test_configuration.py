@@ -31,8 +31,14 @@ from gathersim.configuration import (
     _farthest_pairs,
     _hull_candidates,
 )
-from gathersim.errors import AsymmetryViolated, GatherError, NotLinear
-from gathersim.generators import construct_quasi_regular, symmetric_configuration
+from gathersim.errors import AsymmetryViolated, GatherError, NotLinear, OutOfScale
+from gathersim.generators import (
+    collinear_configuration,
+    construct_quasi_regular,
+    multiplicity_configuration,
+    symmetric_configuration,
+    uniform_configuration,
+)
 from gathersim.geometry import TAU, Tolerance, ccw_angle_of, dist
 from gathersim.simulator import LocalFrame
 from helpers import Similarity, collinear, farthest_pair, mixed_configuration, on_ray
@@ -141,7 +147,7 @@ def test_lazy_attributes_compute_once(monkeypatch):
     plane = Configuration([(0, 0), (0, 0), (3, 1), (1, 4), (-2, 2)])
     line = Configuration([(0, 0), (1, 1), (1, 1), (3, 3)])
     for config, names in ((plane, _LAZY[Configuration] - {"linear_endpoints"}), (line, _LAZY[Configuration])):
-        names = names | {"_distinct", "_farthest", "_cells", "_pair_sums"}
+        names = names | {"_distinct", "_farthest", "_lower_sums", "_pair_sums"}
         for _ in range(2):
             for name in sorted(names):
                 getattr(config, name)
@@ -373,6 +379,64 @@ def test_class_a_invariants_raise_a_typed_error(monkeypatch):
     monkeypatch.setattr(configuration, "_is_safe", lambda config, k: False)
     with pytest.raises(AsymmetryViolated, match="non-linear configuration without a safe point"):
         _elect_safe_point(Configuration([(0, 0), (3, 0), (0, 4), (1, 1)]))
+
+
+def _scaled(config, k):
+    """The configuration scaled by 2**k, exactly while nothing under- or
+    overflows."""
+    return Configuration([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in config.points], config.tol)
+
+
+def _class_bits(cls, k=0):
+    """A class's tag, order and points, the points scaled by 2**k, as bits."""
+    scale = lambda p: None if p is None else bits(Point(math.ldexp(p.x, k), math.ldexp(p.y, k)))
+    ends = None if cls.endpoints is None else tuple(map(scale, cls.endpoints))
+    return cls.tag, cls.qreg, scale(cls.elected), scale(cls.weber), ends, scale(cls.midpoint)
+
+
+_KITE = Configuration([(0, 0), (1, 0), (0, 1), (3, 2)])
+
+
+def test_classes_are_scale_free_over_the_diameter_range():
+    # at the last power of two inside each end of the range every class
+    # gives the same doubles, scaled; one more power of two is refused.
+    # The second input is quasi-regular of order 2 with an unoccupied
+    # center, the kind of class that changed first above the range: this
+    # one reads class A once scaled by 1e108
+    rng = random.Random(1)
+    inputs = [
+        _KITE,
+        construct_quasi_regular(random.Random(6), m=2, park_deficits=False).config,
+        uniform_configuration(rng, 70),
+        symmetric_configuration(rng, k=5),
+        multiplicity_configuration(rng, 9),
+        collinear_configuration(rng, 7, unique_median=True),
+    ]
+    for config in inputs:
+        expected = _class_bits(classify(config))
+        low = math.ceil(math.log2(configuration._MIN_DIAMETER / config.diameter))
+        high = math.floor(math.log2(configuration._MAX_DIAMETER / config.diameter))
+        for k, beyond in ((low, low - 1), (high, high + 1)):
+            inside, outside = _scaled(config, k), _scaled(config, beyond)
+            assert configuration._MIN_DIAMETER <= inside.diameter <= configuration._MAX_DIAMETER
+            assert _class_bits(classify(inside), -k) == expected, (config, k)
+            with pytest.raises(OutOfScale):
+                classify(outside)
+    assert classify(Configuration([(1e-300, 0)] * 3)).tag == TAG_MULTIPLE
+
+
+def test_scale_probes_beyond_the_range_raise_a_typed_error():
+    # each of these once changed class or raised a bare ZeroDivisionError
+    kite = [(x, y) for x, y in _KITE.points]
+    probes = [Configuration([(x * scale, y * scale) for x, y in kite]) for scale in (1e-110, 1e170)]
+    uniform = uniform_configuration(random.Random(1), 70)
+    probes.append(Configuration([(x * 1e-160, y * 1e-160) for x, y in uniform.points]))
+    for seed in range(1, 6):
+        config = uniform_configuration(random.Random(seed), 10)
+        probes.append(Configuration([(x * 1e-200, y * 1e-200) for x, y in config.points]))
+    for config in probes:
+        with pytest.raises(OutOfScale, match="diameter"):
+            classify(config)
 
 
 DATA = Path(__file__).parent / "data"

@@ -41,3 +41,27 @@ def test_symmetry_imports_configuration_only_for_type_checking():
         else:
             runtime += any(_imports_configuration(node) for node in ast.walk(stmt))
     assert guarded == 1 and runtime == 0
+
+
+# How classification measures a location, by the exact pair pass or by the
+# cell tree's bounds, is chosen in ``configuration.py`` alone; the
+# classifiers read its two members.
+_CHOICE = {"_TREE_FROM", "_LEAF_SIZE", "_pair_sums", "_cell_bounds"}
+_MEASURES = {"_lower_sums", "_sums_at"}
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every bare name and attribute name a module reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_configuration_chooses_how_locations_are_measured():
+    names = {path.name: _names_read(path) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, read in names.items() if read & _CHOICE] == ["configuration.py"]
+    assert names["symmetry.py"] & (_CHOICE | _MEASURES) == _MEASURES

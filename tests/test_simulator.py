@@ -131,7 +131,7 @@ def test_run_classifies_the_initial_configuration_once(monkeypatch):
     assert sum(config is initial for config in calls) == 1
 
 
-def test_run_validates_crash_budget_and_faulty_sets():
+def test_run_validates_crash_budget():
     config = Configuration([(0, 0), (1, 0), (0, 1), (2, 2)])
     with pytest.raises(ValueError):
         run(
@@ -139,18 +139,6 @@ def test_run_validates_crash_budget_and_faulty_sets():
             AdversarySpec(crash_schedule=((0, 0), (0, 1), (0, 2), (0, 3))),
             SimParams(delta=0.1),
         )
-    with pytest.raises(ValueError):
-        run(
-            config,
-            AdversarySpec(crash_schedule=((0, 0), (0, 1)), faulty_sets=((0,), (1, 2))),
-            SimParams(delta=0.1),
-        )
-    result = run(
-        config,
-        AdversarySpec(crash_schedule=((0, 0), (0, 1)), faulty_sets=((0, 1), (2, 3))),
-        SimParams(delta=0.5, seed=2),
-    )
-    assert result.outcome == OUTCOME_GATHERED
 
 
 def test_crash_freeze_and_visibility():

@@ -1342,67 +1342,53 @@ def test_rays_are_cached_per_center():
 
 
 def test_classified_configuration_is_freed_by_reference_counting():
-    # neither a Rays nor the cell tree holds a reference back to its
-    # configuration, so no cycle keeps any of them alive once the last
-    # reference goes; at the tree cutoff the exact pair pass serves instead
+    # a Rays holds no reference back to its configuration, and the cell
+    # tree is dropped once it has bounded the locations, so no cycle keeps
+    # any of them alive once the last reference goes; at the tree cutoff
+    # the exact pair pass bounds the locations instead
     enabled = gc.isenabled()
     gc.disable()
     try:
         for n in (configuration._TREE_FROM, configuration._TREE_FROM + 1):
             config = uniform_configuration(random.Random(5), n)
             assert classify(config).tag == TAG_ASYMMETRIC
-            cells = config._cells
-            if n > configuration._TREE_FROM:
-                assert cells is not None and len(cells._bounds) == len(config.locations)
-            else:
-                assert cells is None and len(config._pair_sums) == len(config.locations)
+            assert len(config._lower_sums) == len(config.locations)
+            assert (config._lower_sums is config.__dict__.get("_pair_sums")) == (n <= configuration._TREE_FROM)
             assert config._rays
             refs = [weakref.ref(config)] + [weakref.ref(rays) for rays in config._rays.values()]
-            refs += [weakref.ref(cells)] if cells is not None else []
-            del config, cells
+            del config
             assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         if enabled:
             gc.enable()
 
 
-def _pull_survivors(config):
-    """Locations whose exact pull passes the skip test of ``detect_quasi_regular``."""
-    n = config.n
-    count = 0
-    for loc in config.locations:
-        c = loc.location
-        r_min = min(d for d in (dist(q, c) for q in config.points) if d > config.merge_slack)
-        slack = symmetry._direction_slack(config, r_min, symmetry._COORD_DRIFT)
-        count += _pull(config, c) <= loc.multiplicity + 3.0 * n * n * slack + n * 1e-12
-    return count
-
-
 def test_most_centers_never_compute_directions(monkeypatch):
-    # class A builds a Rays only around the centers that pass the pull
-    # bound, the locations whose exact distance sum the election takes and
-    # the safe points it tests, plus the Weber candidate and a vertex the
-    # Weber search may push off; that is a small share of the locations.  Directions are computed only around
+    # class A builds a Rays only around the locations it measures exactly
+    # (those that pass the pull bound, and those whose distance sum the
+    # election takes) and the safe points it tests, plus the Weber
+    # candidate and a vertex the Weber search may push off; that is a
+    # small share of the locations.  Directions are computed only around
     # the centers and safe points it tests.
-    summed, tested = [], []
-    plain_sum, is_safe = configuration._plain_sum, configuration._is_safe
-    monkeypatch.setattr(configuration, "_plain_sum", lambda row: summed.append(row) or plain_sum(row))
+    measured, tested = [], []
+    sums_at, is_safe = Configuration._sums_at, configuration._is_safe
+    monkeypatch.setattr(Configuration, "_sums_at", lambda config, k: measured.append(k) or sums_at(config, k))
     monkeypatch.setattr(configuration, "_is_safe", lambda config, k: tested.append(k) or is_safe(config, k))
     for n in (160, 320):
         config = uniform_configuration(random.Random(n), n)
-        summed.clear()
+        measured.clear()
         tested.clear()
         assert classify(config).tag == TAG_ASYMMETRIC
         built = list(config._rays.values())
-        needed = _pull_survivors(config) + len(summed) + len(set(tested)) + 2
-        assert len(built) <= needed < n // 4, (n, len(built), needed)
+        needed = len(set(measured)) + len(set(tested)) + 2
+        assert measured and len(built) <= needed < n // 4, (n, len(built), needed)
         assert sum("angles" in vars(rays) for rays in built) < len(built)
 
 
 def test_cell_tree_only_above_tree_from(monkeypatch):
     built = []
-    init = geometry.CellTree.__init__
-    monkeypatch.setattr(geometry.CellTree, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    bounds = geometry._cell_bounds
+    monkeypatch.setattr(geometry, "_cell_bounds", lambda *args: built.append(args) or bounds(*args))
     rng = random.Random(8)
     sizes = [rng.randint(3, configuration._TREE_FROM) for _ in range(40)] + [configuration._TREE_FROM]
     for n in sizes:
@@ -1416,7 +1402,9 @@ def test_cell_tree_only_above_tree_from(monkeypatch):
     assert built == []
     config = uniform_configuration(rng, configuration._TREE_FROM + 1)
     classify(config)
-    assert len(built) == 1 and config._cells is not None
+    # one tree bounds every location at once, and no pair pass runs
+    assert len(built) == 1 and list(built[0][1]) == config.occupied_points()
+    assert "_pair_sums" not in vars(config)
 
 
 # --- the cell tree's bounds and the exact pair pass ----------------------------------
@@ -1429,12 +1417,28 @@ def test_cell_tree_only_above_tree_from(monkeypatch):
 # as its ``Rays`` row does.
 
 
-def _on_path(config, cells):
-    """A fresh copy of config whose classification bounds with ``cells``,
-    or measures every location with the exact pair pass for None."""
+class _Recorded(list):
+    """Bounds that record whether classification read them."""
+
+    read = False
+
+    def __getitem__(self, k):
+        self.read = True
+        return list.__getitem__(self, k)
+
+
+def _tree_bounds(config):
+    """The cell tree's bounds on every location, at any size."""
+    centers = config.occupied_points()
+    return geometry._cell_bounds(config.points, centers, configuration._LEAF_SIZE, config.merge_slack)
+
+
+def _on_path(config, path):
+    """A fresh copy of config whose classification reads the ``path``
+    bounds, the cell tree's or the exact pair pass, and those bounds."""
     copy = Configuration(config.points, config.tol)
-    copy._cells = cells
-    return copy
+    copy._lower_sums = lower = _Recorded(_tree_bounds(copy) if path == "tree" else copy._pair_sums)
+    return copy, lower
 
 
 def _offset(config, factor=1e6):
@@ -1485,26 +1489,23 @@ def _large_inputs():
 def test_cell_bounds_hold_and_keep_every_decision():
     checked = found = view_decided = 0
     for config in _large_inputs():
-        cells = geometry.CellTree(config.points, configuration._LEAF_SIZE, config.merge_slack)
-        for loc in config.locations:
+        for loc, (pull, r_min, total) in zip(config.locations, _tree_bounds(config), strict=True):
             c = loc.location
             row = [dist(c, q) for q in config.points]
-            pull, r_min, total = cells.bounds(c)
             assert pull <= _pull(config, c), (config, c)
             assert r_min <= min(d for d in row if d > config.merge_slack), (config, c)
             assert total <= left_sum(row), (config, c)
             checked += 1
         # the reference runs every order at every location, O(n^3); above
-        # n = 80 the reference's exact loop over each location's Rays, the
-        # work both paths prune, stands in for it
-        if config.n <= 80:
-            expected = _detect_reference(config)
-        else:
-            expected = detect_quasi_regular_reference(_on_path(config, None))
+        # n = 80 the reference that measures every location exactly, the
+        # work both bounds prune, stands in for it
+        expected = _detect_reference(config) if config.n <= 80 else detect_quasi_regular_reference(config)
         elected = outcome(elect_reference, config)
-        for path in (cells, None):
-            assert detect_quasi_regular(_on_path(config, path)) == expected, (config, path)
-            assert outcome(_elect_safe_point, _on_path(config, path)) == elected, (config, path)
+        for path in ("tree", "pass"):
+            copy, lower = _on_path(config, path)
+            assert detect_quasi_regular(copy) == expected and lower.read, (config, path)
+            copy, lower = _on_path(config, path)
+            assert outcome(_elect_safe_point, copy) == elected and lower.read, (config, path)
         found += expected is not None
         safe = safe_points_reference(config)
         if safe:
@@ -1543,8 +1544,12 @@ def _pair_pass_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_pair_pass_matches_every_rays_row(config):
     # the pull, r_min and distance sum that detect_quasi_regular and the
-    # class-A election take from each location's Rays row, bit for bit
-    for loc, (pull, r_min, total) in zip(config.locations, config._pair_sums, strict=True):
+    # class-A election take from each location's Rays row, bit for bit,
+    # from the pair pass and from the row itself above the tree cutoff
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configuration, "_TREE_FROM", 0)
+        from_rows = [config._sums_at(k) for k in range(len(config.locations))]
+    for loc, *sums in zip(config.locations, config._pair_sums, from_rows, strict=True):
         c = loc.location
         rays = symmetry.Rays(config, c)
         pull_x = pull_y = 0.0
@@ -1552,9 +1557,9 @@ def test_pair_pass_matches_every_rays_row(config):
             x, y = config.points[i]
             pull_x += (x - c.x) / rays.dists[i]
             pull_y += (y - c.y) / rays.dists[i]
-        assert pull.hex() == math.hypot(pull_x, pull_y).hex(), (config, c)
-        assert r_min.hex() == rays.r_min.hex(), (config, c)
-        assert total.hex() == _plain_sum(rays.dists).hex(), (config, c)
+        expected = (math.hypot(pull_x, pull_y).hex(), rays.r_min.hex(), _plain_sum(rays.dists).hex())
+        for pull, r_min, total in sums:
+            assert (pull.hex(), r_min.hex(), total.hex()) == expected, (config, c)
 
 
 # --- ray clustering against the reference ----------------------------------------------
