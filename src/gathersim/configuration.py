@@ -187,21 +187,12 @@ class Configuration:
     def _sums_at(self, k: int) -> tuple[float, float, float]:
         """The exact (pull, r_min, sum) of ``_pair_sums`` at the k-th
         location: its entry up to ``_TREE_FROM`` robots, else the same
-        doubles from the location's ``symmetry.Rays`` row, each robot's d
-        added in index order and its unit vector (x - cx, y - cy) / d added
-        when d exceeds the merge slack.  O(n) above ``_TREE_FROM``."""
+        doubles from the location's ``symmetry.Rays`` (``Rays._sums``), an
+        O(n) pass over its row made once per location, however many
+        readers (the quasi-regular center test, the class-A election) ask."""
         if self.n <= _TREE_FROM:
             return self._pair_sums[k]
-        cx, cy = c = self.locations[k].location
-        rays = symmetry.Rays.of(self, c)
-        slack = self.merge_slack
-        pull_x = pull_y = total = 0.0
-        for (x, y), d in zip(self.points, rays.dists):
-            total += d
-            if d > slack:
-                pull_x += (x - cx) / d
-                pull_y += (y - cy) / d
-        return math.hypot(pull_x, pull_y), rays.r_min, total
+        return symmetry.Rays.of(self, self.locations[k].location)._sums
 
     @_cached
     def _pair_sums(self) -> list[tuple[float, float, float]]:
@@ -375,12 +366,22 @@ class Configuration:
         That is the lexicographically first location pair (i, j), i < j, in
         location order, at the largest distance between two locations.  One
         location gives its point twice.
+
+        When no two distinct points merged, each location's point is the
+        very key of its distinct point, so the occupied points in (x, y)
+        order are ``_distinct``'s list and their pairs are the cached
+        ``_farthest`` ones; only a merge makes a second ``_farthest_pairs``
+        over the occupied points.
         """
         if not self.is_linear:
             raise NotLinear("endpoints of a non-linear configuration")
         occupied = self.occupied_points()
-        points = set(occupied)
-        _, pairs = _farthest_pairs([p for p in self._distinct[1] if p in points])
+        distinct = self._distinct[1]
+        if len(occupied) == len(distinct):
+            pairs = self._farthest[1]
+        else:
+            points = set(occupied)
+            _, pairs = _farthest_pairs([p for p in distinct if p in points])
         if not pairs:
             return occupied[0], occupied[0]
         a, b = pairs[0]

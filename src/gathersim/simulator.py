@@ -211,26 +211,60 @@ def dumps_17g(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _xy_list(points: Iterable[Point]) -> str:
-    return ",".join(f"[{x:.17g},{y:.17g}]" for x, y in points)
+def _xy_list(points: Iterable[Point], texts: dict[int, str], previous: dict[int, str]) -> str:
+    """The points' ``[x,y]`` texts, looked up by each point's ``id`` in
+    texts, the current record's, then in the previous record's, and
+    formatted only when neither has it; texts keeps every one used."""
+    out = []
+    for p in points:
+        key = id(p)
+        text = texts.get(key)
+        if text is None:
+            text = previous.get(key)
+            if text is None:
+                x, y = p
+                text = f"[{x:.17g},{y:.17g}]"
+            texts[key] = text
+        out.append(text)
+    return ",".join(out)
 
 
-def _trace_line(rec: TraceRecord) -> str:
+def _trace_line(rec: TraceRecord, texts: dict[int, str], previous: dict[int, str]) -> str:
     """The line ``dumps_17g`` wrote for a dict of the record's fields."""
     decisions = ",".join(
-        f'{{"robot":{robot!r},"rule":{json.dumps(rule)},"dest":[{x:.17g},{y:.17g}]}}'
-        for robot, rule, (x, y) in rec.decisions
+        f'{{"robot":{robot!r},"rule":{json.dumps(rule)},"dest":{_xy_list((dest,), texts, previous)}}}'
+        for robot, rule, dest in rec.decisions
     )
     return (
-        f'{{"round":{rec.round!r},"class":{json.dumps(rec.cls)},"positions":[{_xy_list(rec.positions)}],'
+        f'{{"round":{rec.round!r},"class":{json.dumps(rec.cls)},'
+        f'"positions":[{_xy_list(rec.positions, texts, previous)}],'
         f'"crashed":[{",".join("true" if c else "false" for c in rec.crashed)}],'
         f'"activated":[{",".join(map(repr, rec.activated))}],"decisions":[{decisions}],'
-        f'"stops":[{_xy_list(rec.stops)}],"gathered":{"true" if rec.gathered else "false"}}}\n'
+        f'"stops":[{_xy_list(rec.stops, texts, previous)}],"gathered":{"true" if rec.gathered else "false"}}}\n'
     )
 
 
 def trace_lines(records: Iterable[TraceRecord]) -> str:
-    return "".join(map(_trace_line, records))
+    """The records as JSONL text, one ``dumps_17g`` line each.
+
+    A round that moves no robot keeps its configuration's ``Point``
+    objects, a robot that stays stops on its own position and one that
+    moves the whole way stops on its destination, so a record shares most
+    of its points with itself and with the record before: each point
+    object's text is kept from its first use to the end of the next
+    record.  The cache is keyed by identity, not equality, as
+    ``Point(0.0, y) == Point(-0.0, y)`` yet the two format differently;
+    the records are held for the whole call, so no id is reused by another
+    point meanwhile.
+    """
+    records = list(records)
+    lines = []
+    previous: dict[int, str] = {}
+    for rec in records:
+        texts: dict[int, str] = {}
+        lines.append(_trace_line(rec, texts, previous))
+        previous = texts
+    return "".join(lines)
 
 
 def read_trace(stream: IO[str]) -> list[TraceRecord]:

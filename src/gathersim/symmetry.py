@@ -16,7 +16,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import AllAtCenter, DegenerateCenter, LinearInput, NotOccupied
 from .geometry import TAU, Point, _cached, _plain_sum, ccw_angle_of, dist, wrap_near_zero
@@ -106,11 +106,23 @@ def circular_clusters(values: list[float], slack: float, modulus: float) -> list
 
 def _direction_slack(config: Configuration, r_min: float, center_error: float) -> float:
     """Angle slack widened for robots very close to the measuring center."""
+    return _slack_by_r_min(config, center_error)(r_min)
+
+
+def _slack_by_r_min(config: Configuration, center_error: float) -> Callable[[float], float]:
+    """``_direction_slack`` at every r_min, its fixed factors (``eps_angle``
+    and center_error * diameter) taken once, for loops over many centers:
+    ``eps_angle`` at r_min <= 0, else center_error * diameter / r_min
+    clamped to [``eps_angle``, ``_MAX_ANGLE_SLACK``]."""
     base = config.tol.eps_angle
-    if r_min <= 0.0:
-        return base
-    widened = center_error * config.diameter / r_min
-    return min(max(base, widened), _MAX_ANGLE_SLACK)
+    error = center_error * config.diameter
+
+    def slack(r_min: float) -> float:
+        if r_min <= 0.0:
+            return base
+        return min(max(base, error / r_min), _MAX_ANGLE_SLACK)
+
+    return slack
 
 
 # Rounding allowance for comparisons of directions: every direction in play
@@ -132,10 +144,12 @@ class Rays:
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
     centers (the locations whose exact pull or distance sum
-    ``Configuration._sums_at`` takes) never need a direction.  They and
-    ``at_center`` are ``geometry._cached`` attributes, kept in the instance
-    ``__dict__`` from their first read, where ``built_index`` looks for
-    ``index``.  Every ray test reads a ``Rays``: the successor sweep and
+    ``Configuration._sums_at`` takes, from ``_sums``) never need a
+    direction.  They, ``_sums`` and ``at_center`` are ``geometry._cached``
+    attributes, kept in the instance ``__dict__`` from their first read,
+    where ``built_index`` looks for ``index``.  ``sweep_slack`` is the
+    successor sweep's angle slack, None until ``successor`` first takes
+    it.  Every ray test reads a ``Rays``: the successor sweep and
     the M side step around the elected point (and the M blocked test, once
     the side step has built the index), quasi-regularity around each
     candidate center, and the safe-point test around each location.
@@ -153,6 +167,7 @@ class Rays:
         self.dists = dists = array("d", [hypot(x - cx, y - cy) for x, y in config.points])
         self.off = off = [i for i, d in enumerate(dists) if d > merge_slack]
         self.r_min = min(map(dists.__getitem__, off)) if off else 0.0
+        self.sweep_slack: float | None = None
 
     @_cached
     def angles(self) -> list[float | None]:
@@ -183,6 +198,22 @@ class Rays:
     def built_index(self) -> _RayIndex | None:
         """``index`` if some reader has built it, else None; builds nothing."""
         return self.__dict__.get("index")
+
+    @_cached
+    def _sums(self) -> tuple[float, float, float]:
+        """(pull, r_min, sum) at the center: pull is ``hypot`` of the unit
+        vectors (x - cx, y - cy) / d toward the robots whose d exceeds the
+        merge slack, added in index order from 0.0, and sum every robot's d
+        added in index order (``Configuration._sums_at``)."""
+        cx, cy = self.center
+        slack = self.merge_slack
+        pull_x = pull_y = total = 0.0
+        for (x, y), d in zip(self.points, self.dists):
+            total += d
+            if d > slack:
+                pull_x += (x - cx) / d
+                pull_y += (y - cy) / d
+        return math.hypot(pull_x, pull_y), self.r_min, total
 
     @_cached
     def at_center(self) -> list[int]:
@@ -283,11 +314,17 @@ def _successor_step(config: Configuration, rays: Rays, slack: float, i: int) -> 
 
 def successor(config: Configuration, i: int, c: Point) -> int:
     """Index of the clockwise successor of robot i around center c, at the
-    angle slack ``eps_angle`` widened for the robot nearest c."""
+    angle slack ``eps_angle`` widened for the robot nearest c.
+
+    The slack depends on c alone, so it is taken once per ``Rays`` and
+    kept there (``Rays.sweep_slack``) for the rest of the sweep."""
     rays = Rays.of(config, c)
     if rays.angles[i] is None:
         raise DegenerateCenter(f"robot {i} sits on the center {c}")
-    return _successor_step(config, rays, _direction_slack(config, rays.r_min, _COORD_DRIFT), i)
+    slack = rays.sweep_slack
+    if slack is None:
+        slack = rays.sweep_slack = _direction_slack(config, rays.r_min, _COORD_DRIFT)
+    return _successor_step(config, rays, slack, i)
 
 
 # --- views and symmetricity ------------------------------------------------------
@@ -636,7 +673,12 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     from the same y, followed by the structure test at its point, so the
     result is the same as after ``weber_numeric``.  On class-A input the
     certificate usually holds, and neither the polish nor the candidate's
-    ``Rays`` is built.
+    ``Rays`` is built.  The certificate runs only when the reweighting did
+    not stop on its first pass from the centroid.  It stops there on a
+    rotationally symmetric configuration, whose centroid is its Weber point
+    and a regular center, where the certificate fails.  The certificate
+    only spares work, so without it the polish and the structure test give
+    the same verdict.
 
     Before its structure test, an occupied center c of multiplicity mu is
     skipped for every order when the unit vectors toward the robots off c
@@ -654,6 +696,10 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     and the n*1e-12 term covers float rounding of the sum.  The skip only
     removes centers where no order would be accepted, so the result is the
     same as without it.
+
+    The location loop takes the slack's fixed factors once
+    (``_slack_by_r_min``), and 3*n^2 and n*1e-12 too: the same doubles,
+    added in the same order, as the threshold written out above.
 
     The pull is bounded before it is computed.  ``Configuration._lower_sums``
     gives, for every location, a lower bound on the computed |P_c| and one
@@ -691,14 +737,17 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     n = config.n
     points = config.points
     lower = config._lower_sums
+    slack_at = _slack_by_r_min(config, _COORD_DRIFT)
+    spread = 3.0 * n * n
+    rounding = n * 1e-12
     survivors = []
     for k, loc in enumerate(config.locations):
         pull, r_min, _ = lower[k]
-        if pull > loc.multiplicity + 3.0 * n * n * _direction_slack(config, r_min, _COORD_DRIFT) + n * 1e-12:
+        if pull > loc.multiplicity + spread * slack_at(r_min) + rounding:
             continue
         pull, r_min, _ = config._sums_at(k)
-        slack = _direction_slack(config, r_min, _COORD_DRIFT)
-        if pull > loc.multiplicity + 3.0 * n * n * slack + n * 1e-12:
+        slack = slack_at(r_min)
+        if pull > loc.multiplicity + spread * slack + rounding:
             continue
         survivors.append(k)
         res = _structure(config, loc.location, loc.multiplicity, slack)
@@ -706,8 +755,8 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
             return res
     exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
     xs, ys, ms = sites = _sites(config)
-    start, vertex = _weber_start(config, sites, survivors if exact else None)
-    if vertex or _rejects_every_order(config, sites, start, exact):
+    start, passes = _weber_start(config, sites, survivors if exact else None)
+    if not passes or (passes > 1 and _rejects_every_order(config, sites, start, exact)):
         return None
     candidate = _newton_polish(xs, ys, ms, start, config.diameter)
     order = _unoccupied_order(config, candidate)
@@ -898,8 +947,8 @@ def weber_numeric(config: Configuration) -> Point:
     if config.is_linear:
         raise LinearInput("the Weber point of a linear configuration is not unique")
     xs, ys, ms = sites = _sites(config)
-    start, vertex = _weber_start(config, sites, None)
-    return start if vertex else _newton_polish(xs, ys, ms, start, config.diameter)
+    start, passes = _weber_start(config, sites, None)
+    return _newton_polish(xs, ys, ms, start, config.diameter) if passes else start
 
 
 def _sites(config: Configuration) -> _Sites:
@@ -910,8 +959,9 @@ def _sites(config: Configuration) -> _Sites:
 
 def _weber_start(
     config: Configuration, sites: _Sites, vertices: Sequence[int] | None
-) -> tuple[Point, bool]:
-    """The first optimal vertex, flagged True, else the point the polish starts from.
+) -> tuple[Point, int]:
+    """The first optimal vertex and 0, else the point the polish starts from
+    and the number of reweighting passes that reached it, push-offs included.
 
     ``vertices`` lists the indices into ``config.locations``, ascending, of
     the locations checked for optimality; None checks every location, and a
@@ -931,13 +981,13 @@ def _weber_start(
     for a in range(len(locs)) if vertices is None else vertices:
         gx, gy = _pull_vector(xs, ys, ms, a, _vertex_dists(config, a))
         if math.hypot(gx, gy) <= ms[a] * (1.0 + 1e-12):
-            return locs[a].location, True
+            return locs[a].location, 0
 
     sx = _plain_sum(x * m for x, m in zip(xs, ms))
     sy = _plain_sum(y * m for y, m in zip(ys, ms))
     yx = sx / config.n
     yy = sy / config.n
-    for _ in range(_WEBER_MAX_ITER):
+    for passes in range(1, _WEBER_MAX_ITER + 1):
         # the weight pass stops at the first location near y and pushes off it
         wx = wy = wsum = 0.0
         for a, (lx, ly, m) in enumerate(zip(xs, ys, ms)):
@@ -956,7 +1006,7 @@ def _weber_start(
             yx, yy = nx, ny
             if step <= stop:
                 break
-    return Point(yx, yy), False
+    return Point(yx, yy), passes
 
 
 def _vertex_dists(config: Configuration, a: int) -> list[float]:

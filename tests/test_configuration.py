@@ -211,8 +211,28 @@ def test_l2w_classification_measures_endpoints_once(monkeypatch):
     cls = classify(config)
     assert cls.tag == TAG_L2W and cls.endpoints == (Point(0, 0), Point(4, 0))
     assert median_interval(config) == (Point(1, 0), Point(3, 0))
-    # one pair loop for the diameter, one for the endpoints
-    assert len(calls) == 2
+    # no two points merged, so the endpoints reuse the diameter's pairs
+    assert len(calls) == 1
+
+
+def test_l2w_endpoints_after_a_merge(monkeypatch):
+    # robots within the merge slack of each other share a location, so the
+    # endpoints are measured again over the occupied points alone; in the
+    # first case the diameter's pair ends at points no location sits on
+    original = configuration._farthest_pairs
+    calls = []
+    monkeypatch.setattr(configuration, "_farthest_pairs", lambda pts: calls.append(pts) or original(pts))
+    for pts in (
+        [(0, 0), (-1e-11, 0), (1, 0), (3, 0), (4, 0), (4 + 1e-11, 0)],
+        [(-1e-11, 0), (0, 0), (1, 0), (3, 0), (4 + 1e-11, 0), (4, 0)],
+    ):
+        calls.clear()
+        config = Configuration(pts)
+        assert len(config.locations) == 4 < len(config._distinct[1])
+        cls = classify(config)
+        assert cls.tag == TAG_L2W
+        assert [bits(p) for p in cls.endpoints] == [bits(p) for p in linear_endpoints_reference(config)]
+        assert len(calls) == 2
 
 
 def test_safe_points_examples():

@@ -527,7 +527,27 @@ def test_trace_writer_matches_reference():
             )
         )
     records.append(TraceRecord(40, "M", [Point(-0.0, 5e-324)] * 3, [True, False, True], [], [], [], True))
+    # the writer formats each point object once: records that share point
+    # objects, and equal points that differ in the sign of a zero
+    shared = [Point(0.0, 1.0), Point(-0.0, 1.0), Point(0.0, -0.0), Point(-0.0, 0.0)]
+    assert shared[0] == shared[1] and shared[2] == shared[3]
+    for rnd in range(41, 45):
+        stops = [shared[rnd % 4], Point(*shared[(rnd + 1) % 4])]
+        decisions = [(0, rules[0], stops[0]), (1, rules[1], shared[1])]
+        records.append(TraceRecord(rnd, "A", shared, [False] * 4, [0, 1], decisions, stops, False))
     text = trace_lines(records)
     assert text == trace_lines_reference(records)
     assert read_trace(text.splitlines()) == records
+
+    # records made one at a time and dropped by their producer: a point's id
+    # may not be taken over by a later point while the writer runs
+    def fresh(count):
+        for rnd in range(count):
+            x = rng.choice(EXTREMES)
+            yield TraceRecord(rnd, "QR", [Point(x, -x), Point(-x, x)], [False, False], [], [], [Point(x, x)], False)
+
+    rng = random.Random(52)
+    expected = trace_lines_reference(list(fresh(200)))
+    rng = random.Random(52)
+    assert trace_lines(fresh(200)) == expected
     assert trace_lines([]) == ""

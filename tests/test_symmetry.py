@@ -857,8 +857,8 @@ def test_weber_search_matches_reference(monkeypatch):
         detect_quasi_regular(config)
         for vertices in handed[:]:  # the checks below search again and record
             xs, ys, ms = sites = symmetry._sites(config)
-            start_point, vertex = symmetry._weber_start(config, sites, vertices)
-            got = start_point if vertex else symmetry._newton_polish(xs, ys, ms, start_point, config.diameter)
+            start_point, passes = symmetry._weber_start(config, sites, vertices)
+            got = symmetry._newton_polish(xs, ys, ms, start_point, config.diameter) if passes else start_point
             assert bits(got) == expected, config
             if vertices is None:
                 full += 1
@@ -977,8 +977,8 @@ def _check_certificate(config):
     """Check the disc and the rejection at the reweighting's end point and at
     the converged Weber point; returns (discs, rejections, order-1 candidates)."""
     sites = symmetry._sites(config)
-    start, vertex = symmetry._weber_start(config, sites, None)
-    if vertex:
+    start, passes = symmetry._weber_start(config, sites, None)
+    if not passes:
         return 0, 0, 0
     discs = rejections = order_one = 0
     for y in (start, weber_numeric(config)):
@@ -1048,12 +1048,90 @@ def test_order_certificate_rejects_most_uniform_class_a():
         if classify(config).tag != TAG_ASYMMETRIC:
             continue
         sites = symmetry._sites(config)
-        start, vertex = symmetry._weber_start(config, sites, None)
-        if vertex:
+        start, passes = symmetry._weber_start(config, sites, None)
+        if not passes:
             continue
         candidates += 1
         rejected += symmetry._rejects_every_order(config, sites, start, _exact(config))
     assert candidates > 80 and rejected > 0.7 * candidates
+
+
+def test_order_certificate_runs_only_off_the_centroid(monkeypatch):
+    """A symmetric configuration's centroid is its Weber point, so the
+    reweighting stops on its first pass and the certificate, which would
+    fail there, is not run; on uniform class-A input the reweighting moves
+    off the centroid and the certificate runs."""
+    calls = []
+    certificate = symmetry._rejects_every_order
+    monkeypatch.setattr(symmetry, "_rejects_every_order", lambda *args: calls.append(args) or certificate(*args))
+    rng = random.Random(67)
+    polygons = [Configuration([on_ray(Point(0.25, -0.5), j * TAU / m, 1.0) for j in range(m)]) for m in (12, 160)]
+    sweep_style = [symmetric_configuration(rng, k, orbits, False) for k in (3, 4, 5, 6) for orbits in (1, 2)]
+    for config in polygons + sweep_style:
+        cls = classify(config)
+        assert cls.tag == TAG_QREGULAR and config.find_location(cls.weber) is None, config
+    assert calls == []
+    asymmetric = 0
+    for _ in range(10):
+        config = Configuration(uniform_configuration(rng, 20).points)
+        asymmetric += classify(config).tag == TAG_ASYMMETRIC
+    assert asymmetric > 5 and len(calls) >= 1
+
+
+@pytest.mark.parametrize("certify", ["never", "always"])
+def test_detection_does_not_depend_on_the_certificate(monkeypatch, certify):
+    """The certificate only spares the polish: run it never, or after every
+    reweighting, first passes included, and every detection is the
+    unpruned reference's."""
+    consulted, first_passes = [], []
+    if certify == "never":
+        monkeypatch.setattr(symmetry, "_rejects_every_order", lambda *args: consulted.append(args) or False)
+    else:
+        start = symmetry._weber_start
+
+        def never_first(config, sites, vertices):
+            point, passes = start(config, sites, vertices)
+            if passes == 1:
+                first_passes.append(config)
+            return point, passes and max(passes, 2)
+
+        monkeypatch.setattr(symmetry, "_weber_start", never_first)
+    for config in _prune_inputs() + _knife_edge_inputs():
+        assert detect_quasi_regular(config) == _detect_reference(config), config
+    assert len(consulted if certify == "never" else first_passes) > 10
+
+
+def test_slack_by_r_min_matches_direction_slack():
+    """The slack with its factors taken once gives ``_direction_slack``'s
+    doubles, and both give the formula's: ``eps_angle`` at r_min <= 0 and
+    at ordinary distances, the widened slack near the center, the cap
+    closer still."""
+    cap = symmetry._MAX_ANGLE_SLACK
+    kinds = set()
+    loose = Configuration(ASYM4.points, Tolerance(eps_angle=1e-2))
+    for config in (SQUARE, ASYM4, loose, Configuration([(0, 0), (3e-80, 1e-80)])):
+        eps = config.tol.eps_angle
+        for error in (symmetry._COORD_DRIFT, symmetry._CANDIDATE_ERROR):
+            slack_at = symmetry._slack_by_r_min(config, error)
+            widens_below = error * config.diameter / eps
+            capped_below = error * config.diameter / cap
+            for r_min in (
+                0.0,
+                -0.0,
+                config.diameter,
+                0.3 * config.diameter,
+                widens_below,
+                math.nextafter(widens_below, 0.0),
+                0.5 * widens_below,
+                capped_below,
+                math.nextafter(capped_below, 0.0),
+                1e-3 * capped_below,
+            ):
+                expected = eps if r_min <= 0.0 else min(max(eps, error * config.diameter / r_min), cap)
+                got = slack_at(r_min)
+                assert got.hex() == expected.hex() == symmetry._direction_slack(config, r_min, error).hex()
+                kinds.add("zero" if r_min <= 0.0 else "base" if got == eps else "cap" if got == cap else "widened")
+    assert kinds == {"zero", "base", "widened", "cap"}
 
 
 def test_weber_search_does_not_depend_on_its_cap(monkeypatch):
@@ -1383,6 +1461,28 @@ def test_most_centers_never_compute_directions(monkeypatch):
         needed = len(set(measured)) + len(set(tested)) + 2
         assert measured and len(built) <= needed < n // 4, (n, len(built), needed)
         assert sum("angles" in vars(rays) for rays in built) < len(built)
+
+
+def test_each_location_row_is_summed_once(monkeypatch):
+    # above ``_TREE_FROM`` robots the quasi-regular center test and then the
+    # class-A election can ask for one location's exact sums; its row is
+    # summed on the first request only
+    asked, summed = [], []
+    sums_at = Configuration._sums_at
+    row = vars(symmetry.Rays)["_sums"]
+    sum_row = row.func
+    monkeypatch.setattr(Configuration, "_sums_at", lambda config, k: asked.append(k) or sums_at(config, k))
+    monkeypatch.setattr(row, "func", lambda rays: summed.append(rays.center) or sum_row(rays))
+    repeats = 0
+    for n in (80, 160, 320):
+        for seed in range(3):
+            config = Configuration(uniform_configuration(random.Random(seed), n).points)
+            asked.clear()
+            summed.clear()
+            assert classify(config).tag == TAG_ASYMMETRIC
+            assert len(summed) == len(set(summed)) == len(set(asked)) > 0, (n, seed)
+            repeats += len(asked) - len(set(asked))
+    assert repeats > 5
 
 
 def test_cell_tree_only_above_tree_from(monkeypatch):
