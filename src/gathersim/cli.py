@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="configuration file (JSON or CSV)")
     src.add_argument("--n", type=int, help="generate n random robots instead of reading a file")
-    sim.add_argument("--random", action="store_true", help="explicit flag for generated input")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--delta", type=float, default=None, help="movement floor (default: diameter/100)")
     sim.add_argument("--eps", type=float, default=1e-9, help="length and angle tolerance")

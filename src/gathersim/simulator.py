@@ -176,15 +176,6 @@ class RunResult:
         }
 
 
-@dataclass
-class TransitionContext:
-    prev_config: Configuration
-    next_config: Configuration
-    endpoint_moved: bool
-    positions_changed: bool
-    delta: float
-
-
 # --- serialization ---------------------------------------------------------------
 #
 # Floats are written with 17 significant digits so a parsed trace reproduces
@@ -383,14 +374,16 @@ def step(
     rng: random.Random,
     cls: ConfigClass | None = None,
     decided: list[gathering.ComputeDecision] | None = None,
-) -> tuple[SimState, TraceRecord, bool, bool]:
-    """Execute one round; returns (state, record, endpoint_moved, changed).
+) -> tuple[SimState, TraceRecord]:
+    """Execute one round; returns (state, record).
 
     ``cls`` and ``decided`` may carry the configuration's class and its
     per-location decisions (``_decide``), which ``run`` has already taken.
     A round that moves no robot (no actor, or every actor stays) returns
     the input's own ``Configuration``, which ``run`` neither classifies nor
     decides again.  Stops are tested by identity: ``==`` takes -0.0 for 0.0.
+    ``check_transition`` reads what moved from the round's two
+    configurations.
     """
     config = state.config
     if cls is None:
@@ -416,8 +409,6 @@ def step(
     new_points = list(config.points)
     recorded = []
     stops = []
-    endpoint_moved = False
-    changed = False
     for i in actors:
         frame = LocalFrame.random(rng, scale_ref)
         local_decision = gathering.compute(frame.apply_config(config), i)
@@ -436,12 +427,6 @@ def step(
             stop = _move_toward(pos, decision.destination, params.delta, adv.stop_policy, rng)
             if dist(stop, decision.destination) <= config.merge_slack:
                 stop = decision.destination
-        if stop != pos:
-            changed = True
-            if cls.tag == cfg.TAG_L2W and cls.endpoints is not None:
-                lo, hi = cls.endpoints
-                if dist(pos, lo) <= config.merge_slack or dist(pos, hi) <= config.merge_slack:
-                    endpoint_moved = True
         new_points[i] = stop
         recorded.append((i, decision.rule, decision.destination))
         stops.append(stop)
@@ -462,18 +447,25 @@ def step(
     )
     kept = all(stop is config.points[i] for i, stop in zip(actors, stops))
     new_state = SimState(state.round + 1, config if kept else Configuration(new_points, config.tol), crashed, since)
-    return new_state, record, endpoint_moved, changed
+    return new_state, record
 
 
 # --- convergence guarantees as executable checks ------------------------------------
 
 
-def check_transition(prev: ConfigClass, nxt: ConfigClass, ctx: TransitionContext) -> str | None:
+def check_transition(
+    prev: ConfigClass, nxt: ConfigClass, prev_config: Configuration, next_config: Configuration, delta: float
+) -> str | None:
     """Validate one round transition against the per-class convergence claims.
 
-    Returns a violation description, or None when the transition is allowed.
+    ``prev`` and ``nxt`` are the classes of the round's configurations
+    before and after, and ``delta`` the movement floor.  The check reads
+    only the two configurations: a robot moved when its two points differ
+    (``==`` per float, so -0.0 is 0.0), since a round changes only its
+    actors' points.  Returns a violation description, or None when the
+    transition is allowed.
     """
-    wtol = max(_WEBER_MATCH_REL * ctx.prev_config.diameter, 1e-12)
+    wtol = max(_WEBER_MATCH_REL * prev_config.diameter, 1e-12)
 
     if nxt.tag == cfg.TAG_BIVALENT:
         return f"{prev.tag} -> B (bivalent reached)"
@@ -490,7 +482,7 @@ def check_transition(prev: ConfigClass, nxt: ConfigClass, ctx: TransitionContext
         if nxt.tag not in (cfg.TAG_MULTIPLE, cfg.TAG_L1W):
             return f"L1W -> {nxt.tag}"
         assert prev.weber is not None
-        return _weber_preserved(prev.weber, nxt, ctx.next_config, wtol, "L1W")
+        return _weber_preserved(prev.weber, nxt, next_config, wtol, "L1W")
 
     if prev.tag == cfg.TAG_QREGULAR:
         if nxt.tag not in (cfg.TAG_MULTIPLE, cfg.TAG_L1W, cfg.TAG_QREGULAR):
@@ -501,25 +493,31 @@ def check_transition(prev: ConfigClass, nxt: ConfigClass, ctx: TransitionContext
             if dist(prev.weber, nxt.weber) > wtol:
                 return "QR -> QR with a moved center"
             return None
-        return _weber_preserved(prev.weber, nxt, ctx.next_config, wtol, "QR")
+        return _weber_preserved(prev.weber, nxt, next_config, wtol, "QR")
 
     if prev.tag == cfg.TAG_ASYMMETRIC:
         if nxt.tag == cfg.TAG_L2W:
             return "A -> L2W"
-        if nxt.tag == cfg.TAG_ASYMMETRIC and ctx.positions_changed:
-            p_prev = gathering.potential(ctx.prev_config, prev)
-            p_next = gathering.potential(ctx.next_config, nxt)
+        if nxt.tag == cfg.TAG_ASYMMETRIC and prev_config.points != next_config.points:
+            p_prev = gathering.potential(prev_config, prev)
+            p_next = gathering.potential(next_config, nxt)
             if p_next.mult > p_prev.mult:
                 return None
-            margin = 0.9 * ctx.delta
+            margin = 0.9 * delta
             if p_next.mult == p_prev.mult and 1.0 / p_next.inv_sum <= 1.0 / p_prev.inv_sum - margin:
                 return None
             return "A -> A without potential progress"
         return None
 
     if prev.tag == cfg.TAG_L2W:
-        if ctx.endpoint_moved and nxt.tag == cfg.TAG_L2W:
-            return "L2W -> L2W although an endpoint robot moved"
+        if nxt.tag != cfg.TAG_L2W:
+            return None
+        assert prev.endpoints is not None
+        lo, hi = prev.endpoints
+        slack = prev_config.merge_slack
+        for p, q in zip(prev_config.points, next_config.points):
+            if p != q and (dist(p, lo) <= slack or dist(p, hi) <= slack):
+                return "L2W -> L2W although an endpoint robot moved"
         return None
 
     return f"transition from unexpected class {prev.tag}"
@@ -572,8 +570,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     rng = random.Random(params.seed)
     state = SimState(0, initial, [False] * n, [0] * n)
     records: list[TraceRecord] = []
-    # (class, configuration, endpoint moved, positions changed) of the last step
-    prev: tuple[ConfigClass, Configuration, bool, bool] | None = None
+    # (class, configuration) of the last step
+    prev: tuple[ConfigClass, Configuration] | None = None
     decided: list[gathering.ComputeDecision] | None = None
     checks = 0
 
@@ -583,9 +581,8 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
             if cls.tag == cfg.TAG_BIVALENT:
                 raise InvariantViolation(f"round {state.round}: bivalent configuration reached")
             if prev is not None:
-                prev_cls, prev_config, endpoint_moved, changed = prev
-                ctx = TransitionContext(prev_config, config, endpoint_moved, changed, params.delta)
-                violation = check_transition(prev_cls, cls, ctx)
+                prev_cls, prev_config = prev
+                violation = check_transition(prev_cls, cls, prev_config, config, params.delta)
                 checks += 1
                 if violation is not None:
                     raise InvariantViolation(f"round {state.round}: {violation}")
@@ -613,9 +610,9 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
                 records.append(_terminal_record(state, cls, False))
                 return RunResult(OUTCOME_MAX_ROUNDS, state.round, records, None, crashes, params.seed, checks)
 
-            state, record, endpoint_moved, changed = step(state, adv, params, rng, cls, decided)
+            state, record = step(state, adv, params, rng, cls, decided)
             records.append(record)
-            prev = (cls, config, endpoint_moved, changed)
+            prev = (cls, config)
             log.debug("round %d: class %s, %d activated", record.round, record.cls, len(record.activated))
         except InvariantViolation as exc:
             records.append(_terminal_record(state, cls, False))

@@ -45,7 +45,6 @@ from gathersim.geometry import dist
 from gathersim.simulator import (
     OUTCOME_GATHERED,
     SimState,
-    TransitionContext,
     check_transition,
     trace_lines,
 )
@@ -206,7 +205,7 @@ def test_criterion_4_weber_invariance():
             if w_before is None or dist(cls.weber, w_before) > tol:
                 failures.append(("detected center vs numeric weber", state.config))
                 break
-            state, _, _, _ = step(state, adv, params, sim_rng, cls)
+            state, _ = step(state, adv, params, sim_rng, cls)
             w_after = _weber_ref(state.config, classify(state.config))
             if w_after is None or dist(w_before, w_after) > tol:
                 failures.append(("weber moved", config, w_before, w_after))
@@ -359,19 +358,7 @@ def _replay_transitions(entry):
         if prev_cls.tag != rec.cls:
             failures.append((entry["index"], rec.round, "trace class mismatch"))
             continue
-        endpoint_moved = False
-        if prev_cls.tag == TAG_L2W and prev_cls.endpoints is not None:
-            lo, hi = prev_cls.endpoints
-            for (robot, _, _), stop in zip(rec.decisions, rec.stops):
-                start = rec.positions[robot]
-                if stop != start and (
-                    dist(start, lo) <= prev_config.merge_slack
-                    or dist(start, hi) <= prev_config.merge_slack
-                ):
-                    endpoint_moved = True
-        changed = rec.positions != nxt.positions
-        ctx = TransitionContext(prev_config, next_config, endpoint_moved, changed, params.delta)
-        violation = check_transition(prev_cls, classify(next_config), ctx)
+        violation = check_transition(prev_cls, classify(next_config), prev_config, next_config, params.delta)
         if violation is not None:
             failures.append((entry["index"], rec.round, violation))
     return failures

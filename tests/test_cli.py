@@ -131,7 +131,7 @@ def test_simulate_bivalent_exit_code(tmp_path):
 
 
 def test_simulate_generated_with_crashes(capsys):
-    code = main(["simulate", "--n", "6", "--random", "--crashes", "5", "--seed", "1"])
+    code = main(["simulate", "--n", "6", "--crashes", "5", "--seed", "1"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["outcome"] == "Gathered"
