@@ -179,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     tol = Tolerance(args.eps, args.eps)
     config = load_configuration(args.input, tol)
-    cls = cfg.classify(config)
+    cls = config.cls
     report: dict = {"class": cls.tag, "sym": symmetry.symmetricity(config)}
     if not config.is_linear:
         report["qreg"] = cls.qreg if cls.tag == cfg.TAG_QREGULAR else 1
@@ -191,9 +191,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.decide and cls.tag != cfg.TAG_BIVALENT:
         report["decisions"] = [
             {"robot": i, "rule": d.rule, "dest": [d.destination.x, d.destination.y]}
-            for i, d in (
-                (i, gathering.compute(config, i, cls)) for i in range(config.n)
-            )
+            for i, d in enumerate(gathering.compute(config, i) for i in range(config.n))
         ]
     print(dumps_17g(report))
     return 0
@@ -292,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         return cmd_sweep(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GatherError as exc:
+    except (OSError, json.JSONDecodeError, ValueError, KeyError, GatherError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -97,10 +97,10 @@ class Configuration:
     The points are stored as ``Point``s of floats, whatever pairs of
     numbers they came as, and must be finite.  Every derived attribute (the
     distinct points, the diameter, the locations, linearity, the pair sums,
-    ...) is a ``geometry._cached`` attribute, computed on first read and
-    kept.  Every robot's local frame makes a fresh configuration, and most
-    of those are decided after the locations and the linearity test, so
-    this fixed cost is a large share of a run (see the README).
+    the class, ...) is a ``geometry._cached`` attribute, computed on first
+    read and kept.  Every robot's local frame makes a fresh configuration,
+    and most of those are decided after the locations and the linearity
+    test, so this fixed cost is a large share of a run (see the README).
     """
 
     def __init__(self, points: Iterable[Point | Sequence[float]], tol: Tolerance | None = None):
@@ -119,6 +119,8 @@ class Configuration:
         # every distance from a center, by center point, built on first use
         # by ``symmetry.Rays.of``
         self._rays: dict[Point, symmetry.Rays] = {}
+        # each robot's decision, set once complete by ``gathering.decide``
+        self._decisions: list | None = None
 
     @_cached
     def _distinct(self) -> tuple[dict[Point, list[int]], list[Point]]:
@@ -389,6 +391,12 @@ class Configuration:
             rank = {p: k for k, p in enumerate(occupied)}
             a, b = min(pairs, key=lambda pair: sorted((rank[pair[0]], rank[pair[1]])))
         return (a, b) if a <= b else (b, a)
+
+    @_cached
+    def cls(self) -> ConfigClass:
+        """The configuration's class, from ``classify``: robots are oblivious,
+        so it depends on the points alone."""
+        return classify(self)
 
     def find_location(self, p: Point) -> LocationSummary | None:
         """The occupied location coinciding with p within tolerance, if any."""

@@ -42,11 +42,10 @@ class PotentialValue(NamedTuple):
 def compute(config: Configuration, self_index: int, cls: ConfigClass | None = None) -> ComputeDecision:
     """Destination of the robot at ``self_index`` given the snapshot.
 
-    ``cls`` may carry a precomputed classification of the same configuration
-    to avoid repeating it for every robot of one round.
+    ``cls`` is the configuration's class, ``config.cls`` when left out.
     """
     if cls is None:
-        cls = cfg.classify(config)
+        cls = config.cls
     r = config.points[self_index]
     slack = config.merge_slack
 
@@ -201,24 +200,34 @@ def _same_ray(config: Configuration, center: Point, a: Point, b: Point) -> bool:
     return theta <= eps or theta >= TAU - eps
 
 
-def moving_set(config: Configuration, cls: ConfigClass | None = None) -> list[Point]:
+def decide(config: Configuration) -> list[ComputeDecision]:
+    """Each robot's decision, by robot index.
+
+    One ``compute`` per location, for its lowest robot, serves the whole
+    location, as co-located robots always receive identical decisions.  The
+    list is kept on the configuration, and stored only once complete:
+    ``compute`` raises ``BivalentInput`` on class B.
+    """
+    decisions = config._decisions
+    if decisions is None:
+        decisions = [None] * config.n
+        for loc in config.locations:
+            decision = compute(config, loc.indices[0])
+            for i in loc.indices:
+                decisions[i] = decision
+        config._decisions = decisions
+    return decisions
+
+
+def moving_set(config: Configuration) -> list[Point]:
     """Occupied locations whose robots are instructed to move."""
-    if cls is None:
-        cls = cfg.classify(config)
-    if cls.tag == cfg.TAG_BIVALENT:
-        raise BivalentInput("moving set undefined for bivalent configurations")
-    out = []
-    for loc in config.locations:
-        decision = compute(config, loc.indices[0], cls)
-        if decision.rule != RULE_STAY:
-            out.append(loc.location)
-    return out
+    decisions = decide(config)
+    return [loc.location for loc in config.locations if decisions[loc.indices[0]].rule != RULE_STAY]
 
 
-def potential(config: Configuration, cls: ConfigClass | None = None) -> PotentialValue:
+def potential(config: Configuration) -> PotentialValue:
     """(multiplicity, 1/distance-sum) of the elected safe point (class A only)."""
-    if cls is None:
-        cls = cfg.classify(config)
+    cls = config.cls
     if cls.tag != cfg.TAG_ASYMMETRIC or cls.elected is None:
         raise WrongClass(f"potential is defined for class A, not {cls.tag}")
     total = _plain_sum(symmetry.Rays.of(config, cls.elected).dists)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .configuration import Configuration, classify, TAG_BIVALENT
+from .configuration import Configuration, TAG_BIVALENT
 from .geometry import TAU, Point, Tolerance, rotate_cw
 
 
@@ -15,7 +15,7 @@ def uniform_configuration(rng: random.Random, n: int, tol: Tolerance | None = No
         raise ValueError("generated runs need at least three robots")
     while True:
         config = Configuration([Point(rng.random(), rng.random()) for _ in range(n)], tol)
-        if classify(config).tag != TAG_BIVALENT:
+        if config.cls.tag != TAG_BIVALENT:
             return config
 
 

@@ -278,7 +278,7 @@ def _select_activation(
     adv: AdversarySpec,
     params: SimParams,
     rng: random.Random,
-    decisions: dict[int, gathering.ComputeDecision],
+    decisions: list[gathering.ComputeDecision],
 ) -> set[int]:
     live = [i for i in range(state.config.n) if not state.crashed[i]]
     forced = _forced_robots(state, params.fairness_bound)
@@ -303,7 +303,7 @@ def _greedy_activation(
     params: SimParams,
     forced: set[int],
     live: list[int],
-    decisions: dict[int, gathering.ComputeDecision],
+    decisions: list[gathering.ComputeDecision],
 ) -> set[int]:
     """One-step lookahead picking the subset that helps gathering least.
 
@@ -361,43 +361,22 @@ def _move_toward(
 # --- the round -------------------------------------------------------------------
 
 
-def _decide(config: Configuration, cls: ConfigClass) -> list[gathering.ComputeDecision]:
-    """Each location's decision, computed for its lowest robot: co-located
-    robots always receive identical decisions."""
-    return [gathering.compute(config, loc.indices[0], cls) for loc in config.locations]
-
-
-def step(
-    state: SimState,
-    adv: AdversarySpec,
-    params: SimParams,
-    rng: random.Random,
-    cls: ConfigClass | None = None,
-    decided: list[gathering.ComputeDecision] | None = None,
-) -> tuple[SimState, TraceRecord]:
+def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Random) -> tuple[SimState, TraceRecord]:
     """Execute one round; returns (state, record).
 
-    ``cls`` and ``decided`` may carry the configuration's class and its
-    per-location decisions (``_decide``), which ``run`` has already taken.
+    The configuration's class and each robot's decision are its own
+    (``Configuration.cls``, ``gathering.decide``), computed on first read.
     A round that moves no robot (no actor, or every actor stays) returns
-    the input's own ``Configuration``, which ``run`` neither classifies nor
-    decides again.  Stops are tested by identity: ``==`` takes -0.0 for 0.0.
-    ``check_transition`` reads what moved from the round's two
+    the input's own ``Configuration``, so ``run`` neither classifies nor
+    decides it again.  Stops are tested by identity: ``==`` takes -0.0 for
+    0.0.  ``check_transition`` reads what moved from the round's two
     configurations.
     """
     config = state.config
-    if cls is None:
-        cls = cfg.classify(config)
+    cls = config.cls
     if cls.tag == cfg.TAG_BIVALENT:
         raise InvariantViolation(f"round {state.round}: bivalent configuration")
-    if decided is None:
-        decided = _decide(config, cls)
-
-    decisions: dict[int, gathering.ComputeDecision] = {}
-    for loc, decision in zip(config.locations, decided):
-        for i in loc.indices:
-            if not state.crashed[i]:
-                decisions[i] = decision
+    decisions = gathering.decide(config)
 
     selected = _select_activation(state, adv, params, rng, decisions)
     newly_crashed = {i for rnd, i in adv.crash_schedule if rnd == state.round}
@@ -453,18 +432,18 @@ def step(
 # --- convergence guarantees as executable checks ------------------------------------
 
 
-def check_transition(
-    prev: ConfigClass, nxt: ConfigClass, prev_config: Configuration, next_config: Configuration, delta: float
-) -> str | None:
+def check_transition(prev_config: Configuration, next_config: Configuration, delta: float) -> str | None:
     """Validate one round transition against the per-class convergence claims.
 
-    ``prev`` and ``nxt`` are the classes of the round's configurations
+    ``prev_config`` and ``next_config`` are the round's configurations
     before and after, and ``delta`` the movement floor.  The check reads
-    only the two configurations: a robot moved when its two points differ
-    (``==`` per float, so -0.0 is 0.0), since a round changes only its
-    actors' points.  Returns a violation description, or None when the
-    transition is allowed.
+    only the two configurations and their classes: a robot moved when its
+    two points differ (``==`` per float, so -0.0 is 0.0), since a round
+    changes only its actors' points.  Returns a violation description, or
+    None when the transition is allowed.
     """
+    prev = prev_config.cls
+    nxt = next_config.cls
     wtol = max(_WEBER_MATCH_REL * prev_config.diameter, 1e-12)
 
     if nxt.tag == cfg.TAG_BIVALENT:
@@ -499,8 +478,8 @@ def check_transition(
         if nxt.tag == cfg.TAG_L2W:
             return "A -> L2W"
         if nxt.tag == cfg.TAG_ASYMMETRIC and prev_config.points != next_config.points:
-            p_prev = gathering.potential(prev_config, prev)
-            p_next = gathering.potential(next_config, nxt)
+            p_prev = gathering.potential(prev_config)
+            p_next = gathering.potential(next_config)
             if p_next.mult > p_prev.mult:
                 return None
             margin = 0.9 * delta
@@ -563,32 +542,26 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     if n < 3:
         raise TooFewRobots("gathering runs need at least three robots")
     crashes = _validate_crashes(n, adv)
-    cls = cfg.classify(initial)
-    if cls.tag == cfg.TAG_BIVALENT:
+    if initial.cls.tag == cfg.TAG_BIVALENT:
         raise BivalentInitial("gathering is impossible from a bivalent configuration")
 
     rng = random.Random(params.seed)
     state = SimState(0, initial, [False] * n, [0] * n)
     records: list[TraceRecord] = []
-    # (class, configuration) of the last step
-    prev: tuple[ConfigClass, Configuration] | None = None
-    decided: list[gathering.ComputeDecision] | None = None
+    prev: Configuration | None = None  # the last step's configuration
     checks = 0
 
     while True:
         config = state.config
         try:
-            if cls.tag == cfg.TAG_BIVALENT:
+            if config.cls.tag == cfg.TAG_BIVALENT:
                 raise InvariantViolation(f"round {state.round}: bivalent configuration reached")
             if prev is not None:
-                prev_cls, prev_config = prev
-                violation = check_transition(prev_cls, cls, prev_config, config, params.delta)
+                violation = check_transition(prev, config, params.delta)
                 checks += 1
                 if violation is not None:
                     raise InvariantViolation(f"round {state.round}: {violation}")
-            if decided is None:
-                decided = _decide(config, cls)
-            moving = [loc.location for loc, d in zip(config.locations, decided) if d.rule != gathering.RULE_STAY]
+            moving = gathering.moving_set(config)
             live = [not c for c in state.crashed]
             gathered = cfg.is_gathered(config, live, moving)
             if records:
@@ -604,28 +577,25 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
                         f"round {state.round}: {len(stationary)} stationary locations (wait-freedom)"
                     )
             if gathered:
-                records.append(_terminal_record(state, cls, True))
+                records.append(_terminal_record(state, True))
                 return RunResult(OUTCOME_GATHERED, state.round, records, None, crashes, params.seed, checks)
             if state.round >= params.max_rounds:
-                records.append(_terminal_record(state, cls, False))
+                records.append(_terminal_record(state, False))
                 return RunResult(OUTCOME_MAX_ROUNDS, state.round, records, None, crashes, params.seed, checks)
 
-            state, record = step(state, adv, params, rng, cls, decided)
+            state, record = step(state, adv, params, rng)
             records.append(record)
-            prev = (cls, config)
+            prev = config
             log.debug("round %d: class %s, %d activated", record.round, record.cls, len(record.activated))
         except InvariantViolation as exc:
-            records.append(_terminal_record(state, cls, False))
+            records.append(_terminal_record(state, False))
             return RunResult(OUTCOME_VIOLATION, state.round, records, str(exc), crashes, params.seed, checks)
-        if state.config is not config:
-            cls = cfg.classify(state.config)
-            decided = None
 
 
-def _terminal_record(state: SimState, cls: ConfigClass, gathered: bool) -> TraceRecord:
+def _terminal_record(state: SimState, gathered: bool) -> TraceRecord:
     return TraceRecord(
         round=state.round,
-        cls=cls.tag,
+        cls=state.config.cls.tag,
         positions=list(state.config.points),
         crashed=list(state.crashed),
         activated=[],

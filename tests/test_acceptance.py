@@ -197,7 +197,7 @@ def test_criterion_4_weber_invariance():
         state = SimState(0, config, [False] * config.n, [0] * config.n)
         sim_rng = random.Random(idx)
         for _ in range(10):
-            cls = classify(state.config)
+            cls = state.config.cls
             if cls.tag not in (TAG_L1W, TAG_QREGULAR):
                 break
             tol = 1e-6 * state.config.diameter
@@ -205,8 +205,8 @@ def test_criterion_4_weber_invariance():
             if w_before is None or dist(cls.weber, w_before) > tol:
                 failures.append(("detected center vs numeric weber", state.config))
                 break
-            state, _ = step(state, adv, params, sim_rng, cls)
-            w_after = _weber_ref(state.config, classify(state.config))
+            state, _ = step(state, adv, params, sim_rng)
+            w_after = _weber_ref(state.config, state.config.cls)
             if w_after is None or dist(w_before, w_after) > tol:
                 failures.append(("weber moved", config, w_before, w_after))
                 break
@@ -322,8 +322,7 @@ def test_criterion_6_wait_freedom_and_termination(sweep_runs):
     for entry in rng.sample(sweep_runs["runs"], 25):
         for record in entry["result"].records[:-1]:
             config = Configuration(record.positions, entry["config"].tol)
-            cls = classify(config)
-            moving = moving_set(config, cls)
+            moving = moving_set(config)
             stationary = [
                 loc.location
                 for loc in config.locations
@@ -354,11 +353,10 @@ def _replay_transitions(entry):
     for rec, nxt in zip(records, records[1:]):
         prev_config = Configuration(rec.positions, tol)
         next_config = Configuration(nxt.positions, tol)
-        prev_cls = classify(prev_config)
-        if prev_cls.tag != rec.cls:
+        if prev_config.cls.tag != rec.cls:
             failures.append((entry["index"], rec.round, "trace class mismatch"))
             continue
-        violation = check_transition(prev_cls, classify(next_config), prev_config, next_config, params.delta)
+        violation = check_transition(prev_config, next_config, params.delta)
         if violation is not None:
             failures.append((entry["index"], rec.round, violation))
     return failures

@@ -113,6 +113,7 @@ _LAZY = {
         "location_of",
         "is_linear",
         "linear_endpoints",
+        "cls",
     },
     symmetry.Rays: {"angles", "index", "at_center"},
 }
@@ -258,7 +259,7 @@ def test_is_gathered_examples():
     config = Configuration([(5, 5), (5, 5), (5, 5), (0, 0)])
     cls = classify(config)
     assert cls.tag == TAG_MULTIPLE and cls.elected == Point(5, 5)
-    moving = moving_set(config, cls)
+    moving = moving_set(config)
     assert is_gathered(config, [True, True, True, False], moving)
 
     config2 = Configuration([(5, 5), (6, 6), (0, 0)])

@@ -138,8 +138,10 @@ def test_compute_bivalent_rejected():
     config = Configuration([(0, 0), (0, 0), (1, 0), (1, 0)])
     with pytest.raises(BivalentInput):
         compute(config, 0)
-    with pytest.raises(BivalentInput):
-        moving_set(config)
+    # every call raises: no partial decision list is kept
+    for _ in range(3):
+        with pytest.raises(BivalentInput):
+            moving_set(config)
 
 
 def test_stay_iff_destination_is_own_position():
@@ -163,6 +165,22 @@ def test_moving_set_examples():
     assert moving_set(gathered) == []
 
 
+def test_decide_computes_once_per_location(monkeypatch):
+    calls = []
+    inner = gathering.compute
+    monkeypatch.setattr(gathering, "compute", lambda config, i, *args: calls.append(i) or inner(config, i, *args))
+    config = Configuration([(0, 0), (4, 0), (0, 0), (8, 0), (0, 0), (4, 0)])
+    decisions = gathering.decide(config)
+    assert calls == [loc.indices[0] for loc in config.locations] == [0, 1, 3]
+    assert [d.rule for d in decisions] == [RULE_STAY, RULE_M_DIRECT, RULE_STAY, RULE_M_SIDESTEP, RULE_STAY, RULE_M_DIRECT]
+    assert decisions[1] is decisions[5] and decisions[0] is decisions[2] is decisions[4]
+    # every later reader, moving_set included, gets the same list
+    assert gathering.decide(config) is decisions
+    assert set(moving_set(config)) == {Point(4, 0), Point(8, 0)}
+    assert moving_set(config) == moving_set(config)
+    assert len(calls) == 3
+
+
 def test_potential_examples():
     value = potential(ASYM4)
     expected_sum = math.sqrt(2) + math.sqrt(5) + math.sqrt(10)
@@ -176,12 +194,12 @@ def test_potential_examples():
     heavy = Configuration([(0, 0), (0, 0), (0, 0), (10, 0), (10, 0), (10, 0), (2, 5), (7, 3)])
     cls = classify(heavy)
     assert cls.tag == TAG_ASYMMETRIC
-    assert potential(heavy, cls).mult == 3
+    assert potential(heavy).mult == 3
 
 
 def test_potential_progress_after_synchronous_step():
     cls = classify(ASYM4)
-    before = potential(ASYM4, cls)
+    before = potential(ASYM4)
     target = cls.elected
     moved = []
     for p in ASYM4.points:
@@ -192,7 +210,7 @@ def test_potential_progress_after_synchronous_step():
     after_config = Configuration(moved)
     after_cls = classify(after_config)
     assert after_cls.tag == TAG_ASYMMETRIC
-    after = potential(after_config, after_cls)
+    after = potential(after_config)
     assert after.mult > before.mult or (
         after.mult == before.mult and after.inv_sum > before.inv_sum
     )
@@ -239,10 +257,9 @@ def test_wait_free_necessity():
     rng = random.Random(34)
     for _ in range(120):
         config = mixed_configuration(rng, rng.randint(3, 10))
-        cls = classify(config)
-        if cls.tag == TAG_BIVALENT:
+        if config.cls.tag == TAG_BIVALENT:
             continue
-        moving = moving_set(config, cls)
+        moving = moving_set(config)
         stationary = [
             loc.location
             for loc in config.locations

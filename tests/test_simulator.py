@@ -16,7 +16,15 @@ from gathersim import (
     step,
 )
 from gathersim import configuration, gathering, simulator
-from gathersim.configuration import ALL_TAGS, TAG_ASYMMETRIC, TAG_BIVALENT, TAG_L2W, TAG_QREGULAR
+from gathersim.configuration import (
+    ALL_TAGS,
+    TAG_ASYMMETRIC,
+    TAG_BIVALENT,
+    TAG_L1W,
+    TAG_L2W,
+    TAG_MULTIPLE,
+    TAG_QREGULAR,
+)
 from gathersim.errors import BivalentInitial, TooFewRobots
 from gathersim.generators import uniform_configuration
 from gathersim.geometry import dist
@@ -266,29 +274,25 @@ def test_local_frame_config_image_is_pointwise():
 
 def test_check_transition_rules():
     m_config = Configuration([(0, 0), (0, 0), (4, 0), (8, 0)])
-    m_cls = classify(m_config)
     moved = Configuration([(0, 0), (0, 0), (2, 0), (8, 0)])
-    assert check_transition(m_cls, classify(moved), m_config, moved, 0.1) is None
+    assert check_transition(m_config, moved, 0.1) is None
 
     # M must keep its elected point
     wrong = Configuration([(5, 5), (5, 5), (5, 5), (8, 0)])
-    assert check_transition(m_cls, classify(wrong), m_config, wrong, 0.1) is not None
+    assert check_transition(m_config, wrong, 0.1) is not None
 
     # interior-only L2W activation keeps the class; that is allowed
-    l2_cls = classify(L2W_LINE)
     interior_moved = Configuration([(0, 0), (1.5, 0), (3, 0), (4, 0)])
-    assert check_transition(l2_cls, classify(interior_moved), L2W_LINE, interior_moved, 0.1) is None
+    assert check_transition(L2W_LINE, interior_moved, 0.1) is None
 
     # an endpoint robot that moves along the line keeps L2W: a violation
     stretched = Configuration([(-1, 0), (1, 0), (3, 0), (4, 0)])
     assert classify(stretched).tag == TAG_L2W
-    assert check_transition(l2_cls, classify(stretched), L2W_LINE, stretched, 0.1) == (
-        "L2W -> L2W although an endpoint robot moved"
-    )
+    assert check_transition(L2W_LINE, stretched, 0.1) == "L2W -> L2W although an endpoint robot moved"
 
     # nothing may become bivalent
     bivalent = Configuration([(0, 0), (0, 0), (1, 0), (1, 0)])
-    assert check_transition(l2_cls, classify(bivalent), L2W_LINE, bivalent, 0.1) is not None
+    assert check_transition(L2W_LINE, bivalent, 0.1) is not None
 
     # class A: a round that moves no robot needs no progress, equal points
     # in a fresh configuration included
@@ -296,7 +300,7 @@ def test_check_transition_rules():
     a_cls = classify(a_config)
     assert a_cls.tag == TAG_ASYMMETRIC
     for same in (a_config, Configuration(a_config.points)):
-        assert check_transition(a_cls, classify(same), a_config, same, 0.1) is None
+        assert check_transition(a_config, same, 0.1) is None
 
     # robot 2 steps toward the elected point: the distance sum falls by the
     # step, which must be at least 0.9 * delta
@@ -308,7 +312,23 @@ def test_check_transition_rules():
         moved = Configuration(points)
         moved_cls = classify(moved)
         assert moved_cls.tag == TAG_ASYMMETRIC and moved_cls.elected == e
-        assert check_transition(a_cls, moved_cls, a_config, moved, 0.1) == expected
+        assert check_transition(a_config, moved, 0.1) == expected
+
+    # QR must keep its center, and L1W its median, whatever class follows
+    pentagon = [(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)) for k in range(5)]
+    l1w = [(0, 0), (0, 0), (1, 0), (1, 0), (3, 0), (3, 0)]
+    for before, before_tag, after, after_tag, expected in (
+        (SQUARE.points, TAG_QREGULAR, [(2, 1), (0, 1), (0, -1), (2, -1)], TAG_QREGULAR, "QR -> QR with a moved center"),
+        (SQUARE.points, TAG_QREGULAR, [(1, 1), (1, 1), (-1, -1), (1, -1)], TAG_MULTIPLE, "QR -> M with a moved Weber point"),
+        (pentagon, TAG_QREGULAR, [(0, 0), (3, 0.5), (1, 4), (5, 2), (2, -3)], TAG_ASYMMETRIC, "QR -> A"),
+        (l1w, TAG_L1W, [(0, 0), (0, 0), (1, 0), (2, 0), (3, 0), (3, 0)], TAG_L2W, "L1W -> L2W"),
+        (l1w, TAG_L1W, [(0, 0), (0, 0), (2, 0), (2, 0), (3, 0), (3, 0)], TAG_L1W, "L1W -> L1W with a moved Weber point"),
+        (l1w, TAG_L1W, [(0, 0), (0, 0), (2, 0), (2, 0), (2, 0), (3, 0)], TAG_MULTIPLE, "L1W -> M with a moved or split median"),
+    ):
+        prev_config, next_config = Configuration(before), Configuration(after)
+        assert classify(prev_config).tag == before_tag
+        assert classify(next_config).tag == after_tag
+        assert check_transition(prev_config, next_config, 0.1) == expected
 
 
 def test_transition_checks_counted():
