@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -58,9 +59,10 @@ _OPPOSITE_FROM = 32
 # Nonzero diameters outside this range are refused by ``classify``.  Over
 # 243 inputs of every class, 2 to 160 robots, each scaled by exact powers
 # of two, every class held from diameters of 2.2e-102 to 1.4e108 and some
-# changed or raised beyond: the Weber certificate's m/d^3 terms overflow or
-# underflow there (``symmetry._polish_disc``), and from about 1e154 so do
-# the squared lengths of the linearity test.
+# changed or raised beyond, where the Weber certificate's m/d^3 terms then
+# overflowed or underflowed; ``symmetry._polish_disc`` has since become
+# scale-free.  From about 1e154 the squared lengths of the linearity test
+# overflow.
 _MIN_DIAMETER = 1e-90
 _MAX_DIAMETER = 1e90
 
@@ -150,10 +152,46 @@ class Configuration:
         the one place that chooses how classification measures a location.
 
         Up to ``_TREE_FROM`` robots it is ``_pair_sums`` itself, every bound
-        exact.  Above, ``geometry._cell_bounds`` bounds every location from
-        one tree over the robots, built for them and then dropped; its
-        bounds spare exact work only when they prune most of the robots,
-        and at small n a walk measures most of them exactly anyway.
+        exact.  Above, every bound comes from the distance-sum bounds of
+        ``_sum_walks``; they spare exact work only when they prune most of
+        the robots, and at small n a walk measures most of them exactly
+        anyway.
+
+        Above ``_TREE_FROM`` the pull bound follows from the sum bound by
+        convexity.  Write f(x) for the sum of |x - p| over the robots p, P_c
+        for the sum of the unit vectors from c toward the robots beyond the
+        merge slack of c, and mu_c for the multiplicity of c's location.
+        The robots within the merge slack of c belong to its location (the
+        merge links every pair that close), and f less their terms is
+        convex and differentiable at c with gradient -P_c.  So for any point
+        y != c, f(y) - f(c) >= -|P_c| |y - c| plus, over the robots q within
+        the slack, the sum of |y - q| - |c - q|: |y - c| for a robot on c,
+        at least -|y - c| for any other.  The location's lowest robot sits
+        on c and at most mu_c - 1 others are within the slack, so
+
+            |P_c| - mu_c >= (f(c) - f(y)) / |c - y| - delta_c,
+
+        with delta_c = 0 when every robot of the location sits exactly on c
+        and 2 * (mu_c - 1) otherwise.  y is the cell tree's float centroid,
+        where f is measured once and rounded up (``_sum_above``), and the
+        walks bound f(c) from below (``_convexity_pull``).  The computed
+        quotient, lowered by a relative 2e-15 for the rounding of the
+        subtraction, of ``hypot`` and of the division, is below the true
+        one, and (n + 8) n 1e-15 more covers the gap between |P_c| and its
+        computed value (n unit vectors, each within 4u of its own, added to
+        partial sums of size at most n) and the addition of mu_c - delta_c.
+        A center at y itself gets no pull bound.
+
+        Each walk refines only until its sum bound gives a pull bound past
+        the threshold at which ``detect_quasi_regular`` skips the center
+        (``symmetry._skip_terms``), with (n + 8) n 2e-15 to spare for the
+        rounding between the two, so a walk that stops there lets the
+        center be skipped; the class-A election resumes walks from where
+        they stopped.  On generic input most walks stop within a few cells,
+        and on a regular polygon of 80 to 640 robots every walk stops after
+        opening the root.
+
+        r_min is one floor for every location, ``_r_floor``.
 
         The crossover, timed as whole ``classify`` calls on fresh
         configurations forced to each side, pass against tree, in us, best
@@ -162,39 +200,116 @@ class Configuration:
         ==========  ====  ===========  ===========  ===========
         input          n       3.11.7       3.12.1       3.13.0
         ==========  ====  ===========  ===========  ===========
-        uniform A     20    215 / 271    259 / 315    248 / 301
-        uniform A     40    444 / 579    536 / 667    541 / 646
-        uniform A     64    798 / 957   999 / 1132  1024 / 1116
-        uniform A     80  1116 / 1301  1419 / 1521  1450 / 1514
-        uniform A    128  2392 / 2340  2989 / 2762  3084 / 2763
-        uniform A    160  3457 / 3050  4358 / 3516  4501 / 3452
-        polygon QR    20    227 / 275    271 / 320    255 / 298
-        polygon QR    40    547 / 623    664 / 712    634 / 664
-        polygon QR    64    990 / 988  1208 / 1143  1185 / 1088
-        polygon QR    80  1338 / 1246  1652 / 1442  1638 / 1364
-        polygon QR   128  2750 / 2099  3415 / 2372  3463 / 2282
-        polygon QR   160  3931 / 2668  4988 / 3047  5011 / 2885
+        uniform A     20    221 / 264    256 / 295    252 / 282
+        uniform A     40    446 / 493    547 / 569    544 / 543
+        uniform A     64    809 / 695   1007 / 822   1013 / 786
+        uniform A     80   1134 / 948  1427 / 1113  1447 / 1063
+        uniform A    128  2381 / 1403  2993 / 1651  3100 / 1539
+        uniform A    160  3458 / 1868  4373 / 2214  4516 / 2089
+        ellipse A     20    226 / 307    261 / 346    255 / 329
+        ellipse A     40    528 / 687    633 / 785    627 / 747
+        ellipse A     64   940 / 1037  1147 / 1194  1150 / 1138
+        ellipse A     80  1277 / 1411  1571 / 1620  1593 / 1542
+        ellipse A    128  2539 / 2393  3189 / 2773  3270 / 2585
+        ellipse A    160  3746 / 3226  4648 / 3706  4772 / 3546
+        polygon QR    20    262 / 279    308 / 324    301 / 312
+        polygon QR    40    477 / 414    571 / 479    564 / 453
+        polygon QR    64    872 / 614   1073 / 717   1075 / 676
+        polygon QR    80   1223 / 753   1504 / 885   1511 / 835
+        polygon QR   128  2560 / 1213  3167 / 1424  3243 / 1307
+        polygon QR   160  4202 / 1946  5258 / 2313  5327 / 2178
         ==========  ====  ===========  ===========  ===========
 
-        "uniform A" is uniform input in a square, "polygon QR" a regular
-        polygon.  The pass wins on both up to 40 robots and the tree on
-        both from 128; between, the polygon favours the tree and the
-        uniform input the pass, so neither side loses over its whole range.
+        "uniform A" is uniform input in a square, "ellipse A" random angles
+        on a 1 x 0.9 ellipse, "polygon QR" a regular polygon.  The pass wins
+        on all three at 20 robots and the tree on all three from 128;
+        between, the polygon favours the tree from 40 and the uniform input
+        from 64, while the ellipse favours the pass up to 80 under 3.11 and
+        3.12, so neither side loses over its whole range.
         """
         if self.n <= _TREE_FROM:
             return self._pair_sums
-        centers = [loc.location for loc in self.locations]
-        return geometry._cell_bounds(self.points, centers, _LEAF_SIZE, self.merge_slack)
+        n = self.n
+        points = self.points
+        walks = self._sum_walks
+        above = _sum_above(points, walks.centroid)
+        r_floor = self._r_floor
+        slack_at, spread, rounding = symmetry._skip_terms(self)
+        excess = spread * slack_at(r_floor) + rounding + (n + 8) * n * 2e-15
+        out = []
+        for k, (loc, gap) in enumerate(zip(self.locations, walks.gaps)):
+            c = loc.location
+            base = loc.multiplicity if all(points[i] == c for i in loc.indices) else 2 - loc.multiplicity
+            if gap == 0.0:
+                out.append((-math.inf, r_floor, walks.refine(k, -math.inf)))
+                continue
+            total = walks.refine(k, above + gap * (excess + loc.multiplicity - base))
+            out.append((_convexity_pull(total, above, gap, base, n), r_floor, total))
+        return out
+
+    @_cached
+    def _sum_walks(self) -> geometry._CellBounds:
+        """The distance-sum bounds at every location above ``_TREE_FROM``
+        robots, from one cell tree over the robots, kept so that the
+        class-A election can refine them further."""
+        return geometry._CellBounds(self.points, [loc.location for loc in self.locations], _LEAF_SIZE)
+
+    @_cached
+    def _r_floor(self) -> float:
+        """A lower bound on every location's exact r_min, the smallest
+        computed distance from its point to a robot beyond the merge slack.
+
+        ``symmetry._slack_by_r_min`` is flat from r_min = knee =
+        ``_COORD_DRIFT`` * diameter / ``eps_angle`` on, and only grows as
+        r_min falls.  A location's r_min is the computed ``hypot`` from its
+        point to some other distinct point, and a pair of distinct points
+        whose computed distance is below the knee has a computed x
+        difference below it too (``hypot`` is never below either
+        difference).  So a sweep over the distinct points in x order that
+        measures only the pairs closer than the knee in x finds every such
+        pair; the floor is the least of the knee and their distances beyond
+        the merge slack.
+        """
+        slack = self.merge_slack
+        knee = symmetry._COORD_DRIFT * self.diameter / self.tol.eps_angle if self.tol.eps_angle else math.inf
+        floor = knee
+        pts = self._distinct[1]
+        hypot = math.hypot
+        for k, (px, py) in enumerate(pts):
+            for j in range(k - 1, -1, -1):
+                qx, qy = pts[j]
+                if px - qx >= knee:
+                    break
+                d = hypot(px - qx, py - qy)
+                if slack < d < floor:
+                    floor = d
+        return floor
 
     def _sums_at(self, k: int) -> tuple[float, float, float]:
         """The exact (pull, r_min, sum) of ``_pair_sums`` at the k-th
-        location: its entry up to ``_TREE_FROM`` robots, else the same
-        doubles from the location's ``symmetry.Rays`` (``Rays._sums``), an
-        O(n) pass over its row made once per location, however many
-        readers (the quasi-regular center test, the class-A election) ask."""
+        location, for the quasi-regular center test: its entry up to
+        ``_TREE_FROM`` robots, else the same doubles from the location's
+        ``symmetry.Rays`` (``Rays._sums``), an O(n) pass over its row made
+        once per location, which ``_sum_at`` reads too."""
         if self.n <= _TREE_FROM:
             return self._pair_sums[k]
         return symmetry.Rays.of(self, self.locations[k].location)._sums
+
+    def _sum_at(self, k: int) -> float:
+        """The exact sum of ``_sums_at`` at the k-th location, the same
+        double, for the class-A election: from the location's ``Rays`` once
+        its ``_sums`` are taken, else one pass of ``hypot`` over the robots
+        that keeps no row and divides nothing: 16 us against 47 us for a
+        ``Rays`` and its ``_sums`` at 160 robots under CPython 3.11."""
+        if self.n <= _TREE_FROM:
+            return self._pair_sums[k][2]
+        c = self.locations[k].location
+        rays = self._rays.get(c)
+        if rays is not None and "_sums" in vars(rays):
+            return rays._sums[2]
+        cx, cy = c
+        hypot = math.hypot
+        return _plain_sum([hypot(x - cx, y - cy) for x, y in self.points])
 
     @_cached
     def _pair_sums(self) -> list[tuple[float, float, float]]:
@@ -414,6 +529,24 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
+
+
+def _sum_above(points: Sequence[Point], y: Point) -> float:
+    """An upper bound on the sum of |y - p| over the points: the computed
+    ``_plain_sum`` of their ``hypot`` distances, which errs by at most a
+    relative (n + 3)u, times 1 + (n + 4) 1e-15."""
+    yx, yy = y
+    hypot = math.hypot
+    return _plain_sum([hypot(x - yx, py - yy) for x, py in points]) * (1.0 + (len(points) + 4) * 1e-15)
+
+
+def _convexity_pull(total: float, above: float, gap: float, base: int, n: int) -> float:
+    """A lower bound on the computed pull at a location c of n robots, from
+    a lower bound ``total`` on its distance sum f(c), an upper bound
+    ``above`` on f(y), the computed ``gap`` = |c - y| > 0 and ``base`` =
+    mu_c - delta_c (``Configuration._lower_sums`` gives the lemma)."""
+    q = (total - above) / gap
+    return q - 2e-15 * abs(q) + base - (n + 8) * n * 1e-15
 
 
 def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
@@ -716,7 +849,7 @@ def _elect_safe_point(config: Configuration) -> Point:
     one, so only locations up to that bound are tested.  The tied set keeps
     location order, the order ``symmetry.greatest_view`` needs.
 
-    Exact sums (``Configuration._sums_at``) are taken only where they can
+    Exact sums (``Configuration._sum_at``) are taken only where they can
     matter.  The locations are visited in ascending order of their sum's
     lower bound (``Configuration._lower_sums``), and the visit stops at the
     first bound above b + merge slack, b the lowest exact sum of a safe
@@ -727,10 +860,26 @@ def _elect_safe_point(config: Configuration) -> Point:
     the visited ones, and the ascending-sum order, ties by location order,
     runs on their exact sums as it would on every sum.  Where the bounds
     are exact, safety is tested on the same locations as in that order.
+
+    Above ``_TREE_FROM`` robots the bounds are partial walks of
+    ``Configuration._sum_walks``, and the visit is best first: a heap of
+    the current bounds, whose least entry is refined, up to the lesser of
+    b + merge slack and the level, and pushed back until it is complete
+    and still least.  The level is the least complete bound since the last
+    exact sum, inf when there is none; it starts at the location nearest
+    the walks' centroid y, which has the least upper bound f(y) + n |c - y|
+    on its sum (the triangle inequality), its walk completed first.  A
+    location refined past b + merge slack is dropped, as b only falls;
+    every other one is refined until it completes or passes the level,
+    which it must pass anyway before the level's location, still in the
+    heap, is visited.  So exact sums are taken in ascending order of
+    complete bounds, and every location dropped or left in the heap has a
+    bound above b + merge slack, as in the sorted visit.
     """
     locs = config.locations
     slack = config.merge_slack
     lower = config._lower_sums
+    walks = None if config.n <= _TREE_FROM else config._sum_walks
     safe: dict[int, bool] = {}
 
     def is_safe(k: int) -> bool:
@@ -742,12 +891,34 @@ def _elect_safe_point(config: Configuration) -> Point:
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
         totals = {}
         best = math.inf
-        for k in sorted(group, key=lambda k: lower[k][2]):
-            if lower[k][2] > best + slack:
-                break
-            total = totals[k] = config._sums_at(k)[2]
-            if total < best and is_safe(k):
-                best = total
+        if walks is None:
+            for k in sorted(group, key=lambda k: lower[k][2]):
+                if lower[k][2] > best + slack:
+                    break
+                total = totals[k] = config._sum_at(k)
+                if total < best and is_safe(k):
+                    best = total
+        else:
+            nearest = min(group, key=walks.gaps.__getitem__)
+            level = walks.refine(nearest, math.inf)
+            heap = [(level if k == nearest else lower[k][2], k) for k in group]
+            heapify(heap)
+            while heap:
+                bound, k = heappop(heap)
+                cap = best + slack
+                if bound > cap:
+                    break
+                bound = walks.refine(k, min(cap, level))
+                if bound > cap:
+                    continue
+                level = min(level, bound)
+                if heap and bound > heap[0][0]:
+                    heappush(heap, (bound, k))
+                    continue
+                total = totals[k] = config._sum_at(k)
+                if total < best and is_safe(k):
+                    best = total
+                level = math.inf
         order = sorted(sorted(totals), key=totals.__getitem__)
         first = next((pos for pos, k in enumerate(order) if is_safe(k)), None)
         if first is None:

@@ -165,140 +165,137 @@ def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, to
 # Fermat-Weber problem" (Comput. Geom. 2003).
 
 # A cell whose radius is below this share of its centroid's distance from a
-# center counts as one far cell in ``_cell_bounds``.
+# center counts as one far cell, which no walk of ``_CellBounds`` opens.
 _OPENING_RATIO = 0.4
-# Half the largest second derivative of the unit vector x/|x| along a unit
-# step, times |x|^2: sqrt(4/3)/2 = 0.5773502691..., rounded up.
-_CURVATURE = 0.57735027
 
 
-def _cell_bounds(
-    points: tuple[Point, ...], centers: Iterable[Point], leaf_size: int, slack: float
-) -> list[tuple[float, float, float]]:
-    """Lower bounds (pull, r_min, sum) for the points seen from each center.
+class _CellBounds:
+    """Lower bounds on the distance sums from each of several centers to the
+    points, each refined on demand until it passes a target.
 
-    ``pull`` bounds the computed length of the sum of the unit vectors
-    (x - cx, y - cy) / d toward the points whose computed distance
-    d = ``hypot(x - cx, y - cy)`` exceeds ``slack``, added in index order
-    as ``Rays`` rows add them; ``r_min`` bounds the smallest such d (it is
-    inf when there is none); ``sum`` bounds the ``_plain_sum`` of every
-    point's d in index order.  ``slack`` is the merge slack of the
-    configuration the points come from, so points within it of the center
-    are left out, as ``Rays.off`` leaves them out.
+    ``refine(k, target)`` bounds f(c) = sum of |c - p| over the points p
+    from center k, the true sum, and also the ``_plain_sum`` of every
+    point's computed d = ``hypot(x - cx, y - cy)`` in index order.  It
+    refines the bound until it exceeds ``target`` or its walk is complete,
+    and returns it; a later call resumes where the last one stopped.
+    ``centroid`` is the root's float centroid and ``gaps`` each center's
+    computed distance from it.
 
     The bounds come from a k-d tree over the points, with a count, a
-    centroid and a radius per cell, built once for all the centers and
-    then dropped.  A cell splits at the median of its wider coordinate
-    until it holds at most ``leaf_size`` points.  Each cell is a tuple
-    (gx, gy, radius, count, count * radius^2, reach, left, right, points):
-    the centroid is the ``math.fsum`` of the coordinates over the count,
-    and the radius is the largest computed ``hypot`` from that float
-    centroid to a point of the cell, times 1 + 1e-15.  A computed
-    ``hypot`` of two rounded differences is within a factor 1 +- 3u
-    (u = 2^-53) of the distance, so every point lies in the closed disk of
-    that radius around the float centroid.  A cell is far from every
-    center beyond ``reach``, the larger of radius / ``_OPENING_RATIO`` and
-    twice the slack.  Leaves keep their points; ``left`` and ``right`` are
-    None there, ``points`` elsewhere.  The centroid of a cell errs by at
-    most 2.01u times the largest coordinate magnitude per axis (one
-    correctly rounded sum, one division), so by less than
-    ``centroid_error``, 3.2u times it, in the plane.
+    centroid and a reach per cell, shared by all the centers.  A cell
+    splits at the median of its wider coordinate until it holds at most
+    ``leaf_size`` points, and its two children are built when a walk first
+    opens it, so cells no walk opens are never built.  Each cell is a list
+    [gx, gy, count, reach, children, points, axis]: the centroid is the
+    ``math.fsum`` of the coordinates over the count, the reach is the
+    largest computed ``hypot`` from that centroid to a point of the cell,
+    over ``_OPENING_RATIO``, and the children are None until built and ()
+    at a leaf.  The centroid of a cell errs by at most 2.01u (u = 2^-53)
+    times the largest coordinate magnitude per axis (one correctly rounded
+    sum, one division), so by less than ``centroid_error``, 3.2u times it,
+    in the plane.
 
-    One walk down the tree per center, from the root.  A cell whose
-    centroid g lies at a computed distance d beyond its reach is far, and
-    is not opened; there rho < 0.4 d for its radius rho.  A leaf that is
-    not far is measured exactly, with the doubles ``Rays`` computes, each
-    point's d compared with the slack as ``Rays.off`` compares it.
+    For any set of points, the sum of their distances from c is at least
+    count * |c - centroid| (the triangle inequality on the sum of the
+    vectors), so every cell adds at least count * (d - ``centroid_error``)
+    up to rounding, d its centroid's computed distance from c.  A walk
+    keeps a frontier of cells and points that partitions the points: the
+    points of opened leaves, measured exactly with the doubles ``Rays``
+    computes, and far cells, in ``done``; the other cells on a stack, each
+    with the running total of the stack's terms up to it.  Both totals only
+    ever add nonnegative terms, so the frontier's total is ``done`` plus
+    the top running total, with no cancellation.  Opening a cell replaces
+    its term by its children's, no smaller with exact centroids; a cell
+    whose d is beyond its reach is far and final, as is a measured leaf.
+    The nearer child is opened first, where the centroid bound loses the
+    most.  A walk is complete once its stack is empty; its bound is then
+    the Barnes-Hut one.
 
-    * Pull.  Write f(x) = x/|x| for x = p - c.  Along any unit step h,
-      |f''(x)[h, h]| <= sqrt(4/3)/|x|^2 (the maximum over the split of
-      h along and across x), so by Taylor's theorem with the remainder
-      taken along the segment from g to p, which stays at least
-      d - rho from c, f(p) = f(g) + Df(g)(p - g) + R with
-      |R| <= ``_CURVATURE`` * rho^2 / (d - rho)^2.  Summed over the
-      cell, the first-order terms add up to Df(g) times count times
-      (true centroid - g), at most count * ``centroid_error`` / d, as
-      |Df(g)| = 1/d.  Each point of a far cell also lies beyond the
-      slack: d - rho > 0.6 d > 1.2 * slack, up to a relative 4u.  So
-      with V the sum of count * (g - c) / d over far cells plus the
-      exact unit vectors in leaves, |P_c| >= |V| - sum over far cells
-      of (``_CURVATURE`` * count * rho^2 / (d - rho)^2 + count *
-      ``centroid_error`` / d).  Rounding: every term of V has magnitude
-      at most its count, so the computed V and the computed exact pull
-      each lie within (n^2 + 6n)u of the true sums, and the two error
-      sums, at most 0.4 n and n/10 (d > 2 * slack >= 16u times the
-      largest coordinate), err by a relative (n + 8)u.  The margin
-      (n + 8) n 1e-15 covers all of it.
-    * r_min.  A point of a far cell lies at least d - rho from the
-      center; (d - rho)(1 - 1e-15) is below its computed distance, as d
-      errs by at most a relative 3u and d - rho > 0.6 d.  Leaves give
-      the computed distances themselves.
-    * Sum.  For any set of points, the sum of their distances from c is
-      at least count * |c - centroid| (the triangle inequality on the
-      sum of the vectors).  The float centroid lies within
-      ``centroid_error`` of the true one, so a far cell adds at least
-      count * (d (1 - 3u) - ``centroid_error``), and a leaf its exact
-      distances.  The computed total of m <= n terms and the computed
-      ``_plain_sum`` each err by at most a relative (n + 3)u, which the
-      factor 1 - (n + 4) 1e-15 covers.
+    Rounding: a computed d is within a relative 3u of the distance, and the
+    two totals and their sum add at most n terms, so the computed frontier
+    total errs by at most a relative (n + 5)u from the true sum of its
+    terms, and from the computed ``_plain_sum``.  The bound, the total times
+    1 - (n + 4) 1e-15 less n * ``centroid_error``, covers both.
     """
-    n = len(points)
-    centroid_error = 3.6e-16 * max(max(abs(x), abs(y)) for x, y in points)
-    root = _cell(list(points), leaf_size, 2.0 * slack)
-    hypot = math.hypot
-    out = []
-    for cx, cy in centers:
-        px = py = curve = spread = total = 0.0
-        r_min = r_far = math.inf
-        stack = [root]
+
+    def __init__(self, points: tuple[Point, ...], centers: Iterable[Point], leaf_size: int):
+        n = len(points)
+        centroid_error = 3.6e-16 * max(max(abs(x), abs(y)) for x, y in points)
+        self._leaf_size = leaf_size
+        root = _cell(list(points), leaf_size)
+        self.centroid = Point(root[0], root[1])
+        self.centers = list(centers)
+        self._shrink = 1.0 - (n + 4) * 1e-15
+        self._offset = n * centroid_error
+        gx, gy = self.centroid
+        hypot = math.hypot
+        self.gaps = [hypot(cx - gx, cy - gy) for cx, cy in self.centers]
+        self._done = [0.0] * len(self.centers)
+        self._stacks = [[root] for _ in self.centers]
+        self._totals = [[n * gap] for gap in self.gaps]
+
+    def refine(self, k: int, target: float) -> float:
+        """The bound on center k's distance sum, refined until it exceeds
+        ``target`` or its walk is complete."""
+        shrink = self._shrink
+        offset = self._offset
+        stack = self._stacks[k]
+        totals = self._totals[k]
+        done = self._done[k]
+        # the frontier total above which the bound exceeds target
+        raw = (target + offset) / shrink
+        cx, cy = self.centers[k]
+        hypot = math.hypot
+        leaf_size = self._leaf_size
         pop = stack.pop
         push = stack.append
-        while stack:
-            gx, gy, rad, count, moment, reach, left, right, cell_points = pop()
-            dx = gx - cx
-            dy = gy - cy
-            d = hypot(dx, dy)
-            if d > reach:
-                w = count / d
-                px += w * dx
-                py += w * dy
-                gap = d - rad
-                curve += moment / (gap * gap)
-                spread += w
-                total += count * d
-                if gap < r_far:
-                    r_far = gap
-            elif left is None:
-                for x, y in cell_points:
-                    dx = x - cx
-                    dy = y - cy
-                    d = hypot(dx, dy)
-                    total += d
-                    if d > slack:
-                        px += dx / d
-                        py += dy / d
-                        if d < r_min:
-                            r_min = d
+        pop_total = totals.pop
+        push_total = totals.append
+        while stack and done + totals[-1] <= raw:
+            cell = pop()
+            pop_total()
+            kids = cell[4]
+            if kids is None:
+                kids = cell[4] = _split(cell, leaf_size)
+            if not kids:
+                for x, y in cell[5]:
+                    done += hypot(x - cx, y - cy)
+                continue
+            left, right = kids
+            below = totals[-1] if totals else 0.0
+            near = hypot(left[0] - cx, left[1] - cy)
+            far = hypot(right[0] - cx, right[1] - cy)
+            if near > far:
+                left, right, near, far = right, left, far, near
+            if far > right[3]:
+                done += right[2] * far
+            else:
+                below += right[2] * far
+                push(right)
+                push_total(below)
+            if near > left[3]:
+                done += left[2] * near
             else:
                 push(left)
-                push(right)
-        pull = hypot(px, py) - _CURVATURE * curve - centroid_error * spread - (n + 8) * n * 1e-15
-        lower = total * (1.0 - (n + 4) * 1e-15) - n * centroid_error
-        out.append((pull, min(r_min, r_far * (1.0 - 1e-15)), lower))
-    return out
+                push_total(below + left[2] * near)
+        self._done[k] = done
+        return (done + (totals[-1] if totals else 0.0)) * shrink - offset
 
 
-def _cell(points: list[Point], leaf_size: int, near: float) -> tuple:
+def _cell(points: list[Point], leaf_size: int) -> list:
     count = len(points)
     xs = [x for x, _ in points]
     ys = [y for _, y in points]
     gx = math.fsum(xs) / count
     gy = math.fsum(ys) / count
-    rad = max(map(math.hypot, [x - gx for x in xs], [y - gy for y in ys])) * (1.0 + 1e-15)
-    reach = max(rad / _OPENING_RATIO, near)
+    reach = max(map(math.hypot, [x - gx for x in xs], [y - gy for y in ys])) / _OPENING_RATIO
     if count <= leaf_size:
-        return (gx, gy, rad, count, count * rad * rad, reach, None, None, points)
-    points.sort(key=itemgetter(0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1))
-    mid = count // 2
-    left = _cell(points[:mid], leaf_size, near)
-    return (gx, gy, rad, count, count * rad * rad, reach, left, _cell(points[mid:], leaf_size, near), None)
+        return [gx, gy, count, reach, (), points, 0]
+    return [gx, gy, count, reach, None, points, 0 if max(xs) - min(xs) >= max(ys) - min(ys) else 1]
+
+
+def _split(cell: list, leaf_size: int) -> tuple[list, list]:
+    points = cell[5]
+    points.sort(key=itemgetter(cell[6]))
+    mid = len(points) // 2
+    return _cell(points[:mid], leaf_size), _cell(points[mid:], leaf_size)

@@ -697,9 +697,9 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     removes centers where no order would be accepted, so the result is the
     same as without it.
 
-    The location loop takes the slack's fixed factors once
-    (``_slack_by_r_min``), and 3*n^2 and n*1e-12 too: the same doubles,
-    added in the same order, as the threshold written out above.
+    The location loop takes the slack's fixed factors once, and 3*n^2 and
+    n*1e-12 too (``_skip_terms``): the same doubles, added in the same
+    order, as the threshold written out above.
 
     The pull is bounded before it is computed.  ``Configuration._lower_sums``
     gives, for every location, a lower bound on the computed |P_c| and one
@@ -734,12 +734,9 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     """
     if config.is_linear:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
-    n = config.n
     points = config.points
     lower = config._lower_sums
-    slack_at = _slack_by_r_min(config, _COORD_DRIFT)
-    spread = 3.0 * n * n
-    rounding = n * 1e-12
+    slack_at, spread, rounding = _skip_terms(config)
     survivors = []
     for k, loc in enumerate(config.locations):
         pull, r_min, _ = lower[k]
@@ -763,6 +760,15 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     if order < 2:
         return None
     return QRegularityResult(candidate, order, {})
+
+
+def _skip_terms(config: Configuration) -> tuple[Callable[[float], float], float, float]:
+    """The terms of ``detect_quasi_regular``'s skip threshold: the slack at
+    every r_min (``_slack_by_r_min`` at ``_COORD_DRIFT``), 3*n^2 and
+    n*1e-12; a center of multiplicity mu is skipped when its pull exceeds
+    mu + 3*n^2*slack + n*1e-12."""
+    n = config.n
+    return _slack_by_r_min(config, _COORD_DRIFT), 3.0 * n * n, n * 1e-12
 
 
 def _rejects_every_order(
@@ -875,18 +881,36 @@ def _polish_disc(
     covers all 122.  The
     terms of lam add up to at most 6 * s1 (s1 the sum of m_j / d_j) and err
     by a relative (L + 8) * u; lam is lowered by 1e-15 * (L + 10) * s1.
+
+    Scale: lengths are taken in units of 2^e, d_0 in [2^(e-1), 2^e) for
+    the first location's distance d_0 (``math.frexp``).  Multiplying by a
+    power of two is exact unless the result leaves the normal range, so
+    every operation gives exactly its plain result over the matching power
+    of 2^e, and R and the d_j are the very doubles of the plain computation
+    wherever that neither overflows nor underflows.  Where the caller can
+    accept the disc, d_min > 4 * merge slack >= 3.5e-15 * D (the resolution
+    is at least 8 ulps of D / 2), and y lies about within the locations'
+    hull, so every d_j / d_0 lies within about [3.5e-15, 2.9e14] and the
+    m_j / d_j^3 terms stay in range at every scale; an overflow elsewhere
+    yields None, or a radius the caller's d_min test rejects.
     """
     xs, ys, ms = sites
     yx, yy = y
     hypot = math.hypot
+    inv = math.ldexp(1.0, -math.frexp(hypot(yx - xs[0], yy - ys[0]))[1])
     gx = gy = s1 = cx = cy = 0.0
     ds = []
+    scaled = []
     for lx, ly, m in zip(xs, ys, ms):
         dx = yx - lx
         dy = yy - ly
         d = hypot(dx, dy)
         if d == 0.0:
             return None
+        ds.append(d)
+        dx *= inv
+        dy *= inv
+        d *= inv
         w = m / d
         gx += w * dx
         gy += w * dy
@@ -894,19 +918,19 @@ def _polish_disc(
         q = w / (d * d)
         cx += q * (dx - dy) * (dx + dy)
         cy += 2.0 * q * dx * dy
-        ds.append(d)
+        scaled.append(d)
     g = hypot(gx, gy) + 1.5e-14 * (len(ds) + 5) * n
     a = hypot(cx, cy)
     lam = 0.5 * (s1 - a)
     if lam <= 0.0:
         return None
-    rho = min(0.5 * min(ds), 4.0 * g / lam)
-    near = sum([m / (d + rho) for d, m in zip(ds, ms)])
-    turning = sum([m / ((d - rho) * (d - rho)) for d, m in zip(ds, ms)])
+    rho = min(0.5 * min(scaled), 4.0 * g / lam)
+    near = sum([m / (d + rho) for d, m in zip(scaled, ms)])
+    turning = sum([m / ((d - rho) * (d - rho)) for d, m in zip(scaled, ms)])
     lam = 0.5 * (near - a - 2.0 * rho * turning) - 1e-15 * (len(ds) + 10) * s1
     if lam * rho <= 2.0 * g:
         return None
-    return 2.0 * g / lam, ds
+    return 2.0 * g / lam / inv, ds
 
 
 def _unoccupied_order(config: Configuration, c: Point) -> int:

@@ -45,8 +45,8 @@ def test_symmetry_imports_configuration_only_for_type_checking():
 
 # How classification measures a location, by the exact pair pass or by the
 # cell tree's bounds, is chosen in ``configuration.py`` alone; the
-# classifiers read its two members.
-_CHOICE = {"_TREE_FROM", "_LEAF_SIZE", "_pair_sums", "_cell_bounds"}
+# quasi-regular center test reads its two members.
+_CHOICE = {"_TREE_FROM", "_LEAF_SIZE", "_pair_sums", "_CellBounds", "_sum_walks", "_r_floor", "_sum_at"}
 _MEASURES = {"_lower_sums", "_sums_at"}
 
 

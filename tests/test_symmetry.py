@@ -7,7 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gathersim import (
     Configuration,
@@ -1014,6 +1014,34 @@ def test_order_certificate_is_sound():
     assert discs > 800 and rejections > 120 and order_one > 2 * rejections
 
 
+def test_polish_disc_is_scale_free():
+    """Scaled by 2^k, every site and the start point give exactly 2^k times
+    the radius and the distances, or no disc at every k.  A full order-2
+    configuration certifies none; its m/d^3 terms once underflowed at 2^359
+    and certified a disc of 0.0178 times the scale there."""
+    rng = random.Random(4)
+    inputs = [construct_quasi_regular(random.Random(6), m=2, park_deficits=False).config]
+    inputs += [uniform_configuration(rng, n) for n in (7, 12, 30, 60)] + _equiangular_inputs()[:40]
+    certified = 0
+    for config in inputs:
+        sites = symmetry._sites(config)
+        start, passes = symmetry._weber_start(config, sites, None)
+        if not passes:
+            continue
+        xs, ys, ms = sites
+        plain = symmetry._polish_disc(sites, start, config.n)
+        for k in (-338, -300, 0, 300, 359):
+            scaled = ([math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys], ms)
+            disc = symmetry._polish_disc(scaled, Point(math.ldexp(start.x, k), math.ldexp(start.y, k)), config.n)
+            if plain is None:
+                assert disc is None, (config, k)
+            else:
+                assert disc[0] == math.ldexp(plain[0], k), (config, k)
+                assert disc[1] == [math.ldexp(d, k) for d in plain[1]], (config, k)
+        certified += plain is not None
+    assert certified >= 10
+
+
 @st.composite
 def _jittered_equiangular(draw):
     """Equiangular rays around an unoccupied center with every robot moved
@@ -1420,10 +1448,10 @@ def test_rays_are_cached_per_center():
 
 
 def test_classified_configuration_is_freed_by_reference_counting():
-    # a Rays holds no reference back to its configuration, and the cell
-    # tree is dropped once it has bounded the locations, so no cycle keeps
-    # any of them alive once the last reference goes; at the tree cutoff
-    # the exact pair pass bounds the locations instead
+    # neither a Rays nor the cell tree's walks hold a reference back to
+    # their configuration, so no cycle keeps any of them alive once the
+    # last reference goes; at the tree cutoff the exact pair pass bounds
+    # the locations instead
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1441,37 +1469,61 @@ def test_classified_configuration_is_freed_by_reference_counting():
             gc.enable()
 
 
+def _near_tie_shapes(n):
+    """Class-A inputs of n robots whose distance sums are nearly flat over
+    the locations: random angles on a circle and on a 1 x 0.9 ellipse, a
+    circle mirrored across the x axis, and an exact (n-1)-gon with one
+    robot inside."""
+    rng = random.Random(3)
+    angles = [rng.uniform(0, TAU) for _ in range(n)]
+    half = [rng.random() * math.pi for _ in range(n // 2)]
+    gon = [Point(math.cos(TAU * j / (n - 1)), math.sin(TAU * j / (n - 1))) for j in range(n - 1)]
+    return [
+        Configuration([Point(math.cos(t), math.sin(t)) for t in angles]),
+        Configuration([Point(math.cos(t), 0.9 * math.sin(t)) for t in angles]),
+        Configuration([Point(math.cos(t), math.sin(t)) for t in half] + [Point(math.cos(t), -math.sin(t)) for t in half]),
+        Configuration(gon + [Point(0.31, 0.17)]),
+    ]
+
+
 def test_most_centers_never_compute_directions(monkeypatch):
-    # class A builds a Rays only around the locations it measures exactly
-    # (those that pass the pull bound, and those whose distance sum the
-    # election takes) and the safe points it tests, plus the Weber
-    # candidate and a vertex the Weber search may push off; that is a
-    # small share of the locations.  Directions are computed only around
-    # the centers and safe points it tests.
+    # class A builds a Rays only around the locations the center test
+    # measures exactly (those that pass the pull bound) and the safe points
+    # it tests, plus the Weber candidate and a vertex the Weber search may
+    # push off; the election's exact sums keep no row.  Exact sums and
+    # safety tests together stay a small share of the locations, on near
+    # ties too, where the election refines walks best first.  Directions
+    # are computed only around the centers and safe points it tests.
     measured, tested = [], []
-    sums_at, is_safe = Configuration._sums_at, configuration._is_safe
+    sums_at, sum_at, is_safe = Configuration._sums_at, Configuration._sum_at, configuration._is_safe
     monkeypatch.setattr(Configuration, "_sums_at", lambda config, k: measured.append(k) or sums_at(config, k))
+    monkeypatch.setattr(Configuration, "_sum_at", lambda config, k: measured.append(k) or sum_at(config, k))
     monkeypatch.setattr(configuration, "_is_safe", lambda config, k: tested.append(k) or is_safe(config, k))
-    for n in (160, 320):
-        config = uniform_configuration(random.Random(n), n)
+    uniform = [Configuration(uniform_configuration(random.Random(n), n).points) for n in (160, 320)]
+    for config in uniform + _near_tie_shapes(160):
+        n = config.n
         measured.clear()
         tested.clear()
         assert classify(config).tag == TAG_ASYMMETRIC
         built = list(config._rays.values())
         needed = len(set(measured)) + len(set(tested)) + 2
-        assert measured and len(built) <= needed < n // 4, (n, len(built), needed)
+        assert measured and len(built) <= needed < n // 4, (config, len(built), needed)
+    for config in uniform:
+        built = list(config._rays.values())
         assert sum("angles" in vars(rays) for rays in built) < len(built)
 
 
 def test_each_location_row_is_summed_once(monkeypatch):
-    # above ``_TREE_FROM`` robots the quasi-regular center test and then the
-    # class-A election can ask for one location's exact sums; its row is
-    # summed on the first request only
+    # above ``_TREE_FROM`` robots the quasi-regular center test asks for a
+    # location's exact sums and the class-A election for its exact
+    # distance sum, often of the same location; its row is summed on the
+    # first request only, and the election reads the sum from there
     asked, summed = [], []
-    sums_at = Configuration._sums_at
+    sums_at, sum_at = Configuration._sums_at, Configuration._sum_at
     row = vars(symmetry.Rays)["_sums"]
     sum_row = row.func
     monkeypatch.setattr(Configuration, "_sums_at", lambda config, k: asked.append(k) or sums_at(config, k))
+    monkeypatch.setattr(Configuration, "_sum_at", lambda config, k: asked.append(k) or sum_at(config, k))
     monkeypatch.setattr(row, "func", lambda rays: summed.append(rays.center) or sum_row(rays))
     repeats = 0
     for n in (80, 160, 320):
@@ -1480,15 +1532,15 @@ def test_each_location_row_is_summed_once(monkeypatch):
             asked.clear()
             summed.clear()
             assert classify(config).tag == TAG_ASYMMETRIC
-            assert len(summed) == len(set(summed)) == len(set(asked)) > 0, (n, seed)
+            assert 0 < len(summed) == len(set(summed)) <= len(set(asked)), (n, seed)
             repeats += len(asked) - len(set(asked))
     assert repeats > 5
 
 
 def test_cell_tree_only_above_tree_from(monkeypatch):
     built = []
-    bounds = geometry._cell_bounds
-    monkeypatch.setattr(geometry, "_cell_bounds", lambda *args: built.append(args) or bounds(*args))
+    bounds = geometry._CellBounds
+    monkeypatch.setattr(geometry, "_CellBounds", lambda *args: built.append(args) or bounds(*args))
     rng = random.Random(8)
     sizes = [rng.randint(3, configuration._TREE_FROM) for _ in range(40)] + [configuration._TREE_FROM]
     for n in sizes:
@@ -1517,28 +1569,23 @@ def test_cell_tree_only_above_tree_from(monkeypatch):
 # as its ``Rays`` row does.
 
 
-class _Recorded(list):
-    """Bounds that record whether classification read them."""
-
-    read = False
-
-    def __getitem__(self, k):
-        self.read = True
-        return list.__getitem__(self, k)
+def _on_path(config, path, run):
+    """``run`` on a fresh copy of config whose classification measures the
+    locations the ``path`` way, by the cell tree or by the exact pair pass,
+    at any size; its result, and whether it read the bounds."""
+    copy = Configuration(config.points, config.tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configuration, "_TREE_FROM", 0 if path == "tree" else 10**9)
+        result = run(copy)
+    return result, "_lower_sums" in vars(copy)
 
 
 def _tree_bounds(config):
-    """The cell tree's bounds on every location, at any size."""
-    centers = config.occupied_points()
-    return geometry._cell_bounds(config.points, centers, configuration._LEAF_SIZE, config.merge_slack)
-
-
-def _on_path(config, path):
-    """A fresh copy of config whose classification reads the ``path``
-    bounds, the cell tree's or the exact pair pass, and those bounds."""
-    copy = Configuration(config.points, config.tol)
-    copy._lower_sums = lower = _Recorded(_tree_bounds(copy) if path == "tree" else copy._pair_sums)
-    return copy, lower
+    """The cell tree's bounds on every location, at any size: the triples
+    classification reads, each walk stopped where the center test needs
+    it, and each walk's complete sum bound."""
+    (lower, walks), _ = _on_path(config, "tree", lambda copy: (copy._lower_sums, copy._sum_walks))
+    return lower, [walks.refine(k, math.inf) for k in range(len(lower))]
 
 
 def _offset(config, factor=1e6):
@@ -1583,18 +1630,30 @@ def _large_inputs():
     out += [_offset(config) for config in out[::3]]
     half = [Point(rng.uniform(0.05, 1), rng.uniform(-1, 1)) for _ in range(320)]
     out += [Configuration(half + [Point(-p.x, p.y) for p in half]), uniform_configuration(rng, 640)]
+    # near-flat distance sums: random angles on a circle and on an
+    # ellipse, and an (n-1)-gon with one robot inside
+    for n in (80, 160):
+        circle, ellipse, _, gon = _near_tie_shapes(n)
+        out += [circle, ellipse, gon]
+    # two robots 1e-7 of the diameter apart, beyond the merge slack: the
+    # r_min floor falls below the eps_angle knee
+    spots = [Point(rng.random(), rng.random()) for _ in range(99)]
+    out.append(Configuration(spots + [Point(spots[0].x + 1e-7, spots[0].y)]))
     return [config for config in out if not config.is_linear]
 
 
 def test_cell_bounds_hold_and_keep_every_decision():
-    checked = found = view_decided = 0
+    checked = found = view_decided = below_knee = 0
     for config in _large_inputs():
-        for loc, (pull, r_min, total) in zip(config.locations, _tree_bounds(config), strict=True):
+        lower, complete = _tree_bounds(config)
+        below_knee += lower[0][1] < symmetry._COORD_DRIFT * config.diameter / config.tol.eps_angle
+        for loc, (pull, r_min, total), whole in zip(config.locations, lower, complete, strict=True):
             c = loc.location
             row = [dist(c, q) for q in config.points]
+            exact = left_sum(row)
             assert pull <= _pull(config, c), (config, c)
             assert r_min <= min(d for d in row if d > config.merge_slack), (config, c)
-            assert total <= left_sum(row), (config, c)
+            assert total <= exact and whole <= exact, (config, c)
             checked += 1
         # the reference runs every order at every location, O(n^3); above
         # n = 80 the reference that measures every location exactly, the
@@ -1602,16 +1661,14 @@ def test_cell_bounds_hold_and_keep_every_decision():
         expected = _detect_reference(config) if config.n <= 80 else detect_quasi_regular_reference(config)
         elected = outcome(elect_reference, config)
         for path in ("tree", "pass"):
-            copy, lower = _on_path(config, path)
-            assert detect_quasi_regular(copy) == expected and lower.read, (config, path)
-            copy, lower = _on_path(config, path)
-            assert outcome(_elect_safe_point, copy) == elected and lower.read, (config, path)
+            assert _on_path(config, path, detect_quasi_regular) == (expected, True), (config, path)
+            assert _on_path(config, path, lambda copy: outcome(_elect_safe_point, copy)) == (elected, True), (config, path)
         found += expected is not None
         safe = safe_points_reference(config)
         if safe:
             nearest = min(safe, key=lambda p: (-config.multiplicity_at(p), left_sum(dist(p, q) for q in config.points)))
             view_decided += elected != bits(nearest)
-    assert checked > 3500 and found >= 16 and view_decided >= 4
+    assert checked > 3500 and found >= 16 and view_decided >= 4 and below_knee >= 1
 
 
 _signed = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
@@ -1649,7 +1706,10 @@ def test_pair_pass_matches_every_rays_row(config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(configuration, "_TREE_FROM", 0)
         from_rows = [config._sums_at(k) for k in range(len(config.locations))]
-    for loc, *sums in zip(config.locations, config._pair_sums, from_rows, strict=True):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(configuration, "_TREE_FROM", 0)
+        passes = [config._sum_at(k) for k in range(len(config.locations))]
+    for loc, *sums, total in zip(config.locations, config._pair_sums, from_rows, passes, strict=True):
         c = loc.location
         rays = symmetry.Rays(config, c)
         pull_x = pull_y = 0.0
@@ -1658,8 +1718,45 @@ def test_pair_pass_matches_every_rays_row(config):
             pull_x += (x - c.x) / rays.dists[i]
             pull_y += (y - c.y) / rays.dists[i]
         expected = (math.hypot(pull_x, pull_y).hex(), rays.r_min.hex(), _plain_sum(rays.dists).hex())
-        for pull, r_min, total in sums:
-            assert (pull.hex(), r_min.hex(), total.hex()) == expected, (config, c)
+        for pull, r_min, row_total in sums:
+            assert (pull.hex(), r_min.hex(), row_total.hex()) == expected, (config, c)
+        assert total.hex() == expected[2], (config, c)
+
+
+# The pull bound above ``_TREE_FROM`` robots, from convexity of the distance
+# sum f: |P_c| - mu_c >= (f(c) - f(y)) / |c - y| - delta_c at any y != c,
+# with delta_c = 0 when the location's robots all sit exactly on c and
+# 2 * (mu_c - 1) otherwise.  It must hold for the computed pull, with the
+# tree's sum bound at c, at the centroid, at a robot and at a random point.
+
+
+def _exactly_stacked(config, loc):
+    return all(config.points[i] == loc.location for i in loc.indices)
+
+
+@given(_pair_pass_inputs(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example(Configuration([Point(0.0, 0.0)] * 3 + [Point(1.0, 0.0), Point(0.0, 1.0), Point(-0.5, -0.25)]), 0.0, 0.0)
+@example(Configuration([Point(0.0, 0.0), Point(2e-10, 0.0), Point(0.0, -1e-10), Point(1.0, 0.0), Point(0.0, 1.0)]), 0.5, 0.5)
+@settings(max_examples=300, deadline=None)
+def test_convexity_pull_bound_never_exceeds_the_pull(config, tx, ty):
+    centers = config.occupied_points()
+    walks = geometry._CellBounds(config.points, centers, configuration._LEAF_SIZE)
+    sums = [walks.refine(k, math.inf) for k in range(len(centers))]
+    g = walks.centroid
+    shift = config.diameter
+    for y in (g, config.points[0], Point(g.x + tx * shift, g.y + ty * shift)):
+        above = configuration._sum_above(config.points, y)
+        for loc, total in zip(config.locations, sums):
+            c = loc.location
+            gap = math.hypot(c.x - y.x, c.y - y.y)
+            if gap == 0.0:
+                continue
+            pull = symmetry.Rays(config, c)._sums[0]
+            mu = loc.multiplicity
+            weak = configuration._convexity_pull(total, above, gap, 2 - mu, config.n)
+            assert weak <= pull, (config, c, y)
+            if _exactly_stacked(config, loc):
+                assert configuration._convexity_pull(total, above, gap, mu, config.n) <= pull, (config, c, y)
 
 
 # --- ray clustering against the reference ----------------------------------------------
