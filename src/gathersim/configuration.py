@@ -46,7 +46,7 @@ _RESOLUTION = 8.0 * sys.float_info.epsilon
 _UNIT = sys.float_info.epsilon / 2.0
 # Robots per leaf of the cell tree.
 _LEAF_SIZE = 8
-# Robots above which ``Configuration._lower_sums`` bounds the locations with
+# Robots above which ``Configuration._sum_walks`` bounds the locations with
 # the cell tree; at or below it one exact pass over every robot pair serves
 # every location.
 _TREE_FROM = 64
@@ -148,14 +148,13 @@ class Configuration:
 
     @_cached
     def _lower_sums(self) -> list[tuple[float, float, float]]:
-        """Lower bounds on each location's ``_sums_at``, in location order:
-        the one place that chooses how classification measures a location.
+        """Lower bounds on each location's ``_sums_at``, in location order.
 
-        Up to ``_TREE_FROM`` robots it is ``_pair_sums`` itself, every bound
-        exact.  Above, every bound comes from the distance-sum bounds of
-        ``_sum_walks``; they spare exact work only when they prune most of
-        the robots, and at small n a walk measures most of them exactly
-        anyway.
+        Where ``_sum_walks`` is None, up to ``_TREE_FROM`` robots, it is
+        ``_pair_sums`` itself, every bound exact.  Above, every bound comes
+        from the distance-sum bounds of ``_sum_walks``; they spare exact
+        work only when they prune most of the robots, and at small n a walk
+        measures most of them exactly anyway.
 
         Above ``_TREE_FROM`` the pull bound follows from the sum bound by
         convexity.  Write f(x) for the sum of |x - p| over the robots p, P_c
@@ -227,11 +226,11 @@ class Configuration:
         from 64, while the ellipse favours the pass up to 80 under 3.11 and
         3.12, so neither side loses over its whole range.
         """
-        if self.n <= _TREE_FROM:
+        walks = self._sum_walks
+        if walks is None:
             return self._pair_sums
         n = self.n
         points = self.points
-        walks = self._sum_walks
         above = _sum_above(points, walks.centroid)
         r_floor = self._r_floor
         slack_at, spread, rounding = symmetry._skip_terms(self)
@@ -248,10 +247,14 @@ class Configuration:
         return out
 
     @_cached
-    def _sum_walks(self) -> geometry._CellBounds:
-        """The distance-sum bounds at every location above ``_TREE_FROM``
-        robots, from one cell tree over the robots, kept so that the
-        class-A election can refine them further."""
+    def _sum_walks(self) -> geometry._CellBounds | None:
+        """The distance-sum bounds at every location, from one cell tree
+        over the robots, kept so that the class-A election can refine them
+        further; None at or below ``_TREE_FROM`` robots, where the exact
+        ``_pair_sums`` serve instead.  The one reader of the crossover:
+        ``_lower_sums``, ``_sum_at`` and the election branch on its None."""
+        if self.n <= _TREE_FROM:
+            return None
         return geometry._CellBounds(self.points, [loc.location for loc in self.locations], _LEAF_SIZE)
 
     @_cached
@@ -286,22 +289,23 @@ class Configuration:
         return floor
 
     def _sums_at(self, k: int) -> tuple[float, float, float]:
-        """The exact (pull, r_min, sum) of ``_pair_sums`` at the k-th
-        location, for the quasi-regular center test: its entry up to
-        ``_TREE_FROM`` robots, else the same doubles from the location's
-        ``symmetry.Rays`` (``Rays._sums``), an O(n) pass over its row made
-        once per location, which ``_sum_at`` reads too."""
-        if self.n <= _TREE_FROM:
-            return self._pair_sums[k]
+        """The exact (pull, r_min, sum) at the k-th location, for the
+        quasi-regular center test: its ``symmetry.Rays`` ``_sums`` at every
+        size, the same doubles as its ``_pair_sums`` entry.  An O(n) pass
+        over its row, made once per location, which ``_sum_at`` reads too.
+        Where ``_lower_sums`` is exact, a center that reaches this test
+        passes it and goes on to ``symmetry._structure``, which builds that
+        ``Rays`` anyway."""
         return symmetry.Rays.of(self, self.locations[k].location)._sums
 
     def _sum_at(self, k: int) -> float:
         """The exact sum of ``_sums_at`` at the k-th location, the same
-        double, for the class-A election: from the location's ``Rays`` once
+        double, for the class-A election: its ``_pair_sums`` entry where
+        ``_sum_walks`` is None; above, from the location's ``Rays`` once
         its ``_sums`` are taken, else one pass of ``hypot`` over the robots
         that keeps no row and divides nothing: 16 us against 47 us for a
         ``Rays`` and its ``_sums`` at 160 robots under CPython 3.11."""
-        if self.n <= _TREE_FROM:
+        if self._sum_walks is None:
             return self._pair_sums[k][2]
         c = self.locations[k].location
         rays = self._rays.get(c)
@@ -843,43 +847,40 @@ def _elect_safe_point(config: Configuration) -> Point:
     Safety is tested lazily, with the same result as filtering every
     location through ``safe_points`` first.  The winning multiplicity is the
     highest one held by a safe location, so multiplicities are visited in
-    descending order.  Within one, the lowest sum over its safe locations is
-    the sum of the first safe location in ascending-sum order, and the tied
-    set is every safe location whose sum is within the merge slack of that
-    one, so only locations up to that bound are tested.  The tied set keeps
-    location order, the order ``symmetry.greatest_view`` needs.
+    descending order.  Within one, b is the lowest exact sum
+    (``Configuration._sum_at``) of a safe location visited so far, and a
+    location is tested only when its sum is below b, so b ends as the least
+    sum of a safe visited location: one with a smaller sum was tested when
+    it was visited, as its sum was below b then.  The tied set is every
+    visited safe location whose sum is at most b + merge slack, in location
+    order, the order ``symmetry.greatest_view`` needs.
 
-    Exact sums (``Configuration._sum_at``) are taken only where they can
-    matter.  The locations are visited in ascending order of their sum's
-    lower bound (``Configuration._lower_sums``), and the visit stops at the
-    first bound above b + merge slack, b the lowest exact sum of a safe
-    location found so far.  Every location whose sum is at most s + merge
-    slack, s the group's lowest safe sum, is visited: b >= s, so its bound,
-    at most its sum, is at most b + merge slack (float addition is
-    monotone).  The first safe location and the tied set thus lie among
-    the visited ones, and the ascending-sum order, ties by location order,
-    runs on their exact sums as it would on every sum.  Where the bounds
-    are exact, safety is tested on the same locations as in that order.
+    The visit is best first: a heap of lower bounds on the sums
+    (``Configuration._lower_sums``), ties by location index, whose least
+    entry is visited, and the visit stops at the first bound above b +
+    merge slack.  Every location whose sum is at most b + merge slack is
+    visited, as its bound is at most its sum.  Up to the size at which
+    ``Configuration._sum_walks`` is None the bounds are the exact sums, so
+    the heap pops in ascending-sum order.
 
-    Above ``_TREE_FROM`` robots the bounds are partial walks of
-    ``Configuration._sum_walks``, and the visit is best first: a heap of
-    the current bounds, whose least entry is refined, up to the lesser of
-    b + merge slack and the level, and pushed back until it is complete
-    and still least.  The level is the least complete bound since the last
-    exact sum, inf when there is none; it starts at the location nearest
-    the walks' centroid y, which has the least upper bound f(y) + n |c - y|
-    on its sum (the triangle inequality), its walk completed first.  A
-    location refined past b + merge slack is dropped, as b only falls;
-    every other one is refined until it completes or passes the level,
-    which it must pass anyway before the level's location, still in the
-    heap, is visited.  So exact sums are taken in ascending order of
-    complete bounds, and every location dropped or left in the heap has a
-    bound above b + merge slack, as in the sorted visit.
+    Above it the bounds are partial walks of ``_sum_walks``: the popped
+    bound is refined, up to the lesser of b + merge slack and the level,
+    and pushed back until it is complete and still least.  The level is
+    the least complete bound since the last exact sum, inf when there is
+    none; it starts at the location nearest the walks' centroid y, which
+    has the least upper bound f(y) + n |c - y| on its sum (the triangle
+    inequality), its walk completed first.  A location refined past b +
+    merge slack is dropped, as b only falls; every other one is refined
+    until it completes or passes the level, which it must pass anyway
+    before the level's location, still in the heap, is visited.  So exact
+    sums are taken in ascending order of complete bounds, and every
+    location dropped or left in the heap has a bound above b + merge
+    slack.
     """
     locs = config.locations
     slack = config.merge_slack
     lower = config._lower_sums
-    walks = None if config.n <= _TREE_FROM else config._sum_walks
+    walks = config._sum_walks
     safe: dict[int, bool] = {}
 
     def is_safe(k: int) -> bool:
@@ -890,24 +891,19 @@ def _elect_safe_point(config: Configuration) -> Point:
     for mult in sorted({loc.multiplicity for loc in locs}, reverse=True):
         group = [k for k, loc in enumerate(locs) if loc.multiplicity == mult]
         totals = {}
-        best = math.inf
-        if walks is None:
-            for k in sorted(group, key=lambda k: lower[k][2]):
-                if lower[k][2] > best + slack:
-                    break
-                total = totals[k] = config._sum_at(k)
-                if total < best and is_safe(k):
-                    best = total
-        else:
+        best = level = math.inf
+        heap = [(lower[k][2], k) for k in group]
+        if walks is not None:
             nearest = min(group, key=walks.gaps.__getitem__)
             level = walks.refine(nearest, math.inf)
-            heap = [(level if k == nearest else lower[k][2], k) for k in group]
-            heapify(heap)
-            while heap:
-                bound, k = heappop(heap)
-                cap = best + slack
-                if bound > cap:
-                    break
+            heap[group.index(nearest)] = (level, nearest)
+        heapify(heap)
+        while heap:
+            bound, k = heappop(heap)
+            cap = best + slack
+            if bound > cap:
+                break
+            if walks is not None:
                 bound = walks.refine(k, min(cap, level))
                 if bound > cap:
                     continue
@@ -915,24 +911,15 @@ def _elect_safe_point(config: Configuration) -> Point:
                 if heap and bound > heap[0][0]:
                     heappush(heap, (bound, k))
                     continue
-                total = totals[k] = config._sum_at(k)
-                if total < best and is_safe(k):
-                    best = total
-                level = math.inf
-        order = sorted(sorted(totals), key=totals.__getitem__)
-        first = next((pos for pos, k in enumerate(order) if is_safe(k)), None)
-        if first is None:
-            continue
-        bound = totals[order[first]] + slack
-        tied = [order[first]]
-        for k in order[first + 1:]:
-            if totals[k] > bound:
-                break
-            if is_safe(k):
-                tied.append(k)
+            total = totals[k] = config._sum_at(k)
+            if total < best and is_safe(k):
+                best = total
+            level = math.inf
+        tied = [k for k in sorted(totals) if totals[k] <= best + slack and is_safe(k)]
         if len(tied) == 1:
             return locs[tied[0]].location
-        return symmetry.greatest_view(config, [locs[k].location for k in sorted(tied)])
+        if tied:
+            return symmetry.greatest_view(config, [locs[k].location for k in tied])
     raise AsymmetryViolated("non-linear configuration without a safe point")
 
 

@@ -370,7 +370,9 @@ def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Ran
     the input's own ``Configuration``, so ``run`` neither classifies nor
     decides it again.  Stops are tested by identity: ``==`` takes -0.0 for
     0.0.  ``check_transition`` reads what moved from the round's two
-    configurations.
+    configurations.  Each actor's frame is translated by up to twice the
+    diameter, so frame images keep the configuration's shape at every
+    scale.
     """
     config = state.config
     cls = config.cls
@@ -383,13 +385,12 @@ def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Ran
     crashed = [c or (i in newly_crashed) for i, c in enumerate(state.crashed)]
     actors = sorted(i for i in selected if not crashed[i])
 
-    scale_ref = max(config.diameter, 1e-9)
     frame_tol = max(_FRAME_MATCH_REL * config.diameter, config.resolution)
     new_points = list(config.points)
     recorded = []
     stops = []
     for i in actors:
-        frame = LocalFrame.random(rng, scale_ref)
+        frame = LocalFrame.random(rng, config.diameter)
         local_decision = gathering.compute(frame.apply_config(config), i)
         mapped = frame.invert_point(local_decision.destination)
         decision = decisions[i]
@@ -444,7 +445,7 @@ def check_transition(prev_config: Configuration, next_config: Configuration, del
     """
     prev = prev_config.cls
     nxt = next_config.cls
-    wtol = max(_WEBER_MATCH_REL * prev_config.diameter, 1e-12)
+    wtol = _WEBER_MATCH_REL * prev_config.diameter
 
     if nxt.tag == cfg.TAG_BIVALENT:
         return f"{prev.tag} -> B (bivalent reached)"
@@ -537,7 +538,12 @@ def _validate_crashes(n: int, adv: AdversarySpec) -> int:
 
 
 def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunResult:
-    """Iterate rounds until gathered, the round limit, or a broken invariant."""
+    """Iterate rounds until gathered, the round limit, or a broken invariant.
+
+    Wait-freedom lets at most one location stay in a round that does not
+    gather: the check counts the locations whose robots' decision
+    (``gathering.decide``) is Stay, the complement of ``moving_set``.
+    """
     n = initial.n
     if n < 3:
         raise TooFewRobots("gathering runs need at least three robots")
@@ -567,15 +573,10 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
             if records:
                 records[-1].gathered = gathered
             if not gathered:
-                stationary = [
-                    loc.location
-                    for loc in config.locations
-                    if all(dist(loc.location, m) > config.merge_slack for m in moving)
-                ]
-                if len(stationary) > 1:
-                    raise InvariantViolation(
-                        f"round {state.round}: {len(stationary)} stationary locations (wait-freedom)"
-                    )
+                decisions = gathering.decide(config)
+                stationary = sum(decisions[loc.indices[0]].rule == gathering.RULE_STAY for loc in config.locations)
+                if stationary > 1:
+                    raise InvariantViolation(f"round {state.round}: {stationary} stationary locations (wait-freedom)")
             if gathered:
                 records.append(_terminal_record(state, True))
                 return RunResult(OUTCOME_GATHERED, state.round, records, None, crashes, params.seed, checks)

@@ -925,8 +925,8 @@ def _polish_disc(
     if lam <= 0.0:
         return None
     rho = min(0.5 * min(scaled), 4.0 * g / lam)
-    near = sum([m / (d + rho) for d, m in zip(scaled, ms)])
-    turning = sum([m / ((d - rho) * (d - rho)) for d, m in zip(scaled, ms)])
+    near = _plain_sum([m / (d + rho) for d, m in zip(scaled, ms)])
+    turning = _plain_sum([m / ((d - rho) * (d - rho)) for d, m in zip(scaled, ms)])
     lam = 0.5 * (near - a - 2.0 * rho * turning) - 1e-15 * (len(ds) + 10) * s1
     if lam * rho <= 2.0 * g:
         return None

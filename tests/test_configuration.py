@@ -476,6 +476,24 @@ def test_knife_edge_pentagon_classifies_quasi_regular():
     assert (cls.tag, cls.qreg) == (TAG_QREGULAR, 5)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the Weber search stops 0.023*D from this start's Weber "
+    "point, which has order 2, so the robots classify A",
+)
+def test_near_collinear_six_robots_classify_quasi_regular():
+    # six robots whose rays from w lie in a narrow double cone: w has
+    # gradient norm 1.6e-16 and regularity 2 there, so they are QR of
+    # order 2 around w
+    points = json.loads((DATA / "qr_near_collinear_six.json").read_text())["points"]
+    config = Configuration(points)
+    w = Point(-0.14560499473012717, -0.8517122251622966)
+    assert symmetry.regularity_at(config, w) == 2
+    cls = classify(config)
+    assert (cls.tag, cls.qreg) == (TAG_QREGULAR, 2)
+    assert dist(cls.weber, w) <= 1e-9 * config.diameter
+
+
 def test_turned_pentagon_reaches_the_asymmetry_check(monkeypatch):
     # the same pentagon with one robot turned by five slacks (5e-9) about
     # the Weber point: seen from the new Weber point its residue of order 5

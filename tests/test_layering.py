@@ -65,3 +65,28 @@ def test_only_configuration_chooses_how_locations_are_measured():
     names = {path.name: _names_read(path) for path in sorted(SRC.glob("*.py"))}
     assert [name for name, read in names.items() if read & _CHOICE] == ["configuration.py"]
     assert names["symmetry.py"] & (_CHOICE | _MEASURES) == _MEASURES
+
+
+def _reads(node: ast.AST, name: str) -> int:
+    """How often ``name`` is read as a bare name or an attribute under node."""
+    return sum(
+        isinstance(sub, (ast.Name, ast.Attribute))
+        and isinstance(sub.ctx, ast.Load)
+        and (sub.id if isinstance(sub, ast.Name) else sub.attr) == name
+        for sub in ast.walk(node)
+    )
+
+
+def test_one_function_reads_the_tree_crossover():
+    # ``Configuration._sum_walks`` alone reads the 64-robot crossover; the
+    # rest of classification branches on its None
+    readers, everywhere = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        everywhere += _reads(tree, "_TREE_FROM")
+        readers += [
+            (path.name, fn.name, _reads(fn, "_TREE_FROM"))
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _reads(fn, "_TREE_FROM")
+        ]
+    assert readers == [("configuration.py", "_sum_walks", everywhere)]

@@ -26,7 +26,13 @@ from gathersim.configuration import (
     TAG_QREGULAR,
 )
 from gathersim.errors import BivalentInitial, TooFewRobots
-from gathersim.generators import uniform_configuration
+from gathersim.generators import (
+    collinear_configuration,
+    construct_quasi_regular,
+    multiplicity_configuration,
+    symmetric_configuration,
+    uniform_configuration,
+)
 from gathersim.geometry import dist
 from gathersim.simulator import (
     OUTCOME_GATHERED,
@@ -314,7 +320,8 @@ def test_check_transition_rules():
         assert moved_cls.tag == TAG_ASYMMETRIC and moved_cls.elected == e
         assert check_transition(a_config, moved, 0.1) == expected
 
-    # QR must keep its center, and L1W its median, whatever class follows
+    # QR must keep its center, and L1W its median, whatever class follows,
+    # at every scale
     pentagon = [(math.cos(2 * math.pi * k / 5), math.sin(2 * math.pi * k / 5)) for k in range(5)]
     l1w = [(0, 0), (0, 0), (1, 0), (1, 0), (3, 0), (3, 0)]
     for before, before_tag, after, after_tag, expected in (
@@ -325,10 +332,12 @@ def test_check_transition_rules():
         (l1w, TAG_L1W, [(0, 0), (0, 0), (2, 0), (2, 0), (3, 0), (3, 0)], TAG_L1W, "L1W -> L1W with a moved Weber point"),
         (l1w, TAG_L1W, [(0, 0), (0, 0), (2, 0), (2, 0), (2, 0), (3, 0)], TAG_MULTIPLE, "L1W -> M with a moved or split median"),
     ):
-        prev_config, next_config = Configuration(before), Configuration(after)
-        assert classify(prev_config).tag == before_tag
-        assert classify(next_config).tag == after_tag
-        assert check_transition(prev_config, next_config, 0.1) == expected
+        for scale in (1.0, 1e-20):
+            prev_config = Configuration([(x * scale, y * scale) for x, y in before])
+            next_config = Configuration([(x * scale, y * scale) for x, y in after])
+            assert classify(prev_config).tag == before_tag
+            assert classify(next_config).tag == after_tag
+            assert check_transition(prev_config, next_config, 0.1 * scale) == expected, scale
 
 
 def test_transition_checks_counted():
@@ -440,6 +449,57 @@ def test_frame_monitor_tolerance_is_relative_to_the_diameter(monkeypatch):
     monkeypatch.setattr(LocalFrame, "invert_point", shifted)
     result = run(config, adv, params)
     assert result.outcome == OUTCOME_VIOLATION and "frame-dependent" in result.detail
+
+
+@pytest.mark.parametrize("staying", [5, 2])
+def test_run_refuses_two_stationary_locations(monkeypatch, staying):
+    # a round may leave at most one location in place (wait-freedom); with
+    # robots 0 .. staying-1, each on its own location, told to stay, run
+    # ends at round 0 naming how many locations stay
+    config = uniform_configuration(random.Random(3), 5)
+    assert len(config.locations) == 5
+    compute = gathering.compute
+
+    def stay_low(snapshot, i, *args):
+        if i < staying:
+            return gathering.ComputeDecision(snapshot.points[i], gathering.RULE_STAY)
+        return compute(snapshot, i, *args)
+
+    monkeypatch.setattr(gathering, "compute", stay_low)
+    result = run(config, AdversarySpec(), SimParams(delta=0.05))
+    assert result.outcome == OUTCOME_VIOLATION
+    assert result.detail == f"round 0: {staying} stationary locations (wait-freedom)"
+
+
+_SCALE_STARTS = [
+    lambda rng: uniform_configuration(rng, 5),
+    symmetric_configuration,
+    lambda rng: multiplicity_configuration(rng, 6),
+    lambda rng: collinear_configuration(rng, 5),
+    lambda rng: construct_quasi_regular(rng).config,
+]
+_SCALE_ADVERSARIES = [
+    AdversarySpec(),
+    AdversarySpec(activation="random", stop_policy="minimal"),
+    AdversarySpec(activation="adversarial_greedy", stop_policy="random_fraction", crash_schedule=((0, 0),)),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e-30, 1e-13, 1e40, 1e85])
+def test_runs_gather_at_every_scale(scale):
+    """Uniform, symmetric, M, collinear and quasi-regular starts, scaled,
+    gather under three adversaries: frames are translated, and Weber points
+    matched, relative to the diameter, so a frame image keeps the shape of
+    a configuration far below 1e-9 across."""
+    for seed in range(6):
+        for make in _SCALE_STARTS:
+            start = make(random.Random(seed))
+            if start.cls.tag == TAG_BIVALENT or len(start.locations) == 1:
+                continue
+            config = Configuration([Point(x * scale, y * scale) for x, y in start.points], start.tol)
+            for adv in _SCALE_ADVERSARIES:
+                result = run(config, adv, SimParams(delta=config.diameter / 20, seed=seed, max_rounds=2000))
+                assert result.outcome == OUTCOME_GATHERED, (seed, make, adv, result.detail)
 
 
 # --- rounds that move no robot -------------------------------------------------------

@@ -1042,6 +1042,29 @@ def test_polish_disc_is_scale_free():
     assert certified >= 10
 
 
+# (n, seed of ``uniform_configuration``) -> the radius ``_polish_disc``
+# certifies at the reweighting's end point, its terms added left to right;
+# the builtin ``sum`` of CPython 3.12 and later gives each a different last bit
+_LEFT_TO_RIGHT_RADII = {
+    (5, 7): "0x1.9c4d2c7b0b5c1p-10",
+    (5, 15): "0x1.d5d4a512fb2a2p-9",
+    (8, 3): "0x1.217db6416415bp-10",
+    (12, 0): "0x1.66ee4acc87586p-9",
+    (20, 2): "0x1.a537c878a4cf8p-7",
+    (20, 16): "0x1.347eb729996b3p-9",
+}
+
+
+def test_polish_disc_adds_left_to_right():
+    """The certificate's radius is the same double under every CPython."""
+    for (n, seed), expected in _LEFT_TO_RIGHT_RADII.items():
+        config = uniform_configuration(random.Random(seed), n)
+        sites = symmetry._sites(config)
+        start, passes = symmetry._weber_start(config, sites, None)
+        assert passes
+        assert symmetry._polish_disc(sites, start, config.n)[0].hex() == expected, (n, seed)
+
+
 @st.composite
 def _jittered_equiangular(draw):
     """Equiangular rays around an unoccupied center with every robot moved
