@@ -143,9 +143,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.input:
         config = load_configuration(args.input, tol)
     else:
-        if args.n is None:
-            print("error: provide --input or --n", file=sys.stderr)
-            return 1
         config = generators.uniform_configuration(rng, args.n, tol)
 
     schedule: list[tuple[int, int]] = []

@@ -56,13 +56,13 @@ _ALL_PAIRS_UP_TO = 20
 # Hull candidates above which ``_farthest_pairs`` measures only
 # near-opposite pairs.
 _OPPOSITE_FROM = 32
-# Nonzero diameters outside this range are refused by ``classify``.  Over
-# 243 inputs of every class, 2 to 160 robots, each scaled by exact powers
-# of two, every class held from diameters of 2.2e-102 to 1.4e108 and some
-# changed or raised beyond, where the Weber certificate's m/d^3 terms then
-# overflowed or underflowed; ``symmetry._polish_disc`` has since become
-# scale-free.  From about 1e154 the squared lengths of the linearity test
-# overflow.
+# Diameters outside this range, unless within the coordinates' resolution,
+# are refused by ``classify``.  Over 243 inputs of every class, 2 to 160
+# robots, each scaled by exact powers of two, every class held from
+# diameters of 2.2e-102 to 1.4e108 and some changed or raised beyond, where
+# the Weber certificate's m/d^3 terms then overflowed or underflowed;
+# ``symmetry._polish_disc`` has since become scale-free.  From about 1e154
+# the squared lengths of the linearity test overflow.
 _MIN_DIAMETER = 1e-90
 _MAX_DIAMETER = 1e90
 
@@ -803,11 +803,13 @@ def _is_safe(config: Configuration, k: int) -> bool:
 def classify(config: Configuration) -> ConfigClass:
     """Assign the configuration its unique class tag plus analysis detail.
 
-    A nonzero diameter outside [``_MIN_DIAMETER``, ``_MAX_DIAMETER``]
-    raises ``OutOfScale``.
+    A diameter outside [``_MIN_DIAMETER``, ``_MAX_DIAMETER``] raises
+    ``OutOfScale``, unless it is within the coordinates' ``resolution``:
+    every robot is then within the merge slack of every other, one
+    location of class M at any scale.
     """
     diameter = config.diameter
-    if diameter and not _MIN_DIAMETER <= diameter <= _MAX_DIAMETER:
+    if not _MIN_DIAMETER <= diameter <= _MAX_DIAMETER and diameter > config.resolution:
         raise OutOfScale(f"diameter {diameter!r} outside [{_MIN_DIAMETER!r}, {_MAX_DIAMETER!r}]")
     locs = config.locations
 

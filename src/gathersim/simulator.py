@@ -10,8 +10,9 @@ Arrivals snap exactly onto their destination so multiplicities stay exact.
 A run is fully determined by (initial configuration, adversary spec,
 parameters): replaying with the same seed reproduces the trace byte for
 byte.  Protocol invariants (no bivalent configuration, the wait-free
-condition, the per-class transition guarantees) are monitored every round
-and break the run with an ``InvariantViolation`` outcome when they fail.
+condition, the per-class transition guarantees) are checked once each per
+round, and break the run with an ``InvariantViolation`` outcome when they
+fail.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import IO, Iterable
 
 from . import configuration as cfg
 from . import gathering, symmetry
-from .configuration import ConfigClass, Configuration
+from .configuration import Configuration
 from .errors import BivalentInitial, InvariantViolation, TooFewRobots
 from .geometry import TAU, Point, _plain_sum, dist
 
@@ -44,6 +45,14 @@ _WEBER_MATCH_REL = 1e-6
 # A robot's local-frame decision must map back within this fraction of the
 # diameter, or within the coordinates' resolution when that is larger.
 _FRAME_MATCH_REL = 1e-9
+# The classes each class may be followed by in the next round; B follows none.
+_MAY_FOLLOW = {
+    cfg.TAG_MULTIPLE: (cfg.TAG_MULTIPLE,),
+    cfg.TAG_L1W: (cfg.TAG_MULTIPLE, cfg.TAG_L1W),
+    cfg.TAG_QREGULAR: (cfg.TAG_MULTIPLE, cfg.TAG_L1W, cfg.TAG_QREGULAR),
+    cfg.TAG_ASYMMETRIC: (cfg.TAG_MULTIPLE, cfg.TAG_L1W, cfg.TAG_QREGULAR, cfg.TAG_ASYMMETRIC),
+    cfg.TAG_L2W: cfg.ALL_TAGS,
+}
 
 
 @dataclass
@@ -372,12 +381,10 @@ def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Ran
     0.0.  ``check_transition`` reads what moved from the round's two
     configurations.  Each actor's frame is translated by up to twice the
     diameter, so frame images keep the configuration's shape at every
-    scale.
+    scale.  A bivalent input raises ``BivalentInput`` from
+    ``gathering.compute``; ``run`` never steps one.
     """
     config = state.config
-    cls = config.cls
-    if cls.tag == cfg.TAG_BIVALENT:
-        raise InvariantViolation(f"round {state.round}: bivalent configuration")
     decisions = gathering.decide(config)
 
     selected = _select_activation(state, adv, params, rng, decisions)
@@ -417,7 +424,7 @@ def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Ran
     ]
     record = TraceRecord(
         round=state.round,
-        cls=cls.tag,
+        cls=config.cls.tag,
         positions=list(config.points),
         crashed=list(crashed),
         activated=actors,
@@ -440,44 +447,47 @@ def check_transition(prev_config: Configuration, next_config: Configuration, del
     before and after, and ``delta`` the movement floor.  The check reads
     only the two configurations and their classes: a robot moved when its
     two points differ (``==`` per float, so -0.0 is 0.0), since a round
-    changes only its actors' points.  Returns a violation description, or
-    None when the transition is allowed.
+    changes only its actors' points.  It is the run's only bivalence test:
+    a B successor is reported first, then a class ``_MAY_FOLLOW`` does not
+    allow, then the class's own target check.  Returns a violation
+    description, or None when the transition is allowed.
     """
     prev = prev_config.cls
     nxt = next_config.cls
-    wtol = _WEBER_MATCH_REL * prev_config.diameter
-
     if nxt.tag == cfg.TAG_BIVALENT:
         return f"{prev.tag} -> B (bivalent reached)"
+    allowed = _MAY_FOLLOW.get(prev.tag)
+    if allowed is None:
+        return f"transition from unexpected class {prev.tag}"
+    if nxt.tag not in allowed:
+        return f"{prev.tag} -> {nxt.tag}"
+    wtol = _WEBER_MATCH_REL * prev_config.diameter
 
     if prev.tag == cfg.TAG_MULTIPLE:
-        if nxt.tag != cfg.TAG_MULTIPLE:
-            return f"M -> {nxt.tag}"
         assert prev.elected is not None and nxt.elected is not None
         if dist(prev.elected, nxt.elected) > wtol:
             return "M -> M with a different elected point"
         return None
 
-    if prev.tag == cfg.TAG_L1W:
-        if nxt.tag not in (cfg.TAG_MULTIPLE, cfg.TAG_L1W):
-            return f"L1W -> {nxt.tag}"
+    if prev.tag in (cfg.TAG_L1W, cfg.TAG_QREGULAR):
         assert prev.weber is not None
-        return _weber_preserved(prev.weber, nxt, next_config, wtol, "L1W")
-
-    if prev.tag == cfg.TAG_QREGULAR:
-        if nxt.tag not in (cfg.TAG_MULTIPLE, cfg.TAG_L1W, cfg.TAG_QREGULAR):
-            return f"QR -> {nxt.tag}"
-        assert prev.weber is not None
-        if nxt.tag == cfg.TAG_QREGULAR:
+        if nxt.tag in (cfg.TAG_L1W, cfg.TAG_QREGULAR):
             assert nxt.weber is not None
-            if dist(prev.weber, nxt.weber) > wtol:
+            if dist(prev.weber, nxt.weber) <= wtol:
+                return None
+            if nxt.tag == cfg.TAG_QREGULAR:
                 return "QR -> QR with a moved center"
+            return f"{prev.tag} -> L1W with a moved Weber point"
+        if next_config.is_linear:
+            lo, hi = cfg.median_interval(next_config)
+            if dist(lo, prev.weber) > wtol or dist(hi, prev.weber) > wtol:
+                return f"{prev.tag} -> M with a moved or split median"
             return None
-        return _weber_preserved(prev.weber, nxt, next_config, wtol, "QR")
+        if dist(symmetry.weber_numeric(next_config), prev.weber) > wtol:
+            return f"{prev.tag} -> M with a moved Weber point"
+        return None
 
     if prev.tag == cfg.TAG_ASYMMETRIC:
-        if nxt.tag == cfg.TAG_L2W:
-            return "A -> L2W"
         if nxt.tag == cfg.TAG_ASYMMETRIC and prev_config.points != next_config.points:
             p_prev = gathering.potential(prev_config)
             p_next = gathering.potential(next_config)
@@ -489,35 +499,14 @@ def check_transition(prev_config: Configuration, next_config: Configuration, del
             return "A -> A without potential progress"
         return None
 
-    if prev.tag == cfg.TAG_L2W:
-        if nxt.tag != cfg.TAG_L2W:
-            return None
-        assert prev.endpoints is not None
-        lo, hi = prev.endpoints
-        slack = prev_config.merge_slack
-        for p, q in zip(prev_config.points, next_config.points):
-            if p != q and (dist(p, lo) <= slack or dist(p, hi) <= slack):
-                return "L2W -> L2W although an endpoint robot moved"
+    if nxt.tag != cfg.TAG_L2W:
         return None
-
-    return f"transition from unexpected class {prev.tag}"
-
-
-def _weber_preserved(
-    prev_weber: Point, nxt: ConfigClass, next_config: Configuration, wtol: float, label: str
-) -> str | None:
-    if nxt.tag == cfg.TAG_L1W:
-        assert nxt.weber is not None
-        if dist(prev_weber, nxt.weber) > wtol:
-            return f"{label} -> L1W with a moved Weber point"
-        return None
-    if next_config.is_linear:
-        lo, hi = cfg.median_interval(next_config)
-        if dist(lo, prev_weber) > wtol or dist(hi, prev_weber) > wtol:
-            return f"{label} -> M with a moved or split median"
-        return None
-    if dist(symmetry.weber_numeric(next_config), prev_weber) > wtol:
-        return f"{label} -> M with a moved Weber point"
+    assert prev.endpoints is not None
+    lo, hi = prev.endpoints
+    slack = prev_config.merge_slack
+    for p, q in zip(prev_config.points, next_config.points):
+        if p != q and (dist(p, lo) <= slack or dist(p, hi) <= slack):
+            return "L2W -> L2W although an endpoint robot moved"
     return None
 
 
@@ -540,9 +529,11 @@ def _validate_crashes(n: int, adv: AdversarySpec) -> int:
 def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunResult:
     """Iterate rounds until gathered, the round limit, or a broken invariant.
 
-    Wait-freedom lets at most one location stay in a round that does not
-    gather: the check counts the locations whose robots' decision
-    (``gathering.decide``) is Stay, the complement of ``moving_set``.
+    Each round invariant is checked once.  ``check_transition`` alone tests
+    for bivalence, from round 1 on; a bivalent start raises
+    ``BivalentInitial``.  Wait-freedom lets at most one location stay in a
+    round that does not gather: every location outside ``moving_set``
+    stays.
     """
     n = initial.n
     if n < 3:
@@ -560,8 +551,6 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
     while True:
         config = state.config
         try:
-            if config.cls.tag == cfg.TAG_BIVALENT:
-                raise InvariantViolation(f"round {state.round}: bivalent configuration reached")
             if prev is not None:
                 violation = check_transition(prev, config, params.delta)
                 checks += 1
@@ -572,17 +561,13 @@ def run(initial: Configuration, adv: AdversarySpec, params: SimParams) -> RunRes
             gathered = cfg.is_gathered(config, live, moving)
             if records:
                 records[-1].gathered = gathered
-            if not gathered:
-                decisions = gathering.decide(config)
-                stationary = sum(decisions[loc.indices[0]].rule == gathering.RULE_STAY for loc in config.locations)
-                if stationary > 1:
-                    raise InvariantViolation(f"round {state.round}: {stationary} stationary locations (wait-freedom)")
-            if gathered:
-                records.append(_terminal_record(state, True))
-                return RunResult(OUTCOME_GATHERED, state.round, records, None, crashes, params.seed, checks)
-            if state.round >= params.max_rounds:
-                records.append(_terminal_record(state, False))
-                return RunResult(OUTCOME_MAX_ROUNDS, state.round, records, None, crashes, params.seed, checks)
+            stationary = len(config.locations) - len(moving)
+            if not gathered and stationary > 1:
+                raise InvariantViolation(f"round {state.round}: {stationary} stationary locations (wait-freedom)")
+            if gathered or state.round >= params.max_rounds:
+                records.append(_terminal_record(state, gathered))
+                outcome = OUTCOME_GATHERED if gathered else OUTCOME_MAX_ROUNDS
+                return RunResult(outcome, state.round, records, None, crashes, params.seed, checks)
 
             state, record = step(state, adv, params, rng)
             records.append(record)

@@ -446,6 +446,20 @@ def test_classes_are_scale_free_over_the_diameter_range():
     assert classify(Configuration([(1e-300, 0)] * 3)).tag == TAG_MULTIPLE
 
 
+def test_stack_split_below_the_resolution_is_one_location():
+    # robots on two points a few ulps apart near 1e-80: the diameter is far
+    # below the range, yet within the coordinates' resolution, so every
+    # robot is within the merge slack of every other and the stack is one
+    # class-M location, not out of scale
+    x = 1e-80
+    y = math.nextafter(math.nextafter(math.nextafter(x, 1.0), 1.0), 1.0)
+    config = Configuration([(x, -x)] * 3 + [(y, -x)] * 3)
+    assert 0.0 < config.diameter < configuration._MIN_DIAMETER
+    assert config.diameter <= config.resolution
+    assert len(config.locations) == 1
+    assert classify(config).tag == TAG_MULTIPLE
+
+
 def test_scale_probes_beyond_the_range_raise_a_typed_error():
     # each of these once changed class or raised a bare ZeroDivisionError
     kite = [(x, y) for x, y in _KITE.points]

@@ -25,7 +25,7 @@ from gathersim.configuration import (
     TAG_MULTIPLE,
     TAG_QREGULAR,
 )
-from gathersim.errors import BivalentInitial, TooFewRobots
+from gathersim.errors import BivalentInitial, BivalentInput, TooFewRobots
 from gathersim.generators import (
     collinear_configuration,
     construct_quasi_regular,
@@ -471,6 +471,31 @@ def test_run_refuses_two_stationary_locations(monkeypatch, staying):
     assert result.detail == f"round 0: {staying} stationary locations (wait-freedom)"
 
 
+def test_bivalent_round_is_reported_by_the_transition_check(monkeypatch):
+    # step is never handed a bivalent configuration by run; called directly
+    # on one, the destination rule refuses it
+    bivalent = Configuration([(0, 0), (0, 0), (1, 0), (1, 0)])
+    with pytest.raises(BivalentInput):
+        step(fresh_state(bivalent), AdversarySpec(), SimParams(delta=0.1), random.Random(1))
+
+    # robots 0-1 head for robot 0's point and robots 2-3 for robot 2's, read
+    # from the snapshot so every frame agrees: round 0 ends on two stacks of
+    # two, and round 1's transition check is the one that reports it
+    config = Configuration([(0, 0), (3, 0), (1, 2), (4, 3)])
+    compute = gathering.compute
+
+    def split(snapshot, i, *args):
+        decision = compute(snapshot, i, *args)
+        return gathering.ComputeDecision(snapshot.points[0 if i < 2 else 2], decision.rule)
+
+    monkeypatch.setattr(gathering, "compute", split)
+    result = run(config, AdversarySpec(), SimParams(delta=0.05))
+    assert result.outcome == OUTCOME_VIOLATION
+    assert result.detail == f"round 1: {config.cls.tag} -> B (bivalent reached)"
+    assert result.transition_checks == 1
+    assert result.records[-1].cls == TAG_BIVALENT
+
+
 _SCALE_STARTS = [
     lambda rng: uniform_configuration(rng, 5),
     symmetric_configuration,
@@ -500,6 +525,18 @@ def test_runs_gather_at_every_scale(scale):
             for adv in _SCALE_ADVERSARIES:
                 result = run(config, adv, SimParams(delta=config.diameter / 20, seed=seed, max_rounds=2000))
                 assert result.outcome == OUTCOME_GATHERED, (seed, make, adv, result.detail)
+
+
+@pytest.mark.parametrize("scale, seed", [(1e-80, 6), (1e-85, 3), (1e-85, 6)])
+def test_split_stack_below_the_range_gathers(scale, seed):
+    """A symmetric start near the low end of the range reaches a stack split
+    by a few ulps of its coordinates, a diameter far below 1e-90 yet within
+    their resolution: one class-M location, so the run gathers."""
+    start = symmetric_configuration(random.Random(seed))
+    config = Configuration([Point(x * scale, y * scale) for x, y in start.points], start.tol)
+    adv = AdversarySpec(activation="random", stop_policy="minimal")
+    result = run(config, adv, SimParams(delta=config.diameter / 20, seed=seed, max_rounds=2000))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
 
 
 # --- rounds that move no robot -------------------------------------------------------
