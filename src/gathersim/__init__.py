@@ -14,7 +14,6 @@ from .configuration import (
     is_gathered,
     median_interval,
     safe_points,
-    weber_point,
 )
 from .gathering import ComputeDecision, PotentialValue, compute, moving_set, potential
 from .geometry import Point, Tolerance
@@ -60,7 +59,6 @@ __all__ = [
     "symmetricity",
     "view",
     "weber_numeric",
-    "weber_point",
 ]
 
 __version__ = "0.1.0"

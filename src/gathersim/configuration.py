@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from . import geometry, symmetry
-from .errors import AsymmetryViolated, ClassWithoutUniqueWeber, NotLinear, OutOfScale
+from .errors import AsymmetryViolated, NotLinear, OutOfScale
 from .geometry import Point, Tolerance, _cached, _plain_sum, dist
 
 TAG_BIVALENT = "B"
@@ -86,13 +86,6 @@ class ConfigClass:
     midpoint: Point | None = None         # L2W: midpoint of the endpoints
 
 
-def weber_point(config: Configuration, cls: ConfigClass) -> Point:
-    """The unique Weber point for classes that pin one down (L1W and QR)."""
-    if cls.tag in (TAG_L1W, TAG_QREGULAR) and cls.weber is not None:
-        return cls.weber
-    raise ClassWithoutUniqueWeber(f"class {cls.tag} does not define a unique Weber point")
-
-
 class Configuration:
     """Indexed multiset of robot positions with tolerance-aware multiplicities.
 
@@ -141,10 +134,12 @@ class Configuration:
         return stacks, sorted(stacks)
 
     @_cached
-    def _farthest(self) -> tuple[float, list[tuple[Point, Point]]]:
-        """The diameter and the pairs of distinct points at it, from
-        ``_farthest_pairs``."""
-        return _farthest_pairs(self._distinct[1])
+    def _farthest(self) -> tuple[float, int, int]:
+        """The diameter, from ``_farthest_pairs``, and the robots i <= j of
+        ``farthest_pair``, from ``_first_pair`` over the pairs at it."""
+        stacks, pts = self._distinct
+        diameter, pairs = _farthest_pairs(pts)
+        return (diameter, *_first_pair(pairs, stacks))
 
     @_cached
     def _lower_sums(self) -> list[tuple[float, float, float]]:
@@ -386,13 +381,10 @@ class Configuration:
 
         Every robot at a point has that point's distances, so it is the
         first (lowest robot, partner's lowest robot) over the pairs of
-        points at the diameter.  A single location gives robot 0 twice.
+        points at the diameter, from ``_farthest``.  A single location
+        gives robot 0 twice.
         """
-        diameter, pairs = self._farthest
-        if diameter == 0.0:
-            return self.points[0], self.points[0]
-        stacks = self._distinct[0]
-        i, j = min(sorted((stacks[p][0], stacks[q][0])) for p, q in pairs)
+        _, i, j = self._farthest
         return self.points[i], self.points[j]
 
     @_cached
@@ -474,11 +466,13 @@ class Configuration:
     @_cached
     def is_linear(self) -> bool:
         """Whether every robot is within ``eps_len`` times the diameter of the
-        line through the cached farthest pair (``geometry.within_line``)."""
+        line through the cached farthest pair (``geometry.within_line``),
+        tested once per distinct point: the robots on one point have its
+        offset, up to the sign of a zero."""
         if self.n <= 2:
             return True
         a, b = self.farthest_pair
-        return geometry.within_line(self.points, a, b, self.diameter, self.tol)
+        return geometry.within_line(self._distinct[1], a, b, self.diameter, self.tol)
 
     @_cached
     def linear_endpoints(self) -> tuple[Point, Point]:
@@ -488,27 +482,20 @@ class Configuration:
         location order, at the largest distance between two locations.  One
         location gives its point twice.
 
-        When no two distinct points merged, each location's point is the
-        very key of its distinct point, so the occupied points in (x, y)
-        order are ``_distinct``'s list and their pairs are the cached
-        ``_farthest`` ones; only a merge makes a second ``_farthest_pairs``
-        over the occupied points.
+        Locations are ordered by their lowest robot, at its point, so this
+        is ``_first_pair`` over the pairs of occupied points at their
+        largest distance.  When no two distinct points merged, each location
+        is one distinct point and this is ``farthest_pair``; only a merge
+        makes a second ``_farthest_pairs`` over the occupied points.
         """
         if not self.is_linear:
             raise NotLinear("endpoints of a non-linear configuration")
-        occupied = self.occupied_points()
-        distinct = self._distinct[1]
-        if len(occupied) == len(distinct):
-            pairs = self._farthest[1]
+        if len(self.locations) == len(self._distinct[1]):
+            a, b = self.farthest_pair
         else:
-            points = set(occupied)
-            _, pairs = _farthest_pairs([p for p in distinct if p in points])
-        if not pairs:
-            return occupied[0], occupied[0]
-        a, b = pairs[0]
-        if len(pairs) > 1:
-            rank = {p: k for k, p in enumerate(occupied)}
-            a, b = min(pairs, key=lambda pair: sorted((rank[pair[0]], rank[pair[1]])))
+            lows = {loc.location: loc.indices for loc in self.locations}
+            i, j = _first_pair(_farthest_pairs(sorted(lows))[1], lows)
+            a, b = self.points[i], self.points[j]
         return (a, b) if a <= b else (b, a)
 
     @_cached
@@ -553,6 +540,19 @@ def _convexity_pull(total: float, above: float, gap: float, base: int, n: int) -
     return q - 2e-15 * abs(q) + base - (n + 8) * n * 1e-15
 
 
+def _first_pair(pairs: Iterable[tuple[Point, Point]], robots: dict[Point, list[int]]) -> tuple[int, int]:
+    """The least (i, j), i <= j, over the pairs of points (p, q), with i and
+    j the lowest robots at p and q, ``robots[p][0]`` and ``robots[q][0]``;
+    (0, 0) when there is no pair, as for a single point."""
+    best = None
+    for p, q in pairs:
+        i, j = robots[p][0], robots[q][0]
+        pair = (i, j) if i < j else (j, i)
+        if best is None or pair < best:
+            best = pair
+    return best or (0, 0)
+
+
 def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
     """The largest ``hypot(px - x, py - y)`` between two of the distinct
     points pts, given in (x, y) order, and every pair at it.  No pair of a
@@ -568,9 +568,8 @@ def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]
     way the maximum is the same double and the pairs at it are the same
     set; without the hull they come in another order and orientation,
     which no reader depends on: ``hypot`` ignores signs, and
-    ``farthest_pair`` and ``linear_endpoints`` take a minimum over them.
-    With the hull the windows give the pairs in the order of the loop over
-    every pair of candidates.
+    ``_first_pair`` takes a minimum over them.  With the hull the windows
+    give the pairs in the order of the loop over every pair of candidates.
 
     The crossovers, timed as whole calls forced to each side on a shared
     2-core x86-64 host, best of 7, in us under CPython 3.11.7 / 3.12.1 /

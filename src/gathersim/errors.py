@@ -33,10 +33,6 @@ class WrongClass(GatherError, ValueError):
     """Operation invoked for a configuration class it is not defined on."""
 
 
-class ClassWithoutUniqueWeber(GatherError, ValueError):
-    """Weber point requested for a class that does not pin one down."""
-
-
 class BivalentInput(GatherError, ValueError):
     """The protocol defines no move for bivalent configurations."""
 

@@ -37,8 +37,8 @@ class Tolerance:
     eps_angle: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.eps_len < 0 or self.eps_angle < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0.0 <= eps < math.inf for eps in (self.eps_len, self.eps_angle)):
+            raise ValueError("tolerances must be finite and nonnegative")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -122,23 +122,24 @@ def rotate_cw(p: Point, c: Point, theta: float) -> Point:
     return Point(c[0] + dx * ct + dy * st, c[1] - dx * st + dy * ct)
 
 
-def _point_line_offset(p: Point, u: Point, v: Point) -> float:
-    """Distance from p to the line through u and v (|u,v| must be > 0)."""
+def _point_line_offset(p: Point, u: Point, v: Point, d_uv: float) -> float:
+    """Distance from p to the line through u and v, given d_uv = |u,v| > 0."""
     cross = (v[0] - u[0]) * (p[1] - u[1]) - (v[1] - u[1]) * (p[0] - u[0])
-    return abs(cross) / dist(u, v)
+    return abs(cross) / d_uv
 
 
 def on_open_segment(p: Point, u: Point, v: Point, tol: Tolerance | None = None) -> bool:
     """True iff p lies strictly between u and v, within tolerance."""
     tol = tol or DEFAULT_TOLERANCE
     d_uv = dist(u, v)
-    scale = max(d_uv, dist(p, u), dist(p, v))
-    slack = tol.eps_len * scale
+    d_pu = dist(p, u)
+    d_pv = dist(p, v)
+    slack = tol.eps_len * max(d_uv, d_pu, d_pv)
     if d_uv <= slack:
         return False
-    if dist(p, u) <= slack or dist(p, v) <= slack:
+    if d_pu <= slack or d_pv <= slack:
         return False
-    if _point_line_offset(p, u, v) > slack:
+    if _point_line_offset(p, u, v, d_uv) > slack:
         return False
     t = ((p[0] - u[0]) * (v[0] - u[0]) + (p[1] - u[1]) * (v[1] - u[1])) / (d_uv * d_uv)
     return 0.0 < t < 1.0
@@ -148,13 +149,14 @@ def within_line(points: Iterable[Point], a: Point, b: Point, diameter: float, to
     """True iff every point is within tolerance of the line through a and b.
 
     ``a`` and ``b`` are the farthest pair of the points and ``diameter`` is
-    their distance; a zero diameter (one location) counts as collinear.
+    their distance, the line's length each offset divides by; a zero
+    diameter (one location) counts as collinear.
     """
     tol = tol or DEFAULT_TOLERANCE
     if diameter == 0.0:
         return True
     slack = tol.eps_len * diameter
-    return all(_point_line_offset(p, a, b) <= slack for p in points)
+    return all(_point_line_offset(p, a, b, diameter) <= slack for p in points)
 
 
 # --- cell tree -------------------------------------------------------------------

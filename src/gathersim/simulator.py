@@ -63,8 +63,8 @@ class SimParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and positive")
         if self.fairness_bound < 1:
             raise ValueError("fairness_bound must be at least 1")
         if self.max_rounds < 1:
@@ -83,6 +83,8 @@ class AdversarySpec:
             raise ValueError(f"unknown activation policy {self.activation!r}")
         if self.stop_policy not in STOP_POLICIES:
             raise ValueError(f"unknown stop policy {self.stop_policy!r}")
+        if not 0.0 <= self.activation_prob <= 1.0:
+            raise ValueError("activation_prob must lie in [0, 1]")
         self.crash_schedule = tuple((int(r), int(i)) for r, i in self.crash_schedule)
 
 

@@ -28,7 +28,7 @@ def on_half_line(p: Point, origin: Point, through: Point, tol: Tolerance | None 
         return False
     if dist(p, origin) <= slack:
         return False
-    if _point_line_offset(p, origin, through) > slack:
+    if _point_line_offset(p, origin, through, d_ot) > slack:
         return False
     dot = (p[0] - origin[0]) * (through[0] - origin[0]) + (p[1] - origin[1]) * (through[1] - origin[1])
     return dot > 0.0

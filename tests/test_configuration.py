@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from gathersim import (
     safe_points,
     symmetry,
 )
-from gathersim import configuration
+from gathersim import configuration, geometry
 from gathersim.configuration import (
     TAG_ASYMMETRIC,
     TAG_BIVALENT,
@@ -33,6 +34,7 @@ from gathersim.configuration import (
 )
 from gathersim.errors import AsymmetryViolated, GatherError, NotLinear, OutOfScale
 from gathersim.generators import (
+    bivalent_configuration,
     collinear_configuration,
     construct_quasi_regular,
     multiplicity_configuration,
@@ -797,6 +799,67 @@ def test_table_farthest_pair_keeps_tie_break():
         a, b, diameter = farthest_pair(points)
         assert config.farthest_pair == (a, b) and config.diameter == diameter
         assert config.is_linear == collinear(points, config.tol)
+
+
+def test_linearity_divides_by_the_diameter_once_per_point(monkeypatch):
+    # the line's length is the cached diameter, and robots stacked on one
+    # point share its offset, so each distinct point is tested once
+    points = [Point(t, 2.0 * t - 1.0) for t in (0.0, 0.25, 0.5, 1.0) for _ in range(3)]
+    config = Configuration(points)
+    assert config.diameter == math.hypot(1.0, 2.0)
+    hypot, offset = math.hypot, geometry._point_line_offset
+    calls = Counter()
+    monkeypatch.setattr(math, "hypot", lambda *args: calls.update(["hypot"]) or hypot(*args))
+    monkeypatch.setattr(geometry, "_point_line_offset", lambda *args: calls.update(["offset"]) or offset(*args))
+    assert config.is_linear
+    assert calls == {"offset": 4}
+
+
+@st.composite
+def _rescaled_configurations(draw):
+    """A configuration of 2 to 160 robots, uniform in a square, on an
+    ellipse or from one of the generator families, optionally translated
+    onto a robot with signed-zero copies of it, then scaled by a power of
+    ten from 1e-80 to 1e80."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 160))
+    family = draw(st.sampled_from(("plain", "ring", "uniform", "collinear", "multiplicity", "bivalent", "symmetric", "qr")))
+    if family == "plain":
+        config = Configuration([Point(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(n)])
+    elif family == "ring":
+        a, b = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        config = Configuration([Point(a * math.cos(t), b * math.sin(t)) for t in (rng.uniform(0, TAU) for _ in range(n))])
+    elif family == "uniform":
+        config = uniform_configuration(rng, max(n, 3))
+    elif family == "collinear":
+        config = collinear_configuration(rng, n)
+    elif family == "multiplicity":
+        config = multiplicity_configuration(rng, n)
+    elif family == "bivalent":
+        config = bivalent_configuration(rng, n + n % 2)
+    elif family == "symmetric":
+        k = rng.randint(2, 79)
+        config = symmetric_configuration(rng, k=k, orbits=rng.randint(1, min(4, 79 // k)))
+    else:
+        config = construct_quasi_regular(rng, m=rng.randint(2, 32)).config
+    pts = list(config.points)
+    if draw(st.booleans()):
+        ox, oy = pts[draw(st.integers(0, len(pts) - 1))]
+        pts = [Point(x - ox, y - oy) for x, y in pts]
+        pts += [Point(-0.0, 0.0), Point(0.0, -0.0), Point(-0.0, -0.0)]
+        rng.shuffle(pts)
+    scale = 10.0 ** draw(st.integers(-80, 80))
+    return Configuration([Point(x * scale, y * scale) for x, y in pts])
+
+
+@pytest.mark.parametrize("all_pairs_up_to, opposite_from", [(0, 0), (configuration._ALL_PAIRS_UP_TO, configuration._OPPOSITE_FROM)])
+@given(config=_rescaled_configurations())
+@settings(max_examples=150, deadline=None)
+def test_farthest_pair_length_is_the_diameter(all_pairs_up_to, opposite_from, config):
+    # within_line divides by the diameter as the length of the farthest
+    # pair's line: the two must be one double on every diameter path
+    with mock.patch.multiple(configuration, _ALL_PAIRS_UP_TO=all_pairs_up_to, _OPPOSITE_FROM=opposite_from):
+        assert dist(*config.farthest_pair).hex() == config.diameter.hex()
 
 
 def _near_collinear_inputs():

@@ -84,6 +84,14 @@ def test_angle_cw_reflection_chirality(u, c, v):
     assert mirror == pytest.approx((TAU - theta) % TAU, abs=1e-9)
 
 
+def test_tolerances_must_be_finite_and_nonnegative():
+    # a NaN slack makes every coincidence test false, so no run could gather
+    for bad in ({"eps_len": math.nan}, {"eps_angle": math.inf}, {"eps_len": -1e-9}, {"eps_angle": math.nan}):
+        with pytest.raises(ValueError, match="tolerances must be finite and nonnegative"):
+            Tolerance(**bad)
+    assert Tolerance(0.0, 0.0) == Tolerance(eps_len=0.0, eps_angle=0.0)
+
+
 def test_on_open_segment_examples():
     tol = Tolerance()
     assert on_open_segment(Point(1, 0), Point(0, 0), Point(2, 0), tol)

@@ -171,6 +171,21 @@ def test_run_validates_crash_budget():
         )
 
 
+def test_sim_params_need_a_finite_positive_delta():
+    for delta in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            SimParams(delta=delta)
+    assert SimParams(delta=0.2).delta == 0.2
+
+
+def test_adversary_spec_needs_a_probability():
+    for prob in (math.nan, 2.0, -0.1, math.inf):
+        with pytest.raises(ValueError, match=r"activation_prob must lie in \[0, 1\]"):
+            AdversarySpec(activation="random", activation_prob=prob)
+    for prob in (0.0, 0.2, 0.5, 1.0):
+        assert AdversarySpec(activation="random", activation_prob=prob).activation_prob == prob
+
+
 def test_crash_freeze_and_visibility():
     rng = random.Random(42)
     config = uniform_configuration(rng, 5)

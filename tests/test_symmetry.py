@@ -23,10 +23,8 @@ from gathersim import (
     symmetry,
     view,
     weber_numeric,
-    weber_point,
 )
 from gathersim.configuration import (
-    ConfigClass,
     TAG_ASYMMETRIC,
     TAG_MULTIPLE,
     TAG_QREGULAR,
@@ -35,7 +33,6 @@ from gathersim.configuration import (
 )
 from gathersim.errors import (
     AllAtCenter,
-    ClassWithoutUniqueWeber,
     DegenerateCenter,
     LinearInput,
     NotOccupied,
@@ -774,16 +771,13 @@ def test_cqr_equals_weber():
 
 def test_weber_point_by_class():
     line = Configuration([(0, 0), (1, 0), (2, 0)])
-    assert weber_point(line, classify(line)) == Point(1, 0)
-    assert weber_point(SQUARE, classify(SQUARE)) == pytest.approx((0, 0), abs=1e-9)
+    assert classify(line).weber == Point(1, 0)
+    assert classify(SQUARE).weber == pytest.approx((0, 0), abs=1e-9)
     # quasi-regular around an occupied center; the partition tags this M
-    # (strict multiplicity maximum), so build the QR detail directly
+    # (strict multiplicity maximum), so the detection itself gives the center
     qr = Configuration([(0, 0), (0, 0), (1, 0), (0, -1)])
-    detected = detect_quasi_regular(qr)
-    cls = ConfigClass("QR", weber=detected.center, qreg=detected.m)
-    assert dist(weber_point(qr, cls), weber_numeric(qr)) <= 1e-6
-    with pytest.raises(ClassWithoutUniqueWeber):
-        weber_point(line, ConfigClass(TAG_MULTIPLE, elected=Point(0, 0)))
+    assert classify(qr).tag == TAG_MULTIPLE
+    assert dist(detect_quasi_regular(qr).center, weber_numeric(qr)) <= 1e-6
 
 
 # --- Weber search against the reference ------------------------------------------------
