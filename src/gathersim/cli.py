@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", help="configuration file (JSON or CSV)")
     src.add_argument("--n", type=int, help="generate n random robots instead of reading a file")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--delta", type=float, default=None, help="movement floor (default: diameter/100)")
+    sim.add_argument("--delta", type=float, default=None, help="movement floor (default: max(diameter, 1e-6)/100)")
     sim.add_argument("--eps", type=float, default=1e-9, help="length and angle tolerance")
     sim.add_argument("--max-rounds", type=int, default=100_000)
     sim.add_argument("--fairness-bound", type=int, default=8)
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a batch of simulations from a spec file")
     swp.add_argument("spec")
     swp.add_argument("--out", help="CSV output path (default: stdout)")
-    swp.add_argument("--jobs", type=int, default=1)
+    swp.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per run (default: 1)")
     return parser
 
 
@@ -247,6 +247,8 @@ def _run_sweep_entry(item: tuple[int, dict]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     entries = _sweep_entries(spec)
@@ -256,8 +258,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for entry in entries:
         _check_crash_count(int(entry["n"]), int(entry["crashes"]))
     items = list(enumerate(entries))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the executor forks every worker at its first submit, so never more
+    # than there are runs
+    workers = min(args.jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_entry, items))
     else:
         rows = [_run_sweep_entry(item) for item in items]

@@ -24,12 +24,13 @@ import sys
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, compress, islice, starmap
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import geometry, symmetry
 from .errors import AsymmetryViolated, NotLinear, OutOfScale
-from .geometry import Point, Tolerance, _cached, _plain_sum, dist
+from .geometry import TAU, Point, Tolerance, _cached, _plain_sum, dist
 
 TAG_BIVALENT = "B"
 TAG_MULTIPLE = "M"
@@ -52,10 +53,10 @@ _LEAF_SIZE = 8
 _TREE_FROM = 64
 # Distinct points up to which ``_farthest_pairs`` measures every pair of
 # them, without the hull.
-_ALL_PAIRS_UP_TO = 20
+_ALL_PAIRS_UP_TO = 28
 # Hull candidates above which ``_farthest_pairs`` measures only
 # near-opposite pairs.
-_OPPOSITE_FROM = 32
+_OPPOSITE_FROM = 36
 # Diameters outside this range, unless within the coordinates' resolution,
 # are refused by ``classify``.  Over 243 inputs of every class, 2 to 160
 # robots, each scaled by exact powers of two, every class held from
@@ -558,43 +559,79 @@ def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]
     points pts, given in (x, y) order, and every pair at it.  No pair of a
     single point gives 0.0 and no pairs.
 
-    This is the one place that decides which pairs are measured, and one
-    loop measures them all: point k against its partners l > k, in
-    ascending order.  Up to ``_ALL_PAIRS_UP_TO`` points every pair of them
-    is measured; above, only pairs of their ``_hull_candidates``, which
-    hold every pair at the maximum (see there).  Above ``_OPPOSITE_FROM``
-    candidates each one meets only the partners in its window of
-    ``_partner_windows``, which hold every pair at the maximum too.  Either
-    way the maximum is the same double and the pairs at it are the same
-    set; without the hull they come in another order and orientation,
-    which no reader depends on: ``hypot`` ignores signs, and
-    ``_first_pair`` takes a minimum over them.  With the hull the windows
-    give the pairs in the order of the loop over every pair of candidates.
+    This is the one place that decides which pairs are measured.  Up to
+    ``_ALL_PAIRS_UP_TO`` points every pair of them is measured; above, only
+    pairs of their ``_hull_candidates``, which hold every pair at the
+    maximum (see there).  Above ``_OPPOSITE_FROM`` candidates each one
+    meets only the partners in its window of ``_partner_windows``, which
+    hold every pair at the maximum too, in one loop: point k against its
+    partners l > k, in ascending order.  Either way the maximum is the same
+    double and the pairs at it are the same set; without the hull they come
+    in another order and orientation, which no reader depends on: ``hypot``
+    ignores signs, and ``_first_pair`` takes a minimum over them.  The
+    windows give the pairs in the order of the scan over every pair of
+    candidates.
+
+    Every other case measures all its pairs in one scan at C level:
+    ``math.dist`` over ``itertools.combinations``, which yields (pts[k],
+    pts[l]) for k < l in the loop's order, then ``max`` and, for the pairs
+    at the maximum, ``list.index`` into the distances and the pair at that
+    position.  ``math.dist(p, q)`` is ``hypot(px - qx, py - qy)`` bit for
+    bit: CPython's ``dist`` takes the same two float differences and hands
+    their absolute values to the vector norm that ``hypot`` runs on the
+    absolute values of its arguments (``test_dist_has_hypot_bits`` checks
+    it on signed zeros, subnormals and overflowing differences).  The
+    points are finite and distinct, so no distance is NaN or 0.0, and
+    ``max`` gives the loop's maximum; the lookup gives the loop's pairs at
+    it, in the loop's order.
 
     The crossovers, timed as whole calls forced to each side on a shared
     2-core x86-64 host, best of 7, in us under CPython 3.11.7 / 3.12.1 /
-    3.13.0:
+    3.13.0 (points uniform in a square, at random angles on a circle or a
+    1 x 0.9 ellipse, or a regular polygon):
 
-    * every pair against the hull, points uniform in a square: 18.3 / 22.0
-      / 22.3 against 20.2 / 25.5 / 25.0 at 20 points, 25.1 / 29.8 / 30.3
-      against 22.6 / 28.8 / 28.3 at 24.  On a circle every point is a
-      candidate, and every pair wins up to 32 points and more.
-    * the loop over every pair of candidates against the windows, on
-      regular polygons, hull included: 65.0 / 78.8 / 78.8 against 72.9 /
-      83.0 / 77.2 at 32 candidates, 94.0 / 111.8 / 112.5 against 91.0 /
-      102.2 / 96.7 at 40, and 1106 / 1251 / 1267 against 348 / 397 / 377
-      at 160.  Ellipses give the same picture.  At 36 the windows win
-      under 3.12 and 3.13, not under 3.11 (79.8 against 82.8).
+    ==============  ===  ===================  ===================
+    every pair        n  scan                 hull, then its pairs
+    ==============  ===  ===================  ===================
+    square           24  25.0 / 28.4 / 28.8   27.9 / 34.1 / 33.5
+    square           28  32.1 / 37.8 / 38.3   32.4 / 39.3 / 38.5
+    square           32  45.7 / 53.8 / 54.8   37.0 / 45.3 / 44.9
+    circle           48  95.3 / 116 / 119     145 / 177 / 175
+    ==============  ===  ===================  ===================
+
+    ==============  ===  ===================  ===================
+    candidates        h  scan                 windows
+    ==============  ===  ===================  ===================
+    polygon          36  58.0 / 70.0 / 72.2   79.5 / 82.2 / 75.2
+    polygon          38  72.0 / 92.3 / 93.8   79.9 / 85.7 / 78.0
+    circle           56  140 / 168 / 173      169 / 177 / 170
+    ellipse          56  122 / 145 / 151      115 / 122 / 111
+    ==============  ===  ===================  ===================
+
+    Every pair wins on every shape up to 28 points (the square, whose hull
+    keeps about 8 candidates, is the first to flip), and on a circle or an
+    ellipse, where every point is a candidate, past 48.  On candidates the
+    scan wins on every shape up to 36; the polygon, whose antipodal pairs
+    tie, flips to the windows at 38 under 3.12 and 3.13.
     """
     if len(pts) > _ALL_PAIRS_UP_TO:
         pts = _hull_candidates(pts)
-    windows = _partner_windows(pts) if len(pts) > _OPPOSITE_FROM else None
+    if len(pts) <= _OPPOSITE_FROM:
+        ds = [*starmap(math.dist, combinations(pts, 2))]
+        best = max(ds, default=0.0)
+        pairs: list[tuple[Point, Point]] = []
+        k = -1
+        for _ in range(ds.count(best)):
+            k = ds.index(best, k + 1)
+            pairs.append(next(islice(combinations(pts, 2), k, None)))
+        return best, pairs
+    windows = _partner_windows(pts)
     hypot = math.hypot
     best = 0.0
-    pairs: list[tuple[Point, Point]] = []
+    pairs = []
     for k, p in enumerate(pts):
         px, py = p
-        for q in pts[k + 1:] if windows is None else windows[k]:
+        for q in windows[k]:
             d = hypot(px - q.x, py - q.y)
             if d >= best:
                 if d > best:
@@ -786,17 +823,40 @@ def safe_points(config: Configuration) -> list[Point]:
 
 
 def _is_safe(config: Configuration, k: int) -> bool:
-    """Whether the k-th occupied location is a safe point.
+    """Whether the k-th occupied location is a safe point: no ray from it
+    holds more than ceil(n/2) - 1 robots.
 
-    The rays are ``symmetry._ray_clusters`` over ``Rays.of`` the location at
-    ``eps_angle``: single-link chains of the sorted ``atan2 % TAU``
-    directions of the robots beyond the merge slack, each gap tested with
-    ``<= eps_angle``, and the first and last chains merged when the gap
-    across direction zero passes the same test.
+    The rays are those of ``symmetry._ray_clusters`` over ``Rays.of`` the
+    location at ``eps_angle``: single-link chains of the sorted ``atan2 %
+    TAU`` directions of the robots beyond the merge slack, each gap tested
+    with ``<= eps_angle``, and the first and last chains merged when there
+    are two or more and the gap across direction zero passes the same test.
+    Only the longest chain's robot count is read, so the chains are found
+    from the sorted directions alone, at C level: the gaps between
+    neighbours, the same ``b - a`` doubles ``circular_clusters`` tests, and
+    the positions where a gap exceeds the slack, which are exactly where it
+    starts a new chain (no direction is NaN, so ``slack < gap`` is ``not gap
+    <= slack``).  Between two breaks lies one chain; the first chain ends at
+    the first break and the last starts after the last one, and they merge
+    by the same wrap test, ``(first + TAU) - last <= slack``.  A direction
+    sequence sorts to the same values whatever the order of equal ones, so
+    every chain has the robot count of its cluster and the maximum is the
+    same.
     """
     center = config.locations[k].location
-    clusters = symmetry._ray_clusters(config, center, symmetry.Rays.of(config, center).off, config.tol.eps_angle)
-    return max((count for _, count in clusters), default=0) <= (config.n + 1) // 2 - 1
+    rays = symmetry.Rays.of(config, center)
+    angles = rays.angles
+    dirs = sorted([angles[i] for i in rays.off])
+    limit = (config.n + 1) // 2 - 1
+    slack = config.tol.eps_angle
+    breaks = list(compress(range(len(dirs)), map(slack.__lt__, map(sub, dirs[1:], dirs))))
+    if not breaks:
+        return len(dirs) <= limit
+    first = breaks[0] + 1
+    last = len(dirs) - 1 - breaks[-1]
+    if dirs[0] + TAU - dirs[-1] <= slack:
+        first += last
+    return max(first, last, *map(sub, breaks[1:], breaks)) <= limit
 
 
 def classify(config: Configuration) -> ConfigClass:

@@ -113,14 +113,6 @@ class LocalFrame:
             translation=Point(rng.uniform(-span, span), rng.uniform(-span, span)),
         )
 
-    def apply_point(self, p: Point) -> Point:
-        ct = math.cos(self.rotation)
-        st = math.sin(self.rotation)
-        return Point(
-            self.scale * (p.x * ct - p.y * st) + self.translation.x,
-            self.scale * (p.x * st + p.y * ct) + self.translation.y,
-        )
-
     def invert_point(self, q: Point) -> Point:
         x = (q.x - self.translation.x) / self.scale
         y = (q.y - self.translation.y) / self.scale
@@ -129,8 +121,9 @@ class LocalFrame:
         return Point(x * ct + y * st, -x * st + y * ct)
 
     def apply_config(self, config: Configuration) -> Configuration:
-        # apply_point's arithmetic, with the rotation's cos and sin taken
-        # once; plain float pairs, which Configuration makes Points of
+        # every robot rotated, scaled and translated, with the rotation's cos
+        # and sin taken once; plain float pairs, which Configuration makes
+        # Points of
         ct = math.cos(self.rotation)
         st = math.sin(self.rotation)
         s = self.scale

@@ -434,6 +434,17 @@ def symmetricity(config: Configuration) -> int:
     asymmetric configuration fails each on its first point, so the test
     costs O(n log n) (a symmetric one up to O(n^2)).
 
+    Each order is tested first on the innermost point p0, at distance r0,
+    often with one ``hypot``.  ``near`` around p0 or its image searches
+    the ring points whose distance lies within [r0 - 2w, r0 + 2w].  No
+    distance is below r0, so the search starts at p0; when the next
+    distance exceeds r0 + 2w, computed as the very double ``near`` bisects
+    to, it holds p0 alone.  Then ``near`` at p0 is p0's own count (its
+    distance from itself is 0.0 <= w), and at the image that count when
+    ``hypot`` from p0 to the image is at most w and 0 otherwise: the two
+    are equal exactly when that one ``hypot`` is at most w.  Otherwise
+    both ``near`` calls run.
+
     Exact symmetry passes.  Take the roundings of a configuration that the
     rotation about c maps onto itself, with no robot within the merge slack
     of c but those on it.  With M the largest coordinate magnitude and
@@ -481,12 +492,19 @@ def symmetricity(config: Configuration) -> int:
         hi = bisect_right(radii, r + 2.0 * window)
         return sum(count for _, qx, qy, count in ring[lo:hi] if hypot(qx - x, qy - y) <= window)
 
+    # the second-smallest distance, inf when the innermost point is alone
+    beyond = radii[1] if len(radii) > 1 else math.inf
+
     def holds(k: int) -> bool:
         cos, sin = math.cos(TAU / k), math.sin(TAU / k)
-        for r, x, y, _ in ring:
+        for j, (r, x, y, _) in enumerate(ring):
             window = relative / k * r + floor
             dx, dy = x - cx, y - cy
-            if near(cx + cos * dx - sin * dy, cy + sin * dx + cos * dy, r, window) != near(x, y, r, window):
+            ix, iy = cx + cos * dx - sin * dy, cy + sin * dx + cos * dy
+            if j == 0 and beyond > r + 2.0 * window:
+                if hypot(x - ix, y - iy) > window:
+                    return False
+            elif near(ix, iy, r, window) != near(x, y, r, window):
                 return False
         return True
 
@@ -699,7 +717,13 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
 
     The location loop takes the slack's fixed factors once, and 3*n^2 and
     n*1e-12 too (``_skip_terms``): the same doubles, added in the same
-    order, as the threshold written out above.
+    order, as the threshold written out above.  Each pull is first compared
+    with the widest threshold, 3*n^2 times the slack at the least r_min
+    bound: the slack never grows with r_min above 0 (a division by a larger
+    positive double, max and min are monotone), nor do a product with 3*n^2
+    and two sums, so a pull above the widest threshold is above its own.
+    Only the others take their own slack; with a bound of r_min at or below
+    0, where the slack is ``eps_angle`` again, every center takes its own.
 
     The pull is bounded before it is computed.  ``Configuration._lower_sums``
     gives, for every location, a lower bound on the computed |P_c| and one
@@ -730,17 +754,20 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     exact, as arrivals snap onto their destination; when some robot is off
     its location's point by a sliver within the merge slack, its direction
     from a nearby center can turn far more than the margin, so every
-    location is checked.
+    location is checked.  Where every location holds one robot, each robot
+    is its location's point, and no scan is needed to say so.
     """
     if config.is_linear:
         raise LinearInput("quasi-regularity is defined for non-linear configurations")
     points = config.points
     lower = config._lower_sums
     slack_at, spread, rounding = _skip_terms(config)
+    lowest = min(r_min for _, r_min, _ in lower)
+    widest = spread * slack_at(lowest) if lowest > 0.0 else math.inf
     survivors = []
     for k, loc in enumerate(config.locations):
         pull, r_min, _ = lower[k]
-        if pull > loc.multiplicity + spread * slack_at(r_min) + rounding:
+        if pull > loc.multiplicity + widest + rounding or pull > loc.multiplicity + spread * slack_at(r_min) + rounding:
             continue
         pull, r_min, _ = config._sums_at(k)
         slack = slack_at(r_min)
@@ -750,7 +777,9 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
         res = _structure(config, loc.location, loc.multiplicity, slack)
         if res is not None:
             return res
-    exact = all(points[i] == loc.location for loc in config.locations for i in loc.indices)
+    exact = len(config.locations) == config.n or all(
+        points[i] == loc.location for loc in config.locations for i in loc.indices
+    )
     xs, ys, ms = sites = _sites(config)
     start, passes = _weber_start(config, sites, survivors if exact else None)
     if not passes or (passes > 1 and _rejects_every_order(config, sites, start, exact)):

@@ -193,6 +193,17 @@ class Similarity:
         return Configuration([self(p) for p in config.points], config.tol)
 
 
+def frame_point(frame, p: Point) -> Point:
+    """One point's image in a ``simulator.LocalFrame``, one ``Point`` at a
+    time: ``apply_config``'s arithmetic for a single robot."""
+    ct = math.cos(frame.rotation)
+    st = math.sin(frame.rotation)
+    return Point(
+        frame.scale * (p.x * ct - p.y * st) + frame.translation.x,
+        frame.scale * (p.x * st + p.y * ct) + frame.translation.y,
+    )
+
+
 # --- segment intersection (for collision-freedom checks) ----------------------------
 
 

@@ -5,7 +5,9 @@ it: the full n x n distance table behind the diameter, the farthest pair
 and the location merge; the merge's union-find over the distinct points,
 run whatever their x gaps; fresh ``dist`` calls, every location checked and
 every candidate tested in the Weber search, the safe points and the
-election; the diameter's loop over every pair of hull candidates;
+election; the safe-point test that builds every ray's cluster; the
+rotation test that matches every robot of each order; the diameter's loop
+over every pair of hull candidates;
 quasi-regularity detection that converges every Weber candidate and runs
 every order at its center; a rescan of every robot at every successor
 step and at every class-M blocked test; ray clustering with a dict of
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add
 
@@ -373,6 +376,14 @@ def safe_points_reference(config) -> list[Point]:
     return out
 
 
+def is_safe_unpruned(config, k) -> bool:
+    """``configuration._is_safe`` before it read only the longest chain:
+    every ray's cluster, mean and members, from ``circular_clusters``."""
+    center = config.locations[k].location
+    clusters = symmetry._ray_clusters(config, center, symmetry.Rays.of(config, center).off, config.tol.eps_angle)
+    return max((count for _, count in clusters), default=0) <= (config.n + 1) // 2 - 1
+
+
 def elect_reference(config) -> Point:
     """The elected safe point; raises RuntimeError when there is none."""
     safe = safe_points_reference(config)
@@ -433,6 +444,37 @@ def symmetricity_reference(config) -> tuple[int, list[list[Point]]]:
             classes.append([i])
     groups = [[locs[i].location for i in cls] for cls in classes]
     return max(len(g) for g in groups), groups
+
+
+def symmetricity_unpruned(config) -> int:
+    """``symmetry.symmetricity`` before one ``hypot`` could decide an order
+    on the innermost robot: each order runs ``near`` on every robot and its
+    image, in ring order."""
+    cx, cy = symmetry._center(config)
+    hypot = math.hypot
+    slack = config.merge_slack
+    floor = symmetry._ROTATION_FLOOR * config.resolution
+    relative = symmetry._ROTATION_WINDOW * config.tol.eps_angle
+    ring = sorted((hypot(x - cx, y - cy), x, y, len(stack)) for (x, y), stack in config._distinct[0].items())
+    ring = [point for point in ring if point[0] > slack]
+    radii = [r for r, _, _, _ in ring]
+
+    def near(x, y, r, window):
+        lo = bisect_left(radii, r - 2.0 * window)
+        hi = bisect_right(radii, r + 2.0 * window)
+        return sum(count for _, qx, qy, count in ring[lo:hi] if hypot(qx - x, qy - y) <= window)
+
+    def holds(k):
+        cos, sin = math.cos(TAU / k), math.sin(TAU / k)
+        for r, x, y, _ in ring:
+            window = relative / k * r + floor
+            dx, dy = x - cx, y - cy
+            if near(cx + cos * dx - sin * dy, cy + sin * dx + cos * dy, r, window) != near(x, y, r, window):
+                return False
+        return True
+
+    off = sum(count for _, _, _, count in ring)
+    return next((k for k in range(off, 1, -1) if off % k == 0 and holds(k)), 1)
 
 
 # --- ray clustering --------------------------------------------------------------------

@@ -185,6 +185,50 @@ def test_sweep(tmp_path, capsys):
     assert out2.read_text() == out.read_text()
 
 
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, starting no worker."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_jobs_capped_at_runs_and_at_least_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingExecutor)
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"defaults": {"delta": 0.1}, "runs": [{"n": 3, "seed": 1}, {"n": 4, "seed": 2}]}))
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep", str(spec_path), "--out", str(serial)]) == 0
+    for jobs, workers in (("2", [2]), ("8", [2])):
+        _RecordingExecutor.built = []
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", str(spec_path), "--out", str(out), "--jobs", jobs]) == 0
+        assert _RecordingExecutor.built == workers
+        assert out.read_text() == serial.read_text()
+    one_run = tmp_path / "one.json"
+    one_run.write_text(json.dumps({"defaults": {"delta": 0.1}, "runs": [{"n": 3, "seed": 1}]}))
+    _RecordingExecutor.built = []
+    assert main(["sweep", str(one_run), "--out", str(tmp_path / "one.csv"), "--jobs", "8"]) == 0
+    assert _RecordingExecutor.built == []
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        out = tmp_path / "refused.csv"
+        assert main(["sweep", str(spec_path), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, not {jobs}\n"
+        assert _RecordingExecutor.built == [] and not out.exists()
+
+
 def test_sweep_empty_spec(tmp_path):
     spec_path = tmp_path / "empty.json"
     spec_path.write_text("{}")

@@ -50,6 +50,7 @@ from references import (
     elect_reference,
     farthest_pair_reference,
     farthest_pairs_reference,
+    is_safe_unpruned,
     linear_endpoints_reference,
     location_dists_reference,
     locations_reference,
@@ -1128,3 +1129,41 @@ def test_safe_points_at_ray_gap_knife_edges():
                     assert (c in safe) == (eps < gap), (pts, eps)
                     flips += eps < gap
     assert flips == 18 * 3
+
+
+@st.composite
+def _fans(draw):
+    """A stack of 1-3 robots at the origin, a fan of robots whose
+    directions from it chain in gaps of up to 1e-9 (0.0 gives one ray),
+    around direction 0 or another base, and robots spread around the rest
+    of the turn, some of them stacked; then ``eps_angle`` is one of the
+    gaps between the sorted directions, the one across direction 0
+    included, exactly or one ulp either side."""
+    base = draw(st.sampled_from([0.0, -1e-9, 1.0, math.pi]))
+    gaps = draw(st.lists(st.sampled_from([0.0, 3e-10, 7e-10, 1e-9]), min_size=0, max_size=7))
+    spread = draw(st.integers(0, 7))
+    radii = st.floats(0.3, 2.0)
+    directions = [base]
+    for gap in gaps:
+        directions.append(directions[-1] + gap)
+    directions += [base + 0.5 + j * (TAU - 1.0) / max(spread, 1) for j in range(spread)]
+    pts = [Point(0.0, 0.0)] * draw(st.integers(1, 3))
+    for theta in directions:
+        p = on_ray(Point(0.0, 0.0), theta, draw(radii))
+        pts += [p] * draw(st.integers(1, 2))
+    dirs = sorted(a for a in symmetry.Rays.of(Configuration(pts), Point(0.0, 0.0)).angles if a is not None)
+    gaps = [b - a for a, b in zip(dirs, dirs[1:])] + [dirs[0] + TAU - dirs[-1]]
+    eps = draw(st.sampled_from(gaps))
+    eps = draw(st.sampled_from([eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)]))
+    return Configuration(pts, Tolerance(eps_len=1e-9, eps_angle=eps))
+
+
+@given(config=_fans())
+@settings(max_examples=300, deadline=None)
+def test_safety_from_the_longest_chain_matches_every_cluster(config):
+    # the longest chain's count, from the sorted directions alone, gives
+    # the verdict of the ray clusters at every location, at gaps of exactly
+    # eps_angle and one ulp either side, across direction 0, on stacks and
+    # on one-ray sets
+    for k in range(len(config.locations)):
+        assert configuration._is_safe(config, k) == is_safe_unpruned(config, k), (config, k)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gathersim import Point, Tolerance
 from gathersim.errors import DegenerateAngle
@@ -24,6 +24,26 @@ def test_dist_examples():
     assert dist(Point(0, 0), Point(3, 4)) == 5
     assert dist(Point(1, 1), Point(1, 1)) == 0
     assert dist(Point(0, 0), Point(1, 1)) == pytest.approx(math.sqrt(2))
+
+
+_MAX = 1.7976931348623157e308
+_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1e308, -1e308]),
+)
+
+
+@given(_doubles, _doubles, _doubles, _doubles)
+@settings(max_examples=500, deadline=None)
+@example(0.0, -0.0, -0.0, 0.0)
+@example(5e-324, 0.0, -5e-324, 1e-310)
+@example(_MAX, -_MAX, -_MAX, _MAX)
+def test_dist_has_hypot_bits(px, py, qx, qy):
+    # the diameter's scan measures pairs with math.dist, the rest of the
+    # code with hypot of the differences: the two must be one double on
+    # every interpreter, at signed zeros, subnormals and overflow
+    assert math.dist(Point(px, py), Point(qx, qy)).hex() == math.hypot(px - qx, py - qy).hex()
 
 
 def test_plain_sum_rounds_each_step():

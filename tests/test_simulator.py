@@ -46,6 +46,7 @@ from gathersim.simulator import (
     trace_lines,
 )
 from gathersim.symmetry import weber_numeric
+from helpers import frame_point
 from references import bits, greedy_activation_reference, greedy_keys_reference, trace_lines_reference
 
 SQUARE = Configuration([(1, 1), (-1, 1), (-1, -1), (1, -1)])
@@ -274,7 +275,7 @@ def test_local_frame_round_trip():
     for _ in range(50):
         frame = LocalFrame.random(rng, 2.0)
         p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        assert dist(frame.invert_point(frame.apply_point(p)), p) <= 1e-12 * max(1, abs(p.x), abs(p.y))
+        assert dist(frame.invert_point(frame_point(frame, p)), p) <= 1e-12 * max(1, abs(p.x), abs(p.y))
 
 
 def test_local_frame_config_image_is_pointwise():
@@ -283,10 +284,10 @@ def test_local_frame_config_image_is_pointwise():
         frame = LocalFrame.random(rng, 2.0)
         config = uniform_configuration(rng, rng.randint(3, 12))
         image = frame.apply_config(config)
-        assert [bits(p) for p in image.points] == [bits(frame.apply_point(p)) for p in config.points]
+        assert [bits(p) for p in image.points] == [bits(frame_point(frame, p)) for p in config.points]
         assert image.tol == config.tol
         # the same configuration, bit for bit, as one built from the points
-        pointwise = Configuration([frame.apply_point(p) for p in config.points], config.tol)
+        pointwise = Configuration([frame_point(frame, p) for p in config.points], config.tol)
         assert [bits(p) for p in image.points] == [bits(p) for p in pointwise.points]
         assert all(type(p) is Point for p in image.points) and image.n == pointwise.n
         assert [bits(loc.location) for loc in image.locations] == [bits(loc.location) for loc in pointwise.locations]

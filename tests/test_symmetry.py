@@ -4,6 +4,7 @@ import math
 import random
 import types
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from gathersim.generators import (
     uniform_configuration,
 )
 from gathersim.geometry import TAU, Tolerance, _plain_sum, dist
-from helpers import Similarity, deficits_at, grid_weber, mixed_configuration, on_ray
+from helpers import Similarity, deficits_at, frame_point, grid_weber, mixed_configuration, on_ray
 from gathersim.simulator import LocalFrame
 from references import (
     CenterContext,
@@ -64,6 +65,7 @@ from references import (
     structure_reference,
     successor_reference,
     symmetricity_reference,
+    symmetricity_unpruned,
     views_equal,
     weber_reference,
 )
@@ -376,6 +378,49 @@ def test_symmetricity_rejects_each_order_on_the_first_robot(monkeypatch):
         calls.clear()
         assert symmetricity(config) == 1
         assert len(calls) <= n + 4 * orders, len(calls)
+
+
+def _innermost_variants(rng, k, with_center):
+    """A k-gon of one or two orbits, with or without a robot on its center,
+    then variants that move the robot nearest the center: by 0.5, 1 and 2
+    of its order-k windows inward, outward and across its ray; onto the
+    radius of a second robot placed opposite it; and a robot added at 1 to
+    10 times the window floor from the center, with no merge slack beyond
+    the resolution."""
+    config = symmetric_configuration(rng, k=k, orbits=rng.randint(1, 2), with_center=with_center)
+    yield config
+    c = symmetry._center(config)
+    pts = list(config.points)
+    i = min((j for j, p in enumerate(pts) if dist(p, c) > config.merge_slack), key=lambda j: dist(pts[j], c))
+    r = dist(pts[i], c)
+    window = symmetry._ROTATION_WINDOW * config.tol.eps_angle / k * r + symmetry._ROTATION_FLOOR * config.resolution
+    ux, uy = (pts[i].x - c.x) / r, (pts[i].y - c.y) / r
+    for f in (0.5, 1.0, 2.0):
+        for dx, dy in ((-ux, -uy), (ux, uy), (-uy, ux)):
+            moved = pts[:]
+            moved[i] = Point(pts[i].x + f * window * dx, pts[i].y + f * window * dy)
+            yield Configuration(moved)
+    yield Configuration(pts + [Point(2.0 * c.x - pts[i].x, 2.0 * c.y - pts[i].y)])
+    floor = symmetry._ROTATION_FLOOR * config.resolution
+    for t in range(1, 11):
+        theta = rng.uniform(0, TAU)
+        extra = Point(c.x + t * floor * math.cos(theta), c.y + t * floor * math.sin(theta))
+        yield Configuration(pts + [extra], Tolerance(eps_len=0.0))
+
+
+def test_symmetricity_on_the_innermost_robot_matches_every_robot():
+    # testing each order on the innermost robot first, with one hypot when
+    # no other robot lies in its band, gives the order of the test that
+    # matches every robot, on k-gons for k = 2..24 and their variants
+    rng = random.Random(23)
+    orders = Counter()
+    for k in range(2, 25):
+        for with_center in (False, True):
+            for config in _innermost_variants(rng, k, with_center):
+                order = symmetricity(config)
+                assert order == symmetricity_unpruned(config), (k, config)
+                orders[order > 1] += 1
+    assert orders[True] > 100 and orders[False] > 300, orders
 
 
 def test_sym_implies_quasi_regular():
@@ -1384,7 +1429,7 @@ def _sweep_inputs():
     for config, center, slacks in out[::3]:
         if config.n <= 40:
             frame = LocalFrame.random(rng, config.diameter)
-            framed.append((frame.apply_config(config), frame.apply_point(center), slacks))
+            framed.append((frame.apply_config(config), frame_point(frame, center), slacks))
     return out + framed
 
 
