@@ -15,24 +15,24 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import configuration as cfg
 from . import gathering, generators, symmetry
 from .configuration import Configuration
 from .errors import BivalentInitial, GatherError
-from .geometry import Point, Tolerance
+from .geometry import Tolerance
 from .simulator import (
     OUTCOME_GATHERED,
     OUTCOME_MAX_ROUNDS,
     OUTCOME_VIOLATION,
     AdversarySpec,
     SimParams,
+    _validate_crashes,
     dumps_17g,
     run,
     trace_lines,
 )
-
-log = logging.getLogger("gathersim")
 
 _ADVERSARY_NAMES = {
     "sync": "synchronous",
@@ -44,6 +44,39 @@ _STOP_NAMES = {"full": "full_move", "min": "minimal", "rand": "random_fraction"}
 
 EXIT_OUTCOMES = {OUTCOME_GATHERED: 0, OUTCOME_MAX_ROUNDS: 2, OUTCOME_VIOLATION: 4}
 
+# Every run setting and its default, for ``simulate``'s flags and each sweep
+# entry alike, save that ``simulate`` runs up to 100,000 rounds.  A
+# ``delta`` of None means ``max(diameter, 1e-6) / 100``.
+RUN_DEFAULTS = {
+    "n": 5,
+    "seed": 0,
+    "eps": 1e-9,
+    "delta": None,
+    "max_rounds": 10_000,
+    "fairness_bound": 8,
+    "adversary": "sync",
+    "activation_prob": 0.5,
+    "stop": "full",
+    "crashes": 0,
+}
+# The JSON types a sweep may give a setting, by the type of its default.
+_KINDS = {int: (int,), float: (int, float), str: (str,), type(None): (int, float, type(None))}
+
+
+def _pairs(path: str, what: str, entries, kind: type) -> list[tuple]:
+    """Each entry of a points or crash-schedule list as a pair of ``kind``;
+    a bad entry is a ValueError that names the file and the entry."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a list, not {type(entries).__name__}")
+    pairs = []
+    for k, entry in enumerate(entries):
+        try:
+            a, b = entry
+            pairs.append((kind(a), kind(b)))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {what} {k} is not a pair of {kind.__name__}s: {entry!r}") from None
+    return pairs
+
 
 def load_configuration(path: str, tol: Tolerance | None = None) -> Configuration:
     """Read robot positions from a JSON ({"points": [[x, y], ...]}) or CSV file."""
@@ -51,14 +84,52 @@ def load_configuration(path: str, tol: Tolerance | None = None) -> Configuration
         text = fh.read()
     if path.endswith(".json") or text.lstrip().startswith("{"):
         obj = json.loads(text)
-        points = [Point(float(x), float(y)) for x, y in obj["points"]]
+        if not isinstance(obj, dict) or "points" not in obj:
+            raise ValueError(f'{path}: expected {{"points": [[x, y], ...]}}')
+        rows = obj["points"]
     else:
-        points = []
-        for row in csv.reader(text.splitlines()):
-            if not row or row[0].strip().lower() in ("x", ""):
-                continue
-            points.append(Point(float(row[0]), float(row[1])))
-    return Configuration(points, tol)
+        rows = [row[:2] for row in csv.reader(text.splitlines()) if row and row[0].strip().lower() not in ("x", "")]
+    return Configuration(_pairs(path, "point", rows, float), tol)
+
+
+def build_run(settings: dict) -> tuple[Configuration, AdversarySpec, SimParams]:
+    """The start, adversary and parameters of one run from its settings.
+
+    ``settings`` holds every key of ``RUN_DEFAULTS``, and ``simulate``'s or
+    ``classify``'s ``input`` and ``crash_schedule`` files where given.  The
+    start (the input file, else ``n`` uniform robots) and then the crash
+    schedule (its file, else ``crashes`` robots, each at a random round
+    below 40) draw from ``random.Random(seed)`` in that order.  A run that
+    would crash every robot is refused here, before it starts.
+    """
+    eps, delta = float(settings["eps"]), settings["delta"]
+    rng = random.Random(settings["seed"])
+    if settings.get("input"):
+        config = load_configuration(settings["input"], Tolerance(eps, eps))
+    else:
+        config = generators.uniform_configuration(rng, settings["n"], Tolerance(eps, eps))
+    config.cls  # classification refuses an out-of-range diameter before SimParams sees its delta
+    if settings.get("crash_schedule"):
+        with open(settings["crash_schedule"], "r", encoding="utf-8") as fh:
+            schedule = _pairs(settings["crash_schedule"], "crash", json.load(fh), int)
+    else:
+        # more crashes than robots crash every robot, which is refused below
+        victims = rng.sample(range(config.n), min(settings["crashes"], config.n))
+        schedule = [(rng.randrange(0, 40), i) for i in victims]
+    adv = AdversarySpec(
+        activation=_ADVERSARY_NAMES.get(settings["adversary"], settings["adversary"]),
+        activation_prob=float(settings["activation_prob"]),
+        stop_policy=_STOP_NAMES.get(settings["stop"], settings["stop"]),
+        crash_schedule=tuple(schedule),
+    )
+    _validate_crashes(config.n, adv)
+    params = SimParams(
+        delta=max(config.diameter, 1e-6) / 100.0 if delta is None else float(delta),
+        max_rounds=settings["max_rounds"],
+        fairness_bound=settings["fairness_bound"],
+        seed=settings["seed"],
+    )
+    return config, adv, params
 
 
 def _setup_logging() -> None:
@@ -75,23 +146,26 @@ def _build_parser() -> argparse.ArgumentParser:
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="configuration file (JSON or CSV)")
     src.add_argument("--n", type=int, help="generate n random robots instead of reading a file")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--delta", type=float, default=None, help="movement floor (default: max(diameter, 1e-6)/100)")
-    sim.add_argument("--eps", type=float, default=1e-9, help="length and angle tolerance")
-    sim.add_argument("--max-rounds", type=int, default=100_000)
-    sim.add_argument("--fairness-bound", type=int, default=8)
-    sim.add_argument("--adversary", choices=sorted(_ADVERSARY_NAMES), default="sync")
-    sim.add_argument("--activation-prob", type=float, default=0.5)
-    sim.add_argument("--stop", choices=sorted(_STOP_NAMES), default="full")
-    sim.add_argument("--crashes", type=int, default=0, help="crash this many robots at random rounds")
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--delta", type=float, help="movement floor (default: max(diameter, 1e-6)/100)")
+    sim.add_argument("--eps", type=float, help="length and angle tolerance")
+    sim.add_argument("--max-rounds", type=int)
+    sim.add_argument("--fairness-bound", type=int)
+    sim.add_argument("--adversary", choices=sorted(_ADVERSARY_NAMES))
+    sim.add_argument("--activation-prob", type=float)
+    sim.add_argument("--stop", choices=sorted(_STOP_NAMES))
+    sim.add_argument("--crashes", type=int, help="crash this many robots at random rounds")
     sim.add_argument("--crash-schedule", help="JSON file with [[round, robot], ...]")
     sim.add_argument("--out", help="trace output path (JSON Lines)")
     sim.add_argument("--summary", help="summary JSON path (default: stdout)")
+    # argparse takes an ``--n`` equal to its default for no ``--n`` at all
+    sim.set_defaults(**dict(RUN_DEFAULTS, n=None, max_rounds=100_000))
 
     cls = sub.add_parser("classify", help="classify a configuration file")
     cls.add_argument("input")
-    cls.add_argument("--eps", type=float, default=1e-9)
+    cls.add_argument("--eps", type=float)
     cls.add_argument("--decide", action="store_true", help="include per-robot decisions")
+    cls.set_defaults(**RUN_DEFAULTS)
 
     swp = sub.add_parser("sweep", help="run a batch of simulations from a spec file")
     swp.add_argument("spec")
@@ -100,59 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_crash_count(n: int, crashes: int) -> None:
-    if crashes >= n:
-        raise ValueError("at least one robot must stay correct")
-
-
-def _crash_schedule(rng: random.Random, n: int, crashes: int) -> list[tuple[int, int]]:
-    """Crash ``crashes`` distinct robots, each at a random round below 40."""
-    _check_crash_count(n, crashes)
-    victims = rng.sample(range(n), crashes)
-    return [(rng.randrange(0, 40), i) for i in victims]
-
-
-def _run_setup(
-    settings: dict, config: Configuration, schedule: list[tuple[int, int]]
-) -> tuple[AdversarySpec, SimParams]:
-    """The adversary and parameters of one run from its settings.
-
-    ``settings`` carries every key, ``simulate``'s from argparse and a sweep
-    entry's through ``_SWEEP_DEFAULTS``.  A ``delta`` of None means
-    ``max(diameter, 1e-6) / 100``.
-    """
-    delta = settings["delta"]
-    adv = AdversarySpec(
-        activation=_ADVERSARY_NAMES.get(settings["adversary"], settings["adversary"]),
-        activation_prob=float(settings["activation_prob"]),
-        stop_policy=_STOP_NAMES.get(settings["stop"], settings["stop"]),
-        crash_schedule=tuple(schedule),
-    )
-    params = SimParams(
-        delta=max(config.diameter, 1e-6) / 100.0 if delta is None else float(delta),
-        max_rounds=int(settings["max_rounds"]),
-        fairness_bound=int(settings["fairness_bound"]),
-        seed=int(settings["seed"]),
-    )
-    return adv, params
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    tol = Tolerance(args.eps, args.eps)
-    rng = random.Random(args.seed)
-    if args.input:
-        config = load_configuration(args.input, tol)
-    else:
-        config = generators.uniform_configuration(rng, args.n, tol)
-
-    schedule: list[tuple[int, int]] = []
-    if args.crash_schedule:
-        with open(args.crash_schedule, "r", encoding="utf-8") as fh:
-            schedule = [(int(r), int(i)) for r, i in json.load(fh)]
-    elif args.crashes:
-        schedule = _crash_schedule(rng, config.n, args.crashes)
-
-    adv, params = _run_setup(vars(args), config, schedule)
+    config, adv, params = build_run(vars(args))
     try:
         result = run(config, adv, params)
     except BivalentInitial as exc:
@@ -174,8 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    tol = Tolerance(args.eps, args.eps)
-    config = load_configuration(args.input, tol)
+    config = build_run(vars(args))[0]
     cls = config.cls
     report: dict = {"class": cls.tag, "sym": symmetry.symmetricity(config)}
     if not config.is_linear:
@@ -194,56 +216,49 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-# Settings a sweep entry may leave out; ``simulate`` has argparse defaults.
-_SWEEP_DEFAULTS = {
-    "n": 5,
-    "seed": 0,
-    "eps": 1e-9,
-    "crashes": 0,
-    "adversary": "sync",
-    "stop": "full",
-    "activation_prob": 0.5,
-    "delta": None,
-    "max_rounds": 10_000,
-    "fairness_bound": 8,
-}
+def _check_setting(where: str, key: str, values: list) -> None:
+    """Refuse a setting outside ``RUN_DEFAULTS``, or a value not of its
+    default's type (a number for ``delta``)."""
+    if key not in RUN_DEFAULTS:
+        raise ValueError(f"{where}: unknown setting {key!r}")
+    for value in values:
+        if type(value) not in _KINDS[type(RUN_DEFAULTS[key])]:
+            raise ValueError(f"{where}: {key} cannot be {value!r}")
 
 
-def _sweep_entries(spec: dict) -> list[dict]:
-    """Every run of the spec, with ``_SWEEP_DEFAULTS`` for the settings it omits."""
-    entries = list(spec.get("runs", []))
-    grid = spec.get("grid")
+def _settings(where: str, entry) -> dict:
+    """A spec's object of settings, each checked by ``_check_setting``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} is not an object of settings: {entry!r}")
+    for key, value in entry.items():
+        _check_setting(where, key, [value])
+    return entry
+
+
+def _sweep_entries(path: str, spec) -> list[dict]:
+    """Every run of the spec, the listed ones first: each is ``RUN_DEFAULTS``,
+    then the spec's ``defaults``, then the run's own settings."""
+    if not isinstance(spec, dict) or set(spec) - {"defaults", "runs", "grid"}:
+        raise ValueError(f'{path}: expected an object of "defaults", "runs" and "grid" only')
+    runs, grid = spec.get("runs", []), spec.get("grid", {})
+    if not isinstance(runs, list) or not isinstance(grid, dict):
+        raise ValueError(f"{path}: expected runs as a list and grid as an object")
+    defaults = _settings(f"{path}: defaults", spec.get("defaults", {}))
+    entries = [_settings(f"{path}: runs[{k}]", entry) for k, entry in enumerate(runs)]
     if grid:
-        defaults = spec.get("defaults", {})
-        keys = sorted(grid)
-        combos = [{}]
-        for key in keys:
+        combos: list[dict] = [{}]
+        for key in sorted(grid):
+            if not isinstance(grid[key], list):
+                raise ValueError(f"{path}: grid {key} is not a list of values")
+            _check_setting(f"{path}: grid", key, grid[key])
             combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
-        entries.extend(dict(defaults, **c) for c in combos)
-    return [dict(_SWEEP_DEFAULTS, **entry) for entry in entries]
+        entries += combos
+    return [{**RUN_DEFAULTS, **defaults, **entry} for entry in entries]
 
 
-def _run_sweep_entry(item: tuple[int, dict]) -> dict:
-    run_id, settings = item
-    n = int(settings["n"])
-    seed = int(settings["seed"])
-    eps = float(settings["eps"])
-    rng = random.Random(seed)
-    config = generators.uniform_configuration(rng, n, Tolerance(eps, eps))
-    crashes = int(settings["crashes"])
-    schedule = _crash_schedule(rng, n, crashes) if crashes else []
-    adv, params = _run_setup(settings, config, schedule)
-    result = run(config, adv, params)
-    return {
-        "run_id": run_id,
-        "n": n,
-        "adversary": settings["adversary"],
-        "stop": settings["stop"],
-        "crashes": result.crashes,
-        "seed": seed,
-        "outcome": result.outcome,
-        "rounds": result.rounds,
-    }
+def _run_sweep_entry(settings: dict) -> dict:
+    result = run(*build_run(settings))
+    return dict(settings, crashes=result.crashes, outcome=result.outcome, rounds=result.rounds)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -251,35 +266,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    entries = _sweep_entries(spec)
+    entries = _sweep_entries(args.spec, spec)
     if not entries:
-        print("error: sweep spec contains no runs", file=sys.stderr)
-        return 1
-    for entry in entries:
-        _check_crash_count(int(entry["n"]), int(entry["crashes"]))
-    items = list(enumerate(entries))
+        raise ValueError("sweep spec contains no runs")
+    for settings in entries:
+        build_run(settings)  # refuse a bad entry before any run starts
     # the executor forks every worker at its first submit, so never more
     # than there are runs
-    workers = min(args.jobs, len(items))
+    workers = min(args.jobs, len(entries))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_entry, items))
+            rows = list(pool.map(_run_sweep_entry, entries))
     else:
-        rows = [_run_sweep_entry(item) for item in items]
-    rows.sort(key=lambda r: r["run_id"])
+        rows = [_run_sweep_entry(settings) for settings in entries]
 
     fieldnames = ["run_id", "n", "adversary", "stop", "crashes", "seed", "outcome", "rounds"]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=fieldnames)
+    with open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        writer = csv.DictWriter(out, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-    if any(r["outcome"] == OUTCOME_VIOLATION for r in rows):
-        return 4
-    return 0
+        writer.writerows(dict(row, run_id=k) for k, row in enumerate(rows))
+    return 4 if any(r["outcome"] == OUTCOME_VIOLATION for r in rows) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -292,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         return cmd_sweep(args)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, GatherError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, GatherError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -516,9 +516,6 @@ class Configuration:
         loc = self.find_location(p)
         return loc.multiplicity if loc else 0
 
-    def occupied_points(self) -> list[Point]:
-        return [loc.location for loc in self.locations]
-
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
 

@@ -517,7 +517,7 @@ def _validate_crashes(n: int, adv: AdversarySpec) -> int:
             raise ValueError("crash rounds must be nonnegative")
         robots.add(i)
     if len(robots) >= n:
-        raise ValueError("at least one robot must never crash")
+        raise ValueError("at least one robot must stay correct")
     return len(robots)
 
 

@@ -193,6 +193,11 @@ class Similarity:
         return Configuration([self(p) for p in config.points], config.tol)
 
 
+def occupied_points(config: Configuration) -> list[Point]:
+    """Each occupied location's point, in location order."""
+    return [loc.location for loc in config.locations]
+
+
 def frame_point(frame, p: Point) -> Point:
     """One point's image in a ``simulator.LocalFrame``, one ``Point`` at a
     time: ``apply_config``'s arithmetic for a single robot."""

@@ -33,7 +33,7 @@ from gathersim import LocationSummary, Point, geometry, symmetry
 from gathersim.errors import DegenerateCenter
 from gathersim.geometry import TAU, angle_cw, ccw_angle_of, dist, on_open_segment, wrap_near_zero
 from gathersim.simulator import _move_toward, dumps_17g
-from helpers import farthest_pair
+from helpers import farthest_pair, occupied_points
 
 
 def bits(p) -> tuple[str, str]:
@@ -99,7 +99,7 @@ def farthest_pairs_reference(hull):
 
 def linear_endpoints_reference(config) -> tuple[Point, Point]:
     """The first location pair at the maximum over every pair, in (x, y) order."""
-    a, b, _ = farthest_pair(config.occupied_points())
+    a, b, _ = farthest_pair(occupied_points(config))
     return (a, b) if a <= b else (b, a)
 
 

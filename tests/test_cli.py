@@ -238,8 +238,12 @@ def test_sweep_empty_spec(tmp_path):
 CRASH_REFUSAL = "error: at least one robot must stay correct\n"
 
 
-def test_simulate_rejects_crashing_every_robot(capsys):
+def test_simulate_rejects_crashing_every_robot(tmp_path, capsys):
     assert main(["simulate", "--n", "5", "--crashes", "5", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == CRASH_REFUSAL
+    schedule = tmp_path / "crash_all.json"
+    schedule.write_text(json.dumps([[0, i] for i in range(5)]))
+    assert main(["simulate", "--n", "5", "--crash-schedule", str(schedule), "--seed", "1"]) == 1
     assert capsys.readouterr().err == CRASH_REFUSAL
 
 
@@ -254,6 +258,64 @@ def test_sweep_rejects_crashing_every_robot_before_any_run(tmp_path, capsys, mon
     assert main(["sweep", str(spec_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == CRASH_REFUSAL
     assert not started and not out.exists()
+
+
+# (command, file name, file text, what the error must name)
+MALFORMED = [
+    ("classify", "one_column.csv", "x,y\n0,0\n1\n2,2\n", "point 1"),
+    ("classify", "flat.json", '{"points": [1, 2, 3]}', "point 0"),
+    ("classify", "listed.json", "[[0, 0], [1, 0], [0, 1]]", '{"points"'),
+    ("crash-schedule", "schedule.json", "[5]", "crash 0"),
+    ("sweep", "runs_of_ints.json", '{"runs": [5]}', "runs[0]"),
+    ("sweep", "runs_object.json", '{"runs": {"n": 4}}', "runs as a list"),
+    ("sweep", "listed_n.json", '{"runs": [{"n": [5]}]}', "runs[0]: n cannot be [5]"),
+    ("sweep", "grid_scalar.json", '{"grid": {"n": 4}}', "grid n"),
+    ("sweep", "seed_string.json", '{"defaults": {"seed": "3"}, "runs": [{}]}', "defaults: seed"),
+    ("sweep", "misnamed.json", '{"default": {"n": 4}, "runs": [{}]}', '"defaults", "runs" and "grid" only'),
+]
+
+
+@pytest.mark.parametrize("command, name, text, entry", MALFORMED, ids=[case[1] for case in MALFORMED])
+def test_malformed_input_is_an_error_naming_the_file_and_entry(tmp_path, capsys, command, name, text, entry):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "classify": ["classify", str(path)],
+        "crash-schedule": ["simulate", "--n", "5", "--crash-schedule", str(path)],
+        "sweep": ["sweep", str(path), "--out", str(tmp_path / "rows.csv")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and entry in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"runs": [{"n": 4}, {"n": 4, "adversery": "greedy"}]},
+        {"defaults": {"adversery": "greedy"}, "runs": [{"n": 4}]},
+        {"grid": {"n": [4, 5], "adversery": ["greedy"]}},
+        {"grid": {"n": [4], "adversery": []}, "runs": [{"n": 4}]},
+    ],
+)
+def test_sweep_refuses_unknown_settings_before_any_run(tmp_path, capsys, monkeypatch, spec):
+    started = []
+    monkeypatch.setattr(cli, "run", lambda *args: started.append(args))
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(spec_path), "--out", str(out)]) == 1
+    assert "unknown setting 'adversery'" in capsys.readouterr().err
+    assert not started and not out.exists()
+
+
+def test_sweep_defaults_reach_listed_runs(tmp_path):
+    # listed runs used to ignore the spec's defaults: this one gathered in 62 rounds
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({"defaults": {"max_rounds": 2}, "runs": [{"n": 7, "seed": 3, "stop": "min"}]}))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(spec_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,7,sync,min,0,3,MaxRoundsExceeded,2"
 
 
 def test_crash_schedules_agree_across_commands(tmp_path, capsys):

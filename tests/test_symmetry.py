@@ -48,7 +48,7 @@ from gathersim.generators import (
     uniform_configuration,
 )
 from gathersim.geometry import TAU, Tolerance, _plain_sum, dist
-from helpers import Similarity, deficits_at, frame_point, grid_weber, mixed_configuration, on_ray
+from helpers import Similarity, deficits_at, frame_point, grid_weber, mixed_configuration, occupied_points, on_ray
 from gathersim.simulator import LocalFrame
 from references import (
     CenterContext,
@@ -131,7 +131,7 @@ def test_views_order_within_the_tolerances():
     rng = random.Random(4)
     for _ in range(20):
         square = Similarity.random(rng).apply_config(SQUARE)
-        points = square.occupied_points()
+        points = occupied_points(square)
         assert symmetry.greatest_view(square, points) == points[0]
         assert symmetry.greatest_view(square, points[::-1]) == points[-1]
 
@@ -1617,7 +1617,7 @@ def test_cell_tree_only_above_tree_from(monkeypatch):
     config = uniform_configuration(rng, configuration._TREE_FROM + 1)
     classify(config)
     # one tree bounds every location at once, and no pair pass runs
-    assert len(built) == 1 and list(built[0][1]) == config.occupied_points()
+    assert len(built) == 1 and list(built[0][1]) == occupied_points(config)
     assert "_pair_sums" not in vars(config)
 
 
@@ -1801,7 +1801,7 @@ def _exactly_stacked(config, loc):
 @example(Configuration([Point(0.0, 0.0), Point(2e-10, 0.0), Point(0.0, -1e-10), Point(1.0, 0.0), Point(0.0, 1.0)]), 0.5, 0.5)
 @settings(max_examples=300, deadline=None)
 def test_convexity_pull_bound_never_exceeds_the_pull(config, tx, ty):
-    centers = config.occupied_points()
+    centers = occupied_points(config)
     walks = geometry._CellBounds(config.points, centers, configuration._LEAF_SIZE)
     sums = [walks.refine(k, math.inf) for k in range(len(centers))]
     g = walks.centroid
