@@ -64,14 +64,17 @@ _KINDS = {int: (int,), float: (int, float), str: (str,), type(None): (int, float
 
 
 def _pairs(path: str, what: str, entries, kind: type) -> list[tuple]:
-    """Each entry of a points or crash-schedule list as a pair of ``kind``;
-    a bad entry is a ValueError that names the file and the entry."""
+    """Each entry of a points or crash-schedule list as a pair of ``kind``,
+    ints taken only as they are, never truncated from floats or bools; a
+    bad entry is a ValueError that names the file and the entry."""
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a list, not {type(entries).__name__}")
     pairs = []
     for k, entry in enumerate(entries):
         try:
             a, b = entry
+            if kind is int and not (type(a) is int and type(b) is int):
+                raise TypeError
             pairs.append((kind(a), kind(b)))
         except (TypeError, ValueError):
             raise ValueError(f"{path}: {what} {k} is not a pair of {kind.__name__}s: {entry!r}") from None
@@ -92,16 +95,20 @@ def load_configuration(path: str, tol: Tolerance | None = None) -> Configuration
     return Configuration(_pairs(path, "point", rows, float), tol)
 
 
-def build_run(settings: dict) -> tuple[Configuration, AdversarySpec, SimParams]:
+def build_run(settings: dict, where: str = "") -> tuple[Configuration, AdversarySpec, SimParams]:
     """The start, adversary and parameters of one run from its settings.
 
     ``settings`` holds every key of ``RUN_DEFAULTS``, and ``simulate``'s or
     ``classify``'s ``input`` and ``crash_schedule`` files where given.  The
     start (the input file, else ``n`` uniform robots) and then the crash
     schedule (its file, else ``crashes`` robots, each at a random round
-    below 40) draw from ``random.Random(seed)`` in that order.  A run that
-    would crash every robot is refused here, before it starts.
+    below 40) draw from ``random.Random(seed)`` in that order.  A negative
+    ``crashes`` is refused before anything is drawn, its message led by
+    ``where`` (a sweep's file and run), and a run that would crash every
+    robot before it starts.
     """
+    if settings["crashes"] < 0:
+        raise ValueError(f"{where}crashes cannot be negative: {settings['crashes']}")
     eps, delta = float(settings["eps"]), settings["delta"]
     rng = random.Random(settings["seed"])
     if settings.get("input"):
@@ -269,8 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     entries = _sweep_entries(args.spec, spec)
     if not entries:
         raise ValueError("sweep spec contains no runs")
-    for settings in entries:
-        build_run(settings)  # refuse a bad entry before any run starts
+    for k, settings in enumerate(entries):
+        build_run(settings, f"{args.spec}: run {k}: ")  # refuse a bad entry before any run starts
     # the executor forks every worker at its first submit, so never more
     # than there are runs
     workers = min(args.jobs, len(entries))

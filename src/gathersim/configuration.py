@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice, starmap
@@ -166,8 +165,7 @@ class Configuration:
 
             |P_c| - mu_c >= (f(c) - f(y)) / |c - y| - delta_c,
 
-        with delta_c = 0 when every robot of the location sits exactly on c
-        and 2 * (mu_c - 1) otherwise.  y is the cell tree's float centroid,
+        with delta_c = 2 * (mu_c - 1).  y is the cell tree's float centroid,
         where f is measured once and rounded up (``_sum_above``), and the
         walks bound f(c) from below (``_convexity_pull``).  The computed
         quotient, lowered by a relative 2e-15 for the rounding of the
@@ -186,7 +184,9 @@ class Configuration:
         and on a regular polygon of 80 to 640 robots every walk stops after
         opening the root.
 
-        r_min is one floor for every location, ``_r_floor``.
+        Every location's r_min floor is the merge slack: r_min is the least
+        distance beyond it, and ``symmetry._slack_by_r_min`` never grows as
+        r_min grows.
 
         The crossover, timed as whole ``classify`` calls on fresh
         configurations forced to each side, pass against tree, in us, best
@@ -226,18 +226,16 @@ class Configuration:
         if walks is None:
             return self._pair_sums
         n = self.n
-        points = self.points
-        above = _sum_above(points, walks.centroid)
-        r_floor = self._r_floor
+        above = _sum_above(self.points, walks.centroid)
+        r_floor = self.merge_slack
         slack_at, spread, rounding = symmetry._skip_terms(self)
         excess = spread * slack_at(r_floor) + rounding + (n + 8) * n * 2e-15
         out = []
         for k, (loc, gap) in enumerate(zip(self.locations, walks.gaps)):
-            c = loc.location
-            base = loc.multiplicity if all(points[i] == c for i in loc.indices) else 2 - loc.multiplicity
             if gap == 0.0:
                 out.append((-math.inf, r_floor, walks.refine(k, -math.inf)))
                 continue
+            base = 2 - loc.multiplicity
             total = walks.refine(k, above + gap * (excess + loc.multiplicity - base))
             out.append((_convexity_pull(total, above, gap, base, n), r_floor, total))
         return out
@@ -253,45 +251,14 @@ class Configuration:
             return None
         return geometry._CellBounds(self.points, [loc.location for loc in self.locations], _LEAF_SIZE)
 
-    @_cached
-    def _r_floor(self) -> float:
-        """A lower bound on every location's exact r_min, the smallest
-        computed distance from its point to a robot beyond the merge slack.
-
-        ``symmetry._slack_by_r_min`` is flat from r_min = knee =
-        ``_COORD_DRIFT`` * diameter / ``eps_angle`` on, and only grows as
-        r_min falls.  A location's r_min is the computed ``hypot`` from its
-        point to some other distinct point, and a pair of distinct points
-        whose computed distance is below the knee has a computed x
-        difference below it too (``hypot`` is never below either
-        difference).  So a sweep over the distinct points in x order that
-        measures only the pairs closer than the knee in x finds every such
-        pair; the floor is the least of the knee and their distances beyond
-        the merge slack.
-        """
-        slack = self.merge_slack
-        knee = symmetry._COORD_DRIFT * self.diameter / self.tol.eps_angle if self.tol.eps_angle else math.inf
-        floor = knee
-        pts = self._distinct[1]
-        hypot = math.hypot
-        for k, (px, py) in enumerate(pts):
-            for j in range(k - 1, -1, -1):
-                qx, qy = pts[j]
-                if px - qx >= knee:
-                    break
-                d = hypot(px - qx, py - qy)
-                if slack < d < floor:
-                    floor = d
-        return floor
-
     def _sums_at(self, k: int) -> tuple[float, float, float]:
         """The exact (pull, r_min, sum) at the k-th location, for the
-        quasi-regular center test: its ``symmetry.Rays`` ``_sums`` at every
-        size, the same doubles as its ``_pair_sums`` entry.  An O(n) pass
-        over its row, made once per location, which ``_sum_at`` reads too.
-        Where ``_lower_sums`` is exact, a center that reaches this test
-        passes it and goes on to ``symmetry._structure``, which builds that
-        ``Rays`` anyway."""
+        quasi-regular center test: its ``_pair_sums`` entry where
+        ``_sum_walks`` is None, else its ``symmetry.Rays`` ``_sums``, an
+        O(n) pass over its row, made once per location, which ``_sum_at``
+        reads too.  Both give the same doubles."""
+        if self._sum_walks is None:
+            return self._pair_sums[k]
         return symmetry.Rays.of(self, self.locations[k].location)._sums
 
     def _sum_at(self, k: int) -> float:
@@ -320,33 +287,29 @@ class Configuration:
         index order from 0.0; r_min is their smallest d (0.0 when there is
         none); sum is the ``_plain_sum`` of every robot's d in index order.
 
-        One pass over the robot pairs k < l with a lowest robot among them,
-        each measured once as ``hypot(x_l - x_k, y_l - y_k)``.  That is the
-        d of the pair from either end, as ``hypot`` ignores signs, and
-        x_k - x_l is exactly -(x_l - x_k) up to the sign of a zero, so l's
-        unit vector toward k is exactly the negated one of k toward l.  A
-        sum that starts at 0.0 is never -0.0, so adding a zero of either
-        sign leaves it unchanged, as does leaving out c's own d of 0.0.
-        Robot l meets its partners k < l in ascending order, while the
-        outer loop reaches them, then the rest in its own row: in index
-        order, so every sum rounds as the row-by-row one does.  O(n^2)
-        ``hypot`` calls, half those of one ``Rays`` per robot.
+        One pass over every robot pair k < l in index order, each measured
+        once as ``hypot(x_l - x_k, y_l - y_k)``.  That is the d of the pair
+        from either end, as ``hypot`` ignores signs, and x_k - x_l is
+        exactly -(x_l - x_k) up to the sign of a zero, so l's unit vector
+        toward k is exactly the negated one of k toward l.  A sum that
+        starts at 0.0 is never -0.0, so adding a zero of either sign leaves
+        it unchanged, as does leaving out c's own d of 0.0.  Robot l meets
+        its partners k < l in ascending order, while the outer loop reaches
+        them, then the rest in its own row: in index order, so every sum
+        rounds as the row-by-row one does.  n (n - 1) / 2 ``hypot`` calls,
+        half those of one ``Rays`` per robot.
         """
         points = self.points
         n = len(points)
         slack = self.merge_slack
         hypot = math.hypot
-        lows = [loc.indices[0] for loc in self.locations]
-        is_low = [False] * n
-        for i in lows:
-            is_low[i] = True
         pulls_x = [0.0] * n
         pulls_y = [0.0] * n
         nearest = [math.inf] * n
         totals = [0.0] * n
         for k, (xk, yk) in enumerate(points):
             pull_x, pull_y, r_min, total = pulls_x[k], pulls_y[k], nearest[k], totals[k]
-            for l in range(k + 1, n) if is_low[k] else lows[bisect_right(lows, k):]:
+            for l in range(k + 1, n):
                 x, y = points[l]
                 dx = x - xk
                 dy = y - yk
@@ -365,6 +328,7 @@ class Configuration:
                     if d < nearest[l]:
                         nearest[l] = d
             pulls_x[k], pulls_y[k], nearest[k], totals[k] = pull_x, pull_y, r_min, total
+        lows = [loc.indices[0] for loc in self.locations]
         return [
             (hypot(pulls_x[i], pulls_y[i]), nearest[i] if nearest[i] < math.inf else 0.0, totals[i]) for i in lows
         ]

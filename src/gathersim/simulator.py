@@ -85,7 +85,10 @@ class AdversarySpec:
             raise ValueError(f"unknown stop policy {self.stop_policy!r}")
         if not 0.0 <= self.activation_prob <= 1.0:
             raise ValueError("activation_prob must lie in [0, 1]")
-        self.crash_schedule = tuple((int(r), int(i)) for r, i in self.crash_schedule)
+        self.crash_schedule = tuple(map(tuple, self.crash_schedule))
+        for entry in self.crash_schedule:
+            if len(entry) != 2 or not all(type(v) is int for v in entry):
+                raise ValueError(f"crash schedule entry {entry!r} is not a pair of ints")
 
 
 @dataclass

@@ -143,9 +143,10 @@ class Rays:
     there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
-    centers (the locations whose exact pull or distance sum
-    ``Configuration._sums_at`` takes, from ``_sums``) never need a
-    direction.  They, ``_sums`` and ``at_center`` are ``geometry._cached``
+    centers never need a direction: above the cell-tree crossover, the
+    locations whose exact pull or distance sum ``_sums`` gives
+    ``Configuration._sums_at`` and ``Configuration._sum_at``, its only
+    readers.  They, ``_sums`` and ``at_center`` are ``geometry._cached``
     attributes, kept in the instance ``__dict__`` from their first read,
     where ``built_index`` looks for ``index``.  ``sweep_slack`` is the
     successor sweep's angle slack, None until ``successor`` first takes

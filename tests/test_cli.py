@@ -247,6 +247,12 @@ def test_simulate_rejects_crashing_every_robot(tmp_path, capsys):
     assert capsys.readouterr().err == CRASH_REFUSAL
 
 
+def test_simulate_rejects_negative_crashes(capsys):
+    # random.sample used to refuse it without naming the setting
+    assert main(["simulate", "--n", "5", "--crashes", "-1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: crashes cannot be negative: -1\n"
+
+
 def test_sweep_rejects_crashing_every_robot_before_any_run(tmp_path, capsys, monkeypatch):
     import gathersim.cli as cli
 
@@ -266,12 +272,16 @@ MALFORMED = [
     ("classify", "flat.json", '{"points": [1, 2, 3]}', "point 0"),
     ("classify", "listed.json", "[[0, 0], [1, 0], [0, 1]]", '{"points"'),
     ("crash-schedule", "schedule.json", "[5]", "crash 0"),
+    # a float or a bool used to be truncated: robot 1 crashed in round 2, then 1
+    ("crash-schedule", "float_round.json", "[[0, 2], [2.9, 1]]", "crash 1 is not a pair of ints"),
+    ("crash-schedule", "bool_round.json", "[[true, 1]]", "crash 0 is not a pair of ints"),
     ("sweep", "runs_of_ints.json", '{"runs": [5]}', "runs[0]"),
     ("sweep", "runs_object.json", '{"runs": {"n": 4}}', "runs as a list"),
     ("sweep", "listed_n.json", '{"runs": [{"n": [5]}]}', "runs[0]: n cannot be [5]"),
     ("sweep", "grid_scalar.json", '{"grid": {"n": 4}}', "grid n"),
     ("sweep", "seed_string.json", '{"defaults": {"seed": "3"}, "runs": [{}]}', "defaults: seed"),
     ("sweep", "misnamed.json", '{"default": {"n": 4}, "runs": [{}]}', '"defaults", "runs" and "grid" only'),
+    ("sweep", "negative_crashes.json", '{"runs": [{"n": 4}, {"n": 4, "crashes": -1}]}', "run 1: crashes cannot be negative"),
 ]
 
 

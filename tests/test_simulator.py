@@ -172,6 +172,14 @@ def test_run_validates_crash_budget():
         )
 
 
+def test_crash_schedule_entries_must_be_pairs_of_ints():
+    # a float or a bool used to be truncated with int(): round 2.9 crashed in round 2
+    for entry in ((2.9, 1), (2, 1.0), (True, 1), (2, False), (2, 1, 0)):
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            AdversarySpec(crash_schedule=(entry,))
+    assert AdversarySpec(crash_schedule=[[2, 1]]).crash_schedule == ((2, 1),)
+
+
 def test_sim_params_need_a_finite_positive_delta():
     for delta in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="delta must be finite and positive"):

@@ -5,6 +5,7 @@ import random
 import types
 import weakref
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -1599,6 +1600,17 @@ def test_each_location_row_is_summed_once(monkeypatch):
     assert repeats > 5
 
 
+def test_exact_sums_come_from_the_pair_pass_up_to_tree_from():
+    # at or below ``_TREE_FROM`` robots a center that reaches the exact
+    # quasi-regular test takes its triple from the pair pass, and no
+    # location's row is summed a second time
+    center = Point(0.3, -0.2)
+    config = Configuration([on_ray(center, 0.1 + j * TAU / 7, 1.0) for j in range(7)] + [center])
+    assert classify(config).tag == TAG_QREGULAR
+    assert "_pair_sums" in vars(config) and center in config._rays
+    assert not any("_sums" in vars(rays) for rays in config._rays.values())
+
+
 def test_cell_tree_only_above_tree_from(monkeypatch):
     built = []
     bounds = geometry._CellBounds
@@ -1697,8 +1709,8 @@ def _large_inputs():
     for n in (80, 160):
         circle, ellipse, _, gon = _near_tie_shapes(n)
         out += [circle, ellipse, gon]
-    # two robots 1e-7 of the diameter apart, beyond the merge slack: the
-    # r_min floor falls below the eps_angle knee
+    # two robots 1e-7 of the diameter apart, beyond the merge slack and
+    # below the eps_angle knee
     spots = [Point(rng.random(), rng.random()) for _ in range(99)]
     out.append(Configuration(spots + [Point(spots[0].x + 1e-7, spots[0].y)]))
     return [config for config in out if not config.is_linear]
@@ -1708,7 +1720,8 @@ def test_cell_bounds_hold_and_keep_every_decision():
     checked = found = view_decided = below_knee = 0
     for config in _large_inputs():
         lower, complete = _tree_bounds(config)
-        below_knee += lower[0][1] < symmetry._COORD_DRIFT * config.diameter / config.tol.eps_angle
+        knee = symmetry._COORD_DRIFT * config.diameter / config.tol.eps_angle
+        below_knee += any(config.merge_slack < dist(p, q) < knee for p, q in combinations(set(config.points), 2))
         for loc, (pull, r_min, total), whole in zip(config.locations, lower, complete, strict=True):
             c = loc.location
             row = [dist(c, q) for q in config.points]
@@ -1787,13 +1800,9 @@ def test_pair_pass_matches_every_rays_row(config):
 
 # The pull bound above ``_TREE_FROM`` robots, from convexity of the distance
 # sum f: |P_c| - mu_c >= (f(c) - f(y)) / |c - y| - delta_c at any y != c,
-# with delta_c = 0 when the location's robots all sit exactly on c and
-# 2 * (mu_c - 1) otherwise.  It must hold for the computed pull, with the
-# tree's sum bound at c, at the centroid, at a robot and at a random point.
-
-
-def _exactly_stacked(config, loc):
-    return all(config.points[i] == loc.location for i in loc.indices)
+# with delta_c = 2 * (mu_c - 1).  It must hold for the computed pull, with
+# the tree's sum bound at c, at the centroid, at a robot and at a random
+# point.
 
 
 @given(_pair_pass_inputs(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -1817,8 +1826,6 @@ def test_convexity_pull_bound_never_exceeds_the_pull(config, tx, ty):
             mu = loc.multiplicity
             weak = configuration._convexity_pull(total, above, gap, 2 - mu, config.n)
             assert weak <= pull, (config, c, y)
-            if _exactly_stacked(config, loc):
-                assert configuration._convexity_pull(total, above, gap, mu, config.n) <= pull, (config, c, y)
 
 
 # --- ray clustering against the reference ----------------------------------------------
