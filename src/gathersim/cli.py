@@ -95,20 +95,18 @@ def load_configuration(path: str, tol: Tolerance | None = None) -> Configuration
     return Configuration(_pairs(path, "point", rows, float), tol)
 
 
-def build_run(settings: dict, where: str = "") -> tuple[Configuration, AdversarySpec, SimParams]:
+def build_run(settings: dict) -> tuple[Configuration, AdversarySpec, SimParams]:
     """The start, adversary and parameters of one run from its settings.
 
     ``settings`` holds every key of ``RUN_DEFAULTS``, and ``simulate``'s or
     ``classify``'s ``input`` and ``crash_schedule`` files where given.  The
     start (the input file, else ``n`` uniform robots) and then the crash
     schedule (its file, else ``crashes`` robots, each at a random round
-    below 40) draw from ``random.Random(seed)`` in that order.  A negative
-    ``crashes`` is refused before anything is drawn, its message led by
-    ``where`` (a sweep's file and run), and a run that would crash every
-    robot before it starts.
+    below 40) draw from ``random.Random(seed)`` in that order.  Negative
+    ``crashes`` and a run that would crash every robot are refused here.
     """
     if settings["crashes"] < 0:
-        raise ValueError(f"{where}crashes cannot be negative: {settings['crashes']}")
+        raise ValueError(f"crashes cannot be negative: {settings['crashes']}")
     eps, delta = float(settings["eps"]), settings["delta"]
     rng = random.Random(settings["seed"])
     if settings.get("input"):
@@ -277,7 +275,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not entries:
         raise ValueError("sweep spec contains no runs")
     for k, settings in enumerate(entries):
-        build_run(settings, f"{args.spec}: run {k}: ")  # refuse a bad entry before any run starts
+        try:  # refuse a bad entry before any run starts
+            build_run(settings)
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: run {k}: {exc}") from None
     # the executor forks every worker at its first submit, so never more
     # than there are runs
     workers = min(args.jobs, len(entries))

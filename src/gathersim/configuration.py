@@ -184,9 +184,7 @@ class Configuration:
         and on a regular polygon of 80 to 640 robots every walk stops after
         opening the root.
 
-        Every location's r_min floor is the merge slack: r_min is the least
-        distance beyond it, and ``symmetry._slack_by_r_min`` never grows as
-        r_min grows.
+        r_min is one floor for every location, ``_r_floor``.
 
         The crossover, timed as whole ``classify`` calls on fresh
         configurations forced to each side, pass against tree, in us, best
@@ -227,7 +225,7 @@ class Configuration:
             return self._pair_sums
         n = self.n
         above = _sum_above(self.points, walks.centroid)
-        r_floor = self.merge_slack
+        r_floor = self._r_floor
         slack_at, spread, rounding = symmetry._skip_terms(self)
         excess = spread * slack_at(r_floor) + rounding + (n + 8) * n * 2e-15
         out = []
@@ -250,6 +248,32 @@ class Configuration:
         if self.n <= _TREE_FROM:
             return None
         return geometry._CellBounds(self.points, [loc.location for loc in self.locations], _LEAF_SIZE)
+
+    @_cached
+    def _r_floor(self) -> float:
+        """A lower bound on every location's exact r_min, the smallest
+        computed ``hypot`` from its point to another distinct point beyond
+        the merge slack: the least of such distances below the knee
+        ``_COORD_DRIFT`` * diameter / ``eps_angle``, from which
+        ``symmetry._slack_by_r_min`` is flat, and the knee itself.  A
+        distance is never below either coordinate difference, so a sweep
+        over the distinct points in x order that measures only the pairs
+        closer than the knee in x finds every distance below it.
+        """
+        slack = self.merge_slack
+        knee = symmetry._COORD_DRIFT * self.diameter / self.tol.eps_angle if self.tol.eps_angle else math.inf
+        floor = knee
+        pts = self._distinct[1]
+        hypot = math.hypot
+        for k, (px, py) in enumerate(pts):
+            for j in range(k - 1, -1, -1):
+                qx, qy = pts[j]
+                if px - qx >= knee:
+                    break
+                d = hypot(px - qx, py - qy)
+                if slack < d < floor:
+                    floor = d
+        return floor
 
     def _sums_at(self, k: int) -> tuple[float, float, float]:
         """The exact (pull, r_min, sum) at the k-th location, for the

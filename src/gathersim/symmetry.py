@@ -143,19 +143,18 @@ class Rays:
     there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
-    centers never need a direction: above the cell-tree crossover, the
-    locations whose exact pull or distance sum ``_sums`` gives
-    ``Configuration._sums_at`` and ``Configuration._sum_at``, its only
-    readers.  They, ``_sums`` and ``at_center`` are ``geometry._cached``
-    attributes, kept in the instance ``__dict__`` from their first read,
-    where ``built_index`` looks for ``index``.  ``sweep_slack`` is the
-    successor sweep's angle slack, None until ``successor`` first takes
-    it.  Every ray test reads a ``Rays``: the successor sweep and
-    the M side step around the elected point (and the M blocked test, once
-    the side step has built the index), quasi-regularity around each
-    candidate center, and the safe-point test around each location.
-    It keeps the points, never the configuration that caches it: a
-    reference back would form a cycle that only the cyclic garbage
+    centers never need a direction: above the cell-tree crossover, those
+    whose exact sums ``Configuration._sums_at`` and ``_sum_at``, its only
+    readers, take from ``_sums``.  They, ``_sums`` and ``at_center`` are
+    ``geometry._cached`` attributes, kept in the instance ``__dict__`` from
+    their first read, where ``built_index`` looks for ``index``.
+    ``sweep_slack`` is the successor sweep's angle slack, None until
+    ``successor`` first takes it.  Every ray test reads a ``Rays``: the
+    successor sweep and the M side step around the elected point (and the M
+    blocked test, once the side step has built the index), quasi-regularity
+    around each candidate center, and the safe-point test around each
+    location.  It keeps the points, never the configuration that caches it:
+    a reference back would form a cycle that only the cyclic garbage
     collector frees.
     """
 

@@ -262,7 +262,7 @@ def test_sweep_rejects_crashing_every_robot_before_any_run(tmp_path, capsys, mon
     spec_path.write_text(json.dumps({"runs": [{"n": 5, "crashes": 2}, {"n": 5, "crashes": 5}]}))
     out = tmp_path / "rows.csv"
     assert main(["sweep", str(spec_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == CRASH_REFUSAL
+    assert capsys.readouterr().err == f"error: {spec_path}: run 1: {CRASH_REFUSAL[len('error: '):]}"
     assert not started and not out.exists()
 
 

@@ -151,7 +151,7 @@ def test_lazy_attributes_compute_once(monkeypatch):
     plane = Configuration([(0, 0), (0, 0), (3, 1), (1, 4), (-2, 2)])
     line = Configuration([(0, 0), (1, 1), (1, 1), (3, 3)])
     for config, names in ((plane, _LAZY[Configuration] - {"linear_endpoints"}), (line, _LAZY[Configuration])):
-        names = names | {"_distinct", "_farthest", "_lower_sums", "_pair_sums", "_sum_walks"}
+        names = names | {"_distinct", "_farthest", "_lower_sums", "_pair_sums", "_sum_walks", "_r_floor"}
         for _ in range(2):
             for name in sorted(names):
                 getattr(config, name)

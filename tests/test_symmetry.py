@@ -5,7 +5,6 @@ import random
 import types
 import weakref
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -1709,8 +1708,8 @@ def _large_inputs():
     for n in (80, 160):
         circle, ellipse, _, gon = _near_tie_shapes(n)
         out += [circle, ellipse, gon]
-    # two robots 1e-7 of the diameter apart, beyond the merge slack and
-    # below the eps_angle knee
+    # two robots 1e-7 of the diameter apart, beyond the merge slack: the
+    # r_min floor falls below the eps_angle knee
     spots = [Point(rng.random(), rng.random()) for _ in range(99)]
     out.append(Configuration(spots + [Point(spots[0].x + 1e-7, spots[0].y)]))
     return [config for config in out if not config.is_linear]
@@ -1720,8 +1719,7 @@ def test_cell_bounds_hold_and_keep_every_decision():
     checked = found = view_decided = below_knee = 0
     for config in _large_inputs():
         lower, complete = _tree_bounds(config)
-        knee = symmetry._COORD_DRIFT * config.diameter / config.tol.eps_angle
-        below_knee += any(config.merge_slack < dist(p, q) < knee for p, q in combinations(set(config.points), 2))
+        below_knee += lower[0][1] < symmetry._COORD_DRIFT * config.diameter / config.tol.eps_angle
         for loc, (pull, r_min, total), whole in zip(config.locations, lower, complete, strict=True):
             c = loc.location
             row = [dist(c, q) for q in config.points]
