@@ -3,6 +3,7 @@
 Exit codes for ``simulate``: 0 gathered, 2 round limit hit, 3 bivalent
 input rejected, 4 invariant violation, 1 I/O or argument errors.  ``sweep``
 exits 4 when any run violates an invariant, 1 on bad specs, 0 otherwise.
+Every command exits 1 on an argument error the parser finds.
 """
 
 from __future__ import annotations
@@ -143,8 +144,18 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1, as every other bad input does: argparse's own
+    2 is ``simulate``'s round-limit code.  Subcommand parsers are of this
+    class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gathersim")
+    parser = _Parser(prog="gathersim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one gathering simulation")

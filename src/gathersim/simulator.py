@@ -1,11 +1,13 @@
-"""Semi-synchronous execution engine with adversarial scheduling and crashes.
+"""Semi-synchronous execution engine: the adversary chooses, ``_apply`` executes.
 
-Each round: the adversary activates a set of live robots (subject to a
-mechanical fairness bound), this round's crashes strike, every surviving
-activated robot observes the full configuration through a fresh random local
-coordinate frame, computes a destination, and is moved toward it, possibly
-being stopped early but never before covering the movement floor ``delta``.
-Arrivals snap exactly onto their destination so multiplicities stay exact.
+Each round the adversary (``_choose``) makes every choice a robot does not:
+which live robots it activates (subject to a mechanical fairness bound),
+which crash, each actor's fresh random local frame, and where each move
+stops, never before it covers the movement floor ``delta``.  ``_apply``
+then executes the choice and draws nothing: every actor observes the
+configuration through its frame and computes its destination, which must
+map back to its own (the frame monitor), and arrivals snap exactly onto
+their destination so multiplicities stay exact.
 
 A run is fully determined by (initial configuration, adversary spec,
 parameters): replaying with the same seed reproduces the trace byte for
@@ -65,10 +67,10 @@ class SimParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be finite and positive")
-        if self.fairness_bound < 1:
-            raise ValueError("fairness_bound must be at least 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        for name in ("max_rounds", "fairness_bound"):  # NaN passes "< 1"; bools are refused as in crash entries
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int of at least 1, not {value!r}")
 
 
 @dataclass
@@ -269,40 +271,54 @@ def read_trace(stream: IO[str]) -> list[TraceRecord]:
     return [TraceRecord.from_obj(json.loads(line)) for line in stream if line.strip()]
 
 
-# --- scheduling ------------------------------------------------------------------
+# --- the adversary's choices ------------------------------------------------------
 
 
-def _forced_robots(state: SimState, bound: int) -> set[int]:
-    return {
-        i
-        for i in range(state.config.n)
-        if not state.crashed[i] and state.since_activation[i] + 1 >= bound
-    }
+@dataclass
+class RoundChoice:
+    """A round as the adversary chose it: crash flags after this round's crashes,
+    the running activated robots (ascending), and each one's frame and stop."""
+
+    crashed: list[bool]
+    actors: list[int]
+    frames: list[LocalFrame]
+    stops: list[Point]
 
 
-def _select_activation(
+def _choose(
     state: SimState,
     adv: AdversarySpec,
     params: SimParams,
     rng: random.Random,
     decisions: list[gathering.ComputeDecision],
-) -> set[int]:
-    live = [i for i in range(state.config.n) if not state.crashed[i]]
-    forced = _forced_robots(state, params.fairness_bound)
+) -> RoundChoice:
+    """Every draw of a round, in this order: the activation (a live robot
+    idle for ``fairness_bound - 1`` rounds is forced in), then, after this
+    round's crashes, each actor's frame and stop, actor by actor.  Frames
+    are translated by up to twice the diameter, so frame images keep the
+    configuration's shape at every scale."""
+    config, n = state.config, state.config.n
+    live = [i for i in range(n) if not state.crashed[i]]
+    forced = {i for i in live if state.since_activation[i] + 1 >= params.fairness_bound}
     if adv.activation == "synchronous":
-        return set(live)
-    if adv.activation == "random":
-        chosen = {i for i in live if rng.random() < adv.activation_prob}
-        return chosen | forced
-    if adv.activation == "round_robin":
-        n = state.config.n
-        idx = state.round % n
-        for _ in range(n):
-            if not state.crashed[idx]:
-                break
-            idx = (idx + 1) % n
-        return {idx} | forced
-    return _greedy_activation(state, params, forced, live, decisions)
+        selected = set(live)
+    elif adv.activation == "random":
+        selected = {i for i in live if rng.random() < adv.activation_prob} | forced
+    elif adv.activation == "round_robin":
+        turn = (j % n for j in range(state.round, state.round + n) if not state.crashed[j % n])
+        selected = {next(turn, state.round % n)} | forced
+    else:
+        selected = _greedy_activation(state, params, forced, live, decisions)
+    newly_crashed = {i for rnd, i in adv.crash_schedule if rnd == state.round}
+    crashed = [c or (i in newly_crashed) for i, c in enumerate(state.crashed)]
+    actors = sorted(i for i in selected if not crashed[i])
+    frames, stops = [], []
+    for i in actors:
+        frames.append(LocalFrame.random(rng, config.diameter))
+        pos, decision = config.points[i], decisions[i]
+        stay = decision.rule == gathering.RULE_STAY
+        stops.append(pos if stay else _move_toward(pos, decision.destination, params.delta, adv.stop_policy, rng))
+    return RoundChoice(crashed, actors, frames, stops)
 
 
 def _greedy_activation(
@@ -368,71 +384,53 @@ def _move_toward(
 # --- the round -------------------------------------------------------------------
 
 
-def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Random) -> tuple[SimState, TraceRecord]:
-    """Execute one round; returns (state, record).
+def _apply(state: SimState, choice: RoundChoice) -> tuple[SimState, TraceRecord]:
+    """Execute the adversary's choice, drawing nothing; returns (state, record).
 
-    The configuration's class and each robot's decision are its own
-    (``Configuration.cls``, ``gathering.decide``), computed on first read.
-    A round that moves no robot (no actor, or every actor stays) returns
-    the input's own ``Configuration``, so ``run`` neither classifies nor
-    decides it again.  Stops are tested by identity: ``==`` takes -0.0 for
-    0.0.  ``check_transition`` reads what moved from the round's two
-    configurations.  Each actor's frame is translated by up to twice the
-    diameter, so frame images keep the configuration's shape at every
-    scale.  A bivalent input raises ``BivalentInput`` from
-    ``gathering.compute``; ``run`` never steps one.
+    Each actor's decision must map back from its frame (the frame monitor);
+    a stop within the merge slack of its destination snaps onto it, so
+    multiplicities stay exact.  A round that moves no robot returns the
+    input's own ``Configuration`` (stops are tested by identity, as ``==``
+    takes -0.0 for 0.0), so ``run`` neither classifies nor decides it again.
     """
     config = state.config
     decisions = gathering.decide(config)
-
-    selected = _select_activation(state, adv, params, rng, decisions)
-    newly_crashed = {i for rnd, i in adv.crash_schedule if rnd == state.round}
-    crashed = [c or (i in newly_crashed) for i, c in enumerate(state.crashed)]
-    actors = sorted(i for i in selected if not crashed[i])
-
     frame_tol = max(_FRAME_MATCH_REL * config.diameter, config.resolution)
-    new_points = list(config.points)
-    recorded = []
     stops = []
-    for i in actors:
-        frame = LocalFrame.random(rng, config.diameter)
+    for i, frame, stop in zip(choice.actors, choice.frames, choice.stops):
         local_decision = gathering.compute(frame.apply_config(config), i)
-        mapped = frame.invert_point(local_decision.destination)
         decision = decisions[i]
-        if local_decision.rule != decision.rule or dist(mapped, decision.destination) > frame_tol:
+        offset = dist(frame.invert_point(local_decision.destination), decision.destination)
+        if local_decision.rule != decision.rule or offset > frame_tol:
             raise InvariantViolation(
                 f"round {state.round}: robot {i} frame-dependent decision "
-                f"({local_decision.rule} vs {decision.rule}, offset "
-                f"{dist(mapped, decision.destination):.3e})"
+                f"({local_decision.rule} vs {decision.rule}, offset {offset:.3e})"
             )
-        pos = config.points[i]
-        if decision.rule == gathering.RULE_STAY:
-            stop = pos
-        else:
-            stop = _move_toward(pos, decision.destination, params.delta, adv.stop_policy, rng)
-            if dist(stop, decision.destination) <= config.merge_slack:
-                stop = decision.destination
-        new_points[i] = stop
-        recorded.append((i, decision.rule, decision.destination))
+        if decision.rule != gathering.RULE_STAY and dist(stop, decision.destination) <= config.merge_slack:
+            stop = decision.destination
         stops.append(stop)
-
-    since = [
-        0 if i in selected and not crashed[i] else state.since_activation[i] + 1
-        for i in range(config.n)
-    ]
+    stop_of = dict(zip(choice.actors, stops))
+    since = [0 if i in stop_of else s + 1 for i, s in enumerate(state.since_activation)]
     record = TraceRecord(
         round=state.round,
         cls=config.cls.tag,
         positions=list(config.points),
-        crashed=list(crashed),
-        activated=actors,
-        decisions=recorded,
+        crashed=list(choice.crashed),
+        activated=choice.actors,
+        decisions=[(i, decisions[i].rule, decisions[i].destination) for i in choice.actors],
         stops=stops,
         gathered=False,
     )
-    kept = all(stop is config.points[i] for i, stop in zip(actors, stops))
-    new_state = SimState(state.round + 1, config if kept else Configuration(new_points, config.tol), crashed, since)
-    return new_state, record
+    if not all(stop is config.points[i] for i, stop in stop_of.items()):
+        config = Configuration([stop_of.get(i, p) for i, p in enumerate(config.points)], config.tol)
+    return SimState(state.round + 1, config, choice.crashed, since), record
+
+
+def step(state: SimState, adv: AdversarySpec, params: SimParams, rng: random.Random) -> tuple[SimState, TraceRecord]:
+    """Execute one round: the adversary chooses, then its choice is applied.
+    Decisions are the configuration's own (``gathering.decide``); a
+    bivalent input raises ``BivalentInput``, and ``run`` never steps one."""
+    return _apply(state, _choose(state, adv, params, rng, gathering.decide(state.config)))
 
 
 # --- convergence guarantees as executable checks ------------------------------------

@@ -145,6 +145,26 @@ def test_simulate_max_rounds_exit_code(square_json, capsys):
     assert code == 2
 
 
+def test_argument_errors_exit_1(capsys):
+    # argparse exits 2 on its own, which is simulate's round-limit code
+    for argv in (
+        ["simulate", "--n", "five"],
+        ["simulate", "--n", "5", "--adversary", "bogus"],
+        ["simulate"],
+        ["sweep"],
+        ["classify"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "error: " in capsys.readouterr().err
+    for argv in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
 def test_simulate_replay_identical(square_json, tmp_path):
     args = [
         "simulate",

@@ -185,6 +185,13 @@ def test_sim_params_need_a_finite_positive_delta():
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             SimParams(delta=delta)
     assert SimParams(delta=0.2).delta == 0.2
+    # a NaN bound passes every "< 1" test: a NaN fairness bound never forces
+    # a robot in, and a NaN round limit never ends a run that does not gather
+    for name in ("max_rounds", "fairness_bound"):
+        for value in (math.nan, math.inf, 8.0, True, "8", None, 0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be an int of at least 1"):
+                SimParams(delta=0.2, **{name: value})
+    assert SimParams(delta=0.2, max_rounds=1, fairness_bound=1).fairness_bound == 1
 
 
 def test_adversary_spec_needs_a_probability():
@@ -584,6 +591,36 @@ def test_step_without_a_move_keeps_the_configuration():
     state, record = step(moving, adv, params, random.Random(1))
     assert record.activated == [2] and state.config is not config
     assert state.config.points != config.points and state.config.points[2] != config.points[2]
+
+
+def test_apply_executes_a_hand_built_choice():
+    # the round without the adversary: robot 0's stop, one ulp off its
+    # destination, lands on the destination object; robot 4 stays, robot 1
+    # is not activated and robot 2 crashes this round
+    config = Configuration([(4, 3), (2, 3), (2, 1), (4, 1), (3, 2)])
+    decisions = gathering.decide(config)
+    assert [d.rule for d in decisions] == [gathering.RULE_WEBER] * 4 + [gathering.RULE_STAY]
+    dest = decisions[0].destination
+    near = Point(math.nextafter(dest.x, math.inf), dest.y)
+    assert near != dest
+    identity = LocalFrame(0.0, 1.0, Point(0.0, 0.0))
+    crashed = [False, False, True, False, False]
+    choice = simulator.RoundChoice(crashed, [0, 4], [identity, identity], [near, config.points[4]])
+    state, record = simulator._apply(SimState(7, config, [False] * 5, [3, 5, 0, 1, 2]), choice)
+    assert record.activated == choice.actors
+    assert record.stops[0] is dest and record.stops[1] is choice.stops[1] and len(record.stops) == 2
+    assert record.decisions == [(i, decisions[i].rule, decisions[i].destination) for i in choice.actors]
+    assert [bits(p) for p in state.config.points] == [bits(p) for p in (dest,) + config.points[1:]]
+    assert state.since_activation == [0, 6, 1, 2, 0]
+    assert state.round == 8 and state.crashed == record.crashed == crashed
+
+    # a round whose only actor stays keeps the configuration, so robot 1,
+    # outside the actors, keeps its point object
+    stay = simulator.RoundChoice(crashed, [4], [identity], [config.points[4]])
+    state, record = simulator._apply(SimState(7, config, crashed, [3, 5, 0, 1, 2]), stay)
+    assert state.config is config and state.config.points[1] is config.points[1]
+    assert record.activated == [4] and record.stops[0] is config.points[4]
+    assert state.since_activation == [4, 6, 1, 2, 0]
 
 
 @pytest.mark.parametrize(
