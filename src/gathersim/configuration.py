@@ -90,19 +90,29 @@ class Configuration:
     """Indexed multiset of robot positions with tolerance-aware multiplicities.
 
     The points are stored as ``Point``s of floats, whatever pairs of
-    numbers they came as, and must be finite.  Every derived attribute (the
-    distinct points, the diameter, the locations, linearity, the pair sums,
-    the class, ...) is a ``geometry._cached`` attribute, computed on first
-    read and kept.  Every robot's local frame makes a fresh configuration,
-    and most of those are decided after the locations and the linearity
-    test, so this fixed cost is a large share of a run (see the README).
+    numbers they came as, and must be finite; a ``Point`` whose two
+    coordinates are already floats is kept as it is, so a robot that did
+    not move keeps its point object from one round's configuration to the
+    next, which ``simulator.trace_lines`` formats once.  Every derived
+    attribute (the distinct points, the diameter, the locations, linearity,
+    the pair sums, the class, ...) is a ``geometry._cached`` attribute,
+    computed on first read and kept.  Every robot's local frame makes a
+    fresh configuration, and most of those are decided after the locations
+    and the linearity test, so this fixed cost is a large share of a run
+    (see the README).
     """
 
     def __init__(self, points: Iterable[Point | Sequence[float]], tol: Tolerance | None = None):
         # ``tuple.__new__`` is what ``Point(x, y)`` runs, without its
         # Python-level ``__new__``
         new = tuple.__new__
-        pts = tuple([new(Point, (float(p[0]), float(p[1]))) for p in points])
+        pts = tuple(
+            [
+                p if type(p) is Point and type(p[0]) is float and type(p[1]) is float
+                else new(Point, (float(p[0]), float(p[1])))
+                for p in points
+            ]
+        )
         if not pts:
             raise ValueError("a configuration needs at least one robot")
         if not all(map(math.isfinite, chain.from_iterable(pts))):
@@ -145,11 +155,16 @@ class Configuration:
     def _lower_sums(self) -> list[tuple[float, float, float]]:
         """Lower bounds on each location's ``_sums_at``, in location order.
 
-        Where ``_sum_walks`` is None, up to ``_TREE_FROM`` robots, it is
-        ``_pair_sums`` itself, every bound exact.  Above, every bound comes
-        from the distance-sum bounds of ``_sum_walks``; they spare exact
-        work only when they prune most of the robots, and at small n a walk
-        measures most of them exactly anyway.
+        A frame image whose base has computed its ``_pair_sums`` is given
+        these bounds by ``_seed_image_sums`` when it is built, below the
+        exact values by the frame's coordinate error and a few ulps, and
+        runs no pair pass.  Otherwise, where ``_sum_walks`` is None, up to
+        ``_TREE_FROM`` robots, it is ``_pair_sums`` itself, every bound
+        exact.  Above, every bound comes from the distance-sum bounds of
+        ``_sum_walks``; they spare exact work only when they prune most of
+        the robots, and at small n a walk measures most of them exactly
+        anyway.  The center test and the class-A election read any valid
+        lower bounds; only the work they spare depends on how close.
 
         Above ``_TREE_FROM`` the pull bound follows from the sum bound by
         convexity.  Write f(x) for the sum of |x - p| over the robots p, P_c
@@ -244,7 +259,7 @@ class Configuration:
         over the robots, kept so that the class-A election can refine them
         further; None at or below ``_TREE_FROM`` robots, where the exact
         ``_pair_sums`` serve instead.  The one reader of the crossover:
-        ``_lower_sums``, ``_sum_at`` and the election branch on its None."""
+        ``_lower_sums`` and the election branch on its None."""
         if self.n <= _TREE_FROM:
             return None
         return geometry._CellBounds(self.points, [loc.location for loc in self.locations], _LEAF_SIZE)
@@ -277,27 +292,34 @@ class Configuration:
 
     def _sums_at(self, k: int) -> tuple[float, float, float]:
         """The exact (pull, r_min, sum) at the k-th location, for the
-        quasi-regular center test: its ``_pair_sums`` entry where
-        ``_sum_walks`` is None, else its ``symmetry.Rays`` ``_sums``, an
-        O(n) pass over its row, made once per location, which ``_sum_at``
-        reads too.  Both give the same doubles."""
-        if self._sum_walks is None:
-            return self._pair_sums[k]
+        quasi-regular center test: its ``_pair_sums`` entry where the
+        configuration has computed them, else its ``symmetry.Rays``
+        ``_sums``, an O(n) pass over its row, made once per location, which
+        ``_sum_at`` reads too.  Both give the same doubles."""
+        sums = self.__dict__.get("_pair_sums")
+        if sums is not None:
+            return sums[k]
         return symmetry.Rays.of(self, self.locations[k].location)._sums
 
     def _sum_at(self, k: int) -> float:
         """The exact sum of ``_sums_at`` at the k-th location, the same
         double, for the class-A election: its ``_pair_sums`` entry where
-        ``_sum_walks`` is None; above, from the location's ``Rays`` once
-        its ``_sums`` are taken, else one pass of ``hypot`` over the robots
-        that keeps no row and divides nothing: 16 us against 47 us for a
-        ``Rays`` and its ``_sums`` at 160 robots under CPython 3.11."""
-        if self._sum_walks is None:
-            return self._pair_sums[k][2]
+        the configuration has computed them; else from the location's
+        ``Rays`` where the center test or ``_is_safe`` has built one: its
+        ``_sums`` once taken, else the ``_plain_sum`` of its row, every
+        robot's distance added in index order as ``_sums`` adds them; else
+        one pass of ``hypot`` over the robots that keeps no row.  Building
+        the ``Rays`` here instead, for ``_is_safe`` to reuse, made
+        ``classify`` 8% slower on 40 uniform and elliptic inputs of 160
+        robots (CPython 3.11, best of 5)."""
+        sums = self.__dict__.get("_pair_sums")
+        if sums is not None:
+            return sums[k][2]
         c = self.locations[k].location
         rays = self._rays.get(c)
-        if rays is not None and "_sums" in vars(rays):
-            return rays._sums[2]
+        if rays is not None:
+            row = rays.__dict__.get("_sums")
+            return row[2] if row is not None else _plain_sum(rays.dists)
         cx, cy = c
         hypot = math.hypot
         return _plain_sum([hypot(x - cx, y - cy) for x, y in self.points])
@@ -506,6 +528,84 @@ class Configuration:
 
     def __repr__(self) -> str:
         return f"Configuration({list(self.points)!r})"
+
+
+def _seed_image_sums(image: Configuration, base: Configuration, scale: float, translation: Point) -> None:
+    """Seed the frame image's ``_lower_sums`` from its base's ``_pair_sums``,
+    where the base has computed them, so the image runs no pair pass.
+
+    The image's robot i is ``LocalFrame.apply_config``'s computed point
+    q_i = (s (x ct - y st) + tx, s (x st + y ct) + ty) of the base's p_i =
+    (x, y), with ct and st the computed cos and sin of the rotation.  T,
+    the same map in exact arithmetic, is a similarity: it scales every
+    distance by sigma = s sqrt(ct^2 + st^2), within 2u of s (u = 2^-53;
+    ct and st err by under an ulp), and turns every direction by the one
+    rotation R.  With M the base's largest |coordinate|, each product x ct
+    and y st errs by at most uM, their difference (at most 2M in size) by
+    4.01uM, the product with s by 6.02usM and the sum with tx by 8.1usM +
+    u|tx|; the same holds for y.  So |q_i - T(p_i)| <= eps = 16u (2sM +
+    |tx| + |ty|), with room for the rounding of eps itself, and every
+    vector a = q_j - q_c is within 2 eps of T(p_j) - T(p_c).  The base's
+    diameter is within ``classify``'s range, as it is wherever
+    ``classify`` runs the pair pass, and the image's is at least
+    ``_MIN_DIAMETER``; so M and sM are far above the subnormal range,
+    where an underflowed result errs by less than uM too, and every sum is
+    finite.
+
+    A computed ``hypot`` distance is within a relative 2.01u of the exact
+    one, and the computed ``_plain_sum`` of n of them within a relative
+    (n + 2)u of their exact sum.  For the location at c, with the base's
+    computed (pull, r_min, sum), and rel = (n + 16) 1e-15:
+
+    - sum: each exact image distance is at least sigma times the base's
+      less 2 eps, so the image's computed sum is above s sum (1 - (2n +
+      7)u) - 2 n eps, and above s sum (1 - rel) - 2 n eps with room for the
+      rounding of the bound;
+    - r_min: likewise its computed r_min is above s r_min (1 - 7u) - 2 eps,
+      and above r = s r_min (1 - rel) - 2 eps;
+    - pull: a unit vector moves by at most 2 |a - b| / |a| when a moves to
+      b, so each of the image's exact unit vectors is within 4 eps (1 + 3u)
+      / r of R applied to the base's exact one, and their sum, at most n
+      terms, within 8 n eps / r of R times the base's exact sum, which has
+      the same norm.  A computed pull is within (n + 8) n 1e-15 of its
+      exact norm (``_lower_sums``), so the image's computed pull is above
+      pull - 8 n eps / r - (n + 8) n 2e-15.
+
+    These bound the image's own computed values only where both take the
+    same robots, so the bounds are kept when two guards hold.  Every base
+    robot sits exactly on its location's point; then the base's distinct
+    points are its locations, each pair of them beyond the base's merge
+    slack, and the image's robots of one location share one point.  And
+    the least r over the locations exceeds twice the image's merge slack;
+    then every image distance between two locations is beyond the slack.
+    So the image merges no two of its distinct points: its locations are
+    the base's, in the same order, each with the same robots, and around
+    each center the robots beyond the merge slack, those of ``Rays.off``,
+    are the base's.  Otherwise the image runs its own pass.  The image
+    keeps no reference to the base.
+    """
+    sums = base.__dict__.get("_pair_sums")
+    if sums is None or not (_MIN_DIAMETER <= base.diameter <= _MAX_DIAMETER and _MIN_DIAMETER <= image.diameter):
+        return
+    points = base.points
+    locs = base.locations
+    if len(locs) != base.n and not all(points[i] == loc.location for loc in locs for i in loc.indices):
+        return
+    n = base.n
+    tx, ty = translation
+    # M, exactly: _RESOLUTION is a power of two
+    big = base.resolution / _RESOLUTION
+    eps = 16.0 * _UNIT * (2.0 * scale * big + abs(tx) + abs(ty))
+    shrink = scale * (1.0 - (n + 16) * 1e-15)
+    r_lows = [shrink * r_min - 2.0 * eps for _, r_min, _ in sums]
+    if not min(r_lows) > 2.0 * image.merge_slack:
+        return
+    rounding = (n + 8) * n * 2e-15
+    spread = 8.0 * n * eps
+    image.__dict__["_lower_sums"] = [
+        (pull - spread / r - rounding, r, shrink * total - 2.0 * n * eps)
+        for (pull, _, total), r in zip(sums, r_lows)
+    ]
 
 
 def _sum_above(points: Sequence[Point], y: Point) -> float:
@@ -905,9 +1005,11 @@ def _elect_safe_point(config: Configuration) -> Point:
     (``Configuration._lower_sums``), ties by location index, whose least
     entry is visited, and the visit stops at the first bound above b +
     merge slack.  Every location whose sum is at most b + merge slack is
-    visited, as its bound is at most its sum.  Up to the size at which
+    visited, as its bound is at most its sum, whatever the bounds are, so
+    the result does not depend on them.  Up to the size at which
     ``Configuration._sum_walks`` is None the bounds are the exact sums, so
-    the heap pops in ascending-sum order.
+    the heap pops in ascending-sum order, or, on a frame image seeded from
+    its base, sums lowered by a few ulps and the frame's coordinate error.
 
     Above it the bounds are partial walks of ``_sum_walks``: the popped
     bound is refined, up to the lesser of b + merge slack and the level,

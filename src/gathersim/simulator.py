@@ -126,16 +126,22 @@ class LocalFrame:
         return Point(x * ct + y * st, -x * st + y * ct)
 
     def apply_config(self, config: Configuration) -> Configuration:
-        # every robot rotated, scaled and translated, with the rotation's cos
-        # and sin taken once; plain float pairs, which Configuration makes
-        # Points of
+        """The configuration as seen in this frame: every robot rotated,
+        scaled and translated, with the rotation's cos and sin taken once,
+        as plain float pairs, which ``Configuration`` makes Points of.
+        Where the configuration has computed its exact pair sums, the
+        image's bounds on them are seeded from those
+        (``configuration._seed_image_sums``), so the image runs no pair
+        pass of its own."""
         ct = math.cos(self.rotation)
         st = math.sin(self.rotation)
         s = self.scale
         tx, ty = self.translation
-        return Configuration(
+        image = Configuration(
             [(s * (x * ct - y * st) + tx, s * (x * st + y * ct) + ty) for x, y in config.points], config.tol
         )
+        cfg._seed_image_sums(image, config, s, self.translation)
+        return image
 
 
 @dataclass

@@ -143,9 +143,10 @@ class Rays:
     there are none).  ``angles[i]`` is robot i's ``ccw_angle_of % TAU``
     direction, or None within the merge slack, and ``index`` the robots of
     ``off`` sorted by direction; both are built on first use, as many
-    centers never need a direction: above the cell-tree crossover, those
-    whose exact sums ``Configuration._sums_at`` and ``_sum_at``, its only
-    readers, take from ``_sums``.  They, ``_sums`` and ``at_center`` are
+    centers never need a direction: those whose exact sums
+    ``Configuration._sums_at`` and ``_sum_at``, its only readers, take from
+    ``_sums`` or the row, above the cell-tree crossover and on a frame
+    image seeded from its base.  They, ``_sums`` and ``at_center`` are
     ``geometry._cached`` attributes, kept in the instance ``__dict__`` from
     their first read, where ``built_index`` looks for ``index``.
     ``sweep_slack`` is the successor sweep's angle slack, None until
@@ -733,10 +734,13 @@ def detect_quasi_regular(config: Configuration) -> QRegularityResult | None:
     would be skipped by the exact test too, so it is skipped without
     measuring it.  Every other center takes its exact pull and r_min from
     ``Configuration._sums_at`` and runs the exact test; directions are
-    computed only for the centers that pass it, in ``_structure``.  On
-    generic configurations almost every center fails the pull bound, so
-    the occupied-center search costs the bounds plus O(n log n) per
-    surviving center.
+    computed only for the centers that pass it, in ``_structure``.  The
+    argument needs only that the bounds be at or below the computed
+    values, so it holds for every source of them: the exact pair pass, the
+    bounds a frame image is seeded with from its base, and the cell tree's
+    walks.  On generic configurations almost every center fails the pull
+    bound, so the occupied-center search costs the bounds plus O(n log n)
+    per surviving center.
 
     The Weber search that follows checks only the surviving centers as
     possible optimal vertices, in location order.  A skipped location has

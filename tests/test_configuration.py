@@ -103,6 +103,10 @@ def test_configuration_stores_float_points():
         assert all(type(p) is Point and type(p.x) is float and type(p.y) is float for p in config.points)
         assert bits(config.points[3]) == bits((-0.0, 7.25))
         assert config.n == 5
+        # a Point of floats is kept as it is; one of ints is not
+        assert config.points[3] is pairs[3] and config.points[2] is not pairs[2]
+    config = Configuration([Point(1, 2), Point(3.0, 4)])
+    assert all(type(p.x) is float and type(p.y) is float for p in config.points)
 
 
 # The public lazy attributes; the benchmark's tracer reports each one.

@@ -611,6 +611,8 @@ def test_apply_executes_a_hand_built_choice():
     assert record.stops[0] is dest and record.stops[1] is choice.stops[1] and len(record.stops) == 2
     assert record.decisions == [(i, decisions[i].rule, decisions[i].destination) for i in choice.actors]
     assert [bits(p) for p in state.config.points] == [bits(p) for p in (dest,) + config.points[1:]]
+    # the robots that did not move keep their point objects
+    assert all(state.config.points[i] is config.points[i] for i in range(1, 5))
     assert state.since_activation == [0, 6, 1, 2, 0]
     assert state.round == 8 and state.crashed == record.crashed == crashed
 
@@ -650,6 +652,28 @@ def test_run_classifies_each_distinct_configuration_once(monkeypatch, activation
     classified = {id(config) for config in global_calls}
     global_decisions = [config for config in decided if id(config) in classified]
     assert len(global_decisions) == sum(len(config.locations) for config in global_calls)
+
+
+def test_frame_images_take_their_bounds_from_the_base(monkeypatch):
+    # on a synchronous run no frame image whose base has computed its exact
+    # pair sums runs a pair pass of its own; every one is seeded instead
+    images = []
+    apply_config = LocalFrame.apply_config
+
+    def keep(frame, config):
+        image = apply_config(frame, config)
+        images.append((image, "_pair_sums" in vars(config)))
+        return image
+
+    monkeypatch.setattr(LocalFrame, "apply_config", keep)
+    initial = uniform_configuration(random.Random(20), 20)
+    adv = AdversarySpec(activation="synchronous", stop_policy="minimal")
+    result = run(initial, adv, SimParams(delta=initial.diameter / 100.0, seed=1))
+    assert result.outcome == OUTCOME_GATHERED, result.detail
+    from_sums = [image for image, base_has in images if base_has]
+    assert len(from_sums) > 200
+    assert not any("_pair_sums" in vars(image) for image in from_sums)
+    assert all("_lower_sums" in vars(image) for image in from_sums)
 
 
 # --- the greedy lookahead ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -17,6 +18,7 @@ from gathersim import (
     compute,
     configuration,
     detect_quasi_regular,
+    gathering,
     geometry,
     regularity_at,
     successor,
@@ -1775,14 +1777,19 @@ def _pair_pass_inputs(draw):
 def test_pair_pass_matches_every_rays_row(config):
     # the pull, r_min and distance sum that detect_quasi_regular and the
     # class-A election take from each location's Rays row, bit for bit,
-    # from the pair pass and from the row itself above the tree cutoff
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(configuration, "_TREE_FROM", 0)
-        from_rows = [config._sums_at(k) for k in range(len(config.locations))]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(configuration, "_TREE_FROM", 0)
-        passes = [config._sum_at(k) for k in range(len(config.locations))]
-    for loc, *sums, total in zip(config.locations, config._pair_sums, from_rows, passes, strict=True):
+    # from the pair pass and from the row itself; the election's sum also
+    # from one pass of hypot before any row is built, and from a row whose
+    # sums are not taken yet.  All are read before the pair pass runs, as
+    # the exact reads take its entries once it has.
+    locations = range(len(config.locations))
+    passes = [config._sum_at(k) for k in locations]
+    for loc in config.locations:
+        symmetry.Rays.of(config, loc.location)
+    unsummed = [config._sum_at(k) for k in locations]
+    from_rows = [config._sums_at(k) for k in locations]
+    for loc, *sums, total, row_total in zip(
+        config.locations, config._pair_sums, from_rows, passes, unsummed, strict=True
+    ):
         c = loc.location
         rays = symmetry.Rays(config, c)
         pull_x = pull_y = 0.0
@@ -1791,9 +1798,127 @@ def test_pair_pass_matches_every_rays_row(config):
             pull_x += (x - c.x) / rays.dists[i]
             pull_y += (y - c.y) / rays.dists[i]
         expected = (math.hypot(pull_x, pull_y).hex(), rays.r_min.hex(), _plain_sum(rays.dists).hex())
-        for pull, r_min, row_total in sums:
-            assert (pull.hex(), r_min.hex(), row_total.hex()) == expected, (config, c)
-        assert total.hex() == expected[2], (config, c)
+        for pull, r_min, sum_ in sums:
+            assert (pull.hex(), r_min.hex(), sum_.hex()) == expected, (config, c)
+        assert total.hex() == row_total.hex() == expected[2], (config, c)
+
+
+# --- frame images seeded from their base ---------------------------------------------
+#
+# A frame image whose base has computed its exact pair sums takes its
+# location bounds from them (``configuration._seed_image_sums``).  Every
+# seeded bound must stay at or below the image's own exact value, and the
+# image must classify and decide as an unseeded copy of it does.
+
+
+@st.composite
+def _frame_cases(draw):
+    """A base of 3 to 64 robots, uniform, near-collinear or a regular
+    polygon, with stacks and robots about the merge slack from another,
+    scaled by 1e-80 to 1e85 and perhaps offset by up to 1e6 times its
+    diameter D, with its pair sums computed; and a frame from
+    ``LocalFrame.random``, or one of scale 0.5 or 2 translated by +-2D."""
+    n = draw(st.integers(3, 64))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(("uniform", "collinear", "polygon")))
+    if shape == "uniform":
+        pts = [Point(rng.random(), rng.random()) for _ in range(n)]
+    elif shape == "collinear":
+        tilt = 10.0 ** rng.uniform(-12, -3)
+        pts = [Point(t, 0.3 * t + tilt * rng.uniform(-1, 1)) for t in (rng.random() for _ in range(n))]
+    else:
+        pts = [on_ray(Point(0.2, -0.1), rng.uniform(0, TAU) + j * TAU / n, 1.0) for j in range(n)]
+    for _ in range(draw(st.integers(0, n // 2))):
+        pts[rng.randrange(n)] = pts[rng.randrange(n)]
+    # robots about the merge slack from another, which the guards weigh
+    for t in draw(st.lists(st.floats(-3.0, 3.0), max_size=3)):
+        x, y = pts[rng.randrange(n)]
+        pts[rng.randrange(n)] = Point(x + t * 1e-9, y - t * 1e-9)
+    scale = 10.0 ** draw(st.floats(-80, 85))
+    pts = [Point(x * scale, y * scale) for x, y in pts]
+    if draw(st.booleans()):
+        shift = draw(st.floats(1.0, 1e6)) * Configuration(pts).diameter
+        pts = [Point(x + shift, y - 0.5 * shift) for x, y in pts]
+    base = Configuration(pts)
+    base._pair_sums
+    span = 2.0 * base.diameter
+    kind = draw(st.sampled_from(("random", 0.5, 2.0)))
+    if kind == "random":
+        frame = LocalFrame.random(rng, base.diameter)
+    else:
+        signs = draw(st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))))
+        frame = LocalFrame(rng.uniform(0, TAU), kind, Point(signs[0] * span, signs[1] * span))
+    return base, frame
+
+
+@given(_frame_cases())
+@settings(max_examples=300, deadline=None)
+def test_seeded_image_bounds_never_exceed_its_own_sums(case):
+    base, frame = case
+    image = frame.apply_config(base)
+    seeded = vars(image).get("_lower_sums")
+    if seeded is None:
+        return
+    own = Configuration(image.points, image.tol)
+    assert [loc.indices for loc in own.locations] == [loc.indices for loc in base.locations]
+    for bound, exact in zip(seeded, own._pair_sums, strict=True):
+        assert all(b <= e for b, e in zip(bound, exact)), (base, frame, bound, exact)
+
+
+def _hexed(value):
+    """A class detail or a decision with every float as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexed(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def test_seeded_image_decides_as_an_unseeded_copy():
+    rng = random.Random(36)
+    bases = [uniform_configuration(rng, n) for n in (5, 12, 20, 40, 64)]
+    # regular polygons, and polygons with one vertex moved onto the center
+    for k, parked in ((6, 0), (17, 0), (40, 0), (8, 1), (25, 1)):
+        center, phase = Point(rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(0, TAU)
+        gon = [on_ray(center, phase + j * TAU / k, 1.0) for j in range(parked, k)]
+        bases.append(Configuration(gon + [center] * parked))
+    tags = []
+    for base in bases:
+        tags.append(classify(base).tag)
+        assert "_pair_sums" in vars(base)
+        for _ in range(4):
+            image = LocalFrame.random(rng, base.diameter).apply_config(base)
+            assert "_lower_sums" in vars(image)
+            copy = Configuration(image.points, image.tol)
+            assert _hexed(classify(image)) == _hexed(classify(copy)), base
+            assert _hexed(gathering.decide(image)) == _hexed(gathering.decide(copy)), base
+            assert "_pair_sums" not in vars(image) and "_pair_sums" in vars(copy)
+    assert tags == [TAG_ASYMMETRIC] * 5 + [TAG_QREGULAR] * 5
+
+
+def test_no_seeding_without_exact_distinct_locations():
+    # a class-M base computes no pair sums; a stacked robot a sliver off its
+    # location's point, or two locations within twice the image's merge
+    # slack, leave the image to run its own pass
+    rng = random.Random(37)
+    frame = LocalFrame.random(rng, 1.0)
+    plain = [Point(rng.random(), rng.random()) for _ in range(9)]
+    multiple = Configuration(plain + plain[:1])
+    assert classify(multiple).tag == TAG_MULTIPLE and "_pair_sums" not in vars(multiple)
+    assert "_lower_sums" not in vars(frame.apply_config(multiple))
+    control = Configuration(plain + plain[:2])
+    slack = control.merge_slack
+    sliver = Configuration(plain + [plain[0], Point(plain[1].x + 0.25 * slack, plain[1].y)])
+    close = Configuration(plain + [Point(plain[0].x + 1.5 * slack, plain[0].y)])
+    for base, locations, seeds in ((control, 9, True), (sliver, 9, False), (close, 10, False)):
+        assert classify(base).tag in (TAG_ASYMMETRIC, TAG_QREGULAR) and "_pair_sums" in vars(base)
+        assert len(base.locations) == locations
+        image = frame.apply_config(base)
+        assert ("_lower_sums" in vars(image)) is seeds, base
+        copy = Configuration(image.points, image.tol)
+        assert _hexed(gathering.decide(image)) == _hexed(gathering.decide(copy)), base
 
 
 # The pull bound above ``_TREE_FROM`` robots, from convexity of the distance
