@@ -132,11 +132,13 @@ class Configuration:
         """The robot indices at each distinct point, and the distinct points
         in (x, y) order.
 
-        Indices ascend, and points come in order of their first robot.  Keys
-        compare with ``==``, so 0.0 and -0.0 share a key.  Distances from
-        points that compare equal are equal bit for bit (``hypot`` ignores
-        the sign of a zero difference), so every robot of one key has the
-        same distance row.
+        Indices ascend, and points come in order of their first robot, each
+        keyed by its first robot's point.  Keys compare with ``==``, so 0.0
+        and -0.0 share a key.  Distances from points that compare equal are
+        equal bit for bit (``hypot`` ignores the sign of a zero difference),
+        so every robot of one key has the same distance row.  A frame image
+        is given its base's stacks by ``_seed_image`` where a proof shows
+        they are its own.
         """
         stacks: dict[Point, list[int]] = {}
         for i, p in enumerate(self.points):
@@ -144,12 +146,42 @@ class Configuration:
         return stacks, sorted(stacks)
 
     @_cached
+    def _scan(self) -> tuple[float, list[tuple[Point, Point]], list[float] | None]:
+        """``_farthest_pairs`` over the distinct points: the diameter, the
+        pairs at it and, where it measured every pair, their distances."""
+        return _farthest_pairs(self._distinct[1])
+
+    @_cached
     def _farthest(self) -> tuple[float, int, int]:
-        """The diameter, from ``_farthest_pairs``, and the robots i <= j of
-        ``farthest_pair``, from ``_first_pair`` over the pairs at it."""
+        """The diameter, from ``_scan``, and the robots i <= j of
+        ``farthest_pair``, from ``_first_pair`` over the pairs at it.  A
+        frame image is given these by ``_seed_image`` from the few pairs of
+        its base that can reach its maximum, measured in its own
+        coordinates."""
+        diameter, pairs, _ = self._scan
+        return (diameter, *_first_pair(pairs, self._distinct[0]))
+
+    @_cached
+    def _image_seed(self) -> tuple[float, float, list[tuple[int, int]]] | None:
+        """What ``_seed_image`` takes from this configuration for each of its
+        frame images, derived on the first: the least distance between two
+        distinct points, a floor D (1 - 1e-12) - 1e-12 M, with D the
+        diameter and M the largest |coordinate|, and the pairs (i, j) of the
+        lowest robots of two distinct points whose distance is at or above
+        the floor.  All from the distances of ``_scan``, so None where it
+        measured only the hull's pairs.
+
+        The floor scales with the coordinates, as the frame's error does:
+        with D (1 - 1e-12) alone, late rounds, whose D is far below M, left
+        468 of the 7,420 images of sync-large seed 1 to their own scan.
+        """
+        dists = self._scan[2]
+        if not dists:
+            return None
         stacks, pts = self._distinct
-        diameter, pairs = _farthest_pairs(pts)
-        return (diameter, *_first_pair(pairs, stacks))
+        floor = self.diameter * (1.0 - 1e-12) - 1e-12 * (self.resolution / _RESOLUTION)
+        far = compress(combinations(pts, 2), map(floor.__le__, dists))
+        return min(dists), floor, [(stacks[p][0], stacks[q][0]) for p, q in far]
 
     @_cached
     def _lower_sums(self) -> list[tuple[float, float, float]]:
@@ -434,7 +466,9 @@ class Configuration:
         of its first robot, and is built straight from ``_distinct``
         without the union-find.  Points in general position rarely come
         that close in x: every configuration of the synchronous benchmark
-        runs, and 99.8% of the sweep's, take this way.
+        runs, and 99.8% of the sweep's, take this way.  A frame image whose
+        stacks are provably farther apart than its merge slack is given that
+        list by ``_seed_image``.
         """
         slack = self.merge_slack
         window = 2.0 * slack
@@ -530,9 +564,13 @@ class Configuration:
         return f"Configuration({list(self.points)!r})"
 
 
-def _seed_image_sums(image: Configuration, base: Configuration, scale: float, translation: Point) -> None:
-    """Seed the frame image's ``_lower_sums`` from its base's ``_pair_sums``,
-    where the base has computed them, so the image runs no pair pass.
+def _seed_image(image: Configuration, base: Configuration, scale: float, translation: Point) -> None:
+    """Give the frame image what its base already knows and the similarity
+    keeps: its stacks, its farthest pair and its locations where its base
+    measured every pair of its distinct points (``_image_seed``), then its
+    location bounds where its base ran the pair pass
+    (``_seed_image_sums``).  Outside the guards below the image computes
+    each of them itself.  The image keeps no reference to the base.
 
     The image's robot i is ``LocalFrame.apply_config``'s computed point
     q_i = (s (x ct - y st) + tx, s (x st + y ct) + ty) of the base's p_i =
@@ -544,13 +582,73 @@ def _seed_image_sums(image: Configuration, base: Configuration, scale: float, tr
     and y st errs by at most uM, their difference (at most 2M in size) by
     4.01uM, the product with s by 6.02usM and the sum with tx by 8.1usM +
     u|tx|; the same holds for y.  So |q_i - T(p_i)| <= eps = 16u (2sM +
-    |tx| + |ty|), with room for the rounding of eps itself, and every
-    vector a = q_j - q_c is within 2 eps of T(p_j) - T(p_c).  The base's
-    diameter is within ``classify``'s range, as it is wherever
-    ``classify`` runs the pair pass, and the image's is at least
-    ``_MIN_DIAMETER``; so M and sM are far above the subnormal range,
-    where an underflowed result errs by less than uM too, and every sum is
-    finite.
+    |tx| + |ty|), with room for the rounding of eps and of each bound
+    below, and every vector q_j - q_i is within 2 eps of T(p_j) - T(p_i).
+    The base's diameter D and sD are within ``classify``'s range, so M >=
+    D / 3 and sM are far above the subnormal range, where an underflowed
+    result errs by less than uM too, and every bound below is finite.
+
+    A computed ``hypot`` or ``math.dist`` distance is within a relative 3u
+    of the exact distance between its two points (``_hull_candidates``).
+    So where the base's computed distance between p_i and p_j is d, the
+    image's between q_i and q_j lies strictly between s d (1 - rel) - 2 eps
+    and s d (1 + rel) + 2 eps, with rel = 1e-14 above the 9u that the
+    roundings and sigma add up to.
+
+    - Stacks.  Points that compare equal map to points that compare equal:
+      +, - and * on operands that compare equal give results that do, at
+      most a zero's sign apart.  So each base stack's robots share one
+      image point.  Two distinct base points are at least ``closest``
+      apart, so their image distance exceeds near = s closest (1 - rel) -
+      2 eps, and when near > 0 they stay distinct.  Then the image's stacks
+      are the base's, keyed by their first robot's image point, in
+      first-robot order: what ``_distinct`` would build.
+    - Farthest pair.  The base's farthest pair gives the image a distance
+      above s D (1 - rel) - 2 eps, so a pair at the image's maximum has a
+      base distance d with s d (1 + rel) + 2 eps above that: d (1 + rel)
+      >= D (1 - rel) - 4 eps / s.  Where lo = D (1 - 2 rel) - 4 eps / s is
+      at least the seed's floor, every such pair is a seed pair (when lo >=
+      0, d >= lo; when lo < 0, so is the floor, and every pair is a seed
+      pair).  Measured with ``math.dist`` in image coordinates, the seed
+      pairs give the maximum, the same double as the full scan of
+      ``_farthest_pairs``, and every pair at it; ``_first_pair`` takes a
+      minimum over them, whatever their order, so the robot pair is the
+      scan's too.  Otherwise the image runs its own scan.
+    - Locations.  Every computed distance between two image stacks exceeds
+      near, so where near exceeds the image's merge slack no two stacks
+      merge, and ``locations`` is its fast path's list, each stack its own
+      location.  This needs no exactness of the base.
+    """
+    if not (_MIN_DIAMETER <= base.diameter <= _MAX_DIAMETER and _MIN_DIAMETER <= scale * base.diameter <= _MAX_DIAMETER):
+        return
+    tx, ty = translation
+    # M, exactly: _RESOLUTION is a power of two
+    big = base.resolution / _RESOLUTION
+    eps = 16.0 * _UNIT * (2.0 * scale * big + abs(tx) + abs(ty))
+    seed = base._image_seed
+    if seed is not None:
+        closest, floor, pairs = seed
+        rel = 1e-14
+        near = scale * closest * (1.0 - rel) - 2.0 * eps
+        if near > 0.0:
+            points = image.points
+            # the base's index lists, which no reader changes
+            stacks = {points[idx[0]]: idx for idx in base._distinct[0].values()}
+            image.__dict__["_distinct"] = stacks, sorted(stacks)
+            if base.diameter * (1.0 - 2.0 * rel) - 4.0 * eps / scale >= floor:
+                ends = [(points[i], points[j]) for i, j in pairs]
+                dists = [*starmap(math.dist, ends)]
+                best = max(dists)
+                image.__dict__["_farthest"] = (best, *_first_pair(compress(ends, map(best.__eq__, dists)), stacks))
+            if near > image.merge_slack:
+                image.__dict__["locations"] = [LocationSummary(points[idx[0]], len(idx), idx[:]) for idx in stacks.values()]
+    _seed_image_sums(image, base, scale, eps)
+
+
+def _seed_image_sums(image: Configuration, base: Configuration, scale: float, eps: float) -> None:
+    """Seed the frame image's ``_lower_sums`` from its base's ``_pair_sums``,
+    where the base has computed them, so the image runs no pair pass; eps
+    bounds the frame's coordinate error (``_seed_image``).
 
     A computed ``hypot`` distance is within a relative 2.01u of the exact
     one, and the computed ``_plain_sum`` of n of them within a relative
@@ -573,29 +671,23 @@ def _seed_image_sums(image: Configuration, base: Configuration, scale: float, tr
 
     These bound the image's own computed values only where both take the
     same robots, so the bounds are kept when two guards hold.  Every base
-    robot sits exactly on its location's point; then the base's distinct
-    points are its locations, each pair of them beyond the base's merge
-    slack, and the image's robots of one location share one point.  And
-    the least r over the locations exceeds twice the image's merge slack;
-    then every image distance between two locations is beyond the slack.
-    So the image merges no two of its distinct points: its locations are
-    the base's, in the same order, each with the same robots, and around
-    each center the robots beyond the merge slack, those of ``Rays.off``,
-    are the base's.  Otherwise the image runs its own pass.  The image
-    keeps no reference to the base.
+    robot sits exactly on its location's point; a location is a union of
+    stacks, so that is each location being one stack, as many locations as
+    distinct points, and it needs no pass over the robots.  Then the base's
+    distinct points are its locations, each pair of them beyond the base's
+    merge slack, and the image's robots of one location share one point.
+    And the least r over the locations exceeds twice the image's merge
+    slack; then every image distance between two locations is beyond the
+    slack.  So the image merges no two of its distinct points: its
+    locations are the base's, in the same order, each with the same
+    robots, and around each center the robots beyond the merge slack,
+    those of ``Rays.off``, are the base's.  Otherwise the image runs its
+    own pass.
     """
     sums = base.__dict__.get("_pair_sums")
-    if sums is None or not (_MIN_DIAMETER <= base.diameter <= _MAX_DIAMETER and _MIN_DIAMETER <= image.diameter):
-        return
-    points = base.points
-    locs = base.locations
-    if len(locs) != base.n and not all(points[i] == loc.location for loc in locs for i in loc.indices):
+    if sums is None or len(base.locations) != len(base._distinct[1]):
         return
     n = base.n
-    tx, ty = translation
-    # M, exactly: _RESOLUTION is a power of two
-    big = base.resolution / _RESOLUTION
-    eps = 16.0 * _UNIT * (2.0 * scale * big + abs(tx) + abs(ty))
     shrink = scale * (1.0 - (n + 16) * 1e-15)
     r_lows = [shrink * r_min - 2.0 * eps for _, r_min, _ in sums]
     if not min(r_lows) > 2.0 * image.merge_slack:
@@ -639,13 +731,16 @@ def _first_pair(pairs: Iterable[tuple[Point, Point]], robots: dict[Point, list[i
     return best or (0, 0)
 
 
-def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]:
+def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]], list[float] | None]:
     """The largest ``hypot(px - x, py - y)`` between two of the distinct
-    points pts, given in (x, y) order, and every pair at it.  No pair of a
-    single point gives 0.0 and no pairs.
+    points pts, given in (x, y) order, every pair at it and, where every
+    pair was measured, the distance of each pair in the order of
+    ``combinations(pts, 2)``, else None.  No pair of a single point gives
+    0.0 and no pairs.
 
     This is the one place that decides which pairs are measured.  Up to
-    ``_ALL_PAIRS_UP_TO`` points every pair of them is measured; above, only
+    ``_ALL_PAIRS_UP_TO`` points every pair of them is measured, and the
+    distances are handed back for ``Configuration._image_seed``; above, only
     pairs of their ``_hull_candidates``, which hold every pair at the
     maximum (see there).  Above ``_OPPOSITE_FROM`` candidates each one
     meets only the partners in its window of ``_partner_windows``, which
@@ -699,7 +794,8 @@ def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]
     scan wins on every shape up to 36; the polygon, whose antipodal pairs
     tie, flips to the windows at 38 under 3.12 and 3.13.
     """
-    if len(pts) > _ALL_PAIRS_UP_TO:
+    every = len(pts) <= _ALL_PAIRS_UP_TO
+    if not every:
         pts = _hull_candidates(pts)
     if len(pts) <= _OPPOSITE_FROM:
         ds = [*starmap(math.dist, combinations(pts, 2))]
@@ -709,7 +805,7 @@ def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]
         for _ in range(ds.count(best)):
             k = ds.index(best, k + 1)
             pairs.append(next(islice(combinations(pts, 2), k, None)))
-        return best, pairs
+        return best, pairs, ds if every else None
     windows = _partner_windows(pts)
     hypot = math.hypot
     best = 0.0
@@ -723,7 +819,7 @@ def _farthest_pairs(pts: list[Point]) -> tuple[float, list[tuple[Point, Point]]]
                     best = d
                     pairs = []
                 pairs.append((p, q))
-    return best, pairs
+    return best, pairs, None
 
 
 def _partner_windows(hull: list[Point]) -> list[list[Point]]:

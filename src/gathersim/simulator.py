@@ -129,10 +129,13 @@ class LocalFrame:
         """The configuration as seen in this frame: every robot rotated,
         scaled and translated, with the rotation's cos and sin taken once,
         as plain float pairs, which ``Configuration`` makes Points of.
-        Where the configuration has computed its exact pair sums, the
-        image's bounds on them are seeded from those
-        (``configuration._seed_image_sums``), so the image runs no pair
-        pass of its own."""
+        The image takes from the configuration what the similarity keeps,
+        up to a proven bound on this arithmetic's rounding
+        (``configuration._seed_image``): its stacks, its farthest pair and
+        its locations where the configuration measured every pair of its
+        distinct points, so the image runs no all-pairs scan and no
+        location sweep, and bounds on its location sums where the
+        configuration ran its exact pair pass, so the image runs none."""
         ct = math.cos(self.rotation)
         st = math.sin(self.rotation)
         s = self.scale
@@ -140,7 +143,7 @@ class LocalFrame:
         image = Configuration(
             [(s * (x * ct - y * st) + tx, s * (x * st + y * ct) + ty) for x, y in config.points], config.tol
         )
-        cfg._seed_image_sums(image, config, s, self.translation)
+        cfg._seed_image(image, config, s, self.translation)
         return image
 
 

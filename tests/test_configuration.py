@@ -155,7 +155,7 @@ def test_lazy_attributes_compute_once(monkeypatch):
     plane = Configuration([(0, 0), (0, 0), (3, 1), (1, 4), (-2, 2)])
     line = Configuration([(0, 0), (1, 1), (1, 1), (3, 3)])
     for config, names in ((plane, _LAZY[Configuration] - {"linear_endpoints"}), (line, _LAZY[Configuration])):
-        names = names | {"_distinct", "_farthest", "_lower_sums", "_pair_sums", "_sum_walks", "_r_floor"}
+        names = names | {"_distinct", "_scan", "_farthest", "_image_seed", "_lower_sums", "_pair_sums", "_sum_walks", "_r_floor"}
         for _ in range(2):
             for name in sorted(names):
                 getattr(config, name)
@@ -997,7 +997,7 @@ def test_regular_polygon_diameter_measures_linear_pairs(monkeypatch):
     calls = []
     hypot = math.hypot
     monkeypatch.setattr(math, "hypot", lambda *args: calls.append(1) or hypot(*args))
-    assert _farthest_pairs(pts) == expected
+    assert _farthest_pairs(pts)[:2] == expected
     assert len(calls) <= 3 * 160
 
 
@@ -1171,3 +1171,132 @@ def test_safety_from_the_longest_chain_matches_every_cluster(config):
     # on one-ray sets
     for k in range(len(config.locations)):
         assert configuration._is_safe(config, k) == is_safe_unpruned(config, k), (config, k)
+
+
+# --- frame images take their structure from the base ---------------------------------
+#
+# Where a base measured every pair of its distinct points, its frame images
+# take their stacks, farthest pair and locations from it
+# (``configuration._seed_image``).  Each must be what the image would
+# compute itself, bit for bit.
+
+
+def _structure(config):
+    """The stacks, the farthest pair and the locations, floats as bits."""
+    stacks, pts = config._distinct
+    diameter, i, j = config._farthest
+    return (
+        [(bits(p), idx) for p, idx in stacks.items()],
+        [bits(p) for p in pts],
+        (diameter.hex(), i, j),
+        config.diameter.hex(),
+        [bits(p) for p in config.farthest_pair],
+        [(bits(loc.location), loc.multiplicity, loc.indices) for loc in config.locations],
+    )
+
+
+@st.composite
+def _structure_cases(draw):
+    """A base of 3 to 28 robots, uniform, a regular polygon (whose diameters
+    nearly tie) or a rectangle's corners and inner points (whose diagonals
+    tie exactly); with stacks, +-0.0 coordinates, a pair a few ulps from
+    the farthest distance and one a few ulps either side of the merge
+    slack; scaled by 1e-80 to 1e85 and perhaps offset by up to 1e6
+    times its diameter D.  The frame is ``LocalFrame.random``, or of scale
+    0.5 or 2 translated by +-2D, or one that keeps the sign of every zero.
+    Also whether the base was offset."""
+    shape = draw(st.sampled_from(("uniform", "polygon", "rectangle")))
+    n = draw(st.integers(4 if shape == "rectangle" else 3, 28))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if shape == "uniform":
+        pts = [Point(rng.random(), rng.random()) for _ in range(n)]
+    elif shape == "polygon":
+        phase = rng.uniform(0, TAU)
+        pts = [on_ray(Point(0.2, -0.1), phase + j * TAU / n, 1.0) for j in range(n)]
+    else:
+        w, h = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+        pts = [Point(0.0, 0.0), Point(w, 0.0), Point(0.0, h), Point(w, h)]
+        pts += [Point(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(n - 4)]
+    for _ in range(draw(st.integers(0, n // 3))):
+        pts[rng.randrange(n)] = pts[rng.randrange(n)]
+    if draw(st.booleans()):
+        # one stack of 0.0 and -0.0 coordinates
+        y = pts[0].y
+        pts[0], pts[rng.randrange(1, n)] = Point(0.0, y), Point(-0.0, y)
+    scale = 10.0 ** draw(st.floats(-80, 85))
+    pts = [Point(x * scale, y * scale) for x, y in pts]
+    shifted = draw(st.booleans())
+    if shifted:
+        shift = draw(st.floats(1.0, 1e6)) * Configuration(pts).diameter
+        pts = [Point(x + shift, y - 0.5 * shift) for x, y in pts]
+    if draw(st.booleans()):
+        # one end of the farthest pair turned about the other: a second pair
+        # at that distance, up to a few ulps of rounding either way
+        _, i, j = Configuration(pts)._farthest
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        turned = math.atan2(by - ay, bx - ax) + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.05, 0.5))
+        others = [k for k in range(n) if pts[k] != pts[i] and pts[k] != pts[j]]
+        if others:
+            pts[rng.choice(others)] = on_ray(pts[i], turned, math.hypot(bx - ax, by - ay))
+    if draw(st.booleans()):
+        # a robot a few ulps either side of the merge slack from another
+        x, y = pts[rng.randrange(n)]
+        x = x + Configuration(pts).merge_slack
+        for _ in range(abs(steps := draw(st.integers(-3, 3)))):
+            x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+        pts[rng.randrange(n)] = Point(x, y)
+    base = Configuration(pts)
+    span = 2.0 * base.diameter
+    kind = draw(st.sampled_from(("random", "signed", 0.5, 2.0)))
+    if kind == "random":
+        frame = LocalFrame.random(rng, base.diameter)
+    elif kind == "signed":
+        # no turn and a translation of -0.0 keep every zero's sign
+        frame = LocalFrame(0.0, 2.0, Point(-0.0, -0.0))
+    else:
+        signs = draw(st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))))
+        frame = LocalFrame(rng.uniform(0, TAU), kind, Point(signs[0] * span, signs[1] * span))
+    return base, frame, shifted
+
+
+@given(_structure_cases())
+@settings(max_examples=400, deadline=None)
+def test_seeded_image_structure_is_its_own(case):
+    base, frame, shifted = case
+    image = frame.apply_config(base)
+    seeded = set(vars(image))
+    assert _structure(image) == _structure(Configuration(image.points, image.tol)), (base, frame)
+    if not shifted:
+        # the frame's error is then far below the seed's floor and every
+        # gap between two of the base's distinct points
+        assert {"_distinct", "_farthest"} <= seeded, (base, frame)
+
+
+def test_images_compute_their_own_structure_outside_the_guards(monkeypatch):
+    # the image runs its own scan where its base measured only the hull's
+    # pairs (29 distinct points) or where the frame's error passes the
+    # seed's floor (a translation of 1e6 D); and its own location sweep
+    # where two of its stacks may come within its merge slack
+    scans = []
+    farthest_pairs = configuration._farthest_pairs
+    monkeypatch.setattr(configuration, "_farthest_pairs", lambda pts: scans.append(pts) or farthest_pairs(pts))
+    rng = random.Random(37)
+    wide = uniform_configuration(rng, 29)
+    plain = uniform_configuration(rng, 12)
+    d = plain.diameter
+    nudged = list(plain.points)
+    nudged[5] = Point(nudged[4].x + 0.5 * plain.merge_slack, nudged[4].y)
+    close = Configuration(nudged)
+    turn = rng.uniform(0, TAU)
+    for base, frame, own_scan, own_sweep in (
+        (wide, LocalFrame(turn, 0.5, Point(d, -d)), True, True),
+        (plain, LocalFrame(turn, 2.0, Point(1e6 * d, -1e6 * d)), True, False),
+        (plain, LocalFrame(turn, 2.0, Point(2 * d, -2 * d)), False, False),
+        (close, LocalFrame(turn, 0.5, Point(-2 * d, d)), False, True),
+    ):
+        scans.clear()
+        image = frame.apply_config(base)
+        assert ("locations" not in vars(image)) is own_sweep, base
+        assert _structure(image) == _structure(Configuration(image.points, image.tol)), base
+        assert any(pts is image._distinct[1] for pts in scans) is own_scan, base
+    assert len(close.locations) == len(close._distinct[1]) - 1 == 11

@@ -386,15 +386,27 @@ def _decision_lines() -> list[str]:
     return lines
 
 
+def _short_run_trace() -> str:
+    """The trace of the first ten rounds of a synchronous run of 24 robots,
+    whose frame images take their stacks, farthest pair and locations from
+    their base only where it measured every pair of its distinct points."""
+    config = _jittered_grid(random.Random(34), 6, 4)
+    adv = AdversarySpec(activation="synchronous", stop_policy="minimal")
+    return trace_lines(run(config, adv, SimParams(delta=config.diameter / 100.0, max_rounds=10, seed=34)).records)
+
+
 def test_crossovers_pick_paths_with_equal_results(monkeypatch):
     """Each path a size crossover picks gives the other path's doubles: with
     every crossover flipped to each side, the decisions on the large
-    snapshots and the traces of the grid runs stay the same."""
+    snapshots and the traces of the grid runs and of a short run stay the
+    same."""
     expected = _decision_lines()
+    trace = _short_run_trace()
     for side in _FORK_SIDES:
         with monkeypatch.context() as patch:
             for name, value in side.items():
                 patch.setattr(configuration, name, value)
             assert _decision_lines() == expected, side
+            assert _short_run_trace() == trace, side
             for case in sorted(GOLDEN_LARGE_RUNS):
                 test_golden_trace_large(case)

@@ -77,16 +77,30 @@ def _reads(node: ast.AST, name: str) -> int:
     )
 
 
-def test_one_function_reads_the_tree_crossover():
-    # ``Configuration._sum_walks`` alone reads the 64-robot crossover; the
-    # rest of classification branches on its None
+def _readers(name: str) -> tuple[list[tuple[str, str, int]], int]:
+    """Each function that reads ``name``, with its count of reads, and the
+    count of reads anywhere in the package."""
     readers, everywhere = [], 0
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        everywhere += _reads(tree, "_TREE_FROM")
+        everywhere += _reads(tree, name)
         readers += [
-            (path.name, fn.name, _reads(fn, "_TREE_FROM"))
+            (path.name, fn.name, _reads(fn, name))
             for fn in ast.walk(tree)
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _reads(fn, "_TREE_FROM")
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _reads(fn, name)
         ]
+    return readers, everywhere
+
+
+def test_one_function_reads_the_tree_crossover():
+    # ``Configuration._sum_walks`` alone reads the 64-robot crossover; the
+    # rest of classification branches on its None
+    readers, everywhere = _readers("_TREE_FROM")
     assert readers == [("configuration.py", "_sum_walks", everywhere)]
+
+
+def test_one_function_reads_the_all_pairs_crossover():
+    # ``_farthest_pairs`` alone reads the 28-point crossover; frame images
+    # branch on whether it handed back every pair's distance
+    readers, everywhere = _readers("_ALL_PAIRS_UP_TO")
+    assert readers == [("configuration.py", "_farthest_pairs", everywhere)]

@@ -656,24 +656,32 @@ def test_run_classifies_each_distinct_configuration_once(monkeypatch, activation
 
 def test_frame_images_take_their_bounds_from_the_base(monkeypatch):
     # on a synchronous run no frame image whose base has computed its exact
-    # pair sums runs a pair pass of its own; every one is seeded instead
+    # pair sums runs a pair pass of its own; every one is seeded instead.
+    # No image runs the diameter scan or the location sweep either: each
+    # takes its stacks, farthest pair and locations from its base
     images = []
     apply_config = LocalFrame.apply_config
 
     def keep(frame, config):
         image = apply_config(frame, config)
-        images.append((image, "_pair_sums" in vars(config)))
+        images.append((image, "_pair_sums" in vars(config), "locations" in vars(image)))
         return image
 
     monkeypatch.setattr(LocalFrame, "apply_config", keep)
+    scans = []
+    farthest_pairs = configuration._farthest_pairs
+    monkeypatch.setattr(configuration, "_farthest_pairs", lambda pts: scans.append(pts) or farthest_pairs(pts))
     initial = uniform_configuration(random.Random(20), 20)
     adv = AdversarySpec(activation="synchronous", stop_policy="minimal")
     result = run(initial, adv, SimParams(delta=initial.diameter / 100.0, seed=1))
     assert result.outcome == OUTCOME_GATHERED, result.detail
-    from_sums = [image for image, base_has in images if base_has]
+    from_sums = [image for image, base_has, _ in images if base_has]
     assert len(from_sums) > 200
     assert not any("_pair_sums" in vars(image) for image in from_sums)
     assert all("_lower_sums" in vars(image) for image in from_sums)
+    assert len(images) > 1000 and all(located for _, _, located in images)
+    scanned = {id(pts) for pts in scans}
+    assert scans and not any(id(image._distinct[1]) in scanned for image, _, _ in images)
 
 
 # --- the greedy lookahead ------------------------------------------------------------
