@@ -184,6 +184,46 @@ class Configuration:
         return min(dists), floor, [(stacks[p][0], stacks[q][0]) for p, q in far]
 
     @_cached
+    def _election_seed(self) -> tuple[int, float, float, float, float, float]:
+        """What ``_seed_image`` takes from this class-A configuration, each
+        of whose locations is one distinct point and whose ``_pair_sums`` are
+        computed, for each of its frame images, derived on the first: the
+        elected location's index w and five margins, in this configuration's
+        units, with the relative errors rel of the bounds they meet folded
+        in:
+
+        - the least sum(k) (1 - rel) - sum(w) (1 + rel) over the other
+          locations k of w's multiplicity, from ``_pair_sums``, with rel =
+          (n + 16) 1e-15 (``_seed_image_sums``); inf when there are none;
+        - the least ``_safety_margin`` over w and the locations of higher
+          multiplicity, the verdicts of ``_is_safe`` the election depends on;
+        - from ``symmetry._rotation_margins``, with rel = 1e-14 and a =
+          ``symmetry._ROTATION_WINDOW`` * ``eps_angle``: r0 (1 - rel), r1 (1
+          - rel) - r0 (1 + rel), and the least distance to a turn of the
+          innermost point times 1 - rel, less a r0 (1 + rel) / 2.
+        """
+        locs = self.locations
+        w = next(k for k, loc in enumerate(locs) if loc.location == self.cls.elected)
+        mult = locs[w].multiplicity
+        sums = self._pair_sums
+        rel = (self.n + 16) * 1e-15
+        top = sums[w][2] * (1.0 + rel)
+        rivals = [sums[k][2] * (1.0 - rel) - top for k, loc in enumerate(locs) if loc.multiplicity == mult and k != w]
+        read = [k for k, loc in enumerate(locs) if loc.multiplicity > mult] + [w]
+        angles = min([_safety_margin(self, k) for k in read])
+        r0, r1, turned = symmetry._rotation_margins(self)
+        rel = 1e-14
+        window = symmetry._ROTATION_WINDOW * self.tol.eps_angle * r0 * (1.0 + rel) / 2.0
+        return (
+            w,
+            min(rivals, default=math.inf),
+            angles,
+            r0 * (1.0 - rel),
+            r1 * (1.0 - rel) - r0 * (1.0 + rel),
+            turned * (1.0 - rel) - window,
+        )
+
+    @_cached
     def _lower_sums(self) -> list[tuple[float, float, float]]:
         """Lower bounds on each location's ``_sums_at``, in location order.
 
@@ -569,8 +609,10 @@ def _seed_image(image: Configuration, base: Configuration, scale: float, transla
     keeps: its stacks, its farthest pair and its locations where its base
     measured every pair of its distinct points (``_image_seed``), then its
     location bounds where its base ran the pair pass
-    (``_seed_image_sums``).  Outside the guards below the image computes
-    each of them itself.  The image keeps no reference to the base.
+    (``_seed_image_sums``), then, where those are seeded and its base is of
+    class A, its base's elected location (``_election_seed``).  Outside the
+    guards below the image computes each of them itself.  The image keeps
+    no reference to the base.
 
     The image's robot i is ``LocalFrame.apply_config``'s computed point
     q_i = (s (x ct - y st) + tx, s (x st + y ct) + ty) of the base's p_i =
@@ -618,6 +660,73 @@ def _seed_image(image: Configuration, base: Configuration, scale: float, transla
       near, so where near exceeds the image's merge slack no two stacks
       merge, and ``locations`` is its fast path's list, each stack its own
       location.  This needs no exactness of the base.
+    - Election.  Where the sums are seeded, the base's ``cls`` is computed
+      and of class A (a base never classified is not classified here), the
+      image has the base's tolerance and the margins of ``_election_seed``
+      clear the bounds below, the image is given the base's elected
+      location index w as ``_elected_at``.  ``classify`` reaching its
+      class-A branch then returns that location's point and runs neither
+      ``_elect_safe_point`` nor ``symmetricity``.  Every attribute seeded
+      above is the image's own, so a fresh configuration of the image's
+      points reaches that branch exactly when the image does, and there it
+      returns the same point, the very ``ConfigClass``:
+
+      * Its locations, their multiplicities and, around each, the robots of
+        ``Rays.off`` are the base's (``_seed_image_sums``), and r, the least
+        of that function's lower bounds on r_min, is below every computed
+        distance between two of its locations.
+      * Sums.  The image's computed sum at each location lies within s sum
+        (1 +- rel) +- 2 n eps, with rel = (n + 16) 1e-15: the lower bound of
+        ``_seed_image_sums`` and its twin above, by the same steps.  Where s
+        times the least rival margin exceeds 4 n eps and the image's merge
+        slack, every other location of w's multiplicity has an image sum
+        above w's plus the slack, with room for the rounding of these bounds
+        and of the election's b + slack.
+      * Safety.  An exact image vector between two locations is at least r
+        (1 - 3u) long and within 2 eps of T's image of the base's, so its
+        direction is within pi eps / r (1 + 4u) of the base's turned by T's
+        rotation (an angle of asin(x) <= pi x / 2); with one
+        rounding in each difference, ``atan2`` and ``% TAU`` on either side,
+        each of the image's computed directions is within pi eps / r + 4e-15
+        of its base direction turned, and each gap of the image's is within
+        twice that, and the rounding of the gaps, of the base's.  Where the
+        least ``_safety_margin`` exceeds 8 eps / r +
+        ``symmetry._ANGLE_ROUNDING``, no gap crosses ``eps_angle``.  Then the
+        core of every base gap wider than ``eps_angle``, that gap less the
+        directions' error at each end, turned, lies inside one of the
+        image's gaps wider than it, and every image gap that wide holds such
+        a core; each robot's direction stays between the same two cores, so
+        the chains of ``_is_safe`` hold the same robots and give the base's
+        verdicts: w is safe and every location of higher multiplicity, each
+        of which the base's election tested and found unsafe before it
+        reached w's multiplicity, is not.
+      * So the image's election finds no safe location above w's
+        multiplicity; in w's, the least sum of a safe location is w's and no
+        other lies within the merge slack of it, and ``_elect_safe_point``
+        returns w's point alone, as its result does not depend on the
+        bounds it visits by.
+      * Symmetricity.  The image's ``fsum`` centroid is within 2 eps of T of
+        the base's (the mean of the robots' errors, at most eps, and the
+        roundings of either centroid, a few u (sM + |tx| + |ty|)), so each
+        computed distance from it to a distinct point is within s d (1 +-
+        rel) +- 3 eps of the base's d, with rel = 1e-14, with room for the
+        roundings of the bounds.  Where s r0 (1 - rel) - 4 eps exceeds the
+        image's merge slack, no location is within that slack of the
+        centroid: ``_center`` is the centroid and the ring holds every
+        robot, n of them, as in the base.  Where s (r1 (1 - rel) - r0 (1 +
+        rel)) exceeds 6 eps, p0's image is the innermost point.  Its
+        computed turn about the centroid by 2*pi/k is within 7 eps of T of
+        the base's computed turn (T commutes with the turn; the centroid
+        and p0 each err by at most 2 eps and eps, the turn's arithmetic
+        by a few u (sM + |tx| + |ty|)), so every image point lies farther from it
+        than s t (1 - rel) - 8 eps, t the base's least distance to a turn.
+        Where that exceeds the window a r0' / k + ``_ROTATION_FLOOR`` times
+        the image's resolution for every k >= 2, with a =
+        ``_ROTATION_WINDOW`` * ``eps_angle`` and the image's r0' <= s r0 (1
+        + rel) + 3 eps, no robot lies within the window of the turned
+        point: ``near`` counts 0 there and p0's own robots at p0, or the
+        one ``hypot`` from p0 exceeds the window, so every order fails on
+        p0, and ``symmetricity`` returns 1 as the base's did.
     """
     if not (_MIN_DIAMETER <= base.diameter <= _MAX_DIAMETER and _MIN_DIAMETER <= scale * base.diameter <= _MAX_DIAMETER):
         return
@@ -642,13 +751,36 @@ def _seed_image(image: Configuration, base: Configuration, scale: float, transla
                 image.__dict__["_farthest"] = (best, *_first_pair(compress(ends, map(best.__eq__, dists)), stacks))
             if near > image.merge_slack:
                 image.__dict__["locations"] = [LocationSummary(points[idx[0]], len(idx), idx[:]) for idx in stacks.values()]
-    _seed_image_sums(image, base, scale, eps)
+    if _seed_image_sums(image, base, scale, eps) and _inherits_election(image, base, scale, eps):
+        image.__dict__["_elected_at"] = base._election_seed[0]
 
 
-def _seed_image_sums(image: Configuration, base: Configuration, scale: float, eps: float) -> None:
+def _inherits_election(image: Configuration, base: Configuration, scale: float, eps: float) -> bool:
+    """Whether the frame image, whose sums ``_seed_image_sums`` has seeded,
+    takes its base's election: the base is classified A, the tolerances
+    agree and every margin of ``_election_seed`` clears the image's bound
+    (``_seed_image``, its election)."""
+    cls = base.__dict__.get("cls")
+    if cls is None or cls.tag != TAG_ASYMMETRIC or image.tol != base.tol:
+        return False
+    _, sums, angles, inner, spread, turned = base._election_seed
+    slack = image.merge_slack
+    r = min([r for _, r, _ in image._lower_sums])
+    relative = symmetry._ROTATION_WINDOW * image.tol.eps_angle
+    return (
+        scale * sums - 4.0 * base.n * eps > slack
+        and angles > 8.0 * eps / r + symmetry._ANGLE_ROUNDING
+        and scale * inner - 4.0 * eps > slack
+        and scale * spread > 6.0 * eps
+        and scale * turned - (8.0 + 1.5 * relative) * eps > symmetry._ROTATION_FLOOR * image.resolution
+    )
+
+
+def _seed_image_sums(image: Configuration, base: Configuration, scale: float, eps: float) -> bool:
     """Seed the frame image's ``_lower_sums`` from its base's ``_pair_sums``,
     where the base has computed them, so the image runs no pair pass; eps
-    bounds the frame's coordinate error (``_seed_image``).
+    bounds the frame's coordinate error (``_seed_image``).  Whether it
+    seeded them.
 
     A computed ``hypot`` distance is within a relative 2.01u of the exact
     one, and the computed ``_plain_sum`` of n of them within a relative
@@ -686,18 +818,19 @@ def _seed_image_sums(image: Configuration, base: Configuration, scale: float, ep
     """
     sums = base.__dict__.get("_pair_sums")
     if sums is None or len(base.locations) != len(base._distinct[1]):
-        return
+        return False
     n = base.n
     shrink = scale * (1.0 - (n + 16) * 1e-15)
     r_lows = [shrink * r_min - 2.0 * eps for _, r_min, _ in sums]
     if not min(r_lows) > 2.0 * image.merge_slack:
-        return
+        return False
     rounding = (n + 8) * n * 2e-15
     spread = 8.0 * n * eps
     image.__dict__["_lower_sums"] = [
         (pull - spread / r - rounding, r, shrink * total - 2.0 * n * eps)
         for (pull, _, total), r in zip(sums, r_lows)
     ]
+    return True
 
 
 def _sum_above(points: Sequence[Point], y: Point) -> float:
@@ -1024,10 +1157,7 @@ def _is_safe(config: Configuration, k: int) -> bool:
     every chain has the robot count of its cluster and the maximum is the
     same.
     """
-    center = config.locations[k].location
-    rays = symmetry.Rays.of(config, center)
-    angles = rays.angles
-    dirs = sorted([angles[i] for i in rays.off])
+    dirs = _directions(config, k)
     limit = (config.n + 1) // 2 - 1
     slack = config.tol.eps_angle
     breaks = list(compress(range(len(dirs)), map(slack.__lt__, map(sub, dirs[1:], dirs))))
@@ -1038,6 +1168,26 @@ def _is_safe(config: Configuration, k: int) -> bool:
     if dirs[0] + TAU - dirs[-1] <= slack:
         first += last
     return max(first, last, *map(sub, breaks[1:], breaks)) <= limit
+
+
+def _directions(config: Configuration, k: int) -> list[float]:
+    """The sorted directions of the robots beyond the merge slack of the
+    k-th location, from its ``symmetry.Rays``."""
+    rays = symmetry.Rays.of(config, config.locations[k].location)
+    angles = rays.angles
+    return sorted([angles[i] for i in rays.off])
+
+
+def _safety_margin(config: Configuration, k: int) -> float:
+    """How far ``_is_safe`` at the k-th location is from its knife edge:
+    the least |gap - ``eps_angle``| over the gaps it tests, those between
+    neighbours of the sorted directions and the one across direction zero;
+    inf with fewer than two directions, where it tests none."""
+    dirs = _directions(config, k)
+    if len(dirs) < 2:
+        return math.inf
+    slack = config.tol.eps_angle
+    return min([abs(gap - slack) for gap in map(sub, dirs[1:], dirs)] + [abs(dirs[0] + TAU - dirs[-1] - slack)])
 
 
 def classify(config: Configuration) -> ConfigClass:
@@ -1073,6 +1223,10 @@ def classify(config: Configuration) -> ConfigClass:
     if qr is not None:
         return ConfigClass(TAG_QREGULAR, weber=qr.center, qreg=qr.m)
 
+    k = config.__dict__.get("_elected_at")
+    if k is not None:
+        # a frame image given its base's election (``_seed_image``)
+        return ConfigClass(TAG_ASYMMETRIC, elected=locs[k].location)
     elected = _elect_safe_point(config)
     _assert_asymmetric(config)
     return ConfigClass(TAG_ASYMMETRIC, elected=elected)

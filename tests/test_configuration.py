@@ -154,7 +154,13 @@ def test_lazy_attributes_compute_once(monkeypatch):
                 monkeypatch.setattr(prop, "func", counted(name, prop.func))
     plane = Configuration([(0, 0), (0, 0), (3, 1), (1, 4), (-2, 2)])
     line = Configuration([(0, 0), (1, 1), (1, 1), (3, 3)])
-    for config, names in ((plane, _LAZY[Configuration] - {"linear_endpoints"}), (line, _LAZY[Configuration])):
+    # class A, every location one point: what a frame image's election reads
+    asymmetric = Configuration([(0, 0), (3, 0), (0, 4), (1, 1)])
+    for config, names in (
+        (plane, _LAZY[Configuration] - {"linear_endpoints"}),
+        (line, _LAZY[Configuration]),
+        (asymmetric, _LAZY[Configuration] - {"linear_endpoints"} | {"_election_seed"}),
+    ):
         names = names | {"_distinct", "_scan", "_farthest", "_image_seed", "_lower_sums", "_pair_sums", "_sum_walks", "_r_floor"}
         for _ in range(2):
             for name in sorted(names):
@@ -1300,3 +1306,239 @@ def test_images_compute_their_own_structure_outside_the_guards(monkeypatch):
         assert _structure(image) == _structure(Configuration(image.points, image.tol)), base
         assert any(pts is image._distinct[1] for pts in scans) is own_scan, base
     assert len(close.locations) == len(close._distinct[1]) - 1 == 11
+
+
+# --- frame images take their class-A election from the base ---------------------------
+#
+# Where a class-A base's margins clear a frame image's bounds, the image
+# takes the base's elected location and asymmetry verdict
+# (``configuration._seed_image``).  Its class must be what a fresh
+# configuration of its points gives, bit for bit, seeded or not.
+
+
+def _class_or_error(config):
+    """The class as bits (``_class_bits``), or the error raised."""
+    try:
+        return _class_bits(config.cls)
+    except GatherError as exc:
+        return type(exc).__name__
+
+
+def _image_of(base, frame):
+    """The frame image of the classified base, and whether it took the
+    base's election."""
+    base.cls
+    image = frame.apply_config(base)
+    return image, "_elected_at" in vars(image)
+
+
+def _assert_own_election(image):
+    fresh = Configuration(image.points, image.tol)
+    assert _class_or_error(image) == _class_or_error(fresh), image
+    if "_elected_at" in vars(image):
+        assert symmetry.symmetricity(fresh) == 1, image
+
+
+@st.composite
+def _election_cases(draw):
+    """A base of 3 to 20 robots: uniform; uniform with two stacks of two, so
+    that no multiplicity is the only greatest; mirror pairs across an axis,
+    whose sums tie; or uniform plus a robot whose direction from the
+    elected point lies eps_angle, perhaps up to 1e-10 either way, from
+    another robot's.  Scaled by 1e-80 to 1e85 and perhaps offset by up to
+    1e6 times its diameter D; the frame is ``LocalFrame.random``, or of
+    scale 0.5 or 2 translated by +-2D.  Also the shape and whether the base
+    was offset."""
+    shape = draw(st.sampled_from(("uniform", "stacked", "mirror", "near gap")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers({"uniform": 3, "stacked": 5}.get(shape, 4), 20))
+    pts = [Point(rng.random(), rng.random()) for _ in range(n)]
+    if shape == "stacked":
+        pts[1], pts[3] = pts[0], pts[2]
+    elif shape == "mirror":
+        pts = pts[: n // 2] + [Point(1.0 - x, y) for x, y in pts[: n // 2]]
+    elif shape == "near gap":
+        w = Configuration(pts).cls.elected
+        b = pts[rng.randrange(n)]
+        if w is not None and b != w:
+            off = draw(st.sampled_from((0.0, 1e-13, 1e-12, 1e-11, 1e-10))) * draw(st.sampled_from((-1.0, 1.0)))
+            turn = math.atan2(b.y - w.y, b.x - w.x) + Tolerance().eps_angle + off
+            pts.append(on_ray(w, turn, rng.uniform(0.2, 0.9) * dist(w, b)))
+    scale = 10.0 ** draw(st.floats(-80, 85))
+    pts = [Point(x * scale, y * scale) for x, y in pts]
+    shifted = draw(st.booleans())
+    if shifted:
+        shift = draw(st.floats(1.0, 1e6)) * Configuration(pts).diameter
+        pts = [Point(x + shift, y - 0.5 * shift) for x, y in pts]
+    base = Configuration(pts)
+    span = 2.0 * base.diameter
+    kind = draw(st.sampled_from(("random", 0.5, 2.0)))
+    if kind == "random":
+        frame = LocalFrame.random(rng, base.diameter)
+    else:
+        signs = draw(st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))))
+        frame = LocalFrame(rng.uniform(0, TAU), kind, Point(signs[0] * span, signs[1] * span))
+    return base, frame, shape, shifted
+
+
+@given(_election_cases())
+@settings(max_examples=400, deadline=None)
+def test_seeded_image_election_is_its_own(case):
+    base, frame, shape, shifted = case
+    try:
+        base.cls
+    except GatherError:
+        return
+    image, seeded = _image_of(base, frame)
+    _assert_own_election(image)
+    if shape == "uniform" and not shifted and base.cls.tag == TAG_ASYMMETRIC:
+        # generic margins are far above the frame's error
+        assert seeded, (base, frame)
+
+
+def _counting(monkeypatch):
+    """Count the calls of the class-A election and of the asymmetry test."""
+    calls = Counter()
+    elect, sym = configuration._elect_safe_point, symmetry.symmetricity
+    monkeypatch.setattr(configuration, "_elect_safe_point", lambda c: calls.update(["elect"]) or elect(c))
+    monkeypatch.setattr(symmetry, "symmetricity", lambda c: calls.update(["sym"]) or sym(c))
+    return calls
+
+
+def _falls_back(monkeypatch, base, frame, classified=True):
+    """The image of the class-A base runs its own election and asymmetry
+    test, and gets a fresh configuration's class."""
+    if classified:
+        assert base.cls.tag == TAG_ASYMMETRIC, base
+    image = frame.apply_config(base)
+    assert "_elected_at" not in vars(image), base
+    calls = _counting(monkeypatch)
+    _assert_own_election(image)
+    assert image.cls.tag == TAG_ASYMMETRIC and calls == {"elect": 2, "sym": 2}, (base, calls)
+    monkeypatch.undo()
+
+
+def test_images_run_their_own_election_outside_the_guards(monkeypatch):
+    rng = random.Random(43)
+    frame = LocalFrame(rng.uniform(0, TAU), 1.3, Point(0.4, -0.2))
+    # the tied sums of the mirror tie, sent to the view order
+    _falls_back(monkeypatch, Configuration(json.loads((DATA / "mirror_tie.json").read_text())["points"]), frame)
+    # two robots on one ray from the winner: seeded at the default slack,
+    # but at eps_angle = 0 the gap of 0.0 between them is the slack itself
+    ray = [Point(0, 0), Point(1, 0), Point(2, 0), Point(-0.3, 1.1), Point(-0.5, -0.9), Point(0.2, -1.3)]
+    assert _image_of(Configuration(ray), frame)[1]
+    _falls_back(monkeypatch, Configuration(ray, Tolerance(eps_angle=0.0)), frame)
+    # 65 robots: no exact pair sums, so no seeded sums either
+    _falls_back(monkeypatch, uniform_configuration(rng, 65), frame)
+    # a base never classified, though its exact pair sums are computed
+    base = uniform_configuration(rng, 12)
+    unclassified = Configuration(base.points)
+    unclassified._pair_sums
+    _falls_back(monkeypatch, unclassified, frame, classified=False)
+    assert "cls" not in vars(unclassified) and _image_of(base, frame)[1]
+
+
+def test_tied_sums_make_the_image_run_its_own_election(monkeypatch):
+    # one robot slid until the two least exact sums tie to the last bits,
+    # with no symmetry: the view order decides, in the base and the image
+    rng = random.Random(7)
+    pts = [Point(rng.random(), rng.random()) for _ in range(7)]
+    sums = [total for _, _, total in Configuration(pts)._pair_sums]
+    w, k = sorted(range(7), key=sums.__getitem__)[:2]
+    j = next(i for i in range(7) if i not in (w, k))
+
+    def slid(x):
+        return Configuration(pts[:j] + [Point(x, pts[j].y)] + pts[j + 1:])
+
+    def gap(x):
+        sums = slid(x)._pair_sums
+        return sums[k][2] - sums[w][2]
+
+    lo, hi = pts[j].x, pts[j].x - 1.0
+    assert gap(lo) > 0.0 > gap(hi)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if gap(mid) > 0.0 else (lo, mid)
+    base = slid(lo)
+    assert abs(gap(lo)) < 1e-15
+    _falls_back(monkeypatch, base, LocalFrame(0.7, 1.3, Point(0.4, -0.2)))
+
+
+def test_a_centroid_near_a_location_makes_the_image_test_its_own_asymmetry(monkeypatch):
+    # a robot on the centroid of five others, then one whose distance from
+    # the centroid is just beyond the merge slack, by less than the frame's
+    # error: either way the image's centre may be the robot's location
+    rng = random.Random(3)
+    five = [Point(rng.random(), rng.random()) for _ in range(5)]
+    c5 = Point(math.fsum(x for x, _ in five) / 5, math.fsum(y for _, y in five) / 5)
+    frame = LocalFrame(0.7, 1.3, Point(0.4, -0.2))
+    on = Configuration(five + [c5])
+    assert symmetry._center(on) == c5
+    _falls_back(monkeypatch, on, frame)
+    # g - p = 5/6 (c5 - p) for the sixth robot p
+    slack = on.merge_slack
+    beyond = Configuration(five + [Point(c5.x - 1.2 * slack * (1.0 + 5e-6), c5.y)])
+    g = symmetry._center(beyond)
+    assert slack < dist(g, beyond.points[5]) < slack * (1.0 + 1e-5) and beyond.merge_slack == slack
+    _falls_back(monkeypatch, beyond, frame)
+    assert _image_of(Configuration(five + [Point(c5.x - 0.1, c5.y)]), frame)[1]
+
+
+def test_a_near_turn_of_the_innermost_point_makes_the_image_test_its_own_asymmetry(monkeypatch):
+    # two points at one distance from the centroid, 1 rad apart: either may
+    # be the image's innermost.  Then a point 2e-6 r0 beyond the half turn of
+    # the innermost, inside the order-2 window at eps_angle = 1e-4 but far
+    # outside it at the default slack
+    rng = random.Random(5)
+    four = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+    gx, gy = math.fsum(x for x, _ in four) / 4, math.fsum(y for _, y in four) / 4
+    vx, vy = 0.031, 0.017
+    tx, ty = math.cos(1.0) * vx - math.sin(1.0) * vy, math.sin(1.0) * vx + math.cos(1.0) * vy
+    frame = LocalFrame(0.7, 1.3, Point(0.4, -0.2))
+    tied = four + [Point(gx + vx, gy + vy), Point(gx + tx, gy + ty), Point(gx - vx - tx, gy - vy - ty)]
+    _falls_back(monkeypatch, Configuration(tied), frame)
+    opposite = four + [Point(gx + vx, gy + vy), Point(gx - vx * (1 + 2e-6), gy - vy * (1 + 2e-6))]
+    _falls_back(monkeypatch, Configuration(opposite, Tolerance(eps_angle=1e-4)), frame)
+    assert _image_of(Configuration(opposite), frame)[1]
+
+
+def test_an_image_of_another_tolerance_runs_its_own_election(monkeypatch):
+    base = uniform_configuration(random.Random(12), 12)
+    frame = LocalFrame(0.7, 1.3, Point(0.4, -0.2))
+    assert _image_of(base, frame)[1]
+    # ``apply_config``'s points under a slack of 2e-9
+    points = frame.apply_config(base).points
+    image = Configuration(points, Tolerance(eps_angle=2e-9))
+    configuration._seed_image(image, base, frame.scale, frame.translation)
+    assert "_lower_sums" in vars(image) and "_elected_at" not in vars(image)
+    _assert_own_election(image)
+
+
+def test_a_safety_gap_at_the_margin_decides_the_seed():
+    # a robot whose direction from the elected point is about 2e-9 from
+    # another's, under slacks eps_angle around the one at which that gap
+    # less eps_angle is the frame's margin: seeded up to it, not beyond,
+    # and every image's class is its own
+    rng = random.Random(44)
+    pts = [Point(rng.random(), rng.random()) for _ in range(7)]
+    w = Configuration(pts).cls.elected
+    b = pts[0]
+    pts.append(on_ray(w, math.atan2(b.y - w.y, b.x - w.x) + 2e-9, 0.6 * dist(w, b)))
+    frame = LocalFrame(rng.uniform(0, TAU), 1.7, Point(0.3, -0.8))
+
+    def image_at(eps):
+        base = Configuration(pts, Tolerance(eps_angle=eps))
+        assert base.cls.tag == TAG_ASYMMETRIC and base.cls.elected == w
+        return _image_of(base, frame)
+
+    lo, hi = 1e-9, 2e-9
+    assert image_at(lo)[1] and not image_at(hi)[1]
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if image_at(mid)[1] else (lo, mid)
+    edge = [lo]
+    for _ in range(3):
+        edge = [math.nextafter(edge[0], 0.0), *edge, math.nextafter(edge[-1], 1.0)]
+    assert edge[4] == hi and 1.9e-9 < lo < 2e-9
+    for eps in edge:
+        image, seeded = image_at(eps)
+        assert seeded == (eps <= lo), eps
+        _assert_own_election(image)

@@ -104,3 +104,25 @@ def test_one_function_reads_the_all_pairs_crossover():
     # branch on whether it handed back every pair's distance
     readers, everywhere = _readers("_ALL_PAIRS_UP_TO")
     assert readers == [("configuration.py", "_farthest_pairs", everywhere)]
+
+
+def test_only_the_seed_writes_an_image_election():
+    # ``_seed_image`` alone gives a frame image its base's election, and
+    # ``classify`` alone reads it
+    writers, users = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Constant) and node.value == "_elected_at":
+                    users.append(fn.name)
+                elif (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == "_elected_at"
+                ):
+                    writers.append((path.name, fn.name))
+    assert writers == [("configuration.py", "_seed_image")]
+    assert sorted(set(users)) == ["_seed_image", "classify"]

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gathersim import (
     AdversarySpec,
@@ -15,7 +16,7 @@ from gathersim import (
     run,
     step,
 )
-from gathersim import configuration, gathering, simulator
+from gathersim import configuration, gathering, simulator, symmetry
 from gathersim.configuration import (
     ALL_TAGS,
     TAG_ASYMMETRIC,
@@ -35,9 +36,11 @@ from gathersim.generators import (
 )
 from gathersim.geometry import dist
 from gathersim.simulator import (
+    ACTIVATION_POLICIES,
     OUTCOME_GATHERED,
     OUTCOME_MAX_ROUNDS,
     OUTCOME_VIOLATION,
+    STOP_POLICIES,
     LocalFrame,
     TraceRecord,
     check_transition,
@@ -658,8 +661,14 @@ def test_frame_images_take_their_bounds_from_the_base(monkeypatch):
     # on a synchronous run no frame image whose base has computed its exact
     # pair sums runs a pair pass of its own; every one is seeded instead.
     # No image runs the diameter scan or the location sweep either: each
-    # takes its stacks, farthest pair and locations from its base
+    # takes its stacks, farthest pair and locations from its base.  Every
+    # class-A image takes its base's election, so it tests no safe point
+    # and no symmetry of its own
     images = []
+    tested = []
+    is_safe, symmetricity = configuration._is_safe, symmetry.symmetricity
+    monkeypatch.setattr(configuration, "_is_safe", lambda c, k: tested.append(c) or is_safe(c, k))
+    monkeypatch.setattr(symmetry, "symmetricity", lambda c: tested.append(c) or symmetricity(c))
     apply_config = LocalFrame.apply_config
 
     def keep(frame, config):
@@ -682,6 +691,11 @@ def test_frame_images_take_their_bounds_from_the_base(monkeypatch):
     assert len(images) > 1000 and all(located for _, _, located in images)
     scanned = {id(pts) for pts in scans}
     assert scans and not any(id(image._distinct[1]) in scanned for image, _, _ in images)
+    # the tested configurations are kept, so no image can share an id with one
+    tested_ids = {id(config) for config in tested}
+    asymmetric = [image for image, _, _ in images if image.cls.tag == TAG_ASYMMETRIC]
+    assert len(asymmetric) > 200 and all("_elected_at" in vars(image) for image in asymmetric)
+    assert tested_ids and not any(id(image) in tested_ids for image in asymmetric)
 
 
 # --- the greedy lookahead ------------------------------------------------------------
@@ -796,3 +810,50 @@ def test_trace_writer_matches_reference():
     rng = random.Random(52)
     assert trace_lines(fresh(200)) == expected
     assert trace_lines([]) == ""
+
+
+# --- self-stabilization ----------------------------------------------------------------
+
+
+@st.composite
+def _arbitrary_starts(draw):
+    """A start of 3 to 7 robots: stacks on 2 to n - 1 uniform points with
+    whole stacks crashed at round 0, or with random robots crashed at round
+    0, or n uniform points; some correct robot always stays.  With every
+    activation and stop policy, delta = D/10 to D/100 and a run seed."""
+    n = draw(st.integers(3, 7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(("whole stacks", "random robots", "uniform")))
+    crashed = []
+    if shape == "uniform":
+        pts = [Point(rng.random(), rng.random()) for _ in range(n)]
+    else:
+        spots = [Point(rng.random(), rng.random()) for _ in range(rng.randint(2, n - 1))]
+        owner = [*range(len(spots)), *(rng.randrange(len(spots)) for _ in range(n - len(spots)))]
+        rng.shuffle(owner)
+        pts = [spots[j] for j in owner]
+        if shape == "whole stacks":
+            doomed = rng.sample(range(len(spots)), rng.randint(1, len(spots) - 1))
+            crashed = [i for i in range(n) if owner[i] in doomed]
+        else:
+            crashed = rng.sample(range(n), rng.randint(1, n - 1))
+    start = Configuration(pts)
+    adv = AdversarySpec(
+        activation=draw(st.sampled_from(ACTIVATION_POLICIES)),
+        stop_policy=draw(st.sampled_from(STOP_POLICIES)),
+        crash_schedule=tuple((0, i) for i in sorted(crashed)),
+    )
+    delta = start.diameter / draw(st.sampled_from((10.0, 30.0, 100.0)))
+    return start, adv, SimParams(delta=delta, max_rounds=5000, seed=draw(st.integers(0, 2**31)))
+
+
+@given(_arbitrary_starts())
+@settings(max_examples=300, deadline=None)
+def test_runs_gather_from_any_start_that_is_not_bivalent(case):
+    # self-stabilization: from stacks with whole stacks or random robots
+    # crashed before the first move, and from uniform starts, the correct
+    # robots gather under every adversary with no broken invariant
+    start, adv, params = case
+    assume(start.cls.tag != TAG_BIVALENT)
+    result = run(start, adv, params)
+    assert result.outcome == OUTCOME_GATHERED and result.detail is None, (start, adv, params, result.detail)

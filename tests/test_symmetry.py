@@ -425,6 +425,36 @@ def test_symmetricity_on_the_innermost_robot_matches_every_robot():
     assert orders[True] > 100 and orders[False] > 300, orders
 
 
+def test_symmetricity_bounds_one_radius_orbits_by_direction(monkeypatch):
+    # a regular 640-gon: each point's band of distances holds the whole
+    # orbit, and the ring's index by direction leaves each ``near`` one
+    # candidate, so the order costs one hypot per point for the ring and
+    # two per ``near`` call (the query's distance and the candidate)
+    # instead of 819,840 in all
+    calls = []
+    counting = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    counting.hypot = lambda *args: calls.append(args) or math.hypot(*args)
+    monkeypatch.setattr(symmetry, "math", counting)
+    n = 640
+    config = Configuration([on_ray(Point(0.3, -0.2), j * TAU / n, 1.0) for j in range(n)])
+    assert symmetricity(config) == n
+    assert len(calls) == 3200
+
+
+def test_symmetricity_by_direction_matches_every_robot():
+    # one-radius orbits of 17 to 60 robots, more than a band searched
+    # whole, and their variants: the order of the test without the index
+    rng = random.Random(29)
+    orders = Counter()
+    for k in (17, 24, 33, 60):
+        for with_center in (False, True):
+            for config in _innermost_variants(rng, k, with_center):
+                order = symmetricity(config)
+                assert order == symmetricity_unpruned(config), (k, config)
+                orders[order > 1] += 1
+    assert orders[True] >= 8 and orders[False] >= 60, orders
+
+
 def test_sym_implies_quasi_regular():
     rng = random.Random(17)
     for _ in range(30):
